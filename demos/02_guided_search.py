@@ -9,7 +9,7 @@ chain where every level also offers a two-step decoy branch.
 from contab.clausify import clausify_text
 from contab.learn import TrainConfig, extract_training_data, train
 from contab.policy import UniformPredictor
-from contab.search import SearchLimits, prove, uct_score
+from contab.search import SearchLimits, prove
 from contab.tableau import Engine
 
 LEVELS = 5
@@ -41,7 +41,7 @@ def describe_run(label, result):
           f"over {result.entropy_count} states)")
 
 
-def show_decision(result, cp):
+def show_decision(result):
     # first bigstep-trace node with a real choice
     node = next(n for n in result.bigstep_nodes if len(n.actions) > 1)
     print(f"  visit split at the first contested state ({node.state.describe()}):")
@@ -51,15 +51,14 @@ def show_decision(result, cp):
             print(f"    {action.encode():20s} unvisited, prior {node.priors[i]:.3f}")
         else:
             print(f"    {action.encode():20s} visits {child.visits:4d} "
-                  f"mean {child.mean:.3f} prior {child.prior:.3f} "
-                  f"score {uct_score(child, node.visits, cp):.3f}")
+                  f"mean {child.mean:.3f} prior {child.prior:.3f}")
 
 
 def main():
     engine = Engine(clausify_text(chain_with_decoys()))
     unguided = prove(engine, "chain", UniformPredictor(), LIMITS)
     describe_run("uniform baseline", unguided)
-    show_decision(unguided, LIMITS.cp)
+    show_decision(unguided)
 
     examples = extract_training_data(unguided, engine.matrix)
     print(f"\ntraining on {len(examples)} visit-count example(s) from that run")
@@ -68,7 +67,7 @@ def main():
 
     guided = prove(engine, "chain", model.predictor(), LIMITS)
     describe_run("trained policy", guided)
-    show_decision(guided, LIMITS.cp)
+    show_decision(guided)
 
     print(f"\nuniform needed {unguided.inferences} inferences, "
           f"the trained policy {guided.inferences}")

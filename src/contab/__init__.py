@@ -10,7 +10,7 @@ from .policy import (FixedEntropyPredictor, LinearPredictor, Predictor,
                      UniformPredictor, apply_order_preserving, entropy,
                      load_model, make_fixed_entropy_vector, normalized_entropy,
                      predict, save_model, softmax_temperature)
-from .search import MCTSNode, ProofResult, SearchLimits, bigstep, prove, uct_score
+from .search import MCTSNode, ProofResult, SearchLimits, bigstep, prove
 from .tableau import (Action, Engine, IllegalActionError, ProofCheck, TableauState,
                       decode_action, read_trace, write_trace)
 from .terms import Clause, Literal, Matrix, unify
@@ -27,7 +27,7 @@ __all__ = [
     "FixedEntropyPredictor", "LinearPredictor", "Predictor", "UniformPredictor",
     "apply_order_preserving", "entropy", "load_model", "make_fixed_entropy_vector",
     "normalized_entropy", "predict", "save_model", "softmax_temperature",
-    "MCTSNode", "ProofResult", "SearchLimits", "bigstep", "prove", "uct_score",
+    "MCTSNode", "ProofResult", "SearchLimits", "bigstep", "prove",
     "Action", "Engine", "IllegalActionError", "ProofCheck", "TableauState",
     "decode_action", "read_trace", "write_trace",
     "Clause", "Literal", "Matrix", "unify",

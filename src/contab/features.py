@@ -6,17 +6,23 @@ Variables all map to "*".  Each walk is tagged with a namespace (current
 goal, path, other open goals, action target) and hashed with crc32 into
 a fixed-dimension sparse count map.  crc32 keeps the hash stable across
 processes, unlike the salted builtin hash.
+
+The hashed walk indices of each instantiated literal are memoized per
+namespace in a bounded LRU cache: searches meet the same few literals
+over and over, and a literal's walks depend on nothing else.
 """
 
 from __future__ import annotations
 
+import functools
 import zlib
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from .tableau import Action, EXTENSION, PARAMODULATION, REDUCTION, START, TableauState
 from .terms import Literal, apply_subst_lit, is_var
 
 FEATURE_DIM = 2 ** 15
+WALK_CACHE_SIZE = 2 ** 12
 
 
 def _sym(t) -> str:
@@ -50,6 +56,16 @@ def _add(counts: Dict[int, int], namespace: str, walks) -> None:
         counts[idx] = counts.get(idx, 0) + 1
 
 
+@functools.lru_cache(maxsize=WALK_CACHE_SIZE)
+def _literal_indices(namespace: str, lit: Literal) -> Tuple[int, ...]:
+    return tuple(_hash(namespace + w) for w in literal_walks(lit))
+
+
+def _add_literal(counts: Dict[int, int], namespace: str, lit: Literal) -> None:
+    for idx in _literal_indices(namespace, lit):
+        counts[idx] = counts.get(idx, 0) + 1
+
+
 def extract_features(state: TableauState) -> Dict[int, int]:
     """Hashed walk counts over the current goal (g:), its path (p:), and
     the remaining open goals (o:)."""
@@ -59,11 +75,11 @@ def extract_features(state: TableauState) -> Dict[int, int]:
         return counts
     subst = state.subst
     if state.goals:
-        _add(counts, "g:", literal_walks(apply_subst_lit(state.goals[0][0], subst)))
+        _add_literal(counts, "g:", apply_subst_lit(state.goals[0][0], subst))
         for lit, _ in state.goals[1:]:
-            _add(counts, "o:", literal_walks(apply_subst_lit(lit, subst)))
+            _add_literal(counts, "o:", apply_subst_lit(lit, subst))
     for lit in state.path:
-        _add(counts, "p:", literal_walks(apply_subst_lit(lit, subst)))
+        _add_literal(counts, "p:", apply_subst_lit(lit, subst))
     return counts
 
 
@@ -78,14 +94,14 @@ def extract_action_features(state: TableauState, action: Action, matrix) -> Dict
 
     if action.kind == START:
         for lit in matrix.clauses[action.clause_id].literals:
-            _add(counts, "t:", literal_walks(lit))
+            _add_literal(counts, "t:", lit)
         return counts
 
     if action.kind == REDUCTION:
         target = apply_subst_lit(state.path[action.path_index], state.subst)
     else:
         target = matrix.clauses[action.clause_id].literals[action.literal_index]
-    _add(counts, "t:", literal_walks(target))
+    _add_literal(counts, "t:", target)
     target_root = ("~" if target.neg else "") + target.pred
     _add(counts, "x:", [goal_root + "|" + target_root])
     if action.kind == PARAMODULATION:

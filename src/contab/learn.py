@@ -22,8 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .features import FEATURE_DIM, extract_action_features, extract_features
-from .policy import (LinearPredictor, Predictor, UniformPredictor, save_model,
-                     sigmoid, softmax_temperature)
+from .policy import (LinearPredictor, Predictor, UniformPredictor, _sparse_dot,
+                     save_model, sigmoid, softmax_temperature)
 from .search import DISCOUNT, ProofResult, SearchLimits, prove
 from .tableau import Engine
 
@@ -148,10 +148,6 @@ class TrainResult:
     def predictor(self, temperature: float = 1.0) -> LinearPredictor:
         return LinearPredictor(self.policy_weights, self.value_weights,
                                temperature=temperature, dim=len(self.policy_weights))
-
-
-def _sparse_dot(weights: np.ndarray, feats: Dict[int, int]) -> float:
-    return float(sum(weights[i] * c for i, c in feats.items()))
 
 
 def _policy_probs(weights: np.ndarray, ex: TrainingExample) -> np.ndarray:

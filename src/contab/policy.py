@@ -118,9 +118,18 @@ class Predictor:
 
     ``temperature`` is applied by :func:`predict` when turning logits
     into a distribution.
+
+    ``reads_state`` and ``reads_actions`` declare whether the scores
+    depend on the state features and on the action features.  When one
+    is false, :func:`predict` skips that extraction and passes empty
+    feature maps instead (``{}`` for the state, one ``{}`` per action),
+    so a predictor must score those exactly as it would the real ones.
+    The base class reads both.
     """
 
     temperature: float = 1.0
+    reads_state: bool = True
+    reads_actions: bool = True
 
     def predict_policy(self, features: Dict[int, int],
                        action_features: List[Dict[int, int]]) -> np.ndarray:
@@ -132,6 +141,9 @@ class Predictor:
 
 class UniformPredictor(Predictor):
     """Zero logits and value 1/2: the unguided baseline."""
+
+    reads_state = False
+    reads_actions = False
 
     def __init__(self, temperature: float = 1.0):
         self.temperature = temperature
@@ -159,6 +171,15 @@ class LinearPredictor(Predictor):
         if self.policy_weights.shape != (dim,) or self.value_weights.shape != (dim,):
             raise ValueError("weight vectors must match the feature dimension")
         self.temperature = temperature
+
+    @property
+    def reads_state(self) -> bool:
+        # all-zero weights score every state 0, features or not
+        return bool(self.value_weights.any())
+
+    @property
+    def reads_actions(self) -> bool:
+        return bool(self.policy_weights.any())
 
     def predict_policy(self, features, action_features):
         return np.array([_sparse_dot(self.policy_weights, af) for af in action_features])
@@ -189,6 +210,14 @@ class FixedEntropyPredictor(Predictor):
             n: make_fixed_entropy_vector(n, target, seed) for n in range(2, max_cached + 1)
         }
 
+    @property
+    def reads_state(self) -> bool:
+        return self.base.reads_state
+
+    @property
+    def reads_actions(self) -> bool:
+        return self.base.reads_actions
+
     def vector_for(self, n: int) -> np.ndarray:
         if n not in self.cache:
             self.cache[n] = make_fixed_entropy_vector(n, self.target, self.seed)
@@ -212,12 +241,16 @@ class FixedEntropyPredictor(Predictor):
 
 def predict(predictor: Predictor, state, actions, matrix) -> Tuple[Optional[np.ndarray], float]:
     """Feature-extraction glue: returns (distribution over ``actions``,
-    value estimate).  The distribution is None when there are no actions."""
-    features = extract_features(state)
+    value estimate).  The distribution is None when there are no actions.
+    Only the features the predictor declares it reads are extracted."""
+    features = extract_features(state) if predictor.reads_state else {}
     value = min(1.0, max(0.0, predictor.predict_value(features)))
     if not actions:
         return None, value
-    afs = [extract_action_features(state, a, matrix) for a in actions]
+    if predictor.reads_actions:
+        afs = [extract_action_features(state, a, matrix) for a in actions]
+    else:
+        afs = [{}] * len(actions)
     logits = predictor.predict_policy(features, afs)
     return softmax_temperature(logits, predictor.temperature), value
 

@@ -77,10 +77,6 @@ class MCTSNode:
         return path
 
 
-def uct_score(child: MCTSNode, parent_visits: int, cp: float) -> float:
-    return child.mean + cp * child.prior * math.sqrt(math.log(parent_visits) / child.visits)
-
-
 @dataclass
 class ProofResult:
     problem: str
@@ -139,7 +135,8 @@ class _Search:
             node.fully_explored = True
             node.terminal_reward = 0.0
             return 0.0
-        node.priors = probs
+        # plain floats: _select reads them in the hot loop
+        node.priors = probs.tolist()
         node.children = [None] * len(node.actions)
         node.value = value
         self.entropy_sum += entropy(probs)
@@ -151,18 +148,24 @@ class _Search:
         return value
 
     def _select(self, node: MCTSNode) -> int:
-        """Index of the child slot with maximal UCT; unexpanded slots score
-        cp * prior * sqrt(ln N); fully explored children are skipped."""
+        """Index of the child slot with maximal UCT score
+        ``mean + cp * prior * sqrt(ln N / visits)``, lowest index on ties;
+        unexpanded slots score cp * prior * sqrt(ln N); fully explored
+        children are skipped.  This is the only place UCT is computed."""
         log_n = math.log(node.visits)
+        sqrt_log_n = math.sqrt(log_n)
         cp = self.limits.cp
+        priors = node.priors
         best, best_score = -1, -math.inf
         for i, child in enumerate(node.children):
             if child is None:
-                score = cp * node.priors[i] * math.sqrt(log_n)
+                score = cp * priors[i] * sqrt_log_n
             elif child.fully_explored:
                 continue
             else:
-                score = child.mean + cp * child.prior * math.sqrt(log_n / child.visits)
+                # an expanded child has visits >= 1, so this is its mean
+                score = (child.reward_sum / child.visits
+                         + cp * child.prior * math.sqrt(log_n / child.visits))
             if score > best_score:
                 best, best_score = i, score
         return best
@@ -214,7 +217,7 @@ class _Search:
                 return None
             state = self.engine.apply(node.state, node.actions[i])
             self.inferences += 1
-            leaf = MCTSNode(state, node, i, float(node.priors[i]), node.depth + 1)
+            leaf = MCTSNode(state, node, i, node.priors[i], node.depth + 1)
             node.children[i] = leaf
             reward = self._evaluate(leaf)
             leaf.visits = 1

@@ -26,7 +26,7 @@ from contab.learn import (LoopConfig, TrainConfig, policy_grad_logits,
 from contab.policy import (FixedEntropyPredictor, UniformPredictor, entropy,
                            make_fixed_entropy_vector, normalized_entropy,
                            predict, softmax_temperature)
-from contab.search import MCTSNode, SearchLimits, prove, uct_score
+from contab.search import MCTSNode, SearchLimits, _Search, prove
 from contab.tableau import Engine
 
 
@@ -148,6 +148,19 @@ def check_tree(node, failures):
             check_tree(child, failures)
 
 
+def select_slot(children, priors, parent_visits, cp):
+    """``_select`` on a hand-built parent (None marks an unexpanded slot)."""
+    parent = MCTSNode(None, None, -1, 1.0, 0)
+    parent.visits, parent.children, parent.priors = parent_visits, children, priors
+    return _Search(None, None, SearchLimits(cp=cp), False)._select(parent)
+
+
+def probe(score):
+    node = MCTSNode(None, None, -1, 0.0, 0)
+    node.visits, node.reward_sum = 1, score
+    return node
+
+
 def test_criterion_3_search_tree_properties():
     rng = np.random.default_rng(2024)
     failures = []
@@ -166,8 +179,10 @@ def test_criterion_3_search_tree_properties():
             failures.append(f"synth{i}: inexact budget stop")
         check_tree(result.bigstep_nodes[0], failures)
 
-    # closed-form selection score against 50-digit arithmetic
-    worst = 0.0
+    # closed-form selection score against 50-digit arithmetic: _select
+    # must rank the child between two probes (prior 0, so scored exactly
+    # their mean) one relative 1e-12 below and above the oracle value
+    uct_misses = 0
     for _ in range(1000):
         n = int(rng.integers(1, 500))
         r = float(rng.random() * n)
@@ -176,14 +191,16 @@ def test_criterion_3_search_tree_properties():
         cp = float(rng.random() * 3 + 0.1)
         child = MCTSNode(None, None, -1, p, 0)
         child.visits, child.reward_sum = n, r
-        got = uct_score(child, big_n, cp)
         with mp.workdps(50):
-            want = (mp.mpf(r) / n
-                    + mp.mpf(cp) * mp.mpf(p) * mp.sqrt(mp.log(big_n) / n))
-            rel = abs(got - float(want)) / max(abs(float(want)), 1e-300)
-        worst = max(worst, rel)
-    if worst > 1e-12:
-        failures.append(f"uct oracle mismatch {worst:.2e}")
+            want = float(mp.mpf(r) / n
+                         + mp.mpf(cp) * mp.mpf(p) * mp.sqrt(mp.log(big_n) / n))
+        tol = 1e-12 * max(abs(want), 1e-300)
+        below, above = probe(want - tol), probe(want + tol)
+        if (select_slot([child, below], [p, 0.0], big_n, cp) != 0
+                or select_slot([above, child], [0.0, p], big_n, cp) != 0):
+            uct_misses += 1
+    if uct_misses:
+        failures.append(f"uct oracle mismatch on {uct_misses} draws")
 
     # an unvisited slot's bonus eventually beats any visited child
     for _ in range(1000):
@@ -199,14 +216,14 @@ def test_criterion_3_search_tree_properties():
         big_n = math.exp(ln_n0)
         child = MCTSNode(None, None, -1, p_vis, 0)
         child.visits, child.reward_sum = n, r
-        unvisited = cp * p_new * math.sqrt(math.log(big_n))
-        if not unvisited > uct_score(child, big_n, cp):
+        if select_slot([child, None], [p_vis, p_new], big_n, cp) != 1:
             failures.append("exploration dominance")
             break
 
     ok = not failures and all(v > 0 for v in statuses.values())
     report(3, "search tree properties", ok,
-           f"1000 trees ({statuses}), uct rel err {worst:.1e}, "
+           f"1000 trees ({statuses}), uct within 1e-12 of the oracle "
+           f"on {1000 - uct_misses}/1000 draws, "
            f"{len(failures)} violations")
     assert ok, failures[:5]
 

@@ -2,8 +2,10 @@
 
 import zlib
 
+import numpy as np
 import pytest
 
+from contab import features
 from contab.clausify import clausify_text
 from contab.features import (
     FEATURE_DIM,
@@ -199,3 +201,51 @@ class TestHashing:
         collisions = len(walks) - len(buckets)
         assert len(walks) > 100
         assert collisions / len(walks) < 0.05
+
+
+class TestWalkMemo:
+    """Memoized literal walks give exactly the features a fresh
+    computation gives, and the memo never outgrows its bound."""
+
+    @staticmethod
+    def searched_states(engine):
+        from contab.policy import LinearPredictor
+        from contab.search import SearchLimits, prove
+
+        # a predictor that reads every feature, so the search fills the memo
+        predictor = LinearPredictor(np.full(FEATURE_DIM, 0.01), np.full(FEATURE_DIM, 0.01))
+        result = prove(engine, "memo", predictor, SearchLimits(inference_limit=300,
+                                                                bigstep_frequency=50))
+        states, stack = [], [result.bigstep_nodes[0]]
+        while stack:
+            node = stack.pop()
+            states.append((node.state, node.actions))
+            stack.extend(c for c in node.children if c is not None)
+        return states
+
+    def test_memoized_features_equal_fresh_ones(self, monkeypatch):
+        engine = Engine(clausify_text(
+            "cnf(assoc, axiom, m(m(X, Y), Z) = m(X, m(Y, Z))).\n"
+            "cnf(left_id, axiom, m(e, X) = X).\n"
+            "cnf(left_inv, axiom, m(i(X), X) = e).\n"
+            "fof(c, conjecture, m(a, m(i(a), b)) = b)."))
+        features._literal_indices.cache_clear()
+        states = self.searched_states(engine)
+        assert len(states) > 100
+        memoized = [(extract_features(s), [extract_action_features(s, a, engine.matrix)
+                                           for a in actions])
+                    for s, actions in states]
+        assert features._literal_indices.cache_info().hits > 0
+        monkeypatch.setattr(features, "_literal_indices", features._literal_indices.__wrapped__)
+        fresh = [(extract_features(s), [extract_action_features(s, a, engine.matrix)
+                                        for a in actions])
+                 for s, actions in states]
+        assert memoized == fresh
+
+    def test_memo_is_bounded(self):
+        info = features._literal_indices.cache_info()
+        assert info.maxsize == features.WALK_CACHE_SIZE
+        for i in range(features.WALK_CACHE_SIZE + 50):
+            features._literal_indices("g:", Literal(False, "p", (mk(f"c{i}"),)))
+        info = features._literal_indices.cache_info()
+        assert info.currsize == info.maxsize

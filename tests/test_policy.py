@@ -6,7 +6,9 @@ import random
 import numpy as np
 import pytest
 
+import contab.policy as policy_module
 from contab.clausify import clausify_text
+from contab.features import extract_features
 from contab.policy import (
     FixedEntropyPredictor,
     LinearPredictor,
@@ -20,6 +22,7 @@ from contab.policy import (
     save_model,
     softmax_temperature,
 )
+from contab.search import SearchLimits, prove
 from contab.tableau import Engine
 
 NEAR_UNIFORM_3 = [0.34, 0.33, 0.33]
@@ -288,6 +291,62 @@ class TestPredictors:
         fep = FixedEntropyPredictor(UniformPredictor(), 0.8, seed=0)
         logits = fep.predict_policy({}, [{}])
         assert list(softmax_temperature(logits, 1.0)) == [1.0]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("feature extraction was not declared as read")
+
+
+class TestDeclaredReads:
+    """``predict`` extracts only the features a predictor declares it reads."""
+
+    @pytest.mark.parametrize("make", [
+        UniformPredictor,
+        lambda: FixedEntropyPredictor(UniformPredictor(), 0.6, seed=3),
+    ], ids=["uniform", "fixed-entropy-over-uniform"])
+    def test_unread_features_are_never_extracted(self, make, monkeypatch):
+        monkeypatch.setattr(policy_module, "extract_features", _refuse)
+        monkeypatch.setattr(policy_module, "extract_action_features", _refuse)
+        predictor = make()
+        assert not predictor.reads_state and not predictor.reads_actions
+        engine, state, actions = small_state_and_actions()
+        probs, value = predict(predictor, state, actions, engine.matrix)
+        assert len(probs) == 4 and value == 0.5
+        # and through a whole search
+        result = prove(engine, "p", predictor, SearchLimits(inference_limit=50))
+        assert result.inferences > 0
+
+    def test_policy_only_linear_skips_state_features(self, monkeypatch):
+        engine, state, actions = small_state_and_actions()
+        lp = LinearPredictor()
+        lp.policy_weights[:] = np.random.default_rng(0).standard_normal(lp.dim)
+        assert lp.reads_actions and not lp.reads_state
+        want = predict(lp, state, actions, engine.matrix)
+        monkeypatch.setattr(policy_module, "extract_features", _refuse)
+        probs, value = predict(lp, state, actions, engine.matrix)
+        assert list(probs) == list(want[0]) and value == want[1] == 0.5
+
+    def test_linear_declarations_follow_its_weights(self):
+        lp = LinearPredictor(dim=8)
+        assert (lp.reads_state, lp.reads_actions) == (False, False)
+        lp.value_weights[2] = 0.5
+        assert (lp.reads_state, lp.reads_actions) == (True, False)
+        lp.policy_weights[1] = -1.0
+        assert (lp.reads_state, lp.reads_actions) == (True, True)
+        fep = FixedEntropyPredictor(lp, 0.5, seed=1, max_cached=2)
+        assert (fep.reads_state, fep.reads_actions) == (True, True)
+
+    def test_state_reader_gets_the_real_features(self, monkeypatch):
+        engine, state, actions = small_state_and_actions()
+        lp = LinearPredictor()
+        lp.value_weights[:] = 0.01
+        seen = []
+        monkeypatch.setattr(policy_module, "extract_features",
+                            lambda s: seen.append(s) or extract_features(s))
+        monkeypatch.setattr(policy_module, "extract_action_features", _refuse)
+        _, value = predict(lp, state, actions, engine.matrix)
+        assert seen == [state]
+        assert value == lp.predict_value(extract_features(state)) != 0.5
 
 
 class TestModelFiles:

@@ -1,7 +1,8 @@
 """Search tests.
 
 Two oracles here: an arbitrary-precision recomputation of the UCT score
-(mpmath at 50 digits), and a plain-dict scripted simulation of the whole
+that ``_select`` ranks children by (mpmath at 50 digits), and a
+plain-dict scripted simulation of the whole
 select/expand/backpropagate/bigstep loop that prove() must reproduce
 node for node.
 """
@@ -10,19 +11,20 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 
 from contab.clausify import clausify_text
-from contab.policy import FixedEntropyPredictor, UniformPredictor, predict
+from contab.policy import FixedEntropyPredictor, Predictor, UniformPredictor, predict
 from contab.search import (
     DISCOUNT,
     HARVEST_CAP,
     MCTSNode,
     SearchLimits,
+    _Search,
     bigstep,
     format_result_line,
     prove,
-    uct_score,
 )
 from contab.tableau import Engine
 
@@ -49,14 +51,36 @@ def make_node(prior=1.0, visits=0, reward=0.0, has_proof=False, depth=1):
     return n
 
 
+def select(children, parent_visits, cp=1.0):
+    """``_select`` on a hand-built parent over expanded ``children``."""
+    parent = make_node(visits=parent_visits, depth=0)
+    parent.children = list(children)
+    parent.priors = [c.prior for c in children]
+    return _Search(None, None, SearchLimits(cp=cp), False)._select(parent)
+
+
+def probe(score):
+    # prior 0 makes the exploration term exactly 0, so this child's UCT
+    # score is exactly ``score``
+    return make_node(prior=0.0, visits=1, reward=score)
+
+
+def uct_between(child, parent_visits, cp, lo, hi):
+    """True when ``_select`` scores ``child`` within [lo, hi]: it must not
+    lose to a probe worth ``lo`` and not beat one worth ``hi`` (ties go to
+    the lower index)."""
+    return (select([child, probe(lo)], parent_visits, cp) == 0
+            and select([probe(hi), child], parent_visits, cp) == 0)
+
+
 class TestUctScore:
     def test_log_term_vanishes_at_one_parent_visit(self):
         child = make_node(prior=1.0, visits=1, reward=1.0)
-        assert uct_score(child, 1, 1.0) == 1.0
+        assert uct_between(child, 1, 1.0, 1.0, 1.0)
 
     def test_exploration_only_closed_form(self):
         child = make_node(prior=0.5, visits=1, reward=0.0)
-        assert uct_score(child, math.e, 2.0) == pytest.approx(1.0, abs=1e-15)
+        assert uct_between(child, math.e, 2.0, 1.0 - 1e-15, 1.0 + 1e-15)
 
     def test_matches_high_precision_oracle(self):
         rng = random.Random(101)
@@ -68,11 +92,11 @@ class TestUctScore:
             p = rng.random()
             cp = rng.choice([0.5, 1.0, 2.0])
             child = make_node(prior=p, visits=n, reward=r)
-            got = uct_score(child, big_n, cp)
-            want = mpmath.mpf(r) / n + mpmath.mpf(cp) * mpmath.mpf(p) * mpmath.sqrt(
+            want = float(mpmath.mpf(r) / n + mpmath.mpf(cp) * mpmath.mpf(p) * mpmath.sqrt(
                 mpmath.log(big_n) / n
-            )
-            assert abs(got - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
+            ))
+            tol = 1e-12 * max(1.0, abs(want))
+            assert uct_between(child, big_n, cp, want - tol, want + tol)
 
     def test_argmax_matches_high_precision_oracle(self):
         rng = random.Random(2024)
@@ -86,7 +110,7 @@ class TestUctScore:
                 parent_n += n
                 children.append(make_node(prior=rng.random(), visits=n, reward=rng.random() * n))
             cp = rng.choice([0.5, 1.0, 2.0])
-            got = max(range(k), key=lambda i: uct_score(children[i], parent_n, cp))
+            got = select(children, parent_n, cp)
             scores = [
                 mpmath.mpf(c.reward_sum) / c.visits
                 + mpmath.mpf(cp) * mpmath.mpf(c.prior) * mpmath.sqrt(mpmath.log(parent_n) / c.visits)
@@ -100,8 +124,7 @@ class TestUctScore:
             make_node(prior=0.25, visits=v, reward=0.5 * v) for v in (7, 3, 9, 5)
         ]
         parent_n = 1 + sum(c.visits for c in children)
-        scores = [uct_score(c, parent_n, 1.0) for c in children]
-        assert scores.index(max(scores)) == 1
+        assert select(children, parent_n, 1.0) == 1
 
 
 class TestBigstep:
@@ -250,6 +273,54 @@ class TestTreeInvariants:
         limits = SearchLimits(inference_limit=77, bigstep_frequency=10)
         result = prove(engine, "t", UniformPredictor(), limits)
         assert result.inferences == calls == 77
+
+
+GROUP_EQ = (
+    "cnf(assoc, axiom, m(m(X, Y), Z) = m(X, m(Y, Z))).\n"
+    "cnf(left_id, axiom, m(e, X) = X).\n"
+    "cnf(left_inv, axiom, m(i(X), X) = e).\n"
+    "cnf(square, axiom, m(X, X) = e).\n"
+    "fof(c, conjecture, m(a, b) = m(b, a))."
+)
+
+
+class ReadsEverything(Predictor):
+    """Uniform scores, but declares that it reads every feature."""
+
+    def predict_policy(self, features, action_features):
+        return np.zeros(len(action_features))
+
+    def predict_value(self, features):
+        return 0.5
+
+
+class TestDeclaredReadsChangeNothing:
+    """Skipping unread feature extraction leaves every search result as it
+    was with the features extracted."""
+
+    @staticmethod
+    def outcome(result):
+        return (result.status, result.inferences, result.playouts, result.bigsteps,
+                result.proof, result.mean_entropy, result.mean_normalized_entropy)
+
+    def test_corpus(self):
+        from contab.clausify import load_matrix
+        from contab.corpus import corpus_problems
+
+        assert ReadsEverything().reads_state and ReadsEverything().reads_actions
+        for path in corpus_problems():
+            engine = Engine(load_matrix(path))
+            outs = [self.outcome(prove(engine, path.stem, p, SearchLimits(inference_limit=200)))
+                    for p in (UniformPredictor(), ReadsEverything())]
+            assert outs[0] == outs[1], path.stem
+
+    def test_equational_problem(self):
+        engine = Engine(clausify_text(GROUP_EQ))
+        limits = SearchLimits(inference_limit=400, bigstep_frequency=50)
+        uniform = prove(engine, "eq", UniformPredictor(), limits)
+        reading = prove(engine, "eq", ReadsEverything(), limits)
+        assert uniform.inferences == 400 and uniform.bigsteps > 0
+        assert self.outcome(uniform) == self.outcome(reading)
 
 
 class TestDeterminism:
