@@ -9,13 +9,18 @@ processes, unlike the salted builtin hash.
 
 The hashed walk indices of each instantiated literal are memoized per
 namespace in a bounded LRU cache: searches meet the same few literals
-over and over, and a literal's walks depend on nothing else.
+over and over, and a literal's walks depend on nothing else.  The
+instantiated literals themselves are kept per state
+(:meth:`TableauState.instantiated`) and inherited from the parent state,
+so a state pays only for the literals its last action added or bound.
 """
 
 from __future__ import annotations
 
 import functools
 import zlib
+from collections import Counter
+from itertools import chain
 from typing import Dict, List, Tuple
 
 from .tableau import Action, EXTENSION, PARAMODULATION, REDUCTION, START, TableauState
@@ -68,19 +73,16 @@ def _add_literal(counts: Dict[int, int], namespace: str, lit: Literal) -> None:
 
 def extract_features(state: TableauState) -> Dict[int, int]:
     """Hashed walk counts over the current goal (g:), its path (p:), and
-    the remaining open goals (o:)."""
-    counts: Dict[int, int] = {}
+    the remaining open goals (o:), keyed in order of first occurrence."""
     if not state.started:
+        counts: Dict[int, int] = {}
         _add(counts, "g:", ["<prestart>"])
         return counts
-    subst = state.subst
-    if state.goals:
-        _add_literal(counts, "g:", apply_subst_lit(state.goals[0][0], subst))
-        for lit, _ in state.goals[1:]:
-            _add_literal(counts, "o:", apply_subst_lit(lit, subst))
-    for lit in state.path:
-        _add_literal(counts, "p:", apply_subst_lit(lit, subst))
-    return counts
+    goals, path = state.instantiated()
+    walks = [_literal_indices("g:", goals[0][0])] if goals else []
+    walks += [_literal_indices("o:", lit) for lit, _ in goals[1:]]
+    walks += [_literal_indices("p:", lit) for lit, _ in path]
+    return dict(Counter(chain.from_iterable(walks)))
 
 
 def extract_action_features(state: TableauState, action: Action, matrix) -> Dict[int, int]:

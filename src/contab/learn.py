@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .features import FEATURE_DIM, extract_action_features, extract_features
+from .fileio import atomic_open
 from .policy import (LinearPredictor, Predictor, UniformPredictor, _sparse_dot,
                      save_model, sigmoid, softmax_temperature)
 from .search import DISCOUNT, ProofResult, SearchLimits, prove
@@ -231,7 +232,7 @@ def _parse_sparse(text: str) -> Dict[int, int]:
 
 
 def write_examples(path, examples: Sequence[TrainingExample]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(EXAMPLES_MAGIC + "\n")
         for ex in examples:
             fields = [ex.problem, str(ex.iteration), repr(ex.value_target),
@@ -304,7 +305,7 @@ class LoopResult:
 
 
 def write_stats_csv(path, stats: Sequence[IterationStats]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(STATS_COLUMNS)
         for s in stats:
@@ -404,7 +405,7 @@ def run_loop(problems: Sequence[Tuple[str, Engine]], iterations: int,
                 save_model(os.path.join(out_dir, f"value_iter{it}.model"),
                            "value", model.value_weights, config.temperature, config.alpha)
             write_stats_csv(os.path.join(out_dir, "stats.csv"), stats)
-            with open(os.path.join(out_dir, "loop_state.txt"), "w", encoding="utf-8") as fh:
+            with atomic_open(os.path.join(out_dir, "loop_state.txt")) as fh:
                 fh.write(f"completed {it}\n")
 
     return LoopResult(stats=stats, examples=examples, final_model=model, results=all_results)

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .features import FEATURE_DIM, extract_action_features, extract_features
+from .fileio import atomic_open
 
 __all__ = [
     "entropy", "normalized_entropy", "softmax_temperature", "sigmoid",
@@ -113,6 +114,15 @@ def _sparse_dot(weights: np.ndarray, features: Dict[int, int]) -> float:
     return float(sum(weights[i] * c for i, c in features.items()))
 
 
+def _nonzero_index(weights: np.ndarray, hint: int) -> int:
+    """Index of a nonzero entry of ``weights``, ``hint`` when that one
+    still is; -1 when every entry is zero."""
+    if 0 <= hint < len(weights) and weights[hint]:
+        return hint
+    first = int((weights != 0).argmax())
+    return first if weights[first] else -1
+
+
 class Predictor:
     """Scoring interface: per-action logits plus a state value in [0, 1].
 
@@ -171,15 +181,21 @@ class LinearPredictor(Predictor):
         if self.policy_weights.shape != (dim,) or self.value_weights.shape != (dim,):
             raise ValueError("weight vectors must match the feature dimension")
         self.temperature = temperature
+        self._policy_nonzero = self._value_nonzero = -1
+
+    # All-zero weights score everything 0, features or not.  Callers edit
+    # the weights in place, so the answers are recomputed on every call:
+    # the index of a nonzero weight found last time is tried first.
 
     @property
     def reads_state(self) -> bool:
-        # all-zero weights score every state 0, features or not
-        return bool(self.value_weights.any())
+        self._value_nonzero = _nonzero_index(self.value_weights, self._value_nonzero)
+        return self._value_nonzero >= 0
 
     @property
     def reads_actions(self) -> bool:
-        return bool(self.policy_weights.any())
+        self._policy_nonzero = _nonzero_index(self.policy_weights, self._policy_nonzero)
+        return self._policy_nonzero >= 0
 
     def predict_policy(self, features, action_features):
         return np.array([_sparse_dot(self.policy_weights, af) for af in action_features])
@@ -241,12 +257,16 @@ class FixedEntropyPredictor(Predictor):
 
 def predict(predictor: Predictor, state, actions, matrix) -> Tuple[Optional[np.ndarray], float]:
     """Feature-extraction glue: returns (distribution over ``actions``,
-    value estimate).  The distribution is None when there are no actions.
-    Only the features the predictor declares it reads are extracted."""
+    value estimate).  The distribution is None when there are no actions,
+    and exactly ``[1.0]`` for one action, which the softmax of any finite
+    logit gives, so no action is scored then.  Only the features the
+    predictor declares it reads are extracted."""
     features = extract_features(state) if predictor.reads_state else {}
     value = min(1.0, max(0.0, predictor.predict_value(features)))
     if not actions:
         return None, value
+    if len(actions) == 1:
+        return np.ones(1), value
     if predictor.reads_actions:
         afs = [extract_action_features(state, a, matrix) for a in actions]
     else:
@@ -266,7 +286,7 @@ def save_model(path, kind: str, weights: np.ndarray, temperature: float = 1.0,
     if kind not in ("policy", "value"):
         raise ValueError(f"kind must be 'policy' or 'value', got {kind!r}")
     nz = np.nonzero(weights)[0]
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(MODEL_MAGIC + "\n")
         fh.write(f"kind {kind}\n")
         fh.write(f"dim {len(weights)}\n")

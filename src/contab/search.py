@@ -139,8 +139,10 @@ class _Search:
         node.priors = probs.tolist()
         node.children = [None] * len(node.actions)
         node.value = value
-        self.entropy_sum += entropy(probs)
-        self.nentropy_sum += normalized_entropy(probs)
+        if len(probs) > 1:
+            # a single action's [1.0] has entropy and normalized entropy 0.0
+            self.entropy_sum += entropy(probs)
+            self.nentropy_sum += normalized_entropy(probs)
         self.entropy_count += 1
         if self.collect_states and len(node.actions) >= 2 and len(self.harvested) < HARVEST_CAP:
             path = tuple(a.encode() for a in node.action_path())

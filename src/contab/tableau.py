@@ -93,16 +93,54 @@ class TableauState:
     ``goals`` holds the pending (literal, depth) pairs with the current
     goal first; ``path`` is the ancestor chain of the current goal.  All
     literals are stored unsubstituted and interpreted under ``subst``.
+
+    ``parent`` is the state :meth:`Engine.apply` made this one from (None
+    for a state built directly, such as the root).  The literals under
+    ``subst`` are derived data, computed on the first call to
+    :meth:`instantiated` and kept on the state.
     """
 
-    __slots__ = ("started", "goals", "path", "subst", "next_var")
+    __slots__ = ("started", "goals", "path", "subst", "next_var", "parent", "_instantiated")
 
-    def __init__(self, started, goals, path, subst, next_var):
+    def __init__(self, started, goals, path, subst, next_var, parent=None):
         self.started = started
         self.goals = goals
         self.path = path
         self.subst = subst
         self.next_var = next_var
+        self.parent = parent
+        self._instantiated = None
+
+    def instantiated(self):
+        """(goals, path): lists of (literal under ``subst``, ground) pairs,
+        one per goal and one per path literal, in the same order.
+
+        Computed once.  When the parent's lists are already known they are
+        inherited: substitutions only grow along a branch, so a literal
+        ground under the parent's substitution is reused as is, and only
+        the new goals and the non-ground literals are instantiated again.
+        """
+        if self._instantiated is not None:
+            return self._instantiated
+        subst = self.subst
+        parent = self.parent
+        inherited = None if parent is None else parent._instantiated
+        if inherited is None:
+            goals = [_instantiate(lit, subst) for lit, _ in self.goals]
+            path = [_instantiate(lit, subst) for lit in self.path]
+        else:
+            pgoals, ppath = inherited
+            # Engine.apply keeps the parent's pending goals as the tail of
+            # the goals, and a prefix of its path, extended by the parent's
+            # current goal when the action opens new goals below it
+            fresh = len(self.goals) - len(pgoals) + 1
+            goals = [_instantiate(lit, subst) for lit, _ in self.goals[:fresh]]
+            goals += [e if e[1] else _instantiate(e[0], subst) for e in pgoals[1:]]
+            n = len(self.path)
+            kept = ppath[:n] if n <= len(ppath) else ppath + pgoals[:1]
+            path = [e if e[1] else _instantiate(e[0], subst) for e in kept]
+        self._instantiated = (goals, path)
+        return self._instantiated
 
     @property
     def current_goal(self) -> Optional[Literal]:
@@ -119,6 +157,11 @@ class TableauState:
             return "<closed>"
         goal = apply_subst_lit(self.goals[0][0], self.subst)
         return f"goal {literal_str(goal)} (depth {len(self.path)}, {len(self.goals)} open)"
+
+
+def _instantiate(lit: Literal, subst) -> Tuple[Literal, bool]:
+    free: list = []
+    return apply_subst_lit(lit, subst, free), not free
 
 
 class IllegalActionError(Exception):
@@ -223,7 +266,7 @@ class Engine:
                 raise IllegalActionError("start action on a started tableau")
             clause = self.matrix.clauses[a.clause_id]
             goals = tuple((lit, 0) for lit in clause.literals)
-            return TableauState(True, goals, (), {}, self.var_counts[a.clause_id])
+            return TableauState(True, goals, (), {}, self.var_counts[a.clause_id], s)
         if not s.goals:
             raise IllegalActionError("no open goal")
         goal, gdepth = s.goals[0]
@@ -251,7 +294,7 @@ class Engine:
                 return self._discharge(s, subst, next_var)
             depth = len(s.path) + 1
             goals = tuple((l, depth) for l in rest) + s.goals[1:]
-            return TableauState(True, goals, s.path + (goal,), subst, next_var)
+            return TableauState(True, goals, s.path + (goal,), subst, next_var, s)
 
         if a.kind == PARAMODULATION:
             clause = self.matrix.clauses[a.clause_id]
@@ -273,7 +316,7 @@ class Engine:
             depth = len(s.path) + 1
             goals = ((rewritten, depth),) + tuple((l, depth) for l in rest) + s.goals[1:]
             return TableauState(True, goals, s.path + (goal,), subst,
-                                off + self.var_counts[a.clause_id])
+                                off + self.var_counts[a.clause_id], s)
 
         raise IllegalActionError(f"unknown action kind {a.kind!r}")
 
@@ -282,7 +325,7 @@ class Engine:
         goals = s.goals[1:]
         path = s.path[: goals[0][1]] if goals else ()
         return TableauState(True, goals, path, subst,
-                            s.next_var if next_var is None else next_var)
+                            s.next_var if next_var is None else next_var, s)
 
     # -- replay -------------------------------------------------------------
 

@@ -88,20 +88,32 @@ def walk(t: Term, subst: Subst) -> Term:
     return t
 
 
-def apply_subst(t: Term, subst: Subst) -> Term:
-    """Fully dereference a term under ``subst``."""
-    t = walk(t, subst)
-    if type(t) is int:
-        return t
+def apply_subst(t: Term, subst: Subst, free: Optional[list] = None) -> Term:
+    """Fully dereference a term under ``subst``.
+
+    When ``free`` is a list, every unbound variable met is appended to it,
+    so the result is ground exactly when ``free`` stays empty.
+    """
+    while type(t) is int:
+        b = subst.get(t)
+        if b is None:
+            if free is not None:
+                free.append(t)
+            return t
+        t = b
     if len(t) == 1:
         return t
-    return (t[0],) + tuple(apply_subst(a, subst) for a in t[1:])
+    out = [t[0]]
+    for a in t[1:]:
+        out.append(apply_subst(a, subst, free))
+    return tuple(out)
 
 
-def apply_subst_lit(lit: Literal, subst: Subst) -> Literal:
-    if not subst or not lit.args:
-        return lit if not subst else Literal(lit.neg, lit.pred, tuple(apply_subst(a, subst) for a in lit.args))
-    return Literal(lit.neg, lit.pred, tuple(apply_subst(a, subst) for a in lit.args))
+def apply_subst_lit(lit: Literal, subst: Subst, free: Optional[list] = None) -> Literal:
+    """:func:`apply_subst` over a literal's arguments."""
+    if not subst and free is None:
+        return lit
+    return Literal(lit.neg, lit.pred, tuple([apply_subst(a, subst, free) for a in lit.args]))
 
 
 def occurs(v: int, t: Term, subst: Subst) -> bool:
@@ -118,26 +130,7 @@ def unify_terms(a: Term, b: Term, subst: Subst) -> Optional[Subst]:
     The occurs check is always performed.
     """
     out = dict(subst)
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        x = walk(x, out)
-        y = walk(y, out)
-        if x is y or x == y:
-            continue
-        if type(x) is int:
-            if occurs(x, y, out):
-                return None
-            out[x] = y
-        elif type(y) is int:
-            if occurs(y, x, out):
-                return None
-            out[y] = x
-        else:
-            if x[0] != y[0] or len(x) != len(y):
-                return None
-            stack.extend(zip(x[1:], y[1:]))
-    return out
+    return out if unify_terms_trail(a, b, out, []) else None
 
 
 def unify(a, b, subst: Optional[Subst] = None) -> Optional[Subst]:
@@ -149,12 +142,8 @@ def unify(a, b, subst: Optional[Subst] = None) -> Optional[Subst]:
             return None
         if a.neg != b.neg or a.pred != b.pred or len(a.args) != len(b.args):
             return None
-        out = subst
-        for x, y in zip(a.args, b.args):
-            out = unify_terms(x, y, out)
-            if out is None:
-                return None
-        return out if out is not subst else dict(subst)
+        out = dict(subst)
+        return out if unify_args_trail(a.args, b.args, out, []) else None
     return unify_terms(a, b, subst)
 
 

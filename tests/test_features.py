@@ -13,8 +13,8 @@ from contab.features import (
     extract_features,
     literal_walks,
 )
-from contab.tableau import PARAMODULATION, START, Engine
-from contab.terms import Literal, mk
+from contab.tableau import EXTENSION, PARAMODULATION, REDUCTION, START, Engine, TableauState
+from contab.terms import Literal, apply_subst_lit, mk
 
 
 def bucket(namespace, walk):
@@ -249,3 +249,137 @@ class TestWalkMemo:
             features._literal_indices("g:", Literal(False, "p", (mk(f"c{i}"),)))
         info = features._literal_indices.cache_info()
         assert info.currsize == info.maxsize
+
+
+CHAIN_TEXT = (
+    # a chain p0 -> p1 -> p2 -> p3 with looping lures.  step0 leaves Y
+    # unbound in a pending goal and, through hop, in a path literal until
+    # a hop fact binds it; the only way back to p3 from p0 is the non-Horn
+    # split clause, closed by a reduction
+    "cnf(loopa, axiom, ~qb(f(X)) | qa(X)).\n"
+    "cnf(loopb, axiom, ~qa(f(X)) | qb(X)).\n"
+    "cnf(lure0, axiom, ~qa(X) | p1(X)).\n"
+    "cnf(step0, axiom, ~link(X, Y) | ~p0(Y) | p1(X)).\n"
+    "cnf(hop, axiom, ~hop(X, Y) | ~ok(Y) | link(X, Y)).\n"
+    "cnf(hop_e, axiom, hop(c, e)).\n"
+    "cnf(hop_c, axiom, hop(c, c)).\n"
+    "cnf(ok_e, axiom, ok(e)).\n"
+    "cnf(ok_c, axiom, ok(c)).\n"
+    "cnf(step1, axiom, ~p1(X) | p2(X)).\n"
+    "cnf(lure1, axiom, ~qa(X) | p2(X)).\n"
+    "cnf(step2, axiom, ~p2(X) | p3(X)).\n"
+    "cnf(split, axiom, p0(X) | p3(X)).\n"
+    "fof(goal, conjecture, p3(c)).\n")
+GROUP_TEXT = (
+    "cnf(assoc, axiom, m(m(X, Y), Z) = m(X, m(Y, Z))).\n"
+    "cnf(left_id, axiom, m(e, X) = X).\n"
+    "cnf(left_inv, axiom, m(i(X), X) = e).\n"
+    "cnf(square, axiom, m(X, X) = e).\n"
+    "fof(c, conjecture, m(a, b) = m(b, a)).\n")
+
+
+def fresh_state_features(state):
+    """The state features computed from scratch: every literal
+    instantiated with ``apply_subst_lit`` and every walk hashed."""
+    if not state.started:
+        return extract_features(state)
+    counts = {}
+    lits = [("g:", state.goals[0][0])] if state.goals else []
+    lits += [("o:", lit) for lit, _ in state.goals[1:]]
+    lits += [("p:", lit) for lit in state.path]
+    for namespace, lit in lits:
+        for walk in literal_walks(apply_subst_lit(lit, state.subst)):
+            idx = bucket(namespace, walk)
+            counts[idx] = counts.get(idx, 0) + 1
+    return counts
+
+
+class TestInheritedInstantiations:
+    """A state's instantiated literals are inherited from its parent's, and
+    the features built from them are exactly the from-scratch ones."""
+
+    @staticmethod
+    def searched_nodes(text):
+        from contab.policy import LinearPredictor
+        from contab.search import SearchLimits, prove
+
+        engine = Engine(clausify_text(text), path_limit=20)
+        # reads every feature, so each state's parent has its literals cached
+        predictor = LinearPredictor(np.full(FEATURE_DIM, 0.01), np.full(FEATURE_DIM, 0.01))
+        result = prove(engine, "inherit", predictor,
+                       SearchLimits(inference_limit=300, bigstep_frequency=50))
+        nodes, stack = [], [result.bigstep_nodes[0]]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            stack.extend(c for c in node.children if c is not None)
+        return nodes
+
+    def test_inherited_features_equal_fresh_ones(self):
+        kinds = set()
+        checked = 0
+        for text in (CHAIN_TEXT, GROUP_TEXT):
+            for node in self.searched_nodes(text):
+                state = node.state
+                if node.parent is not None:
+                    kinds.add(node.parent.actions[node.action_index].kind)
+                    assert state.parent is node.parent.state
+                inherited = extract_features(state)
+                fresh = fresh_state_features(state)
+                assert list(inherited.items()) == list(fresh.items())
+                checked += 1
+        assert {EXTENSION, REDUCTION, PARAMODULATION} <= kinds
+        assert checked > 300
+
+    def test_instantiations_are_inherited_along_a_branch(self, monkeypatch):
+        from contab import tableau
+
+        nodes = self.searched_nodes(CHAIN_TEXT)
+        deep = max(nodes, key=lambda n: len(n.state.goals) + len(n.state.path))
+        state = deep.state
+        calls = []
+        real = tableau._instantiate
+        monkeypatch.setattr(tableau, "_instantiate",
+                            lambda lit, subst: calls.append(lit) or real(lit, subst))
+        rebuilt = TableauState(state.started, state.goals, state.path, state.subst,
+                               state.next_var, state.parent)
+        assert rebuilt.instantiated() == state.instantiated()
+        # the parent's literals are already there: only what changed is redone
+        assert len(calls) < len(state.goals) + len(state.path)
+
+    def test_states_without_a_known_parent_compute_from_scratch(self, monkeypatch):
+        from contab import tableau
+
+        calls = []
+        real = tableau._instantiate
+        monkeypatch.setattr(tableau, "_instantiate",
+                            lambda lit, subst: calls.append(lit) or real(lit, subst))
+        engine = Engine(clausify_text(CHAIN_TEXT))
+        # initial states: their parent is the pre-start root, which has none cached
+        for state in engine.initial_states():
+            calls.clear()
+            assert list(extract_features(state).items()) == \
+                list(fresh_state_features(state).items())
+            assert len(calls) == len(state.goals) + len(state.path)
+        # a state built directly, as replay tooling may, has no parent at all
+        deep = max((n.state for n in self.searched_nodes(CHAIN_TEXT)),
+                   key=lambda s: len(s.goals) + len(s.path))
+        orphan = TableauState(deep.started, deep.goals, deep.path, deep.subst, deep.next_var)
+        assert orphan.parent is None
+        calls.clear()
+        assert list(extract_features(orphan).items()) == \
+            list(fresh_state_features(orphan).items())
+        assert len(calls) == len(deep.goals) + len(deep.path)
+
+    def test_only_state_readers_fill_the_cache(self):
+        from contab.policy import UniformPredictor
+        from contab.search import SearchLimits, prove
+
+        engine = Engine(clausify_text(GROUP_TEXT))
+        result = prove(engine, "uniform", UniformPredictor(),
+                       SearchLimits(inference_limit=100, bigstep_frequency=50))
+        stack = [result.bigstep_nodes[0]]
+        while stack:
+            node = stack.pop()
+            assert node.state._instantiated is None
+            stack.extend(c for c in node.children if c is not None)

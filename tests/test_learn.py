@@ -30,7 +30,8 @@ from contab.learn import (
     write_examples,
     write_stats_csv,
 )
-from contab.policy import UniformPredictor, normalized_entropy, softmax_temperature
+from contab.policy import (UniformPredictor, normalized_entropy, save_model,
+                           softmax_temperature)
 from contab.search import DISCOUNT, MCTSNode, ProofResult, SearchLimits
 from contab.tableau import Action, Engine
 
@@ -439,3 +440,25 @@ class TestStatsCsv:
         write_stats_csv(path, stats)
         lines = path.read_text().splitlines()
         assert lines[1] == "0,12,1.234568,0.500000,4321"
+
+
+class TestAtomicWrites:
+    """A checkpoint writer that raises part-way leaves the previous file
+    as it was and no temporary file behind."""
+
+    @pytest.mark.parametrize("writer, good, bad", [
+        (write_examples, synthetic_examples(3, seed=1),
+         synthetic_examples(3, seed=2)[:2] + [None]),
+        (write_stats_csv, [IterationStats(0, 1, 0.5, 0.25, 10)],
+         [IterationStats(0, 2, 0.5, 0.25, 20), None]),
+        (lambda path, w: save_model(path, "policy", w), np.array([0.0, 1.5, 2.5]),
+         np.array([0.0, 1.5, "not a float"], dtype=object)),
+    ], ids=["examples", "stats", "model"])
+    def test_raise_mid_file_keeps_the_previous_file(self, writer, good, bad, tmp_path):
+        path = tmp_path / "checkpoint"
+        writer(path, good)
+        before = path.read_bytes()
+        with pytest.raises((AttributeError, ValueError)):
+            writer(path, bad)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint"]

@@ -8,7 +8,7 @@ import pytest
 
 import contab.policy as policy_module
 from contab.clausify import clausify_text
-from contab.features import extract_features
+from contab.features import FEATURE_DIM, extract_features
 from contab.policy import (
     FixedEntropyPredictor,
     LinearPredictor,
@@ -335,6 +335,46 @@ class TestDeclaredReads:
         assert (lp.reads_state, lp.reads_actions) == (True, True)
         fep = FixedEntropyPredictor(lp, 0.5, seed=1, max_cached=2)
         assert (fep.reads_state, fep.reads_actions) == (True, True)
+
+    def test_declarations_recheck_the_remembered_weight(self):
+        lp = LinearPredictor(dim=8)
+        lp.value_weights[2] = 0.5
+        lp.policy_weights[6] = 1.0
+        assert (lp.reads_state, lp.reads_actions) == (True, True)
+        # zeroing the weight found last time flips the declaration
+        lp.value_weights[2] = 0.0
+        lp.policy_weights[6] = 0.0
+        assert (lp.reads_state, lp.reads_actions) == (False, False)
+        # and any other nonzero weight flips it back
+        lp.value_weights[5] = -2.0
+        lp.policy_weights[0] = 0.25
+        assert (lp.reads_state, lp.reads_actions) == (True, True)
+        # a second nonzero weight keeps it when the remembered one goes
+        lp.value_weights[7] = 1.0
+        assert lp.reads_state
+        lp.value_weights[5] = 0.0
+        assert lp.reads_state
+        lp.value_weights = np.zeros(8)
+        assert not lp.reads_state
+
+    @pytest.mark.parametrize("make", [
+        UniformPredictor,
+        lambda: LinearPredictor(np.full(FEATURE_DIM, 0.3), np.full(FEATURE_DIM, 0.01)),
+        lambda: FixedEntropyPredictor(
+            LinearPredictor(np.full(FEATURE_DIM, 0.3)), 0.6, seed=3, max_cached=2),
+    ], ids=["uniform", "linear", "fixed-entropy-over-linear"])
+    def test_one_action_is_certain_and_never_scored(self, make, monkeypatch):
+        engine = Engine(clausify_text("cnf(a, axiom, p(X)).\nfof(c, conjecture, p(a))."))
+        state = engine.initial_states()[0]
+        actions = engine.legal_actions(state)
+        assert len(actions) == 1
+        predictor = make()
+        _, want_value = predict(predictor, state, actions + actions, engine.matrix)
+        monkeypatch.setattr(policy_module, "extract_action_features", _refuse)
+        monkeypatch.setattr(type(predictor), "predict_policy", _refuse)
+        probs, value = predict(predictor, state, actions, engine.matrix)
+        assert probs.tolist() == [1.0]
+        assert value == want_value
 
     def test_state_reader_gets_the_real_features(self, monkeypatch):
         engine, state, actions = small_state_and_actions()
