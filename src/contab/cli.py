@@ -1,11 +1,12 @@
 """Command-line entry points.
 
-Subcommands: prove, loop, harvest, analyze, check, make-vector.  Every
-flag has a default; a key=value config file can override defaults, and
-explicit flags override the file.  All outputs land under --out next to
-a manifest listing the resolved configuration, and per-problem seeds
-derive from the global seed and the problem name alone, so the worker
-count never changes any result.
+Subcommands: prove, loop, harvest, analyze, check, make-vector.  Each
+of the first four takes only the flag groups it reads (see ``_FLAGS``).
+Every flag has a default; a key=value config file can override defaults,
+and explicit flags override the file.  All outputs land under --out next
+to a manifest listing the resolved configuration.  Search has no
+randomness, so the worker count never changes any result; ``loop --seed``
+seeds training and ``--entropy-seed`` the fixed-entropy vectors.
 """
 
 from __future__ import annotations
@@ -33,35 +34,49 @@ from .tptp import ParseError, parse_problem_file
 
 CORPUS_ENV = "CONTAB_CORPUS_DIR"
 
-# key -> (default, converter); the converter also parses config-file strings
-_COMMON = {
-    "inference_limit": (20000, int),
-    "bigstep_frequency": (200, int),
-    "cp": (1.0, float),
-    "wall_clock": (300.0, float),
-    "path_limit": (100, int),
-    "no_paramodulation": (False, None),
-    "seed": (0, int),
-    "workers": (os.cpu_count() or 1, int),
-    "out": ("contab-out", str),
-    "corpus": (None, str),
-    "temperature": (None, float),
+# Flag groups, key -> (default, converter, help).  The flag is the key
+# with dashes; the converter also parses config-file strings, and None
+# marks an on/off switch.
+_PROBLEM_SET = {
+    "corpus": (None, str, "directory of *.p problems used when no problems are listed"),
+    "path_limit": (100, int, "maximum tableau depth (default 100)"),
+    "no_paramodulation": (False, None, "disable equality rewriting steps"),
+    "out": ("contab-out", str, "output directory (default contab-out)"),
+}
+_LIMITS = {
+    "inference_limit": (20000, int, "total action applications per problem (default 20000)"),
+    "bigstep_frequency": (200, int, "playouts between root advances (default 200)"),
+    "cp": (1.0, float, "UCT exploration constant (default 1.0)"),
+    "wall_clock": (300.0, float, "per-problem time limit in seconds (default 300)"),
+}
+_RUN = {
+    "workers": (os.cpu_count() or 1, int, "parallel prover processes (default: CPU count)"),
+    "temperature": (None, float, "softmax temperature (default: model file, else 1)"),
 }
 _PREDICTOR = {
-    "predictor": ("uniform", str),
-    "policy_model": (None, str),
-    "value_model": (None, str),
-    "hstar": (0.8, float),
-    "entropy_seed": (0, int),
+    "predictor": ("uniform", str, "guidance mode (default uniform)"),
+    "policy_model": (None, str, "trained policy weights file"),
+    "value_model": (None, str, "trained value weights file"),
+    "hstar": (0.8, float, "target normalized entropy for fixed-entropy mode (default 0.8)"),
+    "entropy_seed": (0, int, "seed for fixed-entropy vectors (default 0)"),
 }
 _LOOP = {
-    "iterations": (3, int),
-    "alpha": (0.7, float),
-    "alpha_sweep": (None, str),
-    "learning_rate": (0.1, float),
-    "epochs": (10, int),
-    "batch_size": (8, int),
-    "resume": (False, None),
+    "seed": (0, int, "training seed, shuffles SGD batches (default 0)"),
+    "iterations": (3, int, "guided iterations after the unguided pass (default 3)"),
+    "alpha": (0.7, float, "entropy coefficient (default 0.7)"),
+    "alpha_sweep": (None, str, "comma-separated alphas; runs one loop per value"),
+    "learning_rate": (0.1, float, "SGD step size (default 0.1)"),
+    "epochs": (10, int, "training epochs per iteration (default 10)"),
+    "batch_size": (8, int, "SGD batch size (default 8)"),
+    "resume": (False, None, "continue after the last completed iteration in --out"),
+}
+_CHOICES = {"predictor": ["uniform", "linear", "fixed-entropy"]}
+# the groups each subcommand registers, resolves and records in its manifest
+_FLAGS = {
+    "prove": (_PROBLEM_SET, _LIMITS, _RUN, _PREDICTOR),
+    "loop": (_PROBLEM_SET, _LIMITS, _RUN, _LOOP),
+    "harvest": (_PROBLEM_SET, _LIMITS),
+    "analyze": (_PROBLEM_SET,),
 }
 
 
@@ -79,15 +94,19 @@ def _read_config_file(path: str) -> Dict[str, str]:
     return cfg
 
 
-class Config:
-    """Resolved configuration: flags beat the config file, the config
-    file beats defaults."""
+def _flag_items(command: str):
+    return [item for group in _FLAGS[command] for item in group.items()]
 
-    def __init__(self, args: argparse.Namespace, defaults: Dict[str, Tuple]):
-        file_cfg = _read_config_file(args.config) if getattr(args, "config", None) else {}
+
+class Config:
+    """Resolved configuration of the subcommand ``args.command``: flags
+    beat the config file, the config file beats defaults."""
+
+    def __init__(self, args: argparse.Namespace):
+        file_cfg = _read_config_file(args.config) if args.config else {}
         self._values: Dict[str, object] = {}
-        for key, (default, conv) in defaults.items():
-            val = getattr(args, key, None)
+        for key, (default, conv, _) in _flag_items(args.command):
+            val = getattr(args, key)
             if val is None and key in file_cfg:
                 raw = file_cfg[key]
                 if conv is None:
@@ -219,20 +238,15 @@ def _write_manifest(out: Path, command: str, cfg: Config) -> None:
 
 
 def cmd_prove(args) -> int:
-    cfg = Config(args, {**_COMMON, **_PREDICTOR})
-    try:
-        paths = _problem_paths(cfg, args.problems)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    cfg = Config(args)
+    paths = _problem_paths(cfg, args.problems)
     engines, errors = _build_engines(paths, cfg)
     predictor = _build_predictor(cfg.predictor, cfg.policy_model, cfg.value_model,
                                  cfg.temperature, cfg.hstar, cfg.entropy_seed)
     out = Path(cfg.out)
     traces = out / "traces"
     traces.mkdir(parents=True, exist_ok=True)
-    pairs = prove_problems(engines, predictor, _limits(cfg), cfg.seed,
-                           workers=cfg.workers)
+    pairs = prove_problems(engines, predictor, _limits(cfg), workers=cfg.workers)
     solved = 0
     with open(out / "results.txt", "w", encoding="utf-8") as fh:
         for name, err in errors:
@@ -251,12 +265,8 @@ def cmd_prove(args) -> int:
 
 
 def cmd_loop(args) -> int:
-    cfg = Config(args, {**_COMMON, **_LOOP})
-    try:
-        paths = _problem_paths(cfg, args.problems)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    cfg = Config(args)
+    paths = _problem_paths(cfg, args.problems)
     engines, errors = _build_engines(paths, cfg)
     for name, err in errors:
         print(f"warning: skipping {name}: {err}", file=sys.stderr)
@@ -272,7 +282,7 @@ def cmd_loop(args) -> int:
             train=TrainConfig(alpha=alpha, learning_rate=cfg.learning_rate,
                               epochs=cfg.epochs, batch_size=cfg.batch_size,
                               seed=cfg.seed),
-            temperature=temp, seed=cfg.seed)
+            temperature=temp)
         sub = out / f"alpha_{alpha:g}" if len(alphas) > 1 else out
         result = run_loop(engines, cfg.iterations, loop_cfg, out_dir=str(sub),
                           resume=cfg.resume, workers=cfg.workers)
@@ -289,12 +299,8 @@ def cmd_loop(args) -> int:
 
 
 def cmd_harvest(args) -> int:
-    cfg = Config(args, _COMMON)
-    try:
-        paths = _problem_paths(cfg, args.problems)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    cfg = Config(args)
+    paths = _problem_paths(cfg, args.problems)
     engines, errors = _build_engines(paths, cfg)
     for name, err in errors:
         print(f"warning: skipping {name}: {err}", file=sys.stderr)
@@ -308,17 +314,13 @@ def cmd_harvest(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg = Config(args, _COMMON)
+    cfg = Config(args)
     bank_path = Path(args.bank)
     if not bank_path.exists():
         print(f"error: state bank {bank_path} not found; "
               f"run `contab harvest` first to create one", file=sys.stderr)
         return 2
-    try:
-        paths = _problem_paths(cfg, args.problems)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    paths = _problem_paths(cfg, args.problems)
     engines, errors = _build_engines(paths, cfg)
     for name, err in errors:
         print(f"warning: skipping {name}: {err}", file=sys.stderr)
@@ -351,7 +353,9 @@ def cmd_check(args) -> int:
     except (ParseError, ClausifyError, ValueError, OSError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    engine = Engine(matrix, paramodulation=True)
+    # the path grows by at most one literal per action, so this limit and
+    # paramodulation allow every action that any search could have taken
+    engine = Engine(matrix, path_limit=len(actions) + 1, paramodulation=True)
     check = engine.check_proof(actions)
     if check:
         print(f"ok: {name}: {len(actions)} actions close the tableau")
@@ -382,42 +386,17 @@ def cmd_make_vector(args) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser, predictor: bool = False) -> None:
+def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
     p.add_argument("problems", nargs="*",
                    help="problem files, directories, or globs; defaults to the "
                         f"bundled corpus (override with --corpus or ${CORPUS_ENV})")
-    p.add_argument("--corpus", help="directory of *.p problems used when no "
-                                    "problems are listed")
     p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--inference-limit", type=int, dest="inference_limit",
-                   help="total action applications per problem (default 20000)")
-    p.add_argument("--bigstep-frequency", type=int, dest="bigstep_frequency",
-                   help="playouts between root advances (default 200)")
-    p.add_argument("--cp", type=float, help="UCT exploration constant (default 1.0)")
-    p.add_argument("--wall-clock", type=float, dest="wall_clock",
-                   help="per-problem time limit in seconds (default 300)")
-    p.add_argument("--path-limit", type=int, dest="path_limit",
-                   help="maximum tableau depth (default 100)")
-    p.add_argument("--no-paramodulation", action="store_const", const=True,
-                   dest="no_paramodulation", help="disable equality rewriting steps")
-    p.add_argument("--temperature", type=float, help="softmax temperature "
-                                                     "(default: model file, else 1)")
-    p.add_argument("--seed", type=int, help="global seed (default 0)")
-    p.add_argument("--workers", type=int, help="parallel prover processes "
-                                               "(default: CPU count)")
-    p.add_argument("--out", help="output directory (default contab-out)")
-    if predictor:
-        p.add_argument("--predictor", choices=["uniform", "linear", "fixed-entropy"],
-                       help="guidance mode (default uniform)")
-        p.add_argument("--policy-model", dest="policy_model",
-                       help="trained policy weights file")
-        p.add_argument("--value-model", dest="value_model",
-                       help="trained value weights file")
-        p.add_argument("--hstar", type=float,
-                       help="target normalized entropy for fixed-entropy mode "
-                            "(default 0.8)")
-        p.add_argument("--entropy-seed", type=int, dest="entropy_seed",
-                       help="seed for fixed-entropy vectors (default 0)")
+    for key, (_, conv, text) in _flag_items(command):
+        flag = "--" + key.replace("_", "-")
+        if conv is None:
+            p.add_argument(flag, action="store_const", const=True, help=text)
+        else:
+            p.add_argument(flag, type=conv, choices=_CHOICES.get(key), help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,31 +408,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prove", help="prove problems with a configured predictor")
-    _add_common(p, predictor=True)
+    _add_flags(p, "prove")
     p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("loop", help="alternate proving and training for several iterations")
-    _add_common(p)
-    p.add_argument("--iterations", type=int,
-                   help="guided iterations after the unguided pass (default 3)")
-    p.add_argument("--alpha", type=float, help="entropy coefficient (default 0.7)")
-    p.add_argument("--alpha-sweep", dest="alpha_sweep",
-                   help="comma-separated alphas; runs one loop per value")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate",
-                   help="SGD step size (default 0.1)")
-    p.add_argument("--epochs", type=int, help="training epochs per iteration (default 10)")
-    p.add_argument("--batch-size", type=int, dest="batch_size",
-                   help="SGD batch size (default 8)")
-    p.add_argument("--resume", action="store_const", const=True,
-                   help="continue after the last completed iteration in --out")
+    _add_flags(p, "loop")
     p.set_defaults(func=cmd_loop)
 
     p = sub.add_parser("harvest", help="collect search states into a comparison bank")
-    _add_common(p)
+    _add_flags(p, "harvest")
     p.set_defaults(func=cmd_harvest)
 
     p = sub.add_parser("analyze", help="compare two predictors over a state bank")
-    _add_common(p)
+    _add_flags(p, "analyze")
     p.add_argument("--bank", required=True, help="state bank from `contab harvest`")
     p.add_argument("--predictor-a", required=True, dest="predictor_a",
                    help="predictor spec, e.g. uniform or "

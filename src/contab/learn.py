@@ -30,10 +30,10 @@ from .tableau import Engine
 
 __all__ = [
     "TrainingExample", "TrainConfig", "TrainingDiverged", "TrainResult",
-    "extract_features", "extract_action_features", "extract_training_data",
+    "extract_training_data",
     "policy_loss", "policy_grad_logits", "value_loss", "value_grad_logit",
     "train", "write_examples", "read_examples", "prove_problems",
-    "LoopConfig", "IterationStats", "LoopResult", "run_loop", "stable_seed",
+    "LoopConfig", "IterationStats", "LoopResult", "run_loop",
 ]
 
 EXAMPLES_MAGIC = "contab-examples v1"
@@ -268,18 +268,12 @@ def read_examples(path) -> List[TrainingExample]:
 # prove/learn loop
 
 
-def stable_seed(global_seed: int, name: str) -> int:
-    import zlib
-    return (global_seed * 1000003 + zlib.crc32(name.encode("utf-8"))) & 0x7FFFFFFF
-
-
 @dataclass
 class LoopConfig:
     alpha: float = 0.7
     limits: SearchLimits = field(default_factory=SearchLimits)
     train: TrainConfig = field(default_factory=TrainConfig)
     temperature: float = 1.0
-    seed: int = 0
 
 
 @dataclass
@@ -313,8 +307,8 @@ def write_stats_csv(path, stats: Sequence[IterationStats]) -> None:
 
 
 def _prove_one(task) -> Tuple[ProofResult, List[TrainingExample]]:
-    name, engine, predictor, limits, seed, iteration, collect = task
-    r = prove(engine, name, predictor, limits, seed=seed, collect_states=collect)
+    name, engine, predictor, limits, iteration, collect = task
+    r = prove(engine, name, predictor, limits, collect_states=collect)
     examples = extract_training_data(r, engine.matrix, iteration=iteration)
     # drop the search tree so results stay cheap to pickle across workers
     r.bigstep_nodes = []
@@ -322,14 +316,13 @@ def _prove_one(task) -> Tuple[ProofResult, List[TrainingExample]]:
 
 
 def prove_problems(problems: Sequence[Tuple[str, Engine]], predictor: Predictor,
-                   limits: SearchLimits, global_seed: int = 0, iteration: int = 0,
+                   limits: SearchLimits, iteration: int = 0,
                    workers: int = 1, collect_states: bool = False,
                    ) -> List[Tuple[ProofResult, List[TrainingExample]]]:
     """Proves every problem, returning (result, extracted examples) pairs
-    in problem order.  Per-problem seeds depend only on the global seed
-    and the problem name, so the worker count never changes results."""
-    tasks = [(name, engine, predictor, limits, stable_seed(global_seed, name),
-              iteration, collect_states)
+    in problem order.  Search has no randomness, so the worker count
+    never changes results."""
+    tasks = [(name, engine, predictor, limits, iteration, collect_states)
              for name, engine in problems]
     if workers <= 1:
         return [_prove_one(t) for t in tasks]
@@ -359,8 +352,9 @@ def run_loop(problems: Sequence[Tuple[str, Engine]], iterations: int,
              resume: bool = False, workers: int = 1) -> LoopResult:
     """Iteration 0 proves every problem with the uniform predictor; each
     later iteration trains fresh models on all data collected so far and
-    re-proves everything with them.  Per-problem failures are recorded in
-    the statistics, never raised.
+    re-proves everything with them.  An unsolved problem is recorded in
+    the statistics; an exception raised while proving one propagates and
+    ends the loop.
 
     With ``out_dir`` set, per-iteration example files, models, and the
     statistics CSV are written there; ``resume`` restarts after the last
@@ -387,7 +381,7 @@ def run_loop(problems: Sequence[Tuple[str, Engine]], iterations: int,
         else:
             model = train(examples, train_cfg)
             predictor = model.predictor(temperature=config.temperature)
-        pairs = prove_problems(problems, predictor, config.limits, config.seed,
+        pairs = prove_problems(problems, predictor, config.limits,
                                iteration=it, workers=workers)
         row = _reduce_stats(pairs)
         row.iteration = it
@@ -422,8 +416,11 @@ def _load_checkpoint(out_dir, stats: List[IterationStats],
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
-            stats.append(IterationStats(int(row[0]), int(row[1]), float(row[2]),
-                                        float(row[3]), int(row[4])))
+            # stats.csv is written before loop_state.txt, so it may hold a
+            # row of an iteration that did not complete
+            if int(row[0]) <= last:
+                stats.append(IterationStats(int(row[0]), int(row[1]), float(row[2]),
+                                            float(row[3]), int(row[4])))
     for it in range(last + 1):
         examples.extend(read_examples(os.path.join(out_dir, f"examples_iter{it}.txt")))
     return last + 1

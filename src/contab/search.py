@@ -89,7 +89,6 @@ class ProofResult:
     mean_normalized_entropy: float = 0.0
     entropy_count: int = 0
     wall_time: float = 0.0
-    seed: int = 0
     # in-memory only: bigstep-trace nodes for training extraction and
     # harvested (action-path, action-count) pairs for state banks
     bigstep_nodes: List[MCTSNode] = field(default_factory=list, repr=False)
@@ -248,7 +247,7 @@ def bigstep(root: MCTSNode) -> Optional[MCTSNode]:
 
 
 def prove(engine: Engine, problem: str, predictor: Predictor,
-          limits: Optional[SearchLimits] = None, seed: int = 0,
+          limits: Optional[SearchLimits] = None,
           collect_states: bool = False) -> ProofResult:
     """Search for a closed tableau; stops at the first proof, on budget
     exhaustion, or when the root subtree is fully explored."""
@@ -263,7 +262,7 @@ def prove(engine: Engine, problem: str, predictor: Predictor,
 
     while True:
         if current.fully_explored:
-            status = "dead-end" if search.proof_leaf is None else "solved"
+            status = "dead-end"
             break
         if search.inferences >= limits.inference_limit:
             break
@@ -287,7 +286,6 @@ def prove(engine: Engine, problem: str, predictor: Predictor,
 
     proof = None
     if search.proof_leaf is not None:
-        status = "solved"
         proof = search.proof_leaf.action_path()
         check = engine.check_proof(proof)
         if not check:
@@ -304,7 +302,6 @@ def prove(engine: Engine, problem: str, predictor: Predictor,
         mean_normalized_entropy=search.nentropy_sum / n if n else 0.0,
         entropy_count=n,
         wall_time=time.monotonic() - t0,
-        seed=seed,
         bigstep_nodes=bigstep_nodes,
         harvested=search.harvested,
     )

@@ -206,13 +206,6 @@ def term_vars(t: Term, acc=None) -> set:
     return acc
 
 
-def literal_vars(lit: Literal) -> set:
-    acc: set = set()
-    for a in lit.args:
-        term_vars(a, acc)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # standardizing apart
 

@@ -74,9 +74,6 @@ class AnnotatedFormula(NamedTuple):
 class Problem(NamedTuple):
     formulas: Tuple[AnnotatedFormula, ...]
 
-    def conjectures(self):
-        return [f for f in self.formulas if f.role in ("conjecture", "negated_conjecture")]
-
 
 # ---------------------------------------------------------------------------
 # tokenizer

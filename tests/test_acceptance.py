@@ -290,8 +290,7 @@ def test_criterion_5_fixed_entropy_ordering_transfer(alpha_loops):
 
 def test_criterion_6_temperature_vs_regularization(corpus_bank):
     bank, engines = corpus_bank
-    pairs = prove_problems(fresh_corpus(), UniformPredictor(), LOOP_LIMITS,
-                           global_seed=0)
+    pairs = prove_problems(fresh_corpus(), UniformPredictor(), LOOP_LIMITS)
     examples = [ex for _, exs in pairs for ex in exs]
     sharp = train(examples, TrainConfig(alpha=0.0, epochs=30,
                                         learning_rate=0.3, seed=0))

@@ -338,7 +338,6 @@ class TestEngineAgainstGroundOracle:
             "oracle-case",
             UniformPredictor(),
             SearchLimits(inference_limit=budget, bigstep_frequency=50),
-            seed=0,
         )
         if result.solved:
             assert engine.check_proof(result.proof)

@@ -40,7 +40,9 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
-FAST = ["--inference-limit", "150", "--bigstep-frequency", "25", "--workers", "1"]
+# harvest takes the search limits but runs in one process
+FAST_LIMITS = ["--inference-limit", "150", "--bigstep-frequency", "25"]
+FAST = FAST_LIMITS + ["--workers", "1"]
 
 
 def read_manifest(out_dir):
@@ -122,7 +124,7 @@ class TestManifestAndConfig:
         assert header[1] == "command prove"
         assert manifest["inference_limit"] == "150"
         assert manifest["cp"] == "1.0"
-        assert manifest["seed"] == "0"
+        assert "seed" not in manifest  # search has no seed
 
     def test_flags_beat_config_file_beats_defaults(self, problem_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -184,17 +186,68 @@ class TestLoop:
         assert code == 0
         assert (part / "stats.csv").read_bytes() == (full / "stats.csv").read_bytes()
 
+    def test_resume_drops_the_row_of_an_unrecorded_iteration(self, problem_dir, tmp_path):
+        """stats.csv is written before loop_state.txt; a run stopped between
+        the two resumes into the same files as an uninterrupted one."""
+        full, part = tmp_path / "full", tmp_path / "part"
+        run_cli("loop", problem_dir, "--out", full, "--iterations", "2", *LOOP_FAST)
+        run_cli("loop", problem_dir, "--out", part, "--iterations", "2", *LOOP_FAST)
+        (part / "loop_state.txt").write_text("completed 1\n")
+        code = run_cli("loop", problem_dir, "--out", part, "--iterations", "2",
+                       "--resume", *LOOP_FAST)
+        assert code == 0
+        assert (part / "stats.csv").read_bytes() == (full / "stats.csv").read_bytes()
+
+
+class TestFlagSurface:
+    """Each subcommand takes, resolves and records only the flags it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--bank", "bank.txt", "--predictor-a", "uniform",
+         "--predictor-b", "uniform", "--workers", "1"],
+        ["harvest", "--seed", "1"],
+    ])
+    def test_unread_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_manifests_record_only_read_keys(self, problem_dir, tmp_path):
+        prove_out, loop_out, harvest_out = tmp_path / "p", tmp_path / "l", tmp_path / "h"
+        problem = problem_dir / "trivial.p"
+        assert run_cli("prove", problem, "--out", prove_out, *FAST) == 0
+        assert run_cli("loop", problem, "--out", loop_out, "--iterations", "0",
+                       "--seed", "4", *LOOP_FAST) == 0
+        assert run_cli("harvest", problem, "--out", harvest_out, *FAST_LIMITS) == 0
+        assert "seed" not in read_manifest(prove_out)[1]
+        assert read_manifest(loop_out)[1]["seed"] == "4"
+        assert set(read_manifest(harvest_out)[1]) == {
+            "corpus", "path_limit", "no_paramodulation", "out",
+            "inference_limit", "bigstep_frequency", "cp", "wall_clock"}
+
+    def test_loop_seed_changes_the_trained_model(self, tmp_path):
+        """The bundled corpus gives examples with more than one action."""
+        models = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"seed{seed}"
+            assert run_cli("loop", "--out", out, "--iterations", "1", "--seed", seed,
+                           "--inference-limit", "300", "--bigstep-frequency", "20",
+                           "--workers", "1", "--epochs", "3") == 0
+            models.append((out / "policy_iter1.model").read_bytes())
+        assert models[0] != models[1]
+
 
 class TestHarvestAnalyze:
     def test_harvest_then_self_analyze(self, problem_dir, tmp_path, capsys):
         hout, aout = tmp_path / "h", tmp_path / "a"
-        assert run_cli("harvest", problem_dir, "--out", hout, *FAST) == 0
+        assert run_cli("harvest", problem_dir, "--out", hout, *FAST_LIMITS) == 0
         bank_file = hout / "bank.txt"
         assert bank_file.exists()
         assert "states" in capsys.readouterr().out
         code = run_cli("analyze", problem_dir, "--bank", bank_file,
                        "--predictor-a", "uniform", "--predictor-b", "uniform",
-                       "--label", "u-vs-u", "--out", aout, *FAST)
+                       "--label", "u-vs-u", "--out", aout)
         assert code == 0
         lines = (aout / "agreement.csv").read_text().splitlines()
         assert lines[0] == "comparison,states,best,order,kl_ab,kl_ba,infinite_ab,infinite_ba"
@@ -212,7 +265,7 @@ class TestHarvestAnalyze:
 
     def test_bank_against_wrong_problem_set_exits_2(self, problem_dir, tmp_path, capsys):
         hout = tmp_path / "h"
-        run_cli("harvest", problem_dir, "--out", hout, *FAST)
+        run_cli("harvest", problem_dir, "--out", hout, *FAST_LIMITS)
         code = run_cli("analyze", problem_dir / "trivial.p", "--bank",
                        hout / "bank.txt", "--predictor-a", "uniform",
                        "--predictor-b", "uniform", "--out", tmp_path / "a")
@@ -257,6 +310,21 @@ class TestCheck:
         trace.write_text("\n".join(lines[:-1]) + "\n")
         assert run_cli("check", problem, trace) == 1
         assert "invalid proof" in capsys.readouterr().err
+
+    def test_proof_deeper_than_the_default_path_limit_checks(self, tmp_path, capsys):
+        """The checker replays under no path limit a trace can reach, so a
+        proof found with a raised --path-limit still checks."""
+        n = 105
+        lines = ["cnf(base, axiom, p0(a))."]
+        lines += [f"cnf(r{i}, axiom, p{i + 1}(X) | ~p{i}(X))." for i in range(n)]
+        lines.append(f"fof(goal, conjecture, p{n}(a)).")
+        problem = tmp_path / "long.p"
+        problem.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run_cli("prove", problem, "--out", out, "--path-limit", "200",
+                       "--workers", "1") == 0
+        assert run_cli("check", problem, out / "traces" / "long.trace") == 0
+        assert "ok: long: 107 actions" in capsys.readouterr().out
 
     def test_missing_trace_exits_2(self, problem_dir, tmp_path):
         assert run_cli("check", problem_dir / "chain.p", tmp_path / "no.trace") == 2

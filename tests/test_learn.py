@@ -23,7 +23,6 @@ from contab.learn import (
     prove_problems,
     read_examples,
     run_loop,
-    stable_seed,
     train,
     value_grad_logit,
     value_loss,
@@ -315,19 +314,6 @@ class TestExampleFiles:
             read_examples(path)
 
 
-class TestStableSeed:
-    def test_deterministic_and_name_sensitive(self):
-        assert stable_seed(0, "alpha") == stable_seed(0, "alpha")
-        assert stable_seed(0, "alpha") != stable_seed(0, "beta")
-        assert stable_seed(0, "alpha") != stable_seed(1, "alpha")
-
-    def test_in_nonnegative_31_bit_range(self):
-        for seed in (0, 5, 123456789):
-            for name in ("a", "prob_1", "x" * 50):
-                v = stable_seed(seed, name)
-                assert 0 <= v < 2**31
-
-
 def loop_problems():
     texts = {
         "triv": "fof(ax, axiom, p(a)).\nfof(c, conjecture, p(a)).",
@@ -357,10 +343,8 @@ class TestProveProblems:
     def test_worker_count_does_not_change_results(self):
         problems = loop_problems()
         limits = SearchLimits(inference_limit=120, bigstep_frequency=10)
-        serial = prove_problems(problems, UniformPredictor(), limits, global_seed=3)
-        parallel = prove_problems(
-            problems, UniformPredictor(), limits, global_seed=3, workers=2
-        )
+        serial = prove_problems(problems, UniformPredictor(), limits)
+        parallel = prove_problems(problems, UniformPredictor(), limits, workers=2)
         assert len(serial) == len(parallel)
         for (ra, ea), (rb, eb) in zip(serial, parallel):
             assert ra.problem == rb.problem

@@ -18,7 +18,6 @@ from contab.terms import (
     clause_var_count,
     is_var,
     literal_str,
-    literal_vars,
     mk,
     normalize_subst,
     occurs,
@@ -128,10 +127,6 @@ class TestBasics:
         t = mk("h", 0, mk("f", 2))
         assert term_vars(t) == {0, 2}
         assert term_vars(mk("a")) == set()
-
-    def test_literal_vars(self):
-        lit = Literal(True, "p", (0, mk("f", 3)))
-        assert literal_vars(lit) == {0, 3}
 
     def test_offset_term_shifts_all_vars(self):
         t = mk("h", 0, mk("f", 1))
