@@ -4,9 +4,11 @@ Subcommands: prove, loop, harvest, analyze, check, make-vector.  Each
 of the first four takes only the flag groups it reads (see ``_FLAGS``).
 Every flag has a default; a key=value config file can override defaults,
 and explicit flags override the file.  All outputs land under --out next
-to a manifest listing the resolved configuration.  Search has no
+to a manifest listing the resolved configuration.  ``prove --predictor``
+and ``analyze --predictor-a/-b`` take one spec format, a kind and the
+options it reads (see ``parse_predictor_spec``).  Search has no
 randomness, so the worker count never changes any result; ``loop --seed``
-seeds training and ``--entropy-seed`` the fixed-entropy vectors.
+seeds training and a fixed-entropy spec's ``seed=`` its vectors.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import glob as globmod
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -23,8 +26,7 @@ from .analysis import (AGREEMENT_COLUMNS, agreement_rows, compare, harvest_state
                        load_bank, report_csv, save_bank)
 from .clausify import ClausifyError, clausify
 from .corpus import corpus_dir
-from .learn import (LoopConfig, TrainConfig, prove_problems, run_loop,
-                    write_stats_csv)
+from .learn import STATS_COLUMNS, LoopConfig, TrainConfig, prove_problems, run_loop
 from .policy import (FixedEntropyPredictor, LinearPredictor, Predictor,
                      UniformPredictor, load_model, make_fixed_entropy_vector,
                      apply_order_preserving)
@@ -51,26 +53,22 @@ _LIMITS = {
 }
 _RUN = {
     "workers": (os.cpu_count() or 1, int, "parallel prover processes (default: CPU count)"),
-    "temperature": (None, float, "softmax temperature (default: model file, else 1)"),
 }
 _PREDICTOR = {
-    "predictor": ("uniform", str, "guidance mode (default uniform)"),
-    "policy_model": (None, str, "trained policy weights file"),
-    "value_model": (None, str, "trained value weights file"),
-    "hstar": (0.8, float, "target normalized entropy for fixed-entropy mode (default 0.8)"),
-    "entropy_seed": (0, int, "seed for fixed-entropy vectors (default 0)"),
+    "predictor": ("uniform", str, "predictor spec, e.g. uniform or "
+                                  "linear:policy=F:value=G (default uniform)"),
 }
 _LOOP = {
     "seed": (0, int, "training seed, shuffles SGD batches (default 0)"),
     "iterations": (3, int, "guided iterations after the unguided pass (default 3)"),
-    "alpha": (0.7, float, "entropy coefficient (default 0.7)"),
-    "alpha_sweep": (None, str, "comma-separated alphas; runs one loop per value"),
+    "alpha": ("0.7", str, "entropy coefficient, or comma-separated coefficients "
+                          "to run one loop each (default 0.7)"),
+    "temperature": (1.0, float, "softmax temperature of the trained predictors (default 1.0)"),
     "learning_rate": (0.1, float, "SGD step size (default 0.1)"),
     "epochs": (10, int, "training epochs per iteration (default 10)"),
     "batch_size": (8, int, "SGD batch size (default 8)"),
     "resume": (False, None, "continue after the last completed iteration in --out"),
 }
-_CHOICES = {"predictor": ["uniform", "linear", "fixed-entropy"]}
 # the groups each subcommand registers, resolves and records in its manifest
 _FLAGS = {
     "prove": (_PROBLEM_SET, _LIMITS, _RUN, _PREDICTOR),
@@ -78,6 +76,7 @@ _FLAGS = {
     "harvest": (_PROBLEM_SET, _LIMITS),
     "analyze": (_PROBLEM_SET,),
 }
+_CONFIG_KEYS = {key for groups in _FLAGS.values() for group in groups for key in group}
 
 
 def _read_config_file(path: str) -> Dict[str, str]:
@@ -104,6 +103,12 @@ class Config:
 
     def __init__(self, args: argparse.Namespace):
         file_cfg = _read_config_file(args.config) if args.config else {}
+        unknown = sorted(set(file_cfg) - _CONFIG_KEYS)
+        if unknown:
+            raise ValueError(f"{args.config}: no subcommand reads config key(s) {unknown}")
+        if args.command == "prove" and "temperature" in file_cfg:
+            raise ValueError(f"{args.config}: prove reads no temperature key; give it in the "
+                             f"predictor spec, e.g. predictor = linear:policy=F:temperature=2")
         self._values: Dict[str, object] = {}
         for key, (default, conv, _) in _flag_items(args.command):
             val = getattr(args, key)
@@ -176,53 +181,58 @@ def _build_engines(paths: List[Path], cfg: Config) -> Tuple[List[Tuple[str, Engi
     return engines, errors
 
 
-def _build_predictor(kind: str, policy_model: Optional[str], value_model: Optional[str],
-                     temperature: Optional[float], hstar: float,
-                     entropy_seed: int) -> Predictor:
-    model_temp = None
-    pw = vw = None
-    if policy_model:
-        mkind, pw, model_temp, _ = load_model(policy_model)
-        if mkind != "policy":
-            raise ValueError(f"{policy_model}: expected a policy model, found {mkind}")
-    if value_model:
-        mkind, vw, _, _ = load_model(value_model)
-        if mkind != "value":
-            raise ValueError(f"{value_model}: expected a value model, found {mkind}")
-    temp = temperature if temperature is not None else (model_temp if model_temp is not None else 1.0)
-    if kind == "uniform":
-        return UniformPredictor(temperature=temp)
-    if kind == "linear":
-        return LinearPredictor(pw, vw, temperature=temp)
-    if kind == "fixed-entropy":
-        base: Predictor = (LinearPredictor(pw, vw, temperature=temp)
-                           if pw is not None or vw is not None
-                           else UniformPredictor(temperature=temp))
-        return FixedEntropyPredictor(base, hstar, entropy_seed)
-    raise ValueError(f"unknown predictor kind {kind!r}")
+# the options each predictor kind reads
+_SPEC_OPTIONS = {
+    "uniform": set(),
+    "linear": {"policy", "value", "temperature"},
+    "fixed-entropy": {"policy", "value", "hstar", "seed"},
+}
+
+
+def _load_weights(path: str, kind: str):
+    mkind, weights, temperature, _ = load_model(path)
+    if mkind != kind:
+        raise ValueError(f"{path}: expected a {kind} model, found {mkind}")
+    return weights, temperature
 
 
 def parse_predictor_spec(spec: str) -> Predictor:
     """Builds a predictor from a compact spec: a kind followed by
     colon-separated key=value options, e.g.
     ``linear:policy=run/policy.model:value=run/value.model:temperature=2``
-    or ``fixed-entropy:hstar=0.8:seed=7:policy=run/policy.model``."""
-    parts = spec.split(":")
-    kind = parts[0]
+    or ``fixed-entropy:hstar=0.8:seed=7:policy=run/policy.model``.  An
+    option begins at a colon followed by ``name=``, so other colons stay
+    in a path.  An option the kind does not read (see ``_SPEC_OPTIONS``)
+    is an error.  The temperature defaults to the policy model's, else 1;
+    ``hstar`` to 0.8 and ``seed`` to 0.  Fixed-entropy without a model
+    wraps uniform."""
+    kind, sep, rest = spec.partition(":")
+    if kind not in _SPEC_OPTIONS:
+        raise ValueError(f"unknown predictor kind {kind!r} in {spec!r}")
     opts: Dict[str, str] = {}
-    for part in parts[1:]:
-        if "=" not in part:
+    for part in re.split(r":(?=[a-z]+=)", rest) if sep else []:
+        key, eq, val = part.partition("=")
+        if not eq:
             raise ValueError(f"bad predictor option {part!r} in {spec!r}")
-        k, _, v = part.partition("=")
-        opts[k] = v
-    known = {"policy", "value", "temperature", "hstar", "seed"}
-    unknown = set(opts) - known
-    if unknown:
-        raise ValueError(f"unknown predictor options {sorted(unknown)} in {spec!r}")
-    return _build_predictor(
-        kind, opts.get("policy"), opts.get("value"),
-        float(opts["temperature"]) if "temperature" in opts else None,
-        float(opts.get("hstar", 0.8)), int(opts.get("seed", 0)))
+        if key not in _SPEC_OPTIONS[kind]:
+            raise ValueError(f"predictor kind {kind!r} does not read option {key!r} "
+                             f"in {spec!r}; it reads {sorted(_SPEC_OPTIONS[kind])}")
+        if key in opts:
+            raise ValueError(f"predictor option {key!r} given twice in {spec!r}")
+        opts[key] = val
+    if kind == "uniform":
+        return UniformPredictor()
+    pw = vw = None
+    temp = 1.0
+    if "policy" in opts:
+        pw, temp = _load_weights(opts["policy"], "policy")
+    if "value" in opts:
+        vw, _ = _load_weights(opts["value"], "value")
+    linear = LinearPredictor(pw, vw, temperature=float(opts.get("temperature", temp)))
+    if kind == "linear":
+        return linear
+    base = linear if opts.keys() & {"policy", "value"} else UniformPredictor()
+    return FixedEntropyPredictor(base, float(opts.get("hstar", 0.8)), int(opts.get("seed", 0)))
 
 
 def _write_manifest(out: Path, command: str, cfg: Config) -> None:
@@ -239,10 +249,9 @@ def _write_manifest(out: Path, command: str, cfg: Config) -> None:
 
 def cmd_prove(args) -> int:
     cfg = Config(args)
+    predictor = parse_predictor_spec(cfg.predictor)
     paths = _problem_paths(cfg, args.problems)
     engines, errors = _build_engines(paths, cfg)
-    predictor = _build_predictor(cfg.predictor, cfg.policy_model, cfg.value_model,
-                                 cfg.temperature, cfg.hstar, cfg.entropy_seed)
     out = Path(cfg.out)
     traces = out / "traces"
     traces.mkdir(parents=True, exist_ok=True)
@@ -266,15 +275,13 @@ def cmd_prove(args) -> int:
 
 def cmd_loop(args) -> int:
     cfg = Config(args)
+    alphas = [float(a) for a in cfg.alpha.split(",")]
     paths = _problem_paths(cfg, args.problems)
     engines, errors = _build_engines(paths, cfg)
     for name, err in errors:
         print(f"warning: skipping {name}: {err}", file=sys.stderr)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    alphas = ([float(a) for a in cfg.alpha_sweep.split(",")]
-              if cfg.alpha_sweep else [cfg.alpha])
-    temp = cfg.temperature if cfg.temperature is not None else 1.0
     sweep_rows = []
     for alpha in alphas:
         loop_cfg = LoopConfig(
@@ -282,16 +289,14 @@ def cmd_loop(args) -> int:
             train=TrainConfig(alpha=alpha, learning_rate=cfg.learning_rate,
                               epochs=cfg.epochs, batch_size=cfg.batch_size,
                               seed=cfg.seed),
-            temperature=temp)
+            temperature=cfg.temperature)
         sub = out / f"alpha_{alpha:g}" if len(alphas) > 1 else out
         result = run_loop(engines, cfg.iterations, loop_cfg, out_dir=str(sub),
                           resume=cfg.resume, workers=cfg.workers)
         for row in result.stats:
             sweep_rows.append([f"{alpha:g}"] + row.row())
     if len(alphas) > 1:
-        report_csv(out / "sweep.csv",
-                   ["alpha", "iteration", "solved", "mean_entropy",
-                    "mean_normalized_entropy", "inferences_total"], sweep_rows)
+        report_csv(out / "sweep.csv", ["alpha"] + STATS_COLUMNS, sweep_rows)
     _write_manifest(out, "loop", cfg)
     print(f"loop: {len(alphas)} alpha value(s), {cfg.iterations + 1} iterations each, "
           f"outputs in {out}")
@@ -315,6 +320,8 @@ def cmd_harvest(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = Config(args)
+    pred_a = parse_predictor_spec(args.predictor_a)
+    pred_b = parse_predictor_spec(args.predictor_b)
     bank_path = Path(args.bank)
     if not bank_path.exists():
         print(f"error: state bank {bank_path} not found; "
@@ -331,8 +338,6 @@ def cmd_analyze(args) -> int:
         print(f"error: bank references problems not in the problem set: {missing}",
               file=sys.stderr)
         return 2
-    pred_a = parse_predictor_spec(args.predictor_a)
-    pred_b = parse_predictor_spec(args.predictor_b)
     report = compare(pred_a, pred_b, bank, engine_map)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -396,7 +401,7 @@ def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
         if conv is None:
             p.add_argument(flag, action="store_const", const=True, help=text)
         else:
-            p.add_argument(flag, type=conv, choices=_CHOICES.get(key), help=text)
+            p.add_argument(flag, type=conv, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,8 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "analyze")
     p.add_argument("--bank", required=True, help="state bank from `contab harvest`")
     p.add_argument("--predictor-a", required=True, dest="predictor_a",
-                   help="predictor spec, e.g. uniform or "
-                        "linear:policy=F:value=F:temperature=2")
+                   help="predictor spec, as for prove --predictor")
     p.add_argument("--predictor-b", required=True, dest="predictor_b",
                    help="second predictor spec")
     p.add_argument("--label", help="row label in the report CSV")

@@ -307,8 +307,8 @@ def write_stats_csv(path, stats: Sequence[IterationStats]) -> None:
 
 
 def _prove_one(task) -> Tuple[ProofResult, List[TrainingExample]]:
-    name, engine, predictor, limits, iteration, collect = task
-    r = prove(engine, name, predictor, limits, collect_states=collect)
+    name, engine, predictor, limits, iteration = task
+    r = prove(engine, name, predictor, limits)
     examples = extract_training_data(r, engine.matrix, iteration=iteration)
     # drop the search tree so results stay cheap to pickle across workers
     r.bigstep_nodes = []
@@ -317,13 +317,11 @@ def _prove_one(task) -> Tuple[ProofResult, List[TrainingExample]]:
 
 def prove_problems(problems: Sequence[Tuple[str, Engine]], predictor: Predictor,
                    limits: SearchLimits, iteration: int = 0,
-                   workers: int = 1, collect_states: bool = False,
-                   ) -> List[Tuple[ProofResult, List[TrainingExample]]]:
+                   workers: int = 1) -> List[Tuple[ProofResult, List[TrainingExample]]]:
     """Proves every problem, returning (result, extracted examples) pairs
     in problem order.  Search has no randomness, so the worker count
     never changes results."""
-    tasks = [(name, engine, predictor, limits, iteration, collect_states)
-             for name, engine in problems]
+    tasks = [(name, engine, predictor, limits, iteration) for name, engine in problems]
     if workers <= 1:
         return [_prove_one(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor

@@ -210,21 +210,18 @@ class FixedEntropyPredictor(Predictor):
     base's action ordering is preserved.  Values still come from the
     base predictor.
 
-    Vectors for lengths 2..max_cached are built eagerly so prediction is
-    read-only afterwards; longer action lists fall back to on-demand
-    construction, which is deterministic regardless.
+    The vector for each action count is built on first use and cached;
+    it depends only on the count, the target and the seed.
     """
 
-    def __init__(self, base: Predictor, target: float, seed: int, max_cached: int = 128):
+    def __init__(self, base: Predictor, target: float, seed: int):
         if not 0.0 < target <= 1.0:
             raise ValueError(f"target normalized entropy must be in (0, 1], got {target}")
         self.base = base
         self.target = target
         self.seed = seed
         self.temperature = 1.0
-        self.cache: Dict[int, np.ndarray] = {
-            n: make_fixed_entropy_vector(n, target, seed) for n in range(2, max_cached + 1)
-        }
+        self.cache: Dict[int, np.ndarray] = {}
 
     @property
     def reads_state(self) -> bool:

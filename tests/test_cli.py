@@ -6,11 +6,20 @@ stdout/stderr and exit codes are checked without spawning a shell.
 
 import math
 
+import numpy as np
 import pytest
 
 from contab.cli import main, parse_predictor_spec
+from contab.clausify import clausify
+from contab.corpus import corpus_dir
+from contab.features import FEATURE_DIM
+from contab.learn import prove_problems
 from contab.policy import (FixedEntropyPredictor, LinearPredictor,
-                           UniformPredictor, normalized_entropy)
+                           UniformPredictor, load_model, normalized_entropy,
+                           save_model)
+from contab.search import SearchLimits, format_result_line
+from contab.tableau import Engine, write_trace
+from contab.tptp import parse_problem_file
 
 TRIVIAL = "fof(ax, axiom, p(a)).\nfof(c, conjecture, p(a)).\n"
 CHAIN = (
@@ -94,18 +103,50 @@ class TestProve:
     def test_fixed_entropy_mode_runs(self, problem_dir, tmp_path):
         out = tmp_path / "out"
         code = run_cli("prove", problem_dir / "branchy.p", "--out", out,
-                       "--predictor", "fixed-entropy", "--hstar", "0.8",
-                       "--entropy-seed", "3", *FAST)
+                       "--predictor", "fixed-entropy:hstar=0.8:seed=3", *FAST)
         assert code == 0
         _, manifest = read_manifest(out)
-        assert manifest["predictor"] == "fixed-entropy"
-        assert manifest["hstar"] == "0.8"
+        assert manifest["predictor"] == "fixed-entropy:hstar=0.8:seed=3"
+        assert "hstar" not in manifest
 
     def test_duplicate_problem_names_rejected(self, problem_dir, tmp_path, capsys):
         code = run_cli("prove", problem_dir / "chain.p", problem_dir / "chain.p",
                        "--out", tmp_path / "o", *FAST)
         assert code == 2
         assert "duplicate" in capsys.readouterr().err
+
+    def test_linear_spec_matches_the_library(self, tmp_path):
+        """prove --predictor linear:policy=P:value=V writes what
+        prove_problems writes with a LinearPredictor of the same files.
+        On these corpus problems the proofs or their inference counts
+        change with the policy weights, the value weights, and the
+        temperature saved in the policy model."""
+        problems = [corpus_dir() / f"{name}.p" for name in ("eq_fun_chain", "eq_sym", "mutual")]
+        rng = np.random.default_rng(5)
+        policy_file, value_file = tmp_path / "p.model", tmp_path / "v.model"
+        save_model(policy_file, "policy", rng.normal(size=FEATURE_DIM), temperature=2.0)
+        save_model(value_file, "value", rng.normal(size=FEATURE_DIM) * 0.01)
+        out = tmp_path / "out"
+        assert run_cli("prove", *problems, "--out", out, *FAST, "--predictor",
+                       f"linear:policy={policy_file}:value={value_file}") == 0
+
+        _, pw, temperature, _ = load_model(policy_file)
+        _, vw, _, _ = load_model(value_file)
+        engines = [(path.stem, Engine(clausify(parse_problem_file(path)))) for path in problems]
+        limits = SearchLimits(inference_limit=150, bigstep_frequency=25)
+        pairs = prove_problems(engines, LinearPredictor(pw, vw, temperature=temperature),
+                               limits)
+        want = tmp_path / "want"
+        (want / "traces").mkdir(parents=True)
+        lines = []
+        for (name, _), (result, _) in zip(engines, pairs):
+            assert result.solved
+            write_trace(want / "traces" / f"{name}.trace", name, result.proof)
+            lines.append(format_result_line(result, f"traces/{name}.trace") + "\n")
+        assert (out / "results.txt").read_text() == "".join(lines)
+        for path in problems:
+            trace = f"traces/{path.stem}.trace"
+            assert (out / trace).read_bytes() == (want / trace).read_bytes()
 
     def test_corpus_env_var_supplies_problems(self, problem_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("CONTAB_CORPUS_DIR", str(problem_dir))
@@ -150,6 +191,38 @@ class TestManifestAndConfig:
         assert code == 2
         assert "key=value" in capsys.readouterr().err
 
+    def test_misspelt_config_key_exits_2(self, problem_dir, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("inference_limt = 5\n")
+        code = run_cli("prove", problem_dir / "trivial.p", "--out", tmp_path / "o",
+                       "--config", cfg, *FAST)
+        assert code == 2
+        assert "inference_limt" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_key_of_another_subcommand_is_accepted(self, problem_dir, tmp_path):
+        """One file can serve several subcommands; each reads its own keys."""
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("seed = 3\niterations = 9\ninference_limit = 90\n")
+        out = tmp_path / "out"
+        assert run_cli("prove", problem_dir / "trivial.p", "--out", out,
+                       "--config", cfg, "--workers", "1") == 0
+        _, manifest = read_manifest(out)
+        assert manifest["inference_limit"] == "90"
+        assert "seed" not in manifest and "iterations" not in manifest
+
+    def test_prove_config_temperature_points_at_the_spec(self, problem_dir, tmp_path, capsys):
+        """prove once read a temperature key; it now lives in the predictor
+        spec, so an old file fails loudly instead of running at T = 1."""
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("temperature = 2\n")
+        code = run_cli("prove", problem_dir / "trivial.p", "--out", tmp_path / "o",
+                       "--config", cfg, *FAST)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "temperature" in err and "predictor spec" in err
+        assert not (tmp_path / "o").exists()
+
 
 LOOP_FAST = ["--inference-limit", "120", "--bigstep-frequency", "20",
              "--workers", "1", "--epochs", "3"]
@@ -169,7 +242,7 @@ class TestLoop:
     def test_alpha_sweep_writes_one_directory_per_alpha(self, problem_dir, tmp_path):
         out = tmp_path / "out"
         code = run_cli("loop", problem_dir, "--out", out, "--iterations", "1",
-                       "--alpha-sweep", "0,0.7", *LOOP_FAST)
+                       "--alpha", "0,0.7", *LOOP_FAST)
         assert code == 0
         assert (out / "alpha_0" / "stats.csv").exists()
         assert (out / "alpha_0.7" / "stats.csv").exists()
@@ -206,6 +279,8 @@ class TestFlagSurface:
         ["analyze", "--bank", "bank.txt", "--predictor-a", "uniform",
          "--predictor-b", "uniform", "--workers", "1"],
         ["harvest", "--seed", "1"],
+        ["prove", "--hstar", "0.8"],
+        ["loop", "--alpha-sweep", "0,1"],
     ])
     def test_unread_flags_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -281,8 +356,20 @@ class TestPredictorSpecs:
         assert isinstance(fixed, FixedEntropyPredictor)
 
     def test_temperature_option(self):
-        pred = parse_predictor_spec("uniform:temperature=3")
+        pred = parse_predictor_spec("linear:temperature=3")
         assert pred.temperature == 3.0
+
+    def test_model_path_may_contain_a_colon(self, tmp_path):
+        run = tmp_path / "run-12:30"
+        run.mkdir()
+        save_model(run / "p.model", "policy", np.full(FEATURE_DIM, 0.5), temperature=2.5)
+        save_model(run / "v.model", "value", np.full(FEATURE_DIM, -0.5))
+        linear = parse_predictor_spec(
+            f"linear:policy={run}/p.model:value={run}/v.model:temperature=3")
+        assert linear.policy_weights[0] == 0.5 and linear.value_weights[0] == -0.5
+        assert linear.temperature == 3.0
+        fixed = parse_predictor_spec(f"fixed-entropy:seed=4:policy={run}/p.model")
+        assert (fixed.base.temperature, fixed.seed) == (2.5, 4)
 
     def test_unknown_kind_or_option_rejected(self):
         with pytest.raises(ValueError):
@@ -291,6 +378,44 @@ class TestPredictorSpecs:
             parse_predictor_spec("uniform:volume=11")
         with pytest.raises(ValueError):
             parse_predictor_spec("uniform:temperature")
+
+    @pytest.mark.parametrize("spec, option", [
+        ("uniform:hstar=0.3", "hstar"),
+        ("linear:seed=3", "seed"),
+        ("uniform:policy=p.model", "policy"),
+        ("linear:temperature=2:temperature=3", "temperature"),
+        ("uniform:temperature=3", "temperature"),
+        ("fixed-entropy:temperature=2", "temperature"),
+    ])
+    def test_unread_or_repeated_option_is_rejected(self, spec, option):
+        with pytest.raises(ValueError, match=repr(option)):
+            parse_predictor_spec(spec)
+
+    def test_prove_rejects_an_unread_spec_option(self, problem_dir, tmp_path, capsys):
+        code = run_cli("prove", problem_dir / "trivial.p", "--out", tmp_path / "o",
+                       "--predictor", "uniform:hstar=0.3", *FAST)
+        assert code == 2
+        assert "'hstar'" in capsys.readouterr().err
+
+    def test_prove_checks_the_spec_before_reading_problems(self, tmp_path, capsys):
+        code = run_cli("prove", tmp_path / "missing.p", "--out", tmp_path / "o",
+                       "--predictor", "linear:seed=3", *FAST)
+        assert code == 2
+        assert "'seed'" in capsys.readouterr().err
+
+    def test_fixed_entropy_defaults_and_model_temperature(self, tmp_path):
+        policy_file = tmp_path / "p.model"
+        save_model(policy_file, "policy", np.full(FEATURE_DIM, 0.5), temperature=2.5)
+        fixed = parse_predictor_spec("fixed-entropy")
+        assert isinstance(fixed.base, UniformPredictor)
+        assert (fixed.target, fixed.seed) == (0.8, 0)
+        fixed = parse_predictor_spec(f"fixed-entropy:policy={policy_file}:seed=7")
+        assert isinstance(fixed.base, LinearPredictor)
+        assert (fixed.base.temperature, fixed.seed) == (2.5, 7)
+        linear = parse_predictor_spec(f"linear:policy={policy_file}:temperature=4")
+        assert linear.temperature == 4.0
+        with pytest.raises(ValueError, match="expected a value model"):
+            parse_predictor_spec(f"linear:value={policy_file}")
 
 
 class TestCheck:

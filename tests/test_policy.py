@@ -279,12 +279,15 @@ class TestPredictors:
         fep = FixedEntropyPredictor(V(), 0.8, seed=0)
         assert fep.predict_value({}) == 0.77
 
-    def test_fixed_entropy_cache_is_eager_and_extends(self):
-        fep = FixedEntropyPredictor(UniformPredictor(), 0.8, seed=0, max_cached=16)
-        assert set(fep.cache) == set(range(2, 17))
+    def test_fixed_entropy_cache_fills_on_use(self):
+        fep = FixedEntropyPredictor(UniformPredictor(), 0.8, seed=0)
+        assert fep.cache == {}
+        fep.predict_policy({}, [{}] * 4)
+        assert set(fep.cache) == {4}
         v = fep.vector_for(30)
         assert len(v) == 30
-        assert 30 in fep.cache
+        assert set(fep.cache) == {4, 30}
+        assert fep.vector_for(30) is v
         assert v.tobytes() == make_fixed_entropy_vector(30, 0.8, 0).tobytes()
 
     def test_fixed_entropy_single_action(self):
@@ -333,7 +336,7 @@ class TestDeclaredReads:
         assert (lp.reads_state, lp.reads_actions) == (True, False)
         lp.policy_weights[1] = -1.0
         assert (lp.reads_state, lp.reads_actions) == (True, True)
-        fep = FixedEntropyPredictor(lp, 0.5, seed=1, max_cached=2)
+        fep = FixedEntropyPredictor(lp, 0.5, seed=1)
         assert (fep.reads_state, fep.reads_actions) == (True, True)
 
     def test_declarations_recheck_the_remembered_weight(self):
@@ -361,7 +364,7 @@ class TestDeclaredReads:
         UniformPredictor,
         lambda: LinearPredictor(np.full(FEATURE_DIM, 0.3), np.full(FEATURE_DIM, 0.01)),
         lambda: FixedEntropyPredictor(
-            LinearPredictor(np.full(FEATURE_DIM, 0.3)), 0.6, seed=3, max_cached=2),
+            LinearPredictor(np.full(FEATURE_DIM, 0.3)), 0.6, seed=3),
     ], ids=["uniform", "linear", "fixed-entropy-over-linear"])
     def test_one_action_is_certain_and_never_scored(self, make, monkeypatch):
         engine = Engine(clausify_text("cnf(a, axiom, p(X)).\nfof(c, conjecture, p(a))."))
