@@ -10,12 +10,14 @@ excluded from the mean and counted separately.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .fileio import atomic_open
 from .policy import Predictor, UniformPredictor, predict
 from .search import SearchLimits, prove
 from .tableau import Engine, decode_action
@@ -73,7 +75,7 @@ def harvest_states(problems: Sequence[Tuple[str, Engine]],
 
 
 def save_bank(path, bank: StateBank) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(BANK_MAGIC + "\n")
         for e in bank.entries:
             encoded = ";".join(e.path) if e.path else "-"
@@ -201,8 +203,7 @@ def format_cell(value) -> str:
 
 
 def report_csv(path, columns: Sequence[str], rows: Sequence[Sequence]) -> None:
-    import csv
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(columns))
         for row in rows:

@@ -26,6 +26,7 @@ from .analysis import (AGREEMENT_COLUMNS, agreement_rows, compare, harvest_state
                        load_bank, report_csv, save_bank)
 from .clausify import ClausifyError, clausify
 from .corpus import corpus_dir
+from .fileio import atomic_open
 from .learn import STATS_COLUMNS, LoopConfig, TrainConfig, prove_problems, run_loop
 from .policy import (FixedEntropyPredictor, LinearPredictor, Predictor,
                      UniformPredictor, load_model, make_fixed_entropy_vector,
@@ -52,7 +53,8 @@ _LIMITS = {
     "wall_clock": (300.0, float, "per-problem time limit in seconds (default 300)"),
 }
 _RUN = {
-    "workers": (os.cpu_count() or 1, int, "parallel prover processes (default: CPU count)"),
+    "workers": (os.cpu_count() or 1, int, "parallel prover processes, at most one per problem "
+                                      "(default: CPU count)"),
 }
 _PREDICTOR = {
     "predictor": ("uniform", str, "predictor spec, e.g. uniform or "
@@ -236,7 +238,7 @@ def parse_predictor_spec(spec: str) -> Predictor:
 
 
 def _write_manifest(out: Path, command: str, cfg: Config) -> None:
-    with open(out / "manifest.txt", "w", encoding="utf-8") as fh:
+    with atomic_open(out / "manifest.txt") as fh:
         fh.write(f"contab {__version__}\n")
         fh.write(f"command {command}\n")
         for key, val in cfg.items():
@@ -257,7 +259,7 @@ def cmd_prove(args) -> int:
     traces.mkdir(parents=True, exist_ok=True)
     pairs = prove_problems(engines, predictor, _limits(cfg), workers=cfg.workers)
     solved = 0
-    with open(out / "results.txt", "w", encoding="utf-8") as fh:
+    with atomic_open(out / "results.txt") as fh:
         for name, err in errors:
             fh.write(f"problem={name} status=error detail={err!r}\n")
         for (name, _), (result, _) in zip(engines, pairs):
@@ -273,9 +275,21 @@ def cmd_prove(args) -> int:
     return 0
 
 
+def _parse_alphas(text: str) -> List[float]:
+    """The comma-separated ``--alpha`` values; each must have its own
+    ``:g`` name, which names its output directory and sweep rows."""
+    alphas = [float(a) for a in text.split(",")]
+    seen = set()
+    for a in alphas:
+        if f"{a:g}" in seen:
+            raise ValueError(f"--alpha {text}: the value {a:g} is given more than once")
+        seen.add(f"{a:g}")
+    return alphas
+
+
 def cmd_loop(args) -> int:
     cfg = Config(args)
-    alphas = [float(a) for a in cfg.alpha.split(",")]
+    alphas = _parse_alphas(cfg.alpha)
     paths = _problem_paths(cfg, args.problems)
     engines, errors = _build_engines(paths, cfg)
     for name, err in errors:
@@ -380,7 +394,7 @@ def cmd_make_vector(args) -> int:
         vec = apply_order_preserving(vec, ref)
     lines = "\n".join(repr(float(x)) for x in vec)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_open(args.out) as fh:
             fh.write(lines + "\n")
     else:
         print(lines)

@@ -315,18 +315,47 @@ def _prove_one(task) -> Tuple[ProofResult, List[TrainingExample]]:
     return r, examples
 
 
+# the task list of a pool worker, set by the pool initializer in the worker only
+_TASKS: Sequence[tuple] = ()
+
+
+def _set_tasks(tasks: Sequence[tuple]) -> None:
+    global _TASKS
+    _TASKS = tasks
+
+
+def _prove_index(i: int) -> Tuple[ProofResult, List[TrainingExample]]:
+    return _prove_one(_TASKS[i])
+
+
 def prove_problems(problems: Sequence[Tuple[str, Engine]], predictor: Predictor,
                    limits: SearchLimits, iteration: int = 0,
                    workers: int = 1) -> List[Tuple[ProofResult, List[TrainingExample]]]:
     """Proves every problem, returning (result, extracted examples) pairs
     in problem order.  Search has no randomness, so the worker count
-    never changes results."""
+    never changes results.
+
+    With more than one worker and more than one problem, a pool of at
+    most one worker per problem receives the whole task list (engines,
+    predictor, limits) once, through its initializer; where the
+    ``fork`` start method exists the workers inherit that list and
+    nothing of it is pickled, elsewhere it is pickled once per worker.
+    Each task sent to a worker is then a problem index, and only the
+    result and its examples come back."""
     tasks = [(name, engine, predictor, limits, iteration) for name, engine in problems]
+    workers = min(workers, len(tasks))
     if workers <= 1:
         return [_prove_one(t) for t in tasks]
+    # imported here: the serial path does not pay their ~2 MB
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_prove_one, tasks))
+    # a fork pool forks every worker before it starts its own threads, and
+    # the prover starts none, so no lock can be copied while another
+    # thread of the prover holds it
+    fork = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context(fork),
+                             initializer=_set_tasks, initargs=(tasks,)) as pool:
+        return list(pool.map(_prove_index, range(len(tasks))))
 
 
 def _reduce_stats(pairs: Sequence[Tuple[ProofResult, List[TrainingExample]]]) -> IterationStats:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
+from .fileio import atomic_open
 from .terms import (
     EQ,
     Clause,
@@ -347,7 +348,7 @@ class Engine:
 
 
 def write_trace(path, problem_name: str, actions) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(f"problem {problem_name}\n")
         for a in actions:
             fh.write(a.encode() + "\n")

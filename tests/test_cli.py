@@ -250,6 +250,15 @@ class TestLoop:
         assert sweep[0].startswith("alpha,iteration,solved")
         assert len(sweep) == 1 + 2 * 2  # two alphas, two rows each
 
+    def test_repeated_alpha_value_exits_2(self, problem_dir, tmp_path, capsys):
+        """0.7 and 0.70 would share alpha_0.7/ and its sweep rows."""
+        out = tmp_path / "out"
+        code = run_cli("loop", problem_dir, "--out", out, "--iterations", "1",
+                       "--alpha", "0,0.7,0.70", *LOOP_FAST)
+        assert code == 2
+        assert "0.7 is given more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resume_matches_uninterrupted_run(self, problem_dir, tmp_path):
         full, part = tmp_path / "full", tmp_path / "part"
         run_cli("loop", problem_dir, "--out", full, "--iterations", "2", *LOOP_FAST)

@@ -4,11 +4,15 @@ Gradient code is checked against central finite differences; extraction
 against hand-built search trees with known visit counts.
 """
 
+import concurrent.futures
 import math
+import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from contab.analysis import BankEntry, StateBank, report_csv, save_bank
 from contab.clausify import clausify_text
 from contab.learn import (
     EXAMPLES_MAGIC,
@@ -32,7 +36,7 @@ from contab.learn import (
 from contab.policy import (UniformPredictor, normalized_entropy, save_model,
                            softmax_temperature)
 from contab.search import DISCOUNT, MCTSNode, ProofResult, SearchLimits
-from contab.tableau import Action, Engine
+from contab.tableau import Action, Engine, write_trace
 
 THREE_WAY = (
     "cnf(a1, axiom, p(X) | q(X)).\ncnf(a2, axiom, p(X) | r(X)).\n"
@@ -339,22 +343,53 @@ def small_loop_config(**kw):
     )
 
 
+def comparable(pairs):
+    """(result, examples) pairs with the one field that varies between
+    runs, the search's wall time, zeroed."""
+    return [(replace(r, wall_time=0.0), exs) for r, exs in pairs]
+
+
+class UnpicklableEngine(Engine):
+    def __reduce_ex__(self, protocol):
+        raise TypeError("engine pickled")
+
+
+class UnpicklablePredictor(UniformPredictor):
+    def __reduce_ex__(self, protocol):
+        raise TypeError("predictor pickled")
+
+
 class TestProveProblems:
     def test_worker_count_does_not_change_results(self):
         problems = loop_problems()
         limits = SearchLimits(inference_limit=120, bigstep_frequency=10)
-        serial = prove_problems(problems, UniformPredictor(), limits)
-        parallel = prove_problems(problems, UniformPredictor(), limits, workers=2)
-        assert len(serial) == len(parallel)
-        for (ra, ea), (rb, eb) in zip(serial, parallel):
-            assert ra.problem == rb.problem
-            assert ra.status == rb.status
-            assert ra.inferences == rb.inferences
-            assert ra.mean_entropy == rb.mean_entropy
-            assert len(ea) == len(eb)
-            for xa, xb in zip(ea, eb):
-                assert xa.policy_targets == xb.policy_targets
-                assert xa.state_features == xb.state_features
+        examples = [ex for _, exs in prove_problems(problems, UniformPredictor(), limits)
+                    for ex in exs]
+        trained = train(examples, TrainConfig(epochs=3, seed=0)).predictor()
+        for predictor in (UniformPredictor(), trained):
+            serial = prove_problems(problems, predictor, limits)
+            parallel = prove_problems(problems, predictor, limits, workers=2)
+            assert comparable(parallel) == comparable(serial)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="without fork the task list is pickled once per worker")
+    def test_workers_inherit_tasks_unpickled(self):
+        problems = [(name, UnpicklableEngine(engine.matrix))
+                    for name, engine in loop_problems()]
+        limits = SearchLimits(inference_limit=120, bigstep_frequency=10)
+        serial = prove_problems(problems, UnpicklablePredictor(), limits)
+        parallel = prove_problems(problems, UnpicklablePredictor(), limits, workers=2)
+        assert comparable(parallel) == comparable(serial)
+
+    def test_one_problem_is_proved_without_a_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for one problem")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        problems = loop_problems()[:1]
+        limits = SearchLimits(inference_limit=60, bigstep_frequency=10)
+        pairs = prove_problems(problems, UniformPredictor(), limits, workers=4)
+        assert comparable(pairs) == comparable(prove_problems(problems, UniformPredictor(),
+                                                              limits))
 
     def test_results_come_back_in_problem_order(self):
         problems = loop_problems()
@@ -437,12 +472,19 @@ class TestAtomicWrites:
          [IterationStats(0, 2, 0.5, 0.25, 20), None]),
         (lambda path, w: save_model(path, "policy", w), np.array([0.0, 1.5, 2.5]),
          np.array([0.0, 1.5, "not a float"], dtype=object)),
-    ], ids=["examples", "stats", "model"])
+        (save_bank, StateBank([BankEntry("p", ("e0",), 2)]),
+         StateBank([BankEntry("p", ("e1",), 3), None])),
+        (lambda path, rows: report_csv(path, ["alpha", "solved"], rows), [[0.7, 3]],
+         [[0.5, 4], None]),
+        (lambda path, actions: write_trace(path, "p", actions),
+         [Action("extension", clause_id=0, literal_index=0)],
+         [Action("reduction", path_index=0), None]),
+    ], ids=["examples", "stats", "model", "bank", "report", "trace"])
     def test_raise_mid_file_keeps_the_previous_file(self, writer, good, bad, tmp_path):
         path = tmp_path / "checkpoint"
         writer(path, good)
         before = path.read_bytes()
-        with pytest.raises((AttributeError, ValueError)):
+        with pytest.raises((AttributeError, TypeError, ValueError)):
             writer(path, bad)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["checkpoint"]
