@@ -25,7 +25,7 @@ def run(alpha, out_dir):
     cfg = LoopConfig(
         alpha=alpha,
         limits=SearchLimits(inference_limit=20000, bigstep_frequency=4),
-        train=TrainConfig(alpha=alpha, epochs=30, learning_rate=0.3, seed=0),
+        train=TrainConfig(epochs=30, learning_rate=0.3, seed=0),
     )
     return run_loop(problems(), 2, cfg, out_dir=out_dir)
 

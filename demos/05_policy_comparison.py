@@ -30,8 +30,8 @@ def main():
                            SearchLimits(inference_limit=20000, bigstep_frequency=4))
     examples = [ex for _, exs in pairs for ex in exs]
     print(f"training both policies on the same {len(examples)} examples")
-    sharp = train(examples, TrainConfig(alpha=0.0, epochs=30, learning_rate=0.3))
-    soft = train(examples, TrainConfig(alpha=2.0, epochs=30, learning_rate=0.3))
+    sharp = train(examples, TrainConfig(epochs=30, learning_rate=0.3), alpha=0.0)
+    soft = train(examples, TrainConfig(epochs=30, learning_rate=0.3), alpha=2.0)
 
     contenders = {
         "uniform": UniformPredictor(),

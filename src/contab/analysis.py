@@ -20,7 +20,7 @@ import numpy as np
 from .fileio import atomic_open
 from .policy import Predictor, UniformPredictor, predict
 from .search import SearchLimits, prove
-from .tableau import Engine, decode_action
+from .tableau import Engine, IllegalActionError, decode_action
 
 BANK_MAGIC = "contab-bank v1"
 
@@ -98,9 +98,14 @@ def load_bank(path) -> StateBank:
 
 
 def replay_entry(engine: Engine, entry: BankEntry):
+    """The state the entry's action path reaches; a step that does not
+    apply raises ``ValueError`` naming the problem and the step."""
     state = engine.root_state()
-    for encoded in entry.path:
-        state = engine.apply(state, decode_action(encoded))
+    for step, encoded in enumerate(entry.path, start=1):
+        try:
+            state = engine.apply(state, decode_action(encoded))
+        except (IllegalActionError, IndexError, ValueError) as e:
+            raise ValueError(f"{entry.problem}: bank step {step} {encoded!r}: {e}") from None
     return state
 
 
@@ -118,19 +123,19 @@ class AgreementReport:
 RANK_TOL = 1e-9
 
 
-def rank_groups(p: Sequence[float], tol: float = RANK_TOL) -> np.ndarray:
-    """Descending rank of every entry, with entries closer than ``tol``
-    sharing a rank.  Collapsing float-noise ties keeps rank comparisons
-    invariant under monotone transformations such as temperature
-    rescaling, which preserve order exactly in real arithmetic but can
-    turn an ulp-sized gap into an exact tie in floats."""
+def rank_groups(p: Sequence[float]) -> np.ndarray:
+    """Descending rank of every entry, with entries closer than
+    ``RANK_TOL`` sharing a rank.  Collapsing float-noise ties keeps rank
+    comparisons invariant under monotone transformations such as
+    temperature rescaling, which preserve order exactly in real arithmetic
+    but can turn an ulp-sized gap into an exact tie in floats."""
     p = np.asarray(p, dtype=float)
     order = np.argsort(-p, kind="stable")
     ranks = np.empty(len(p), dtype=int)
     group = 0
     prev = None
     for i in order:
-        if prev is not None and prev - p[i] > tol:
+        if prev is not None and prev - p[i] > RANK_TOL:
             group += 1
         ranks[i] = group
         prev = p[i]

@@ -289,7 +289,10 @@ def _parse_alphas(text: str) -> List[float]:
 
 def cmd_loop(args) -> int:
     cfg = Config(args)
-    alphas = _parse_alphas(cfg.alpha)
+    train_cfg = TrainConfig(learning_rate=cfg.learning_rate, epochs=cfg.epochs,
+                            batch_size=cfg.batch_size, seed=cfg.seed)
+    loop_cfgs = [LoopConfig(alpha, _limits(cfg), train_cfg, cfg.temperature)
+                 for alpha in _parse_alphas(cfg.alpha)]
     paths = _problem_paths(cfg, args.problems)
     engines, errors = _build_engines(paths, cfg)
     for name, err in errors:
@@ -297,22 +300,16 @@ def cmd_loop(args) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     sweep_rows = []
-    for alpha in alphas:
-        loop_cfg = LoopConfig(
-            alpha=alpha, limits=_limits(cfg),
-            train=TrainConfig(alpha=alpha, learning_rate=cfg.learning_rate,
-                              epochs=cfg.epochs, batch_size=cfg.batch_size,
-                              seed=cfg.seed),
-            temperature=cfg.temperature)
-        sub = out / f"alpha_{alpha:g}" if len(alphas) > 1 else out
+    for loop_cfg in loop_cfgs:
+        sub = out / f"alpha_{loop_cfg.alpha:g}" if len(loop_cfgs) > 1 else out
         result = run_loop(engines, cfg.iterations, loop_cfg, out_dir=str(sub),
                           resume=cfg.resume, workers=cfg.workers)
         for row in result.stats:
-            sweep_rows.append([f"{alpha:g}"] + row.row())
-    if len(alphas) > 1:
+            sweep_rows.append([f"{loop_cfg.alpha:g}"] + row.row())
+    if len(loop_cfgs) > 1:
         report_csv(out / "sweep.csv", ["alpha"] + STATS_COLUMNS, sweep_rows)
     _write_manifest(out, "loop", cfg)
-    print(f"loop: {len(alphas)} alpha value(s), {cfg.iterations + 1} iterations each, "
+    print(f"loop: {len(loop_cfgs)} alpha value(s), {cfg.iterations + 1} iterations each, "
           f"outputs in {out}")
     return 0
 

@@ -16,15 +16,15 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .features import FEATURE_DIM, extract_action_features, extract_features
+from .features import extract_action_features, extract_features
 from .fileio import atomic_open
-from .policy import (LinearPredictor, Predictor, UniformPredictor, _sparse_dot,
-                     save_model, sigmoid, softmax_temperature)
+from .policy import (LinearPredictor, Predictor, UniformPredictor, save_model,
+                     softmax_temperature)
 from .search import DISCOUNT, ProofResult, SearchLimits, prove
 from .tableau import Engine
 
@@ -120,16 +120,12 @@ def value_grad_logit(target: float, predicted: float) -> float:
 
 @dataclass
 class TrainConfig:
-    alpha: float = 0.7
     learning_rate: float = 0.1
     epochs: int = 10
     batch_size: int = 8
-    dim: int = FEATURE_DIM
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
         if self.learning_rate <= 0 or self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("learning rate, epochs, and batch size must be positive")
 
@@ -147,36 +143,32 @@ class TrainResult:
     value_losses: List[float]
 
     def predictor(self, temperature: float = 1.0) -> LinearPredictor:
-        return LinearPredictor(self.policy_weights, self.value_weights,
-                               temperature=temperature, dim=len(self.policy_weights))
+        return LinearPredictor(self.policy_weights, self.value_weights, temperature=temperature)
 
 
-def _policy_probs(weights: np.ndarray, ex: TrainingExample) -> np.ndarray:
-    logits = [_sparse_dot(weights, af) for af in ex.action_features]
-    return softmax_temperature(logits, 1.0)
+def _dataset_losses(scorer: LinearPredictor, examples, alpha) -> Tuple[float, float]:
+    pl = sum(policy_loss(ex.policy_targets, softmax_temperature(
+        scorer.predict_policy(ex.state_features, ex.action_features)), alpha) for ex in examples)
+    vl = sum(value_loss(ex.value_target, scorer.predict_value(ex.state_features))
+             for ex in examples)
+    return pl / len(examples), vl / len(examples)
 
 
-def _value_pred(weights: np.ndarray, ex: TrainingExample) -> float:
-    return sigmoid(_sparse_dot(weights, ex.state_features))
-
-
-def _dataset_losses(wp, wv, examples, alpha) -> Tuple[float, float]:
-    pl = sum(policy_loss(ex.policy_targets, _policy_probs(wp, ex), alpha) for ex in examples)
-    vl = sum(value_loss(ex.value_target, _value_pred(wv, ex)) for ex in examples)
-    n = len(examples)
-    return pl / n, vl / n
-
-
-def train(examples: Sequence[TrainingExample], config: Optional[TrainConfig] = None) -> TrainResult:
-    """Fits independent policy and value weight vectors by mini-batch SGD.
-    Reported losses are full-dataset means evaluated after each epoch."""
+def train(examples: Sequence[TrainingExample], config: Optional[TrainConfig] = None,
+          alpha: float = 0.7) -> TrainResult:
+    """Fits independent policy and value weight vectors by mini-batch SGD,
+    scoring through a :class:`LinearPredictor` over them, with entropy
+    coefficient ``alpha``.  Reported losses are full-dataset means
+    evaluated after each epoch."""
     config = config or TrainConfig()
+    if alpha < 0:
+        raise ValueError(f"alpha must be nonnegative, got {alpha}")
     if not examples:
         raise ValueError("no training examples")
-    wp = np.zeros(config.dim)
-    wv = np.zeros(config.dim)
+    scorer = LinearPredictor()
+    wp, wv = scorer.policy_weights, scorer.value_weights
     rng = np.random.default_rng(config.seed)
-    pl0, vl0 = _dataset_losses(wp, wv, examples, config.alpha)
+    pl0, vl0 = _dataset_losses(scorer, examples, alpha)
     policy_losses, value_losses = [pl0], [vl0]
 
     for epoch in range(config.epochs):
@@ -186,13 +178,14 @@ def train(examples: Sequence[TrainingExample], config: Optional[TrainConfig] = N
             gp: Dict[int, float] = {}
             gv: Dict[int, float] = {}
             for ex in batch:
-                probs = _policy_probs(wp, ex)
-                g = policy_grad_logits(ex.policy_targets, probs, config.alpha)
+                probs = softmax_temperature(scorer.predict_policy(ex.state_features,
+                                                                  ex.action_features))
+                g = policy_grad_logits(ex.policy_targets, probs, alpha)
                 for gi, af in zip(g, ex.action_features):
                     if gi:
                         for f, c in af.items():
                             gp[f] = gp.get(f, 0.0) + gi * c
-                gz = value_grad_logit(ex.value_target, _value_pred(wv, ex))
+                gz = value_grad_logit(ex.value_target, scorer.predict_value(ex.state_features))
                 if gz:
                     for f, c in ex.state_features.items():
                         gv[f] = gv.get(f, 0.0) + gz * c
@@ -201,7 +194,7 @@ def train(examples: Sequence[TrainingExample], config: Optional[TrainConfig] = N
                 wp[f] -= scale * g
             for f, g in gv.items():
                 wv[f] -= scale * g
-        pl, vl = _dataset_losses(wp, wv, examples, config.alpha)
+        pl, vl = _dataset_losses(scorer, examples, alpha)
         if math.isnan(pl) or math.isnan(vl) or math.isinf(pl) or math.isinf(vl):
             raise TrainingDiverged(
                 f"loss diverged at epoch {epoch + 1}: policy={pl}, value={vl}; "
@@ -274,6 +267,12 @@ class LoopConfig:
     limits: SearchLimits = field(default_factory=SearchLimits)
     train: TrainConfig = field(default_factory=TrainConfig)
     temperature: float = 1.0
+
+    def __post_init__(self):
+        if self.alpha < 0:
+            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
+        if self.temperature <= 0:
+            raise ValueError(f"temperature must be positive, got {self.temperature}")
 
 
 @dataclass
@@ -388,7 +387,6 @@ def run_loop(problems: Sequence[Tuple[str, Engine]], iterations: int,
     completed iteration using those files.
     """
     config = config or LoopConfig()
-    train_cfg = replace(config.train, alpha=config.alpha)
     stats: List[IterationStats] = []
     examples: List[TrainingExample] = []
     all_results: List[List[ProofResult]] = []
@@ -404,9 +402,9 @@ def run_loop(problems: Sequence[Tuple[str, Engine]], iterations: int,
 
     for it in range(start_at, iterations + 1):
         if it == 0:
-            predictor: Predictor = UniformPredictor(temperature=config.temperature)
+            predictor: Predictor = UniformPredictor()
         else:
-            model = train(examples, train_cfg)
+            model = train(examples, config.train, alpha=config.alpha)
             predictor = model.predictor(temperature=config.temperature)
         pairs = prove_problems(problems, predictor, config.limits,
                                iteration=it, workers=workers)

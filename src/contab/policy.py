@@ -155,9 +155,6 @@ class UniformPredictor(Predictor):
     reads_state = False
     reads_actions = False
 
-    def __init__(self, temperature: float = 1.0):
-        self.temperature = temperature
-
     def predict_policy(self, features, action_features):
         return np.zeros(len(action_features))
 
@@ -168,17 +165,18 @@ class UniformPredictor(Predictor):
 class LinearPredictor(Predictor):
     """Linear model over hashed features: each action logit is a sparse
     dot product with the policy weights, the value is a logistic of the
-    state-feature dot product."""
+    state-feature dot product, both over all ``FEATURE_DIM`` features."""
 
     def __init__(self, policy_weights: Optional[np.ndarray] = None,
                  value_weights: Optional[np.ndarray] = None,
-                 temperature: float = 1.0, dim: int = FEATURE_DIM):
-        self.dim = dim
-        self.policy_weights = (np.zeros(dim) if policy_weights is None
+                 temperature: float = 1.0):
+        if temperature <= 0.0:
+            raise ValueError(f"temperature must be positive, got {temperature}")
+        self.policy_weights = (np.zeros(FEATURE_DIM) if policy_weights is None
                                else np.asarray(policy_weights, dtype=float))
-        self.value_weights = (np.zeros(dim) if value_weights is None
+        self.value_weights = (np.zeros(FEATURE_DIM) if value_weights is None
                               else np.asarray(value_weights, dtype=float))
-        if self.policy_weights.shape != (dim,) or self.value_weights.shape != (dim,):
+        if {self.policy_weights.shape, self.value_weights.shape} != {(FEATURE_DIM,)}:
             raise ValueError("weight vectors must match the feature dimension")
         self.temperature = temperature
         self._policy_nonzero = self._value_nonzero = -1
@@ -220,7 +218,6 @@ class FixedEntropyPredictor(Predictor):
         self.base = base
         self.target = target
         self.seed = seed
-        self.temperature = 1.0
         self.cache: Dict[int, np.ndarray] = {}
 
     @property
@@ -238,10 +235,8 @@ class FixedEntropyPredictor(Predictor):
 
     def predict_policy(self, features, action_features):
         n = len(action_features)
-        if n == 0:
-            return np.zeros(0)
-        if n == 1:
-            return np.zeros(1)
+        if n < 2:
+            return np.zeros(n)
         base_logits = self.base.predict_policy(features, action_features)
         reference = softmax_temperature(base_logits, self.base.temperature)
         probs = apply_order_preserving(self.vector_for(n), reference)
@@ -308,12 +303,15 @@ def load_model(path) -> Tuple[str, np.ndarray, float, float]:
         if key == "nonzero":
             body_at = i + 1
             break
-    kind = header["kind"]
+    if not {"kind", "dim", "temperature", "alpha"} <= header.keys():
+        raise ValueError(f"{path}: model header lacks a kind, dim, temperature or alpha line")
     dim = int(header["dim"])
     weights = np.zeros(dim)
     for ln in lines[body_at:]:
         if not ln:
             continue
         idx, val = ln.split()
+        if not 0 <= int(idx) < dim:
+            raise ValueError(f"{path}: weight index {idx} outside dim {dim}")
         weights[int(idx)] = float(val)
-    return kind, weights, float(header["temperature"]), float(header["alpha"])
+    return header["kind"], weights, float(header["temperature"]), float(header["alpha"])

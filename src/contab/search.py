@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .policy import Predictor, entropy, normalized_entropy, predict
+from .policy import Predictor, entropy, predict
 from .tableau import Action, Engine
 
 DISCOUNT = 0.99
@@ -42,7 +42,7 @@ class SearchLimits:
 
 
 class MCTSNode:
-    __slots__ = ("state", "actions", "priors", "value", "children", "visits",
+    __slots__ = ("state", "actions", "priors", "children", "visits",
                  "reward_sum", "prior", "parent", "action_index", "depth",
                  "is_proof", "has_proof", "terminal_reward", "fully_explored")
 
@@ -54,7 +54,6 @@ class MCTSNode:
         self.depth = depth
         self.actions: List[Action] = []
         self.priors = None
-        self.value = 0.0
         self.children: List[Optional[MCTSNode]] = []
         self.visits = 0
         self.reward_sum = 0.0
@@ -129,19 +128,19 @@ class _Search:
             node.terminal_reward = DISCOUNT ** node.depth
             return node.terminal_reward
         node.actions = self.engine.legal_actions(state)
-        probs, value = predict(self.predictor, state, node.actions, self.engine.matrix)
         if not node.actions:
             node.fully_explored = True
             node.terminal_reward = 0.0
             return 0.0
+        probs, value = predict(self.predictor, state, node.actions, self.engine.matrix)
         # plain floats: _select reads them in the hot loop
         node.priors = probs.tolist()
         node.children = [None] * len(node.actions)
-        node.value = value
         if len(probs) > 1:
-            # a single action's [1.0] has entropy and normalized entropy 0.0
-            self.entropy_sum += entropy(probs)
-            self.nentropy_sum += normalized_entropy(probs)
+            # [1.0] has entropy 0.0; h / ln n is normalized_entropy(probs)
+            h = entropy(probs)
+            self.entropy_sum += h
+            self.nentropy_sum += h / math.log(len(probs))
         self.entropy_count += 1
         if self.collect_states and len(node.actions) >= 2 and len(self.harvested) < HARVEST_CAP:
             path = tuple(a.encode() for a in node.action_path())

@@ -71,6 +71,8 @@ def decode_action(line: str) -> Action:
     parts = line.split()
     if not parts:
         raise ValueError("empty action line")
+    if "-" in line:  # no kind or direction has one, so it signs a negative index
+        raise ValueError(f"malformed action line {line!r}: negative index")
     kind = parts[0]
     try:
         if kind == START:

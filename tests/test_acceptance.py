@@ -44,8 +44,7 @@ LOOP_LIMITS = SearchLimits(inference_limit=20000, bigstep_frequency=4)
 
 def loop_at(alpha):
     cfg = LoopConfig(alpha=alpha, limits=LOOP_LIMITS,
-                     train=TrainConfig(alpha=alpha, epochs=30,
-                                       learning_rate=0.3, seed=0))
+                     train=TrainConfig(epochs=30, learning_rate=0.3, seed=0))
     return run_loop(fresh_corpus(), 3, cfg)
 
 
@@ -292,10 +291,8 @@ def test_criterion_6_temperature_vs_regularization(corpus_bank):
     bank, engines = corpus_bank
     pairs = prove_problems(fresh_corpus(), UniformPredictor(), LOOP_LIMITS)
     examples = [ex for _, exs in pairs for ex in exs]
-    sharp = train(examples, TrainConfig(alpha=0.0, epochs=30,
-                                        learning_rate=0.3, seed=0))
-    soft = train(examples, TrainConfig(alpha=2.0, epochs=30,
-                                       learning_rate=0.3, seed=0))
+    sharp = train(examples, TrainConfig(epochs=30, learning_rate=0.3, seed=0), alpha=0.0)
+    soft = train(examples, TrainConfig(epochs=30, learning_rate=0.3, seed=0), alpha=2.0)
     base = sharp.predictor(1.0)
     rescaled = compare(base, sharp.predictor(3.0), bank, engines)
     retrained = compare(base, soft.predictor(1.0), bank, engines)

@@ -259,6 +259,19 @@ class TestLoop:
         assert "0.7 is given more than once" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, complaint", [
+        (["--temperature", "0"], "temperature must be positive"),
+        (["--alpha", "0.7,-1"], "alpha must be nonnegative"),
+    ])
+    def test_bad_setting_exits_2_before_any_output(self, problem_dir, tmp_path, capsys,
+                                                   flags, complaint):
+        out = tmp_path / "out"
+        code = run_cli("loop", problem_dir, "--out", out, "--iterations", "1",
+                       *flags, *LOOP_FAST)
+        assert code == 2
+        assert complaint in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resume_matches_uninterrupted_run(self, problem_dir, tmp_path):
         full, part = tmp_path / "full", tmp_path / "part"
         run_cli("loop", problem_dir, "--out", full, "--iterations", "2", *LOOP_FAST)
@@ -347,6 +360,31 @@ class TestHarvestAnalyze:
         assert code == 2
         assert "harvest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage, complaint", [
+        # the fact the harvested path extends with no longer unifies
+        (None, "bank step 5 'extension 1 0': extension does not unify"),
+        # clause indices past either end of the matrix
+        ("start 40;", "bank step 1 'start 40'"),
+        ("start -1;", "bank step 1 'start -1'"),
+    ], ids=["problem-edited", "index-past-end", "negative-index"])
+    def test_bank_that_does_not_replay_exits_2(self, tmp_path, capsys, damage, complaint):
+        text = (corpus_dir() / "rule_pick.p").read_text()
+        problems, hout = tmp_path / "problems", tmp_path / "h"
+        problems.mkdir()
+        (problems / "rule_pick.p").write_text(text)
+        assert run_cli("harvest", problems, "--out", hout, *FAST_LIMITS) == 0
+        bank = hout / "bank.txt"
+        assert "start 4;extension 0 2;" in bank.read_text()
+        if damage is None:
+            (problems / "rule_pick.p").write_text(
+                text.replace("step(one, two)", "step(one, four)"))
+        else:
+            bank.write_text(bank.read_text().replace("start 4;", damage))
+        code = run_cli("analyze", problems, "--bank", bank, "--predictor-a", "uniform",
+                       "--predictor-b", "uniform", "--out", tmp_path / "a")
+        assert code == 2
+        assert f"rule_pick: {complaint}" in capsys.readouterr().err
+
     def test_bank_against_wrong_problem_set_exits_2(self, problem_dir, tmp_path, capsys):
         hout = tmp_path / "h"
         run_cli("harvest", problem_dir, "--out", hout, *FAST_LIMITS)
@@ -411,6 +449,30 @@ class TestPredictorSpecs:
                        "--predictor", "linear:seed=3", *FAST)
         assert code == 2
         assert "'seed'" in capsys.readouterr().err
+
+    def test_prove_rejects_a_nonpositive_temperature_before_any_output(
+            self, problem_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli("prove", problem_dir, "--out", out,
+                       "--predictor", "linear:temperature=0", *FAST)
+        assert code == 2
+        assert "temperature must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body, complaint", [
+        ("kind policy\n", "model header lacks"),
+        (f"kind policy\ndim {FEATURE_DIM}\ntemperature 1.0\nalpha 0.7\nnonzero 1\n99999 1.0\n",
+         "weight index 99999 outside dim"),
+        (f"kind policy\ndim {FEATURE_DIM}\ntemperature 1.0\nalpha 0.7\nnonzero 1\n-1 1.0\n",
+         "weight index -1 outside dim"),
+    ], ids=["no-dim", "index-past-dim", "negative-index"])
+    def test_damaged_model_file_exits_2(self, problem_dir, tmp_path, capsys, body, complaint):
+        model = tmp_path / "bad.model"
+        model.write_text("contab-model v1\n" + body)
+        code = run_cli("prove", problem_dir, "--out", tmp_path / "o",
+                       "--predictor", f"linear:policy={model}", *FAST)
+        assert code == 2
+        assert f"{model}: {complaint}" in capsys.readouterr().err
 
     def test_fixed_entropy_defaults_and_model_temperature(self, tmp_path):
         policy_file = tmp_path / "p.model"

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from contab.analysis import BankEntry, StateBank, report_csv, save_bank
-from contab.clausify import clausify_text
+from contab.clausify import clausify_text, load_matrix
+from contab.corpus import corpus_problems
 from contab.learn import (
     EXAMPLES_MAGIC,
     IterationStats,
@@ -222,14 +223,14 @@ def mean_prediction_entropy(result, examples):
 class TestTrain:
     def test_single_repeated_example_converges_to_target_argmax(self):
         ex = synthetic_examples(1, seed=3)[0]
-        result = train([ex] * 8, TrainConfig(alpha=0.0, epochs=20, seed=0))
+        result = train([ex] * 8, TrainConfig(epochs=20, seed=0), alpha=0.0)
         predictor = result.predictor()
         logits = predictor.predict_policy(ex.state_features, ex.action_features)
         assert int(np.argmax(logits)) == int(np.argmax(ex.policy_targets))
 
     def test_argmax_fit_on_fixture_dataset(self):
         examples = synthetic_examples(100)
-        result = train(examples, TrainConfig(alpha=0.0, epochs=25, learning_rate=0.3))
+        result = train(examples, TrainConfig(epochs=25, learning_rate=0.3), alpha=0.0)
         predictor = result.predictor()
         hits = 0
         for ex in examples:
@@ -239,7 +240,7 @@ class TestTrain:
 
     def test_epoch_losses_nonincreasing_at_default_rate(self):
         examples = synthetic_examples(60)
-        result = train(examples, TrainConfig(alpha=0.0))
+        result = train(examples, alpha=0.0)
         assert len(result.policy_losses) == TrainConfig().epochs + 1
         assert len(result.value_losses) == TrainConfig().epochs + 1
         for prev, cur in zip(result.policy_losses, result.policy_losses[1:]):
@@ -249,7 +250,7 @@ class TestTrain:
 
     def test_final_cross_entropy_beats_uniform_baseline(self):
         examples = synthetic_examples(100)
-        result = train(examples, TrainConfig(alpha=0.0, epochs=15, learning_rate=0.3))
+        result = train(examples, TrainConfig(epochs=15, learning_rate=0.3), alpha=0.0)
         baseline = sum(math.log(len(ex.policy_targets)) for ex in examples) / len(examples)
         assert result.policy_losses[0] == pytest.approx(baseline, abs=1e-9)
         assert result.policy_losses[-1] < baseline
@@ -258,7 +259,7 @@ class TestTrain:
         examples = synthetic_examples(80, seed=5)
         entropies = []
         for alpha in (0.0, 0.3, 0.7, 2.0):
-            result = train(examples, TrainConfig(alpha=alpha, epochs=15, learning_rate=0.3))
+            result = train(examples, TrainConfig(epochs=15, learning_rate=0.3), alpha=alpha)
             entropies.append(mean_prediction_entropy(result, examples))
         for lo, hi in zip(entropies, entropies[1:]):
             assert lo <= hi + 1e-9
@@ -275,7 +276,7 @@ class TestTrain:
     def test_divergence_is_reported(self):
         examples = synthetic_examples(20)
         with pytest.raises(TrainingDiverged):
-            train(examples, TrainConfig(alpha=0.0, learning_rate=1e18, epochs=40))
+            train(examples, TrainConfig(learning_rate=1e18, epochs=40), alpha=0.0)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -283,7 +284,7 @@ class TestTrain:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            TrainConfig(alpha=-0.1)
+            train(synthetic_examples(4), alpha=-0.1)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
@@ -450,6 +451,27 @@ class TestRunLoop:
         out = run_loop(loop_problems(), 1, small_loop_config())
         assert out.stats[0].solved < len(loop_problems())
         assert out.stats[0].solved >= 2
+
+    def test_loop_trains_with_its_own_alpha(self):
+        # the corpus, unlike loop_problems, gives examples that move the policy weights
+        problems = [(p.stem, Engine(load_matrix(p))) for p in corpus_problems()]
+        config = small_loop_config(alpha=2.0)
+        loop = run_loop(problems, 1, config)
+        model = loop.final_model
+        examples = [ex for ex in loop.examples if ex.iteration == 0]
+        want = train(examples, config.train, alpha=2.0)
+        assert model.policy_weights.any()
+        assert model.policy_weights.tobytes() == want.policy_weights.tobytes()
+        assert model.value_weights.tobytes() == want.value_weights.tobytes()
+        assert model.policy_losses == want.policy_losses
+        sharp = train(examples, config.train, alpha=0.0)
+        assert sharp.policy_weights.tobytes() != want.policy_weights.tobytes()
+
+    @pytest.mark.parametrize("setting", [{"temperature": 0.0}, {"temperature": -1.0},
+                                         {"alpha": -0.1}])
+    def test_config_rejects_settings_out_of_range(self, setting):
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            small_loop_config(**setting)
 
 
 class TestStatsCsv:

@@ -225,7 +225,7 @@ class TestPredictors:
         assert value == 0.5
 
     def test_linear_sparse_dot_closed_form(self):
-        lp = LinearPredictor(dim=8)
+        lp = LinearPredictor()
         lp.policy_weights[3] = 2.0
         lp.value_weights[1] = 1.0
         logits = lp.predict_policy({}, [{3: 2}, {3: 1, 5: 4}, {}])
@@ -234,7 +234,14 @@ class TestPredictors:
 
     def test_linear_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):
-            LinearPredictor(policy_weights=np.zeros(4), dim=8)
+            LinearPredictor(policy_weights=np.zeros(4))
+        with pytest.raises(ValueError):
+            LinearPredictor(value_weights=np.zeros(FEATURE_DIM + 1))
+
+    @pytest.mark.parametrize("temperature", [0.0, -2.0])
+    def test_linear_rejects_nonpositive_temperature(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            LinearPredictor(temperature=temperature)
 
     def test_value_clamped_to_unit_interval(self):
         engine, state, actions = small_state_and_actions()
@@ -263,7 +270,7 @@ class TestPredictors:
         engine, state, actions = small_state_and_actions()
         base = LinearPredictor()
         rng = np.random.default_rng(0)
-        base.policy_weights[:] = rng.standard_normal(base.dim) * 0.1
+        base.policy_weights[:] = rng.standard_normal(FEATURE_DIM) * 0.1
         ref, _ = predict(base, state, actions, engine.matrix)
         fep = FixedEntropyPredictor(base, 0.5, seed=3)
         probs, _ = predict(fep, state, actions, engine.matrix)
@@ -322,7 +329,7 @@ class TestDeclaredReads:
     def test_policy_only_linear_skips_state_features(self, monkeypatch):
         engine, state, actions = small_state_and_actions()
         lp = LinearPredictor()
-        lp.policy_weights[:] = np.random.default_rng(0).standard_normal(lp.dim)
+        lp.policy_weights[:] = np.random.default_rng(0).standard_normal(FEATURE_DIM)
         assert lp.reads_actions and not lp.reads_state
         want = predict(lp, state, actions, engine.matrix)
         monkeypatch.setattr(policy_module, "extract_features", _refuse)
@@ -330,7 +337,7 @@ class TestDeclaredReads:
         assert list(probs) == list(want[0]) and value == want[1] == 0.5
 
     def test_linear_declarations_follow_its_weights(self):
-        lp = LinearPredictor(dim=8)
+        lp = LinearPredictor()
         assert (lp.reads_state, lp.reads_actions) == (False, False)
         lp.value_weights[2] = 0.5
         assert (lp.reads_state, lp.reads_actions) == (True, False)
@@ -340,7 +347,7 @@ class TestDeclaredReads:
         assert (fep.reads_state, fep.reads_actions) == (True, True)
 
     def test_declarations_recheck_the_remembered_weight(self):
-        lp = LinearPredictor(dim=8)
+        lp = LinearPredictor()
         lp.value_weights[2] = 0.5
         lp.policy_weights[6] = 1.0
         assert (lp.reads_state, lp.reads_actions) == (True, True)
@@ -357,7 +364,7 @@ class TestDeclaredReads:
         assert lp.reads_state
         lp.value_weights[5] = 0.0
         assert lp.reads_state
-        lp.value_weights = np.zeros(8)
+        lp.value_weights = np.zeros(FEATURE_DIM)
         assert not lp.reads_state
 
     @pytest.mark.parametrize("make", [

@@ -14,6 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import contab.search as search_module
 from contab.clausify import clausify_text
 from contab.policy import FixedEntropyPredictor, Predictor, UniformPredictor, predict
 from contab.search import (
@@ -321,6 +322,21 @@ class TestDeclaredReadsChangeNothing:
         reading = prove(engine, "eq", ReadsEverything(), limits)
         assert uniform.inferences == 400 and uniform.bigsteps > 0
         assert self.outcome(uniform) == self.outcome(reading)
+
+
+class TestLeavesWithoutActions:
+    @pytest.mark.parametrize("text", [DEADEND, GROUP_EQ], ids=["dead-end", "group-eq"])
+    def test_are_never_scored(self, text, monkeypatch):
+        asked = []
+
+        def recording_predict(predictor, state, actions, matrix):
+            asked.append(len(actions))
+            return predict(predictor, state, actions, matrix)
+
+        monkeypatch.setattr(search_module, "predict", recording_predict)
+        prove(Engine(clausify_text(text)), "p", UniformPredictor(),
+              SearchLimits(inference_limit=300, bigstep_frequency=30))
+        assert asked and 0 not in asked
 
 
 class TestDeterminism:

@@ -398,7 +398,9 @@ class TestActionEncoding:
         assert decode_action(action.encode()) == action
 
     def test_decode_rejects_garbage(self):
-        for line in ["", "frobnicate 1", "extension x y", "reduction"]:
+        for line in ["", "frobnicate 1", "extension x y", "reduction",
+                     # an index is never negative, where Python would count from the end
+                     "start -1", "reduction -2", "extension 0 -1", "paramodulation 0 2 1.-1 lr"]:
             with pytest.raises(ValueError):
                 decode_action(line)
 
