@@ -6,15 +6,18 @@ tableau over it refutes that conjunction.  Start clauses are the ones
 derived from the conjecture (every clause when there is none).  When the
 problem mentions equality a reflexivity clause ``X = X`` is appended so
 equational goals can be discharged; paramodulation never rewrites with it.
+
+Each formula is scanned once for its symbols and free variables; then one
+recursive pass (``_clauses``) takes it to negation normal form,
+Skolemizes and distributes, returning its clauses directly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from .terms import EQ, Clause, Literal, Matrix
 from .tptp import (
-    AnnotatedFormula,
     FAtom,
     FBin,
     FConst,
@@ -32,24 +35,28 @@ class ClausifyError(ValueError):
 
 def clausify(problem: Problem) -> Matrix:
     """Convert a parsed problem into a :class:`Matrix`."""
-    ctx = _Ctx(problem)
-    raw: List[Tuple[list, bool]] = []  # (literal list with named vars, from_conjecture)
-    for af in problem.formulas:
-        for lits in _formula_clauses(af, ctx):
-            raw.append((lits, af.role in ("conjecture", "negated_conjecture")))
-
+    # every symbol of the problem is read before the first Skolem name is made
+    used_symbols: set = set()
+    free_vars = [_scan(af.formula, frozenset(), used_symbols, set()) for af in problem.formulas]
+    ctx = _Ctx(used_symbols)
     clauses: List[Clause] = []
     start_ids: List[int] = []
     has_eq = False
-    for lits, is_start in raw:
-        lits = _dedup(lits)
-        if not lits:
-            raise ClausifyError("problem clausifies to an empty clause (degenerate input)")
-        clause = Clause(len(clauses), tuple(_number_vars(lits)))
-        clauses.append(clause)
-        if is_start:
-            start_ids.append(clause.id)
-        has_eq = has_eq or any(l.pred == EQ for l in clause.literals)
+    for af, free in zip(problem.formulas, free_vars):
+        f = FQuant("!", tuple(sorted(free)), af.formula) if free else af.formula
+        # conjectures are refuted; negated_conjecture and cnf inputs are
+        # already in refutation form
+        positive = not (af.lang == "fof" and af.role == "conjecture")
+        is_start = af.role in ("conjecture", "negated_conjecture")
+        for lits in _clauses(f, positive, {}, (), ctx):
+            lits = _dedup(lits)
+            if not lits:
+                raise ClausifyError("problem clausifies to an empty clause (degenerate input)")
+            clause = Clause(len(clauses), tuple(_number_vars(lits)))
+            clauses.append(clause)
+            if is_start:
+                start_ids.append(clause.id)
+            has_eq = has_eq or any(l.pred == EQ for l in clause.literals)
 
     if not clauses:
         raise ClausifyError("problem contains no clauses")
@@ -76,12 +83,10 @@ def load_matrix(path) -> Matrix:
 
 
 class _Ctx:
-    def __init__(self, problem: Problem):
+    def __init__(self, used_symbols: set):
         self.fresh_var = 0
         self.skolem = 0
-        self.used_symbols = set()
-        for af in problem.formulas:
-            _collect_symbols(af.formula, self.used_symbols)
+        self.used_symbols = used_symbols
 
     def new_var(self) -> str:
         self.fresh_var += 1
@@ -95,94 +100,57 @@ class _Ctx:
                 return name
 
 
-def _collect_symbols(f, acc: set):
+def _scan(f, bound: frozenset, symbols: set, free: set) -> set:
+    """Adds the predicate and function symbols of ``f`` to ``symbols`` and
+    its variables not in ``bound`` to ``free``; returns ``free``."""
     if isinstance(f, FAtom):
-        acc.add(f.pred)
-        for a in f.args:
-            _collect_term_symbols(a, acc)
+        symbols.add(f.pred)
+        todo = list(f.args)
+        while todo:
+            t = todo.pop()
+            if isinstance(t, str):
+                if t not in bound:
+                    free.add(t)
+            else:
+                symbols.add(t[0])
+                todo.extend(t[1:])
     elif isinstance(f, FNeg):
-        _collect_symbols(f.sub, acc)
+        _scan(f.sub, bound, symbols, free)
     elif isinstance(f, FBin):
-        _collect_symbols(f.left, acc)
-        _collect_symbols(f.right, acc)
+        _scan(f.left, bound, symbols, free)
+        _scan(f.right, bound, symbols, free)
     elif isinstance(f, FQuant):
-        _collect_symbols(f.sub, acc)
+        _scan(f.sub, bound | set(f.vars), symbols, free)
+    return free
 
 
-def _collect_term_symbols(t, acc: set):
-    if isinstance(t, tuple):
-        acc.add(t[0])
-        for a in t[1:]:
-            _collect_term_symbols(a, acc)
-
-
-def _formula_clauses(af: AnnotatedFormula, ctx: _Ctx) -> List[list]:
-    f = af.formula
-    free = sorted(_free_vars(f))
-    if free:
-        f = FQuant("!", tuple(free), f)
-    # conjectures are refuted; negated_conjecture and cnf inputs are
-    # already in refutation form
-    positive = not (af.lang == "fof" and af.role == "conjecture")
-    tree = _nnf(f, positive, {}, (), ctx)
-    return _cnf(tree)
-
-
-def _free_vars(f, bound=frozenset()) -> set:
-    if isinstance(f, FAtom):
-        out: set = set()
-        for a in f.args:
-            _term_free_vars(a, bound, out)
-        return out
-    if isinstance(f, FNeg):
-        return _free_vars(f.sub, bound)
-    if isinstance(f, FBin):
-        return _free_vars(f.left, bound) | _free_vars(f.right, bound)
-    if isinstance(f, FQuant):
-        return _free_vars(f.sub, bound | set(f.vars))
-    return set()
-
-
-def _term_free_vars(t, bound, out: set):
-    if isinstance(t, str):
-        if t not in bound:
-            out.add(t)
-    else:
-        for a in t[1:]:
-            _term_free_vars(a, bound, out)
-
-
-# NNF trees: ("lit", Literal-with-named-vars) | ("and"|"or", [parts]) |
-# ("true",) | ("false",)
-
-
-def _nnf(f, positive: bool, env: dict, uvars: tuple, ctx: _Ctx):
+def _clauses(f, positive: bool, env: dict, uvars: tuple, ctx: _Ctx) -> List[list]:
+    """The clauses (literal lists over named variables) of ``f`` under
+    ``positive`` polarity: negation normal form, Skolemization and
+    distribution in one pass.  The left subformula is always clausified
+    before the right one, so fresh names follow the formula's text."""
     if isinstance(f, FConst):
-        return ("true",) if f.value == positive else ("false",)
+        return [] if f.value == positive else [[]]
     if isinstance(f, FAtom):
         args = tuple(_subst_named(a, env) for a in f.args)
-        return ("lit", Literal(not positive, f.pred, args))
+        return [[Literal(not positive, f.pred, args)]]
     if isinstance(f, FNeg):
-        return _nnf(f.sub, not positive, env, uvars, ctx)
+        return _clauses(f.sub, not positive, env, uvars, ctx)
     if isinstance(f, FBin):
-        if f.op == "&":
-            op = "and" if positive else "or"
-            return (op, [_nnf(f.left, positive, env, uvars, ctx), _nnf(f.right, positive, env, uvars, ctx)])
-        if f.op == "|":
-            op = "or" if positive else "and"
-            return (op, [_nnf(f.left, positive, env, uvars, ctx), _nnf(f.right, positive, env, uvars, ctx)])
-        if f.op == "=>":
-            if positive:
-                return ("or", [_nnf(f.left, False, env, uvars, ctx), _nnf(f.right, True, env, uvars, ctx)])
-            return ("and", [_nnf(f.left, True, env, uvars, ctx), _nnf(f.right, False, env, uvars, ctx)])
         if f.op == "<=>":
             expanded = FBin("&", FBin("=>", f.left, f.right), FBin("=>", f.right, f.left))
-            return _nnf(expanded, positive, env, uvars, ctx)
-        raise ClausifyError(f"unknown connective {f.op!r}")
+            return _clauses(expanded, positive, env, uvars, ctx)
+        if f.op not in ("&", "|", "=>"):
+            raise ClausifyError(f"unknown connective {f.op!r}")
+        # a => b is ~a | b
+        left = _clauses(f.left, positive != (f.op == "=>"), env, uvars, ctx)
+        right = _clauses(f.right, positive, env, uvars, ctx)
+        if (f.op == "&") == positive:
+            return left + right
+        return [a + b for a in left for b in right]
     if isinstance(f, FQuant):
-        universal = (f.q == "!") == positive
         env = dict(env)
-        if universal:
+        if (f.q == "!") == positive:
             for v in f.vars:
                 fresh = ctx.new_var()
                 env[v] = fresh
@@ -190,7 +158,7 @@ def _nnf(f, positive: bool, env: dict, uvars: tuple, ctx: _Ctx):
         else:
             for v in f.vars:
                 env[v] = (ctx.new_skolem(),) + uvars
-        return _nnf(f.sub, positive, env, uvars, ctx)
+        return _clauses(f.sub, positive, env, uvars, ctx)
     raise ClausifyError(f"not a formula node: {f!r}")
 
 
@@ -200,27 +168,6 @@ def _subst_named(t, env: dict):
     if len(t) == 1:
         return t
     return (t[0],) + tuple(_subst_named(a, env) for a in t[1:])
-
-
-def _cnf(tree) -> List[list]:
-    kind = tree[0]
-    if kind == "true":
-        return []
-    if kind == "false":
-        return [[]]
-    if kind == "lit":
-        return [[tree[1]]]
-    if kind == "and":
-        out: List[list] = []
-        for part in tree[1]:
-            out.extend(_cnf(part))
-        return out
-    # or: distribute
-    result: List[list] = [[]]
-    for part in tree[1]:
-        part_clauses = _cnf(part)
-        result = [a + b for a in result for b in part_clauses]
-    return result
 
 
 def _dedup(lits: list) -> list:

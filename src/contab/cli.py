@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from . import __version__
 from .analysis import (AGREEMENT_COLUMNS, agreement_rows, compare, harvest_states,
                        load_bank, report_csv, save_bank)
-from .clausify import ClausifyError, clausify
+from .clausify import ClausifyError, load_matrix
 from .corpus import corpus_dir
 from .fileio import atomic_open
 from .learn import STATS_COLUMNS, LoopConfig, TrainConfig, prove_problems, run_loop
@@ -33,7 +33,7 @@ from .policy import (FixedEntropyPredictor, LinearPredictor, Predictor,
                      apply_order_preserving)
 from .search import SearchLimits, format_result_line
 from .tableau import Engine, read_trace, write_trace
-from .tptp import ParseError, parse_problem_file
+from .tptp import ParseError
 
 CORPUS_ENV = "CONTAB_CORPUS_DIR"
 
@@ -174,7 +174,7 @@ def _build_engines(paths: List[Path], cfg: Config) -> Tuple[List[Tuple[str, Engi
             raise ValueError(f"duplicate problem name {name!r}; names must be unique")
         seen.add(name)
         try:
-            matrix = clausify(parse_problem_file(path))
+            matrix = load_matrix(path)
         except (ParseError, ClausifyError, OSError) as e:
             errors.append((name, str(e)))
             continue
@@ -364,7 +364,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_check(args) -> int:
     try:
-        matrix = clausify(parse_problem_file(args.problem))
+        matrix = load_matrix(args.problem)
         name, actions = read_trace(args.trace)
     except (ParseError, ClausifyError, ValueError, OSError) as e:
         print(f"parse error: {e}", file=sys.stderr)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -274,6 +274,11 @@ class LoopConfig:
         if self.temperature <= 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
 
+    def settings(self) -> Dict[str, float]:
+        """Every value that shapes a run, by name, as a checkpoint records them."""
+        return {"alpha": self.alpha, "temperature": self.temperature,
+                **asdict(self.limits), **asdict(self.train)}
+
 
 @dataclass
 class IterationStats:
@@ -384,7 +389,8 @@ def run_loop(problems: Sequence[Tuple[str, Engine]], iterations: int,
 
     With ``out_dir`` set, per-iteration example files, models, and the
     statistics CSV are written there; ``resume`` restarts after the last
-    completed iteration using those files.
+    completed iteration using those files, and raises ``ValueError`` if
+    the checkpoint was written under other settings.
     """
     config = config or LoopConfig()
     stats: List[IterationStats] = []
@@ -398,7 +404,7 @@ def run_loop(problems: Sequence[Tuple[str, Engine]], iterations: int,
     if resume:
         if not out_dir:
             raise ValueError("resume requires out_dir")
-        start_at = _load_checkpoint(out_dir, stats, examples)
+        start_at = _load_checkpoint(out_dir, config, stats, examples)
 
     for it in range(start_at, iterations + 1):
         if it == 0:
@@ -426,17 +432,28 @@ def run_loop(problems: Sequence[Tuple[str, Engine]], iterations: int,
             write_stats_csv(os.path.join(out_dir, "stats.csv"), stats)
             with atomic_open(os.path.join(out_dir, "loop_state.txt")) as fh:
                 fh.write(f"completed {it}\n")
+                for key, val in config.settings().items():
+                    fh.write(f"{key} {val!r}\n")
 
     return LoopResult(stats=stats, examples=examples, final_model=model, results=all_results)
 
 
-def _load_checkpoint(out_dir, stats: List[IterationStats],
+def _load_checkpoint(out_dir, config: LoopConfig, stats: List[IterationStats],
                      examples: List[TrainingExample]) -> int:
     state_path = os.path.join(out_dir, "loop_state.txt")
     if not os.path.exists(state_path):
         return 0
     with open(state_path, "r", encoding="utf-8") as fh:
-        last = int(fh.read().split()[1])
+        state = dict(ln.partition(" ")[::2] for ln in fh.read().splitlines())
+    if "completed" not in state:
+        raise ValueError(f"{state_path}: not a loop checkpoint")
+    for key, val in config.settings().items():
+        if key not in state:
+            raise ValueError(f"{state_path}: cannot resume: the checkpoint records no {key}")
+        if float(state[key]) != float(val):
+            raise ValueError(f"{state_path}: cannot resume: {key} is {val!r} here "
+                             f"but {state[key]} in the checkpoint")
+    last = int(state["completed"])
     with open(os.path.join(out_dir, "stats.csv"), "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)

@@ -305,13 +305,15 @@ def load_model(path) -> Tuple[str, np.ndarray, float, float]:
             break
     if not {"kind", "dim", "temperature", "alpha"} <= header.keys():
         raise ValueError(f"{path}: model header lacks a kind, dim, temperature or alpha line")
-    dim = int(header["dim"])
-    weights = np.zeros(dim)
-    for ln in lines[body_at:]:
-        if not ln:
-            continue
-        idx, val = ln.split()
-        if not 0 <= int(idx) < dim:
+    try:
+        dim = int(header["dim"])
+        temperature, alpha = float(header["temperature"]), float(header["alpha"])
+        entries = [(int(idx), float(val)) for idx, val in (ln.split() for ln in lines[body_at:] if ln)]
+        weights = np.zeros(dim)
+    except ValueError as e:
+        raise ValueError(f"{path}: malformed model file: {e}") from None
+    for idx, val in entries:
+        if not 0 <= idx < dim:
             raise ValueError(f"{path}: weight index {idx} outside dim {dim}")
-        weights[int(idx)] = float(val)
-    return header["kind"], weights, float(header["temperature"]), float(header["alpha"])
+        weights[idx] = val
+    return header["kind"], weights, temperature, alpha

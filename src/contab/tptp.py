@@ -5,6 +5,10 @@ formula).`` annotated formulas, ``include('file').`` directives, ``%`` line
 comments, connectives ``~ & | => <=>``, quantifiers ``![X]:`` / ``?[X]:``,
 infix ``=`` / ``!=`` and the constants ``$true`` / ``$false``.
 
+The tokenizer is one table, the compiled pattern ``_TOKEN`` with a named
+group per token class, read by ``re.finditer``; a token's line and column
+come from its match offset.  A recursive-descent parser reads the tokens.
+
 Parse-level terms use strings for variables (TPTP upper-case words) and
 tuples ``(symbol, arg...)`` for function applications; clausification maps
 them onto the integer-variable representation in :mod:`contab.terms`.
@@ -13,6 +17,7 @@ them onto the integer-variable representation in :mod:`contab.terms`.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -78,10 +83,24 @@ class Problem(NamedTuple):
 # ---------------------------------------------------------------------------
 # tokenizer
 
+# one alternative per token class, tried in this order at each position;
+# the unsupported connectives come before the operators they begin with
+_TOKEN = re.compile(r"""
+    (?P<SPACE>[ \t\r\n]+|%[^\n]*)
+  | (?P<UNSUPPORTED><~>|<=(?!>)|~[&|])
+  | (?P<PUNCT><=>|=>|!=|[()\[\],.:&|~!?=])
+  | '(?P<QUOTED>[^'\n]*)'
+  | (?P<UNTERMINATED>')
+  | (?P<DEFINED>\$\w*)
+  | (?P<WORD>\w+)
+  | (?P<BAD>.)
+""", re.VERBOSE | re.DOTALL)
+
 _PUNCT = {
     "(": "LP", ")": "RP", "[": "LB", "]": "RB",
     ",": "COMMA", ".": "DOT", ":": "COLON",
     "&": "AND", "|": "OR", "~": "NOT", "!": "BANG", "?": "QUEST", "=": "EQ",
+    "<=>": "IFF", "=>": "IMPL", "!=": "NEQ",
 }
 
 
@@ -94,84 +113,33 @@ class _Tok(NamedTuple):
 
 def _tokenize(text: str):
     toks: List[_Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if text.startswith("<=>", i):
-            toks.append(_Tok("IFF", "<=>", line, col))
-            i += 3
-            col += 3
-            continue
-        if text.startswith("<~>", i) or text.startswith("<=", i) or text.startswith("~&", i) or text.startswith("~|", i):
-            op = "<~>" if text.startswith("<~>", i) else text[i : i + 2]
-            raise UnsupportedError(f"connective '{op}' is not supported", line, col)
-        if text.startswith("=>", i):
-            toks.append(_Tok("IMPL", "=>", line, col))
-            i += 2
-            col += 2
-            continue
-        if text.startswith("!=", i):
-            toks.append(_Tok("NEQ", "!=", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT:
-            toks.append(_Tok(_PUNCT[c], c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c == "'":
-            j = i + 1
-            while j < n and text[j] != "'":
-                if text[j] == "\n":
-                    raise ParseError("unterminated quoted name", start_line, start_col)
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated quoted name", start_line, start_col)
-            toks.append(_Tok("QUOTED", text[i + 1 : j], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c == "$":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word not in ("$true", "$false"):
-                raise UnsupportedError(f"defined symbol '{word}' is not supported", line, col)
-            toks.append(_Tok("DEFINED", word, line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "UPPER" if (c.isupper() or c == "_") else "LOWER"
-            toks.append(_Tok(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
+    line, line_start = 1, 0  # the current line and the offset it starts at
+    for m in _TOKEN.finditer(text):
+        kind, tok, col = m.lastgroup, m.group(), m.start() + 1 - line_start
+        if kind == "SPACE":
+            if "\n" in tok:
+                line += tok.count("\n")
+                line_start = m.start() + tok.rindex("\n") + 1
+        elif kind == "PUNCT":
+            toks.append(_Tok(_PUNCT[tok], tok, line, col))
+        elif kind == "WORD" and (tok[0].isalpha() or tok[0] == "_"):
+            upper = tok[0].isupper() or tok[0] == "_"
+            toks.append(_Tok("UPPER" if upper else "LOWER", tok, line, col))
+        elif kind == "WORD" and tok[0].isdigit():
             raise UnsupportedError("numeric terms are not supported", line, col)
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(_Tok("EOF", "", line, col))
+        elif kind == "QUOTED":
+            toks.append(_Tok("QUOTED", m.group(kind), line, col))
+        elif kind == "DEFINED":
+            if tok not in ("$true", "$false"):
+                raise UnsupportedError(f"defined symbol '{tok}' is not supported", line, col)
+            toks.append(_Tok("DEFINED", tok, line, col))
+        elif kind == "UNSUPPORTED":
+            raise UnsupportedError(f"connective '{tok}' is not supported", line, col)
+        elif kind == "UNTERMINATED":
+            raise ParseError("unterminated quoted name", line, col)
+        else:  # BAD, or a WORD that starts with neither a letter nor a digit
+            raise ParseError(f"unexpected character {tok[0]!r}", line, col)
+    toks.append(_Tok("EOF", "", line, len(text) + 1 - line_start))
     return toks
 
 
@@ -331,26 +299,15 @@ class _Parser:
         if t.kind == "UPPER":
             # a bare variable is only a formula as one side of an equation
             lhs = self.next().text
-            return self._parse_equation_rest(lhs, t)
+            return self._parse_equation_rest(lhs)
         if t.kind in ("LOWER", "QUOTED"):
-            self.next()
-            sym, args = t.text, ()
-            if self.peek().kind == "LP":
-                self.next()
-                parsed = [self._parse_term()]
-                while self.peek().kind == "COMMA":
-                    self.next()
-                    parsed.append(self._parse_term())
-                self.expect("RP", "')'")
-                args = tuple(parsed)
-            if self.peek().kind in ("EQ", "NEQ"):
-                self._check_arity(self.fun_arity, sym, len(args), t)
-                return self._parse_equation_rest((sym,) + args, t)
-            self._check_arity(self.pred_arity, sym, len(args), t)
-            return FAtom(sym, args)
+            app = self._parse_term(checked=False)
+            equation = self.peek().kind in ("EQ", "NEQ")
+            self._check_arity(self.fun_arity if equation else self.pred_arity, t.text, len(app) - 1, t)
+            return self._parse_equation_rest(app) if equation else FAtom(t.text, app[1:])
         self.error(f"expected a formula, found {t.text!r}")
 
-    def _parse_equation_rest(self, lhs, tok: _Tok):
+    def _parse_equation_rest(self, lhs):
         op = self.next()
         if op.kind == "EQ":
             return FAtom(EQ, (lhs, self._parse_term()))
@@ -358,24 +315,26 @@ class _Parser:
             return FNeg(FAtom(EQ, (lhs, self._parse_term())))
         raise ParseError(f"expected '=' or '!=' after a term, found {op.text!r}", op.line, op.col)
 
-    def _parse_term(self):
+    def _parse_term(self, checked: bool = True):
+        """A variable or an application ``(symbol, arg...)``; unless
+        ``checked`` is false, the symbol's arity is checked as a
+        function's.  An atom is parsed as an unchecked application."""
         t = self.next()
         if t.kind == "UPPER":
             return t.text
         if t.kind not in ("LOWER", "QUOTED"):
             raise ParseError(f"expected a term, found {t.text!r}", t.line, t.col)
-        sym = t.text
-        if self.peek().kind != "LP":
-            self._check_arity(self.fun_arity, sym, 0, t)
-            return (sym,)
-        self.next()
-        args = [self._parse_term()]
-        while self.peek().kind == "COMMA":
+        app = [t.text]
+        if self.peek().kind == "LP":
             self.next()
-            args.append(self._parse_term())
-        self.expect("RP", "')'")
-        self._check_arity(self.fun_arity, sym, len(args), t)
-        return (sym,) + tuple(args)
+            app.append(self._parse_term())
+            while self.peek().kind == "COMMA":
+                self.next()
+                app.append(self._parse_term())
+            self.expect("RP", "')'")
+        if checked:
+            self._check_arity(self.fun_arity, t.text, len(app) - 1, t)
+        return tuple(app)
 
     def _check_arity(self, table: dict, sym: str, arity: int, tok: _Tok):
         prev = table.get(sym)

@@ -287,11 +287,24 @@ class TestLoop:
         full, part = tmp_path / "full", tmp_path / "part"
         run_cli("loop", problem_dir, "--out", full, "--iterations", "2", *LOOP_FAST)
         run_cli("loop", problem_dir, "--out", part, "--iterations", "2", *LOOP_FAST)
-        (part / "loop_state.txt").write_text("completed 1\n")
+        state = part / "loop_state.txt"
+        state.write_text(state.read_text().replace("completed 2\n", "completed 1\n"))
         code = run_cli("loop", problem_dir, "--out", part, "--iterations", "2",
                        "--resume", *LOOP_FAST)
         assert code == 0
         assert (part / "stats.csv").read_bytes() == (full / "stats.csv").read_bytes()
+
+    def test_resume_with_other_settings_exits_2(self, problem_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_cli("loop", problem_dir, "--out", out, "--iterations", "1", "--alpha", "0.7",
+                *LOOP_FAST)
+        stats = (out / "stats.csv").read_bytes()
+        code = run_cli("loop", problem_dir, "--out", out, "--iterations", "2", "--alpha", "5",
+                       "--temperature", "3", "--resume", *LOOP_FAST)
+        assert code == 2
+        assert "cannot resume: alpha is 5.0 here but 0.7 in the checkpoint" in capsys.readouterr().err
+        assert (out / "stats.csv").read_bytes() == stats
+        assert not (out / "policy_iter2.model").exists()
 
 
 class TestFlagSurface:
@@ -465,7 +478,12 @@ class TestPredictorSpecs:
          "weight index 99999 outside dim"),
         (f"kind policy\ndim {FEATURE_DIM}\ntemperature 1.0\nalpha 0.7\nnonzero 1\n-1 1.0\n",
          "weight index -1 outside dim"),
-    ], ids=["no-dim", "index-past-dim", "negative-index"])
+        (f"kind policy\ndim {FEATURE_DIM}\ntemperature 1.0\nalpha 0.7\nnonzero 1\n3\n",
+         "malformed model file: not enough values to unpack"),
+        ("kind policy\ndim abc\ntemperature 1.0\nalpha 0.7\nnonzero 0\n",
+         "malformed model file: invalid literal for int()"),
+    ], ids=["no-dim", "index-past-dim", "negative-index", "weight-line-without-value",
+            "non-integer-dim"])
     def test_damaged_model_file_exits_2(self, problem_dir, tmp_path, capsys, body, complaint):
         model = tmp_path / "bad.model"
         model.write_text("contab-model v1\n" + body)

@@ -422,7 +422,10 @@ class TestRunLoop:
         assert "value_iter1.model" in names
         assert "stats.csv" in names
         assert "loop_state.txt" in names
-        assert (tmp_path / "loop_state.txt").read_text() == "completed 1\n"
+        assert (tmp_path / "loop_state.txt").read_text() == (
+            "completed 1\nalpha 0.7\ntemperature 1.0\ninference_limit 120\n"
+            "bigstep_frequency 10\ncp 1.0\nwall_clock 300.0\nlearning_rate 0.1\n"
+            "epochs 3\nbatch_size 8\nseed 0\n")
 
     def test_loop_determinism(self, tmp_path):
         a = run_loop(loop_problems(), 2, small_loop_config(), out_dir=str(tmp_path / "a"))
@@ -442,6 +445,27 @@ class TestRunLoop:
         )
         assert [s.row() for s in resumed.stats] == [s.row() for s in full.stats]
         assert (part_dir / "stats.csv").read_bytes() == (full_dir / "stats.csv").read_bytes()
+
+    @pytest.mark.parametrize("key, changed", [
+        ("alpha", small_loop_config(alpha=5.0)),
+        ("temperature", small_loop_config(temperature=3.0)),
+        ("cp", replace(small_loop_config(),
+                       limits=SearchLimits(inference_limit=120, bigstep_frequency=10, cp=2.0))),
+        ("epochs", replace(small_loop_config(), train=TrainConfig(epochs=4, seed=0))),
+    ])
+    def test_resume_refuses_changed_settings(self, tmp_path, key, changed):
+        run_loop(loop_problems(), 1, small_loop_config(), out_dir=str(tmp_path))
+        stats = (tmp_path / "stats.csv").read_bytes()
+        with pytest.raises(ValueError, match=f"cannot resume: {key} is "):
+            run_loop(loop_problems(), 2, changed, out_dir=str(tmp_path), resume=True)
+        assert (tmp_path / "stats.csv").read_bytes() == stats
+        assert not (tmp_path / "examples_iter2.txt").exists()
+
+    def test_resume_refuses_a_checkpoint_without_settings(self, tmp_path):
+        run_loop(loop_problems(), 1, small_loop_config(), out_dir=str(tmp_path))
+        (tmp_path / "loop_state.txt").write_text("completed 1\n")
+        with pytest.raises(ValueError, match="records no alpha"):
+            run_loop(loop_problems(), 2, small_loop_config(), out_dir=str(tmp_path), resume=True)
 
     def test_resume_requires_out_dir(self):
         with pytest.raises(ValueError):

@@ -150,6 +150,40 @@ class TestErrors:
             parse_problem("this is not tptp")
 
 
+class TestLexicalErrors:
+    # (input, error class, message, line, col): each error names the
+    # offending token's first character
+    CASES = [
+        ("fof(a, axiom, p <~> q).", UnsupportedError, "connective '<~>' is not supported", 1, 17),
+        ("fof(a, axiom,\n  p <= q).", UnsupportedError, "connective '<=' is not supported", 2, 5),
+        ("fof(a, axiom, p ~& q).", UnsupportedError, "connective '~&' is not supported", 1, 17),
+        ("fof(a, axiom, p ~| q).", UnsupportedError, "connective '~|' is not supported", 1, 17),
+        ("fof(a, axiom, $foo).", UnsupportedError, "defined symbol '$foo' is not supported", 1, 15),
+        ("fof(a, axiom, p(1)).", UnsupportedError, "numeric terms are not supported", 1, 17),
+        # a digit that is not decimal is still a digit ...
+        ("fof(a, axiom, p(²)).", UnsupportedError, "numeric terms are not supported", 1, 17),
+        # ... and a numeric character that is not a digit is unexpected
+        ("fof(a, axiom, p(½)).", ParseError, "unexpected character '½'", 1, 17),
+        ("fof('ab\ncd', axiom, p).", ParseError, "unterminated quoted name", 1, 5),
+        ("fof(a, axiom, p).\nfof('ab", ParseError, "unterminated quoted name", 2, 5),
+        ("fof(a, axiom, p # q).", ParseError, "unexpected character '#'", 1, 17),
+        ("fof(a, axiom,\x0cp).", ParseError, "unexpected character '\\x0c'", 1, 14),
+        # a non-ASCII letter starts a word, here an unknown directive
+        ("élan(X).", UnsupportedError, "unknown directive 'élan'", 1, 1),
+        # end of input after a trailing comment is where the input ends
+        ("fof(a,axiom,p) % note", ParseError, "expected '.', found ''", 1, 22),
+        ("fof(a,axiom,p)   ", ParseError, "expected '.', found ''", 1, 18),
+    ]
+
+    @pytest.mark.parametrize("text,cls,message,line,col", CASES)
+    def test_error_class_message_and_position(self, text, cls, message, line, col):
+        with pytest.raises(ParseError) as ei:
+            parse_problem(text)
+        assert type(ei.value) is cls
+        assert str(ei.value) == f"{line}:{col}: {message}"
+        assert (ei.value.line, ei.value.col) == (line, col)
+
+
 class TestIncludes:
     def test_include_is_flattened(self, tmp_path):
         (tmp_path / "sub.ax").write_text("fof(inc1, axiom, p(a)).\n")

@@ -6,10 +6,14 @@
 
 ``run`` alternates the two checkouts seed by seed (the parent first on
 odd pairs, the change first on even ones) and appends one JSON line per
-run of ``perfbench/run.py --trace 0``: the checkout, workload, seed, the
-``trace_hash`` of its passes, and the run's final JSON object.
+run of ``perfbench/run.py --trace 0``: the checkout, workload, seed, exit
+code, the ``trace_hash`` of its passes, and the run's final JSON object.
+A run whose output does not end in that object is recorded with
+``result: null`` and the tail of its stderr, and the next run goes on.
 ``summarize`` gives, per workload and checkout, the median and quartiles
-of every end-to-end metric, the seeds, and each seed's ``trace_hash``,
+of every end-to-end metric over the seeds both checkouts measured, the
+seeds, each seed's ``trace_hash``, and the seeds whose run crashed, was
+wrong or failed a problem (``all_correct`` is false when there is one),
 plus how many pairs the change won on each metric.
 """
 
@@ -36,9 +40,13 @@ def run_one(label: str, checkout: str, workload: str, seed: int, seconds: float)
                          cwd=checkout, capture_output=True, text=True)
     lines = out.stdout.splitlines()
     trace_hash = next((ln.split()[1] for ln in lines if ln.startswith("trace_hash ")), None)
-    return {"checkout": label, "workload": workload, "seed": seed,
-            "trace_hash": trace_hash, "exit": out.returncode,
-            "result": json.loads(lines[-1]) if lines else None}
+    rec = {"checkout": label, "workload": workload, "seed": seed,
+           "trace_hash": trace_hash, "exit": out.returncode, "result": None}
+    try:
+        rec["result"] = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        rec["stderr_tail"] = out.stderr[-2000:]
+    return rec
 
 
 def cmd_run(args) -> None:
@@ -58,6 +66,10 @@ def _quartiles(values):
     return {"median": q2, "q1": q1, "q3": q3}
 
 
+def _correct(result) -> bool:
+    return bool(result) and result["correct"] and result["failed"] == 0
+
+
 def summarize(records) -> dict:
     better = {m["name"]: m["better"] for m in
               json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
@@ -67,15 +79,16 @@ def summarize(records) -> dict:
                         if r["workload"] == workload and r["checkout"] == label}
                 for label in ("parent", "change")}
         seeds = sorted(set(runs["parent"]) & set(runs["change"]))
+        failed = {lb: [s for s in seeds if not _correct(runs[lb][s]["result"])] for lb in runs}
+        measured = [s for s in seeds if all(runs[lb][s]["result"] for lb in runs)]
         entry = {"seeds": seeds,
-                 "all_correct": all(runs[lb][s]["result"]["correct"]
-                                    and runs[lb][s]["result"]["failed"] == 0
-                                    for lb in runs for s in seeds),
+                 "all_correct": not any(failed.values()),
+                 "failed_seeds": failed,
                  "trace_hash": {str(s): {lb: runs[lb][s]["trace_hash"] for lb in runs}
                                 for s in seeds},
                  "metrics": {}}
-        for name, sign in better.items():
-            vals = {lb: [runs[lb][s]["result"]["metrics"][name]["value"] for s in seeds]
+        for name, sign in better.items() if measured else ():
+            vals = {lb: [runs[lb][s]["result"]["metrics"][name]["value"] for s in measured]
                     for lb in runs}
             wins = sum((c < p) if sign == "lower" else (c > p)
                        for p, c in zip(vals["parent"], vals["change"]))
