@@ -51,7 +51,7 @@ def show_decision(result):
             print(f"    {action.encode():20s} unvisited, prior {node.priors[i]:.3f}")
         else:
             print(f"    {action.encode():20s} visits {child.visits:4d} "
-                  f"mean {child.mean:.3f} prior {child.prior:.3f}")
+                  f"mean {child.mean:.3f} prior {node.priors[i]:.3f}")
 
 
 def main():

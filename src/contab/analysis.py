@@ -83,17 +83,21 @@ def save_bank(path, bank: StateBank) -> None:
 
 
 def load_bank(path) -> StateBank:
+    """A malformed line raises ``ValueError`` naming the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != BANK_MAGIC:
         raise ValueError(f"{path}: not a recognized state-bank file")
     bank = StateBank()
-    for ln in lines[1:]:
+    for lineno, ln in enumerate(lines[1:], start=2):
         if not ln:
             continue
-        problem, encoded, n = ln.split("\t")
-        path = () if encoded == "-" else tuple(encoded.split(";"))
-        bank.entries.append(BankEntry(problem, path, int(n)))
+        try:
+            problem, encoded, n = ln.split("\t")
+            entry = BankEntry(problem, () if encoded == "-" else tuple(encoded.split(";")), int(n))
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
+        bank.entries.append(entry)
     return bank
 
 

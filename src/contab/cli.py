@@ -237,11 +237,13 @@ def parse_predictor_spec(spec: str) -> Predictor:
     return FixedEntropyPredictor(base, float(opts.get("hstar", 0.8)), int(opts.get("seed", 0)))
 
 
-def _write_manifest(out: Path, command: str, cfg: Config) -> None:
+def _write_manifest(out: Path, command: str, cfg: Config, **arguments) -> None:
+    """Records the resolved configuration and, from ``arguments``, the
+    subcommand's own arguments, one ``key=value`` line each in key order."""
     with atomic_open(out / "manifest.txt") as fh:
         fh.write(f"contab {__version__}\n")
         fh.write(f"command {command}\n")
-        for key, val in cfg.items():
+        for key, val in sorted([*cfg.items(), *arguments.items()]):
             fh.write(f"{key}={val}\n")
 
 
@@ -355,7 +357,8 @@ def cmd_analyze(args) -> int:
     label = args.label or f"{args.predictor_a} vs {args.predictor_b}"
     report_csv(out / "agreement.csv", AGREEMENT_COLUMNS,
                agreement_rows([(label, report)]))
-    _write_manifest(out, "analyze", cfg)
+    _write_manifest(out, "analyze", cfg, bank=args.bank, predictor_a=args.predictor_a,
+                    predictor_b=args.predictor_b, label=label)
     print(f"analyze: {report.states} states, best={report.best:.2f} "
           f"order={report.order:.2f} kl_ab={report.kl_ab:.2f} kl_ba={report.kl_ba:.2f}; "
           f"report in {out / 'agreement.csv'}")

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .analysis import report_csv
 from .features import extract_action_features, extract_features
 from .fileio import atomic_open
 from .policy import (LinearPredictor, Predictor, UniformPredictor, save_model,
@@ -236,24 +237,28 @@ def write_examples(path, examples: Sequence[TrainingExample]) -> None:
 
 
 def read_examples(path) -> List[TrainingExample]:
+    """A malformed line raises ``ValueError`` naming the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != EXAMPLES_MAGIC:
         raise ValueError(f"{path}: not a recognized examples file")
     out = []
-    for ln in lines[1:]:
+    for lineno, ln in enumerate(lines[1:], start=2):
         if not ln:
             continue
         fields = ln.split("\t")
-        problem, iteration, value, ptargets, state = fields[:5]
-        out.append(TrainingExample(
-            problem=problem,
-            iteration=int(iteration),
-            state_features=_parse_sparse(state),
-            action_features=[_parse_sparse(f) for f in fields[5:]],
-            value_target=float(value),
-            policy_targets=[float(t) for t in ptargets.split(",")],
-        ))
+        try:
+            problem, iteration, value, ptargets, state = fields[:5]
+            out.append(TrainingExample(
+                problem=problem,
+                iteration=int(iteration),
+                state_features=_parse_sparse(state),
+                action_features=[_parse_sparse(f) for f in fields[5:]],
+                value_target=float(value),
+                policy_targets=[float(t) for t in ptargets.split(",")],
+            ))
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
     return out
 
 
@@ -300,14 +305,6 @@ class LoopResult:
     examples: List[TrainingExample]
     final_model: Optional[TrainResult]
     results: List[List[ProofResult]]
-
-
-def write_stats_csv(path, stats: Sequence[IterationStats]) -> None:
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STATS_COLUMNS)
-        for s in stats:
-            writer.writerow(s.row())
 
 
 def _prove_one(task) -> Tuple[ProofResult, List[TrainingExample]]:
@@ -362,17 +359,18 @@ def prove_problems(problems: Sequence[Tuple[str, Engine]], predictor: Predictor,
         return list(pool.map(_prove_index, range(len(tasks))))
 
 
-def _reduce_stats(pairs: Sequence[Tuple[ProofResult, List[TrainingExample]]]) -> IterationStats:
+def _reduce_stats(iteration: int,
+                  pairs: Sequence[Tuple[ProofResult, List[TrainingExample]]]) -> IterationStats:
     ent_sum = nent_sum = 0.0
     ent_count = solved = inferences = 0
     for r, _ in pairs:
         solved += int(r.solved)
         inferences += r.inferences
-        ent_sum += r.mean_entropy * r.entropy_count
-        nent_sum += r.mean_normalized_entropy * r.entropy_count
+        ent_sum += r.entropy_sum
+        nent_sum += r.normalized_entropy_sum
         ent_count += r.entropy_count
     return IterationStats(
-        iteration=0, solved=solved,
+        iteration=iteration, solved=solved,
         mean_entropy=ent_sum / ent_count if ent_count else 0.0,
         mean_normalized_entropy=nent_sum / ent_count if ent_count else 0.0,
         inferences_total=inferences)
@@ -414,9 +412,7 @@ def run_loop(problems: Sequence[Tuple[str, Engine]], iterations: int,
             predictor = model.predictor(temperature=config.temperature)
         pairs = prove_problems(problems, predictor, config.limits,
                                iteration=it, workers=workers)
-        row = _reduce_stats(pairs)
-        row.iteration = it
-        stats.append(row)
+        stats.append(_reduce_stats(it, pairs))
         all_results.append([r for r, _ in pairs])
         fresh: List[TrainingExample] = []
         for _, exs in pairs:
@@ -429,7 +425,8 @@ def run_loop(problems: Sequence[Tuple[str, Engine]], iterations: int,
                            "policy", model.policy_weights, config.temperature, config.alpha)
                 save_model(os.path.join(out_dir, f"value_iter{it}.model"),
                            "value", model.value_weights, config.temperature, config.alpha)
-            write_stats_csv(os.path.join(out_dir, "stats.csv"), stats)
+            report_csv(os.path.join(out_dir, "stats.csv"), STATS_COLUMNS,
+                       [s.row() for s in stats])
             with atomic_open(os.path.join(out_dir, "loop_state.txt")) as fh:
                 fh.write(f"completed {it}\n")
                 for key, val in config.settings().items():
@@ -454,15 +451,21 @@ def _load_checkpoint(out_dir, config: LoopConfig, stats: List[IterationStats],
             raise ValueError(f"{state_path}: cannot resume: {key} is {val!r} here "
                              f"but {state[key]} in the checkpoint")
     last = int(state["completed"])
-    with open(os.path.join(out_dir, "stats.csv"), "r", encoding="utf-8", newline="") as fh:
+    stats_path = os.path.join(out_dir, "stats.csv")
+    with open(stats_path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
+            try:
+                iteration, solved, ent, nent, inferences = row
+                row_stats = IterationStats(int(iteration), int(solved), float(ent), float(nent),
+                                           int(inferences))
+            except ValueError as e:
+                raise ValueError(f"{stats_path}:{reader.line_num}: {e}") from None
             # stats.csv is written before loop_state.txt, so it may hold a
             # row of an iteration that did not complete
-            if int(row[0]) <= last:
-                stats.append(IterationStats(int(row[0]), int(row[1]), float(row[2]),
-                                            float(row[3]), int(row[4])))
+            if row_stats.iteration <= last:
+                stats.append(row_stats)
     for it in range(last + 1):
         examples.extend(read_examples(os.path.join(out_dir, f"examples_iter{it}.txt")))
     return last + 1

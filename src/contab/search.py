@@ -43,23 +43,19 @@ class SearchLimits:
 
 class MCTSNode:
     __slots__ = ("state", "actions", "priors", "children", "visits",
-                 "reward_sum", "prior", "parent", "action_index", "depth",
-                 "is_proof", "has_proof", "terminal_reward", "fully_explored")
+                 "reward_sum", "parent", "action_index", "depth", "fully_explored")
 
-    def __init__(self, state, parent, action_index, prior, depth):
+    def __init__(self, state, parent, action_index, depth):
         self.state = state
         self.parent = parent
         self.action_index = action_index
-        self.prior = prior
         self.depth = depth
         self.actions: List[Action] = []
+        # priors[i] is the prior of action i and of children[i]
         self.priors = None
         self.children: List[Optional[MCTSNode]] = []
         self.visits = 0
         self.reward_sum = 0.0
-        self.is_proof = False
-        self.has_proof = False
-        self.terminal_reward = None
         self.fully_explored = False
 
     @property
@@ -84,8 +80,9 @@ class ProofResult:
     playouts: int = 0
     bigsteps: int = 0
     proof: Optional[List[Action]] = None
-    mean_entropy: float = 0.0
-    mean_normalized_entropy: float = 0.0
+    # summed over the states that were scored; the means divide by the count
+    entropy_sum: float = 0.0
+    normalized_entropy_sum: float = 0.0
     entropy_count: int = 0
     wall_time: float = 0.0
     # in-memory only: bigstep-trace nodes for training extraction and
@@ -96,6 +93,14 @@ class ProofResult:
     @property
     def solved(self) -> bool:
         return self.status == "solved"
+
+    @property
+    def mean_entropy(self) -> float:
+        return self.entropy_sum / self.entropy_count if self.entropy_count else 0.0
+
+    @property
+    def mean_normalized_entropy(self) -> float:
+        return self.normalized_entropy_sum / self.entropy_count if self.entropy_count else 0.0
 
 
 def format_result_line(result: ProofResult, trace_ref: str = "-") -> str:
@@ -114,23 +119,22 @@ class _Search:
         self.inferences = 0
         self.playouts = 0
         self.entropy_sum = 0.0
-        self.nentropy_sum = 0.0
+        self.normalized_entropy_sum = 0.0
         self.entropy_count = 0
         self.harvested: List[Tuple[Tuple[str, ...], int]] = []
+        # the first closed leaf: the only record that a proof was found
         self.proof_leaf: Optional[MCTSNode] = None
 
     def _evaluate(self, node: MCTSNode) -> float:
-        """Fill in actions, priors, and value; returns the leaf reward."""
+        """Fill in actions, priors, and value; returns the node's reward."""
         state = node.state
         if self.engine.is_closed(state):
             node.fully_explored = True
-            node.is_proof = True
-            node.terminal_reward = DISCOUNT ** node.depth
-            return node.terminal_reward
+            self.proof_leaf = node
+            return DISCOUNT ** node.depth
         node.actions = self.engine.legal_actions(state)
         if not node.actions:
             node.fully_explored = True
-            node.terminal_reward = 0.0
             return 0.0
         probs, value = predict(self.predictor, state, node.actions, self.engine.matrix)
         # plain floats: _select reads them in the hot loop
@@ -140,7 +144,7 @@ class _Search:
             # [1.0] has entropy 0.0; h / ln n is normalized_entropy(probs)
             h = entropy(probs)
             self.entropy_sum += h
-            self.nentropy_sum += h / math.log(len(probs))
+            self.normalized_entropy_sum += h / math.log(len(probs))
         self.entropy_count += 1
         if self.collect_states and len(node.actions) >= 2 and len(self.harvested) < HARVEST_CAP:
             path = tuple(a.encode() for a in node.action_path())
@@ -165,17 +169,10 @@ class _Search:
             else:
                 # an expanded child has visits >= 1, so this is its mean
                 score = (child.reward_sum / child.visits
-                         + cp * child.prior * math.sqrt(log_n / child.visits))
+                         + cp * priors[i] * math.sqrt(log_n / child.visits))
             if score > best_score:
                 best, best_score = i, score
         return best
-
-    def _backpropagate(self, node: MCTSNode, reward: float) -> None:
-        cur = node.parent
-        while cur is not None:
-            cur.visits += 1
-            cur.reward_sum += reward
-            cur = cur.parent
 
     def _mark_explored(self, node: MCTSNode) -> None:
         cur = node.parent
@@ -185,22 +182,21 @@ class _Search:
             cur.fully_explored = True
             cur = cur.parent
 
-    def _mark_proof(self, leaf: MCTSNode) -> None:
-        cur = leaf
+    def add_node(self, node: MCTSNode) -> None:
+        """Evaluates a new node, the root or a leaf, and backpropagates its
+        reward through it and every ancestor."""
+        reward = self._evaluate(node)
+        cur = node
         while cur is not None:
-            cur.has_proof = True
+            cur.visits += 1
+            cur.reward_sum += reward
             cur = cur.parent
+        if node.fully_explored:
+            self._mark_explored(node)
 
-    def expand_root(self, state) -> MCTSNode:
-        root = MCTSNode(state, None, -1, 1.0, 0)
-        reward = self._evaluate(root)
-        root.visits = 1
-        root.reward_sum = reward
-        return root
-
-    def playout(self, root: MCTSNode) -> Optional[MCTSNode]:
-        """One select/expand/evaluate/backpropagate pass; returns the new
-        leaf, or None when the budget blocks expansion."""
+    def playout(self, root: MCTSNode) -> bool:
+        """One select/expand/evaluate/backpropagate pass; returns whether
+        it added a leaf, which the budget or an exhausted subtree blocks."""
         node = root
         while True:
             i = self._select(node)
@@ -208,41 +204,25 @@ class _Search:
                 # every branch below is exhausted; nothing left to add
                 node.fully_explored = True
                 self._mark_explored(node)
-                return None
+                return False
             child = node.children[i]
             if child is not None:
                 node = child
                 continue
             if self.inferences >= self.limits.inference_limit:
-                return None
+                return False
             state = self.engine.apply(node.state, node.actions[i])
             self.inferences += 1
-            leaf = MCTSNode(state, node, i, node.priors[i], node.depth + 1)
+            leaf = MCTSNode(state, node, i, node.depth + 1)
             node.children[i] = leaf
-            reward = self._evaluate(leaf)
-            leaf.visits = 1
-            leaf.reward_sum = reward
-            self._backpropagate(leaf, reward)
-            if leaf.fully_explored:
-                self._mark_explored(leaf)
-            if leaf.is_proof:
-                self._mark_proof(leaf)
-                self.proof_leaf = leaf
+            self.add_node(leaf)
             self.playouts += 1
-            return leaf
+            return True
 
 
 def bigstep(root: MCTSNode) -> Optional[MCTSNode]:
-    """Best expanded child by mean reward, lowest action index on ties; a
-    child whose subtree already holds a proof wins outright."""
-    best, best_key = None, None
-    for child in root.children:
-        if child is None:
-            continue
-        key = (1 if child.has_proof else 0, child.mean)
-        if best_key is None or key > best_key:
-            best, best_key = child, key
-    return best
+    """Best expanded child by mean reward, lowest action index on ties."""
+    return max((c for c in root.children if c is not None), key=lambda c: c.mean, default=None)
 
 
 def prove(engine: Engine, problem: str, predictor: Predictor,
@@ -253,7 +233,8 @@ def prove(engine: Engine, problem: str, predictor: Predictor,
     limits = limits or SearchLimits()
     t0 = time.monotonic()
     search = _Search(engine, predictor, limits, collect_states)
-    root = search.expand_root(engine.root_state())
+    root = MCTSNode(engine.root_state(), None, -1, 0)
+    search.add_node(root)
     current = root
     bigstep_nodes = [root]
     status = "budget-exhausted"
@@ -267,19 +248,16 @@ def prove(engine: Engine, problem: str, predictor: Predictor,
             break
         if time.monotonic() - t0 > limits.wall_clock:
             break
-        leaf = search.playout(current)
+        if not search.playout(current):
+            continue
         if search.proof_leaf is not None:
             status = "solved"
             break
-        if leaf is None:
-            continue
         since_bigstep += 1
         if since_bigstep >= limits.bigstep_frequency:
-            nxt = bigstep(current)
-            if nxt is None:
-                status = "dead-end"
-                break
-            current = nxt
+            # each counted playout added a leaf below current, so it has
+            # an expanded child
+            current = bigstep(current)
             bigstep_nodes.append(current)
             since_bigstep = 0
 
@@ -289,7 +267,6 @@ def prove(engine: Engine, problem: str, predictor: Predictor,
         check = engine.check_proof(proof)
         if not check:
             raise RuntimeError(f"{problem}: found proof fails replay: {check.reason}")
-    n = search.entropy_count
     return ProofResult(
         problem=problem,
         status=status,
@@ -297,9 +274,9 @@ def prove(engine: Engine, problem: str, predictor: Predictor,
         playouts=search.playouts,
         bigsteps=len(bigstep_nodes) - 1,
         proof=proof,
-        mean_entropy=search.entropy_sum / n if n else 0.0,
-        mean_normalized_entropy=search.nentropy_sum / n if n else 0.0,
-        entropy_count=n,
+        entropy_sum=search.entropy_sum,
+        normalized_entropy_sum=search.normalized_entropy_sum,
+        entropy_count=search.entropy_count,
         wall_time=time.monotonic() - t0,
         bigstep_nodes=bigstep_nodes,
         harvested=search.harvested,

@@ -2,8 +2,9 @@
 
 Accepted inputs: ``cnf(name, role, formula).`` and ``fof(name, role,
 formula).`` annotated formulas, ``include('file').`` directives, ``%`` line
-comments, connectives ``~ & | => <=>``, quantifiers ``![X]:`` / ``?[X]:``,
-infix ``=`` / ``!=`` and the constants ``$true`` / ``$false``.
+comments, quoted names with the escapes ``\\\\`` and ``\\'``, connectives
+``~ & | => <=>``, quantifiers ``![X]:`` / ``?[X]:``, infix ``=`` / ``!=``
+and the constants ``$true`` / ``$false``.
 
 The tokenizer is one table, the compiled pattern ``_TOKEN`` with a named
 group per token class, read by ``re.finditer``; a token's line and column
@@ -89,8 +90,9 @@ _TOKEN = re.compile(r"""
     (?P<SPACE>[ \t\r\n]+|%[^\n]*)
   | (?P<UNSUPPORTED><~>|<=(?!>)|~[&|])
   | (?P<PUNCT><=>|=>|!=|[()\[\],.:&|~!?=])
-  | '(?P<QUOTED>[^'\n]*)'
+  | '(?P<QUOTED>(?:[^'\\\n]|\\[^\n])*)'
   | (?P<UNTERMINATED>')
+  | (?P<DISTINCT>")
   | (?P<DEFINED>\$\w*)
   | (?P<WORD>\w+)
   | (?P<BAD>.)
@@ -111,6 +113,16 @@ class _Tok(NamedTuple):
     col: int
 
 
+def _unescape(name: str, line: int, col: int) -> str:
+    """The quoted name ``name``, which starts at column ``col``, with its
+    ``\\\\`` and ``\\'`` escapes resolved; any other escape is an error."""
+    def resolve(m):
+        if m.group(1) not in "\\'":
+            raise ParseError(f"invalid escape {m.group()!r} in a quoted name", line, col + m.start())
+        return m.group(1)
+    return re.sub(r"\\(.)", resolve, name)
+
+
 def _tokenize(text: str):
     toks: List[_Tok] = []
     line, line_start = 1, 0  # the current line and the offset it starts at
@@ -128,13 +140,18 @@ def _tokenize(text: str):
         elif kind == "WORD" and tok[0].isdigit():
             raise UnsupportedError("numeric terms are not supported", line, col)
         elif kind == "QUOTED":
-            toks.append(_Tok("QUOTED", m.group(kind), line, col))
+            name = m.group(kind)
+            if "\\" in name:
+                name = _unescape(name, line, col + 1)
+            toks.append(_Tok("QUOTED", name, line, col))
         elif kind == "DEFINED":
             if tok not in ("$true", "$false"):
                 raise UnsupportedError(f"defined symbol '{tok}' is not supported", line, col)
             toks.append(_Tok("DEFINED", tok, line, col))
         elif kind == "UNSUPPORTED":
             raise UnsupportedError(f"connective '{tok}' is not supported", line, col)
+        elif kind == "DISTINCT":
+            raise UnsupportedError("distinct objects are not supported", line, col)
         elif kind == "UNTERMINATED":
             raise ParseError("unterminated quoted name", line, col)
         else:  # BAD, or a WORD that starts with neither a letter nor a digit
@@ -400,7 +417,8 @@ def format_term(t) -> str:
 def _quote(sym: str) -> str:
     if sym and sym[0].islower() and all(c.isalnum() or c == "_" for c in sym):
         return sym
-    return f"'{sym}'"
+    escaped = sym.replace("\\", "\\\\").replace("'", "\\'")
+    return f"'{escaped}'"
 
 
 def format_formula(f) -> str:

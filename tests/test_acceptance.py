@@ -149,13 +149,13 @@ def check_tree(node, failures):
 
 def select_slot(children, priors, parent_visits, cp):
     """``_select`` on a hand-built parent (None marks an unexpanded slot)."""
-    parent = MCTSNode(None, None, -1, 1.0, 0)
+    parent = MCTSNode(None, None, -1, 0)
     parent.visits, parent.children, parent.priors = parent_visits, children, priors
     return _Search(None, None, SearchLimits(cp=cp), False)._select(parent)
 
 
 def probe(score):
-    node = MCTSNode(None, None, -1, 0.0, 0)
+    node = MCTSNode(None, None, -1, 0)
     node.visits, node.reward_sum = 1, score
     return node
 
@@ -188,7 +188,7 @@ def test_criterion_3_search_tree_properties():
         p = float(rng.random())
         big_n = int(rng.integers(n + 1, 100000))
         cp = float(rng.random() * 3 + 0.1)
-        child = MCTSNode(None, None, -1, p, 0)
+        child = MCTSNode(None, None, -1, 0)
         child.visits, child.reward_sum = n, r
         with mp.workdps(50):
             want = float(mp.mpf(r) / n
@@ -213,7 +213,7 @@ def test_criterion_3_search_tree_properties():
         cp = float(rng.uniform(0.5, 2.0))
         ln_n0 = ((r / n) / (cp * (p_new - p_vis / math.sqrt(n)))) ** 2 + 1.0
         big_n = math.exp(ln_n0)
-        child = MCTSNode(None, None, -1, p_vis, 0)
+        child = MCTSNode(None, None, -1, 0)
         child.visits, child.reward_sum = n, r
         if select_slot([child, None], [p_vis, p_new], big_n, cp) != 1:
             failures.append("exploration dominance")

@@ -167,6 +167,21 @@ class TestManifestAndConfig:
         assert manifest["cp"] == "1.0"
         assert "seed" not in manifest  # search has no seed
 
+    def test_analyze_manifest_records_the_compared_specs(self, problem_dir, tmp_path):
+        hout, aout = tmp_path / "h", tmp_path / "a"
+        assert run_cli("harvest", problem_dir, "--out", hout, *FAST_LIMITS) == 0
+        bank = hout / "bank.txt"
+        assert run_cli("analyze", problem_dir, "--bank", bank, "--predictor-a", "uniform",
+                       "--predictor-b", "fixed-entropy:hstar=0.5", "--label", "u-vs-f",
+                       "--out", aout) == 0
+        header, manifest = read_manifest(aout)
+        assert header[1] == "command analyze"
+        assert manifest == {"bank": str(bank), "corpus": "None", "label": "u-vs-f",
+                            "no_paramodulation": "False", "out": str(aout), "path_limit": "100",
+                            "predictor_a": "uniform", "predictor_b": "fixed-entropy:hstar=0.5"}
+        keys = [ln.split("=", 1)[0] for ln in (aout / "manifest.txt").read_text().splitlines()[2:]]
+        assert keys == sorted(keys)
+
     def test_flags_beat_config_file_beats_defaults(self, problem_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -306,6 +321,23 @@ class TestLoop:
         assert (out / "stats.csv").read_bytes() == stats
         assert not (out / "policy_iter2.model").exists()
 
+    @pytest.mark.parametrize("name, keep, bad_line, complaint", [
+        ("stats.csv", 1, "0,30", "not enough values to unpack (expected 5, got 2)"),
+        ("examples_iter0.txt", None, "chain\t0\t0.5",
+         "not enough values to unpack (expected 5, got 3)"),
+    ], ids=["short-stats-row", "short-examples-line"])
+    def test_resume_over_a_malformed_line_exits_2(self, problem_dir, tmp_path, capsys,
+                                                  name, keep, bad_line, complaint):
+        out = tmp_path / "out"
+        run_cli("loop", problem_dir, "--out", out, "--iterations", "1", *LOOP_FAST)
+        path = out / name
+        lines = path.read_text().splitlines()[:keep] + [bad_line]
+        path.write_text("\n".join(lines) + "\n")
+        code = run_cli("loop", problem_dir, "--out", out, "--iterations", "2", "--resume",
+                       *LOOP_FAST)
+        assert code == 2
+        assert f"{path}:{len(lines)}: {complaint}" in capsys.readouterr().err
+
 
 class TestFlagSurface:
     """Each subcommand takes, resolves and records only the flags it reads."""
@@ -397,6 +429,18 @@ class TestHarvestAnalyze:
                        "--predictor-b", "uniform", "--out", tmp_path / "a")
         assert code == 2
         assert f"rule_pick: {complaint}" in capsys.readouterr().err
+
+    def test_malformed_bank_line_exits_2(self, problem_dir, tmp_path, capsys):
+        hout = tmp_path / "h"
+        assert run_cli("harvest", problem_dir, "--out", hout, *FAST_LIMITS) == 0
+        bank = hout / "bank.txt"
+        lines = bank.read_text().splitlines() + ["broken line"]
+        bank.write_text("\n".join(lines) + "\n")
+        code = run_cli("analyze", problem_dir, "--bank", bank, "--predictor-a", "uniform",
+                       "--predictor-b", "uniform", "--out", tmp_path / "a")
+        assert code == 2
+        assert (f"{bank}:{len(lines)}: not enough values to unpack (expected 3, got 1)"
+                in capsys.readouterr().err)
 
     def test_bank_against_wrong_problem_set_exits_2(self, problem_dir, tmp_path, capsys):
         hout = tmp_path / "h"

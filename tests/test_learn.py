@@ -17,6 +17,7 @@ from contab.clausify import clausify_text, load_matrix
 from contab.corpus import corpus_problems
 from contab.learn import (
     EXAMPLES_MAGIC,
+    STATS_COLUMNS,
     IterationStats,
     LoopConfig,
     TrainConfig,
@@ -32,7 +33,6 @@ from contab.learn import (
     value_grad_logit,
     value_loss,
     write_examples,
-    write_stats_csv,
 )
 from contab.policy import (UniformPredictor, normalized_entropy, save_model,
                            softmax_temperature)
@@ -49,7 +49,7 @@ def three_action_node(visits, depth=1):
     """A bigstep-trace node over a real state with three legal actions."""
     engine = Engine(clausify_text(THREE_WAY))
     state = engine.initial_states()[0]
-    node = MCTSNode(state, None, -1, 1.0, depth)
+    node = MCTSNode(state, None, -1, depth)
     node.actions = engine.legal_actions(state)
     assert len(node.actions) == 3
     node.children = []
@@ -57,7 +57,7 @@ def three_action_node(visits, depth=1):
         if v == 0:
             node.children.append(None)
         else:
-            child = MCTSNode(None, node, i, 1.0, depth + 1)
+            child = MCTSNode(None, node, i, depth + 1)
             child.visits = v
             node.children.append(child)
     node.visits = 1 + sum(visits)
@@ -500,11 +500,13 @@ class TestRunLoop:
 
 class TestStatsCsv:
     def test_row_formatting(self, tmp_path):
+        # stats.csv is a report: its row strings pass the report's cell
+        # formatting unchanged
         stats = [IterationStats(0, 12, 1.23456789, 0.5, 4321)]
         path = tmp_path / "s.csv"
-        write_stats_csv(path, stats)
+        report_csv(path, STATS_COLUMNS, [s.row() for s in stats])
         lines = path.read_text().splitlines()
-        assert lines[1] == "0,12,1.234568,0.500000,4321"
+        assert lines == [",".join(STATS_COLUMNS), "0,12,1.234568,0.500000,4321"]
 
 
 class TestAtomicWrites:
@@ -514,8 +516,6 @@ class TestAtomicWrites:
     @pytest.mark.parametrize("writer, good, bad", [
         (write_examples, synthetic_examples(3, seed=1),
          synthetic_examples(3, seed=2)[:2] + [None]),
-        (write_stats_csv, [IterationStats(0, 1, 0.5, 0.25, 10)],
-         [IterationStats(0, 2, 0.5, 0.25, 20), None]),
         (lambda path, w: save_model(path, "policy", w), np.array([0.0, 1.5, 2.5]),
          np.array([0.0, 1.5, "not a float"], dtype=object)),
         (save_bank, StateBank([BankEntry("p", ("e0",), 2)]),
@@ -525,7 +525,7 @@ class TestAtomicWrites:
         (lambda path, actions: write_trace(path, "p", actions),
          [Action("extension", clause_id=0, literal_index=0)],
          [Action("reduction", path_index=0), None]),
-    ], ids=["examples", "stats", "model", "bank", "report", "trace"])
+    ], ids=["examples", "model", "bank", "report", "trace"])
     def test_raise_mid_file_keeps_the_previous_file(self, writer, good, bad, tmp_path):
         path = tmp_path / "checkpoint"
         writer(path, good)

@@ -21,6 +21,7 @@ from contab.search import (
     DISCOUNT,
     HARVEST_CAP,
     MCTSNode,
+    ProofResult,
     SearchLimits,
     _Search,
     bigstep,
@@ -44,26 +45,26 @@ BRANCHY = (
 )
 
 
-def make_node(prior=1.0, visits=0, reward=0.0, has_proof=False, depth=1):
-    n = MCTSNode(None, None, -1, prior, depth)
+def make_node(visits=0, reward=0.0, depth=1):
+    n = MCTSNode(None, None, -1, depth)
     n.visits = visits
     n.reward_sum = reward
-    n.has_proof = has_proof
     return n
 
 
 def select(children, parent_visits, cp=1.0):
-    """``_select`` on a hand-built parent over expanded ``children``."""
+    """``_select`` on a hand-built parent over expanded children, given
+    as (prior, node) pairs."""
     parent = make_node(visits=parent_visits, depth=0)
-    parent.children = list(children)
-    parent.priors = [c.prior for c in children]
+    parent.priors = [prior for prior, _ in children]
+    parent.children = [node for _, node in children]
     return _Search(None, None, SearchLimits(cp=cp), False)._select(parent)
 
 
 def probe(score):
     # prior 0 makes the exploration term exactly 0, so this child's UCT
     # score is exactly ``score``
-    return make_node(prior=0.0, visits=1, reward=score)
+    return 0.0, make_node(visits=1, reward=score)
 
 
 def uct_between(child, parent_visits, cp, lo, hi):
@@ -76,11 +77,11 @@ def uct_between(child, parent_visits, cp, lo, hi):
 
 class TestUctScore:
     def test_log_term_vanishes_at_one_parent_visit(self):
-        child = make_node(prior=1.0, visits=1, reward=1.0)
+        child = 1.0, make_node(visits=1, reward=1.0)
         assert uct_between(child, 1, 1.0, 1.0, 1.0)
 
     def test_exploration_only_closed_form(self):
-        child = make_node(prior=0.5, visits=1, reward=0.0)
+        child = 0.5, make_node(visits=1, reward=0.0)
         assert uct_between(child, math.e, 2.0, 1.0 - 1e-15, 1.0 + 1e-15)
 
     def test_matches_high_precision_oracle(self):
@@ -92,7 +93,7 @@ class TestUctScore:
             r = rng.random() * n
             p = rng.random()
             cp = rng.choice([0.5, 1.0, 2.0])
-            child = make_node(prior=p, visits=n, reward=r)
+            child = p, make_node(visits=n, reward=r)
             want = float(mpmath.mpf(r) / n + mpmath.mpf(cp) * mpmath.mpf(p) * mpmath.sqrt(
                 mpmath.log(big_n) / n
             ))
@@ -109,22 +110,20 @@ class TestUctScore:
             for _ in range(k):
                 n = rng.randrange(1, 60)
                 parent_n += n
-                children.append(make_node(prior=rng.random(), visits=n, reward=rng.random() * n))
+                children.append((rng.random(), make_node(visits=n, reward=rng.random() * n)))
             cp = rng.choice([0.5, 1.0, 2.0])
             got = select(children, parent_n, cp)
             scores = [
                 mpmath.mpf(c.reward_sum) / c.visits
-                + mpmath.mpf(cp) * mpmath.mpf(c.prior) * mpmath.sqrt(mpmath.log(parent_n) / c.visits)
-                for c in children
+                + mpmath.mpf(cp) * mpmath.mpf(p) * mpmath.sqrt(mpmath.log(parent_n) / c.visits)
+                for p, c in children
             ]
             want = max(range(k), key=lambda i: scores[i])
             assert got == want
 
     def test_least_visited_wins_under_equal_priors_and_means(self):
-        children = [
-            make_node(prior=0.25, visits=v, reward=0.5 * v) for v in (7, 3, 9, 5)
-        ]
-        parent_n = 1 + sum(c.visits for c in children)
+        children = [(0.25, make_node(visits=v, reward=0.5 * v)) for v in (7, 3, 9, 5)]
+        parent_n = 1 + sum(c.visits for _, c in children)
         assert select(children, parent_n, 1.0) == 1
 
 
@@ -144,14 +143,6 @@ class TestBigstep:
             make_node(visits=4, reward=2.0),
         ]
         assert bigstep(root) is root.children[0]
-
-    def test_proof_subtree_beats_any_mean(self):
-        root = make_node(depth=0)
-        root.children = [
-            make_node(visits=10, reward=9.9),
-            make_node(visits=10, reward=0.1, has_proof=True),
-        ]
-        assert bigstep(root) is root.children[1]
 
     def test_unexpanded_slots_are_ignored(self):
         root = make_node(depth=0)
@@ -187,6 +178,13 @@ class TestStatuses:
         assert result.inferences == 50
         assert result.proof is None
 
+    def test_entropy_means_divide_the_sums(self):
+        result = ProofResult("p", "solved", entropy_sum=3.0, normalized_entropy_sum=1.5,
+                             entropy_count=4)
+        assert (result.mean_entropy, result.mean_normalized_entropy) == (0.75, 0.375)
+        empty = ProofResult("p", "dead-end")
+        assert (empty.mean_entropy, empty.mean_normalized_entropy) == (0.0, 0.0)
+
     def test_result_line_format(self):
         engine = Engine(clausify_text(TRIVIAL))
         result = prove(engine, "triv", UniformPredictor())
@@ -195,26 +193,34 @@ class TestStatuses:
         assert "trace=traces/triv.trace" in line
 
 
+def proof_leaf(result):
+    """The node the proof's actions reach from the root."""
+    node = result.bigstep_nodes[0]
+    for action in result.proof:
+        node = node.children[node.actions.index(action)]
+    return node
+
+
 class TestRewards:
+    # the search stops at the first proof, so the leaf holds one visit
+    # whose reward is its own
     def test_proof_leaf_reward_discounts_by_depth(self):
         engine = Engine(clausify_text(CHAIN3))
         result = prove(engine, "chain", UniformPredictor())
         assert result.solved
         assert len(result.proof) == 3
-        leaf = result.bigstep_nodes[0]
-        while not leaf.is_proof:
-            leaf = next(c for c in leaf.children if c is not None and c.has_proof)
+        leaf = proof_leaf(result)
         assert leaf.depth == 3
-        assert leaf.terminal_reward == pytest.approx(DISCOUNT**3)
-        assert leaf.terminal_reward == pytest.approx(0.9703, abs=5e-4)
+        assert leaf.visits == 1 and leaf.fully_explored
+        assert leaf.reward_sum == pytest.approx(DISCOUNT**3)
+        assert leaf.reward_sum == pytest.approx(0.9703, abs=5e-4)
 
     def test_two_step_proof_reward(self):
         engine = Engine(clausify_text(TRIVIAL))
         result = prove(engine, "triv", UniformPredictor())
-        leaf = result.bigstep_nodes[0]
-        while not leaf.is_proof:
-            leaf = next(c for c in leaf.children if c is not None and c.has_proof)
-        assert leaf.terminal_reward == pytest.approx(DISCOUNT**2)
+        leaf = proof_leaf(result)
+        assert leaf.visits == 1
+        assert leaf.reward_sum == pytest.approx(DISCOUNT**2)
 
 
 class TestTreeInvariants:
@@ -248,10 +254,8 @@ class TestTreeInvariants:
         root = self.run_tree(BRANCHY)
         for node in self.walk(root):
             if node.priors is not None and node.children:
+                assert len(node.priors) == len(node.children)
                 assert sum(node.priors) == pytest.approx(1.0, abs=1e-6)
-                for i, c in enumerate(node.children):
-                    if c is not None:
-                        assert c.prior == pytest.approx(node.priors[i])
 
     def test_single_playout_counts(self):
         engine = Engine(clausify_text(TRIVIAL))
@@ -364,19 +368,16 @@ class TestDeterminism:
 
 
 class SimNode:
-    def __init__(self, state, parent, action_index, prior, depth):
+    def __init__(self, state, parent, action_index, depth):
         self.state = state
         self.parent = parent
         self.action_index = action_index
-        self.prior = prior
         self.depth = depth
         self.actions = []
         self.priors = None
         self.children = []
         self.visits = 0
         self.reward_sum = 0.0
-        self.is_proof = False
-        self.has_proof = False
         self.fully_explored = False
 
 
@@ -391,10 +392,10 @@ def simulate(engine, predictor, limits):
     proof_leaf = None
 
     def evaluate(node):
-        nonlocal ent_sum, nent_sum, ent_n
+        nonlocal ent_sum, nent_sum, ent_n, proof_leaf
         if engine.is_closed(node.state):
             node.fully_explored = True
-            node.is_proof = True
+            proof_leaf = node
             return DISCOUNT**node.depth
         node.actions = engine.legal_actions(node.state)
         probs, value = predict(predictor, node.state, node.actions, engine.matrix)
@@ -408,7 +409,7 @@ def simulate(engine, predictor, limits):
         ent_n += 1
         return value
 
-    root = SimNode(engine.root_state(), None, -1, 1.0, 0)
+    root = SimNode(engine.root_state(), None, -1, 0)
     r = evaluate(root)
     root.visits, root.reward_sum = 1, r
 
@@ -421,7 +422,7 @@ def simulate(engine, predictor, limits):
             elif child.fully_explored:
                 continue
             else:
-                score = child.reward_sum / child.visits + limits.cp * child.prior * math.sqrt(
+                score = child.reward_sum / child.visits + limits.cp * node.priors[i] * math.sqrt(
                     log_n / child.visits
                 )
             if score > best_score:
@@ -437,7 +438,7 @@ def simulate(engine, predictor, limits):
             cur = cur.parent
 
     def playout(start):
-        nonlocal inferences, playouts, proof_leaf
+        nonlocal inferences, playouts
         node = start
         while True:
             i = select(node)
@@ -450,9 +451,7 @@ def simulate(engine, predictor, limits):
                 continue
             if inferences >= limits.inference_limit:
                 return None
-            leaf = SimNode(
-                engine.apply(node.state, node.actions[i]), node, i, node.priors[i], node.depth + 1
-            )
+            leaf = SimNode(engine.apply(node.state, node.actions[i]), node, i, node.depth + 1)
             inferences += 1
             node.children[i] = leaf
             reward = evaluate(leaf)
@@ -464,12 +463,6 @@ def simulate(engine, predictor, limits):
                 cur = cur.parent
             if leaf.fully_explored:
                 mark_explored_up(leaf)
-            if leaf.is_proof:
-                cur = leaf
-                while cur is not None:
-                    cur.has_proof = True
-                    cur = cur.parent
-                proof_leaf = leaf
             playouts += 1
             return leaf
 
@@ -491,16 +484,13 @@ def simulate(engine, predictor, limits):
             continue
         since += 1
         if since >= limits.bigstep_frequency:
-            best, best_key = None, None
+            best, best_mean = None, None
             for child in current.children:
                 if child is None:
                     continue
-                key = (1 if child.has_proof else 0, child.reward_sum / child.visits)
-                if best_key is None or key > best_key:
-                    best, best_key = child, key
-            if best is None:
-                status = "dead-end"
-                break
+                mean = child.reward_sum / child.visits
+                if best_mean is None or mean > best_mean:
+                    best, best_mean = child, mean
             current = best
             n_bigsteps += 1
             since = 0
@@ -530,7 +520,6 @@ def simulate(engine, predictor, limits):
 def assert_same_tree(real, sim):
     assert real.visits == sim.visits
     assert real.reward_sum == pytest.approx(sim.reward_sum, abs=1e-12)
-    assert real.is_proof == sim.is_proof
     assert real.fully_explored == sim.fully_explored
     assert len(real.children) == len(sim.children)
     for rc, sc in zip(real.children, sim.children):
@@ -570,11 +559,8 @@ class TestScriptedSimulation:
         want_proof = [a.encode() for a in sim["proof"] or []]
         assert got_proof == want_proof
         assert result.entropy_count == sim["ent_n"]
-        if sim["ent_n"]:
-            assert result.mean_entropy == pytest.approx(sim["ent_sum"] / sim["ent_n"], abs=1e-12)
-            assert result.mean_normalized_entropy == pytest.approx(
-                sim["nent_sum"] / sim["ent_n"], abs=1e-12
-            )
+        assert result.entropy_sum == pytest.approx(sim["ent_sum"], abs=1e-12)
+        assert result.normalized_entropy_sum == pytest.approx(sim["nent_sum"], abs=1e-12)
         assert_same_tree(result.bigstep_nodes[0], sim["root"])
 
 

@@ -86,6 +86,10 @@ class TestBasicParsing:
         p = parse_problem(text)
         assert len(p.formulas) == 1
 
+    def test_quoted_names_hold_the_unescaped_name(self):
+        f = parse_problem(r"fof(a, axiom, p('it\'s', 'a\\b')).").formulas[0].formula
+        assert f == FAtom("p", (("it's",), ("a\\b",)))
+
     def test_multiple_formulas(self):
         p = parse_problem("fof(a1, axiom, p(a)).\nfof(a2, axiom, q(a)).\nfof(c, conjecture, q(a)).")
         assert [f.name for f in p.formulas] == ["a1", "a2", "c"]
@@ -100,6 +104,7 @@ class TestRoundTrip:
         "fof(e, axiom, (f(a) = b) & (a != c)).",
         "fof(m, conjecture, (p(a) <=> q(a)) | $false).",
         "fof(n, axiom, ~(~p(a))).",
+        r"fof('it\'s', axiom, p('a\\b') & 'Q\\'('it\'s')).",
     ]
 
     @pytest.mark.parametrize("text", CASES)
@@ -166,6 +171,12 @@ class TestLexicalErrors:
         ("fof(a, axiom, p(½)).", ParseError, "unexpected character '½'", 1, 17),
         ("fof('ab\ncd', axiom, p).", ParseError, "unterminated quoted name", 1, 5),
         ("fof(a, axiom, p).\nfof('ab", ParseError, "unterminated quoted name", 2, 5),
+        # an escaped quote does not end the name
+        (r"fof(a, axiom, p('it\'s)).", ParseError, "unterminated quoted name", 1, 17),
+        (r"fof(a, axiom, p('a\nb')).", ParseError, r"invalid escape '\\n' in a quoted name",
+         1, 19),
+        ('fof(a, axiom, p("obj")).', UnsupportedError, "distinct objects are not supported",
+         1, 17),
         ("fof(a, axiom, p # q).", ParseError, "unexpected character '#'", 1, 17),
         ("fof(a, axiom,\x0cp).", ParseError, "unexpected character '\\x0c'", 1, 14),
         # a non-ASCII letter starts a word, here an unknown directive
