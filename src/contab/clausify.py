@@ -9,7 +9,10 @@ equational goals can be discharged; paramodulation never rewrites with it.
 
 Each formula is scanned once for its symbols and free variables; then one
 recursive pass (``_clauses``) takes it to negation normal form,
-Skolemizes and distributes, returning its clauses directly.
+Skolemizes and distributes, returning its clauses as lists of plain
+``(neg, pred, args)`` triples over named variables.  ``_number_vars``
+builds each :class:`Literal` once, from a triple, with clause-local
+integer variables.  Both passes dispatch on the exact node type.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ def clausify(problem: Problem) -> Matrix:
             lits = _dedup(lits)
             if not lits:
                 raise ClausifyError("problem clausifies to an empty clause (degenerate input)")
-            clause = Clause(len(clauses), tuple(_number_vars(lits)))
+            clause = Clause(len(clauses), _number_vars(lits))
             clauses.append(clause)
             if is_start:
                 start_ids.append(clause.id)
@@ -103,40 +106,38 @@ class _Ctx:
 def _scan(f, bound: frozenset, symbols: set, free: set) -> set:
     """Adds the predicate and function symbols of ``f`` to ``symbols`` and
     its variables not in ``bound`` to ``free``; returns ``free``."""
-    if isinstance(f, FAtom):
+    kind = type(f)
+    if kind is FAtom:
         symbols.add(f.pred)
         todo = list(f.args)
         while todo:
             t = todo.pop()
-            if isinstance(t, str):
+            if type(t) is str:
                 if t not in bound:
                     free.add(t)
             else:
                 symbols.add(t[0])
                 todo.extend(t[1:])
-    elif isinstance(f, FNeg):
-        _scan(f.sub, bound, symbols, free)
-    elif isinstance(f, FBin):
+    elif kind is FBin:
         _scan(f.left, bound, symbols, free)
         _scan(f.right, bound, symbols, free)
-    elif isinstance(f, FQuant):
+    elif kind is FNeg:
+        _scan(f.sub, bound, symbols, free)
+    elif kind is FQuant:
         _scan(f.sub, bound | set(f.vars), symbols, free)
     return free
 
 
 def _clauses(f, positive: bool, env: dict, uvars: tuple, ctx: _Ctx) -> List[list]:
-    """The clauses (literal lists over named variables) of ``f`` under
-    ``positive`` polarity: negation normal form, Skolemization and
-    distribution in one pass.  The left subformula is always clausified
-    before the right one, so fresh names follow the formula's text."""
-    if isinstance(f, FConst):
-        return [] if f.value == positive else [[]]
-    if isinstance(f, FAtom):
-        args = tuple(_subst_named(a, env) for a in f.args)
-        return [[Literal(not positive, f.pred, args)]]
-    if isinstance(f, FNeg):
-        return _clauses(f.sub, not positive, env, uvars, ctx)
-    if isinstance(f, FBin):
+    """The clauses of ``f`` under ``positive`` polarity, each a list of
+    ``(neg, pred, args)`` literals over named variables: negation normal
+    form, Skolemization and distribution in one pass.  The left subformula
+    is always clausified before the right one, so fresh names follow the
+    formula's text."""
+    kind = type(f)
+    if kind is FAtom:
+        return [[(not positive, f.pred, tuple([_subst_named(a, env) for a in f.args]))]]
+    if kind is FBin:
         if f.op == "<=>":
             expanded = FBin("&", FBin("=>", f.left, f.right), FBin("=>", f.right, f.left))
             return _clauses(expanded, positive, env, uvars, ctx)
@@ -148,7 +149,9 @@ def _clauses(f, positive: bool, env: dict, uvars: tuple, ctx: _Ctx) -> List[list
         if (f.op == "&") == positive:
             return left + right
         return [a + b for a in left for b in right]
-    if isinstance(f, FQuant):
+    if kind is FNeg:
+        return _clauses(f.sub, not positive, env, uvars, ctx)
+    if kind is FQuant:
         env = dict(env)
         if (f.q == "!") == positive:
             for v in f.vars:
@@ -159,15 +162,17 @@ def _clauses(f, positive: bool, env: dict, uvars: tuple, ctx: _Ctx) -> List[list
             for v in f.vars:
                 env[v] = (ctx.new_skolem(),) + uvars
         return _clauses(f.sub, positive, env, uvars, ctx)
+    if kind is FConst:
+        return [] if f.value == positive else [[]]
     raise ClausifyError(f"not a formula node: {f!r}")
 
 
 def _subst_named(t, env: dict):
-    if isinstance(t, str):
+    if type(t) is str:
         return env.get(t, t)
     if len(t) == 1:
         return t
-    return (t[0],) + tuple(_subst_named(a, env) for a in t[1:])
+    return (t[0],) + tuple([_subst_named(a, env) for a in t[1:]])
 
 
 def _dedup(lits: list) -> list:
@@ -180,17 +185,19 @@ def _dedup(lits: list) -> list:
     return out
 
 
-def _number_vars(lits: list) -> List[Literal]:
-    """Map named variables onto clause-local integers 0.. in first-use order."""
+def _number_vars(lits: list) -> tuple:
+    """The ``(neg, pred, args)`` literals ``lits`` as a tuple of
+    :class:`Literal`, their named variables mapped onto clause-local
+    integers 0.. in first-use order."""
     names: Dict[str, int] = {}
 
     def conv(t):
-        if isinstance(t, str):
+        if type(t) is str:
             if t not in names:
                 names[t] = len(names)
             return names[t]
         if len(t) == 1:
             return t
-        return (t[0],) + tuple(conv(a) for a in t[1:])
+        return (t[0],) + tuple([conv(a) for a in t[1:]])
 
-    return [Literal(l.neg, l.pred, tuple(conv(a) for a in l.args)) for l in lits]
+    return tuple([Literal(neg, pred, tuple([conv(a) for a in args])) for neg, pred, args in lits])

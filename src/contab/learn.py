@@ -444,17 +444,25 @@ def _load_checkpoint(out_dir, config: LoopConfig, stats: List[IterationStats],
         state = dict(ln.partition(" ")[::2] for ln in fh.read().splitlines())
     if "completed" not in state:
         raise ValueError(f"{state_path}: not a loop checkpoint")
+
+    def number(key, kind):
+        try:
+            return kind(state[key])
+        except ValueError as e:
+            raise ValueError(f"{state_path}: {key}: {e}") from None
+
     for key, val in config.settings().items():
         if key not in state:
             raise ValueError(f"{state_path}: cannot resume: the checkpoint records no {key}")
-        if float(state[key]) != float(val):
+        if number(key, float) != float(val):
             raise ValueError(f"{state_path}: cannot resume: {key} is {val!r} here "
                              f"but {state[key]} in the checkpoint")
-    last = int(state["completed"])
+    last = number("completed", int)
     stats_path = os.path.join(out_dir, "stats.csv")
     with open(stats_path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        if next(reader, None) is None:
+            raise ValueError(f"{stats_path}:1: no header row")
         for row in reader:
             try:
                 iteration, solved, ent, nent, inferences = row

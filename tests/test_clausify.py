@@ -5,12 +5,14 @@ check for ground problems, and a tiny standalone ground connection
 tableau prover used to cross-check engine solvability.
 """
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from contab.clausify import ClausifyError, clausify, clausify_text
+from contab.clausify import ClausifyError, clausify, clausify_text, load_matrix
+from contab.corpus import corpus_problems
 from contab.tableau import Engine
 from contab.terms import EQ
 from contab.tptp import FAtom, FBin, FConst, FNeg, format_formula, parse_problem
@@ -156,6 +158,44 @@ class TestVariableNumbering:
                         stack.extend(t[1:])
             if vs:
                 assert vs == set(range(len(vs)))
+
+
+def wide_fof_text(n=40):
+    """A wide FOF problem with every connective and quantifier under both
+    polarities, and symbols named like Skolem functions."""
+    lines = ["fof(used, axiom, sk0(a) | sk2 = b)."]
+    for i in range(n):
+        lines.append(
+            f"fof(ax{i}, axiom, ! [X, Y] : (p{i % 7}(X, Y) <=> "
+            f"? [Z] : (q{i % 5}(f(X, Z)) & (r(Z) | ~ s{i % 3}(g(Y), Z)))))."
+        )
+        lines.append(
+            f"fof(eq{i}, axiom, ! [X] : (h{i % 4}(X) = c{i} => "
+            f"((? [Y] : (X != Y & ~ ! [W] : (t(W, Y) => t(Y, W)))) | $false)))."
+        )
+    lines.append("fof(goal, conjecture, ? [X] : (p0(X, a) <=> ~ ? [Y] : q0(f(X, Y)))).")
+    return "\n".join(lines) + "\n"
+
+
+class TestMatrixDumpPinned:
+    """The matrices of fixed inputs, pinned by the sha256 of their dumps:
+    a front-end change that renumbers clauses, variables or Skolem
+    functions fails here."""
+
+    @staticmethod
+    def digest(matrices):
+        return hashlib.sha256("".join(m.dump() for m in matrices).encode("utf-8")).hexdigest()
+
+    def test_bundled_corpus(self):
+        matrices = [load_matrix(p) for p in corpus_problems()]
+        assert self.digest(matrices) == (
+            "80f1b71215f18446148d9d39a22495add8e3cf394bb3bc2b8c52458becba63fa")
+
+    def test_wide_fof(self):
+        m = clausify_text(wide_fof_text())
+        assert len(m.clauses) == 286
+        assert self.digest([m]) == (
+            "d0072ea6fbb20176aa41e8bdf2ed44729b74aa18409d064b0f93b5d5eee9aabf")
 
 
 # --- ground oracles ---------------------------------------------------------

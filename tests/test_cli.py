@@ -338,6 +338,32 @@ class TestLoop:
         assert code == 2
         assert f"{path}:{len(lines)}: {complaint}" in capsys.readouterr().err
 
+    def test_resume_over_an_empty_stats_file_exits_2(self, problem_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_cli("loop", problem_dir, "--out", out, "--iterations", "1", *LOOP_FAST)
+        (out / "stats.csv").write_text("")
+        code = run_cli("loop", problem_dir, "--out", out, "--iterations", "2", "--resume",
+                       *LOOP_FAST)
+        assert code == 2
+        assert f"{out / 'stats.csv'}:1: no header row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, complaint", [
+        ("completed x", "completed: invalid literal for int() with base 10: 'x'"),
+        ("alpha zero", "alpha: could not convert string to float: 'zero'"),
+    ], ids=["completed", "alpha"])
+    def test_resume_over_a_non_numeric_state_value_exits_2(self, problem_dir, tmp_path, capsys,
+                                                           line, complaint):
+        out = tmp_path / "out"
+        run_cli("loop", problem_dir, "--out", out, "--iterations", "1", *LOOP_FAST)
+        state = out / "loop_state.txt"
+        key = line.split()[0]
+        lines = [line if ln.split()[0] == key else ln for ln in state.read_text().splitlines()]
+        state.write_text("\n".join(lines) + "\n")
+        code = run_cli("loop", problem_dir, "--out", out, "--iterations", "2", "--resume",
+                       *LOOP_FAST)
+        assert code == 2
+        assert f"{state}: {complaint}" in capsys.readouterr().err
+
 
 class TestFlagSurface:
     """Each subcommand takes, resolves and records only the flags it reads."""

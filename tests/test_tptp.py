@@ -184,6 +184,23 @@ class TestLexicalErrors:
         # end of input after a trailing comment is where the input ends
         ("fof(a,axiom,p) % note", ParseError, "expected '.', found ''", 1, 22),
         ("fof(a,axiom,p)   ", ParseError, "expected '.', found ''", 1, 18),
+        ("fof(a, axiom, p) \n% trailing\n", ParseError, "expected '.', found ''", 3, 1),
+        # parse errors, placed by re-scanning the text up to the offending
+        # token: the comments, escapes and newlines before it must count
+        ("% line one\n% line two, with 'quotes' and (parens)\n%\nfof(a, axiom, p(a) & ).\n",
+         ParseError, "expected a formula, found ')'", 4, 22),
+        (r"fof('it\'s a \\ name', axiom, p('x\'y') q).", ParseError,
+         "expected ')', found 'q'", 1, 41),
+        ("fof(a, axiom, p(a)).\nfof(b, axiom,\n  q(a) & p(a, b)).", ParseError,
+         "symbol 'p' used with arity 2 and 1", 3, 10),
+        ("fof(a, axiom,\n  p(a, , b)).", ParseError, "expected a term, found ','", 2, 8),
+        ("include(\n  X).", ParseError, "expected a quoted include path", 2, 3),
+        ("% a comment\ninclude('a.ax').", ParseError,
+         "include directive without a source directory", 2, 9),
+        ("fof(a, axiom, p(a)).\n\n   fof(b, axiom, ! [x] : p(x)).", ParseError,
+         "expected a variable, found 'x'", 3, 21),
+        ("fof(a, axiom, p).\n  fof(b, axiom, X).", ParseError,
+         "expected '=' or '!=' after a term, found ')'", 2, 18),
     ]
 
     @pytest.mark.parametrize("text,cls,message,line,col", CASES)
@@ -217,6 +234,14 @@ class TestIncludes:
         with pytest.raises(ParseError) as ei:
             parse_problem_file(str(top))
         assert "nope.ax" in str(ei.value)
+
+    def test_error_in_an_included_file_is_placed_in_that_file(self, tmp_path):
+        (tmp_path / "bad.ax").write_text("% header\nfof(b, axiom,\n   p(a) | ).\n")
+        top = tmp_path / "top.p"
+        top.write_text("fof(a, axiom, q(a)).\ninclude('bad.ax').\n")
+        with pytest.raises(ParseError) as ei:
+            parse_problem_file(str(top))
+        assert str(ei.value) == "3:11: expected a formula, found ')'"
 
     def test_include_without_source_dir_fails(self):
         with pytest.raises(ParseError):
