@@ -27,6 +27,7 @@ from .analysis import (AGREEMENT_COLUMNS, agreement_rows, compare, harvest_state
 from .clausify import ClausifyError, load_matrix
 from .corpus import corpus_dir
 from .fileio import atomic_open
+from .features import FEATURE_DIM
 from .learn import STATS_COLUMNS, LoopConfig, TrainConfig, prove_problems, run_loop
 from .policy import (FixedEntropyPredictor, LinearPredictor, Predictor,
                      UniformPredictor, load_model, make_fixed_entropy_vector,
@@ -193,8 +194,9 @@ _SPEC_OPTIONS = {
 
 def _load_weights(path: str, kind: str):
     mkind, weights, temperature, _ = load_model(path)
-    if mkind != kind:
-        raise ValueError(f"{path}: expected a {kind} model, found {mkind}")
+    if mkind != kind or len(weights) != FEATURE_DIM:
+        raise ValueError(f"{path}: expected a {kind} model of dim {FEATURE_DIM}, "
+                         f"found a {mkind} model of dim {len(weights)}")
     return weights, temperature
 
 
@@ -253,13 +255,14 @@ def _write_manifest(out: Path, command: str, cfg: Config, **arguments) -> None:
 
 def cmd_prove(args) -> int:
     cfg = Config(args)
+    limits = _limits(cfg)
     predictor = parse_predictor_spec(cfg.predictor)
     paths = _problem_paths(cfg, args.problems)
     engines, errors = _build_engines(paths, cfg)
     out = Path(cfg.out)
     traces = out / "traces"
     traces.mkdir(parents=True, exist_ok=True)
-    pairs = prove_problems(engines, predictor, _limits(cfg), workers=cfg.workers)
+    pairs = prove_problems(engines, predictor, limits, workers=cfg.workers)
     solved = 0
     with atomic_open(out / "results.txt") as fh:
         for name, err in errors:
@@ -318,13 +321,14 @@ def cmd_loop(args) -> int:
 
 def cmd_harvest(args) -> int:
     cfg = Config(args)
+    limits = _limits(cfg)
     paths = _problem_paths(cfg, args.problems)
     engines, errors = _build_engines(paths, cfg)
     for name, err in errors:
         print(f"warning: skipping {name}: {err}", file=sys.stderr)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    bank = harvest_states(engines, _limits(cfg))
+    bank = harvest_states(engines, limits)
     save_bank(out / "bank.txt", bank)
     _write_manifest(out, "harvest", cfg)
     print(f"harvest: {len(bank)} states from {len(engines)} problems into {out / 'bank.txt'}")

@@ -22,10 +22,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .analysis import report_csv
-from .features import extract_action_features, extract_features
+from .features import FEATURE_DIM, extract_action_features, extract_features
 from .fileio import atomic_open
-from .policy import (LinearPredictor, Predictor, UniformPredictor, save_model,
-                     softmax_temperature)
+from .policy import (LinearPredictor, Predictor, UniformPredictor, _sparse_dot, save_model,
+                     sigmoid, softmax_temperature)
 from .search import DISCOUNT, ProofResult, SearchLimits, prove
 from .tableau import Engine
 
@@ -127,12 +127,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.epochs <= 0 or self.batch_size <= 0:
-            raise ValueError("learning rate, epochs, and batch size must be positive")
+        if not (0 < self.learning_rate < math.inf and self.epochs > 0 and self.batch_size > 0):
+            raise ValueError("learning rate, epochs, and batch size must be positive and finite")
 
 
-class TrainingDiverged(RuntimeError):
-    pass
+class TrainingDiverged(ValueError):
+    """A setting, mostly a too-large learning rate, sent a loss to NaN or infinity."""
 
 
 @dataclass
@@ -147,29 +147,33 @@ class TrainResult:
         return LinearPredictor(self.policy_weights, self.value_weights, temperature=temperature)
 
 
-def _dataset_losses(scorer: LinearPredictor, examples, alpha) -> Tuple[float, float]:
-    pl = sum(policy_loss(ex.policy_targets, softmax_temperature(
-        scorer.predict_policy(ex.state_features, ex.action_features)), alpha) for ex in examples)
-    vl = sum(value_loss(ex.value_target, scorer.predict_value(ex.state_features))
-             for ex in examples)
+def _scores(wp: np.ndarray, wv: np.ndarray, ex: TrainingExample) -> Tuple[np.ndarray, float]:
+    """What a :class:`LinearPredictor` over ``wp``, ``wv`` at temperature 1 scores ``ex``."""
+    logits = np.array([_sparse_dot(wp, af) for af in ex.action_features])
+    return softmax_temperature(logits), sigmoid(_sparse_dot(wv, ex.state_features))
+
+
+def _dataset_losses(wp, wv, examples, alpha) -> Tuple[float, float]:
+    scores = [_scores(wp, wv, ex) for ex in examples]
+    pl = sum(policy_loss(ex.policy_targets, q, alpha) for ex, (q, _) in zip(examples, scores))
+    vl = sum(value_loss(ex.value_target, v) for ex, (_, v) in zip(examples, scores))
     return pl / len(examples), vl / len(examples)
 
 
 def train(examples: Sequence[TrainingExample], config: Optional[TrainConfig] = None,
           alpha: float = 0.7) -> TrainResult:
     """Fits independent policy and value weight vectors by mini-batch SGD,
-    scoring through a :class:`LinearPredictor` over them, with entropy
+    scoring them as a :class:`LinearPredictor` would, with entropy
     coefficient ``alpha``.  Reported losses are full-dataset means
     evaluated after each epoch."""
     config = config or TrainConfig()
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
     if not examples:
         raise ValueError("no training examples")
-    scorer = LinearPredictor()
-    wp, wv = scorer.policy_weights, scorer.value_weights
+    wp, wv = np.zeros(FEATURE_DIM), np.zeros(FEATURE_DIM)
     rng = np.random.default_rng(config.seed)
-    pl0, vl0 = _dataset_losses(scorer, examples, alpha)
+    pl0, vl0 = _dataset_losses(wp, wv, examples, alpha)
     policy_losses, value_losses = [pl0], [vl0]
 
     for epoch in range(config.epochs):
@@ -179,14 +183,13 @@ def train(examples: Sequence[TrainingExample], config: Optional[TrainConfig] = N
             gp: Dict[int, float] = {}
             gv: Dict[int, float] = {}
             for ex in batch:
-                probs = softmax_temperature(scorer.predict_policy(ex.state_features,
-                                                                  ex.action_features))
+                probs, value = _scores(wp, wv, ex)
                 g = policy_grad_logits(ex.policy_targets, probs, alpha)
                 for gi, af in zip(g, ex.action_features):
                     if gi:
                         for f, c in af.items():
                             gp[f] = gp.get(f, 0.0) + gi * c
-                gz = value_grad_logit(ex.value_target, scorer.predict_value(ex.state_features))
+                gz = value_grad_logit(ex.value_target, value)
                 if gz:
                     for f, c in ex.state_features.items():
                         gv[f] = gv.get(f, 0.0) + gz * c
@@ -195,7 +198,7 @@ def train(examples: Sequence[TrainingExample], config: Optional[TrainConfig] = N
                 wp[f] -= scale * g
             for f, g in gv.items():
                 wv[f] -= scale * g
-        pl, vl = _dataset_losses(scorer, examples, alpha)
+        pl, vl = _dataset_losses(wp, wv, examples, alpha)
         if math.isnan(pl) or math.isnan(vl) or math.isinf(pl) or math.isinf(vl):
             raise TrainingDiverged(
                 f"loss diverged at epoch {epoch + 1}: policy={pl}, value={vl}; "
@@ -249,13 +252,16 @@ def read_examples(path) -> List[TrainingExample]:
         fields = ln.split("\t")
         try:
             problem, iteration, value, ptargets, state = fields[:5]
+            targets = [float(t) for t in ptargets.split(",")]
+            if len(targets) != len(fields) - 5:
+                raise ValueError(f"{len(targets)} policy targets for {len(fields) - 5} actions")
             out.append(TrainingExample(
                 problem=problem,
                 iteration=int(iteration),
                 state_features=_parse_sparse(state),
                 action_features=[_parse_sparse(f) for f in fields[5:]],
                 value_target=float(value),
-                policy_targets=[float(t) for t in ptargets.split(",")],
+                policy_targets=targets,
             ))
         except ValueError as e:
             raise ValueError(f"{path}:{lineno}: {e}") from None
@@ -274,10 +280,10 @@ class LoopConfig:
     temperature: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha}")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
 
     def settings(self) -> Dict[str, float]:
         """Every value that shapes a run, by name, as a checkpoint records them."""

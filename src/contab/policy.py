@@ -114,15 +114,6 @@ def _sparse_dot(weights: np.ndarray, features: Dict[int, int]) -> float:
     return float(sum(weights[i] * c for i, c in features.items()))
 
 
-def _nonzero_index(weights: np.ndarray, hint: int) -> int:
-    """Index of a nonzero entry of ``weights``, ``hint`` when that one
-    still is; -1 when every entry is zero."""
-    if 0 <= hint < len(weights) and weights[hint]:
-        return hint
-    first = int((weights != 0).argmax())
-    return first if weights[first] else -1
-
-
 class Predictor:
     """Scoring interface: per-action logits plus a state value in [0, 1].
 
@@ -134,7 +125,9 @@ class Predictor:
     is false, :func:`predict` skips that extraction and passes empty
     feature maps instead (``{}`` for the state, one ``{}`` per action),
     so a predictor must score those exactly as it would the real ones.
-    The base class reads both.
+    The base class reads both.  A predictor is fixed once built: its
+    declarations and temperature are plain attributes set then, and its
+    scores never change after.
     """
 
     temperature: float = 1.0
@@ -165,35 +158,25 @@ class UniformPredictor(Predictor):
 class LinearPredictor(Predictor):
     """Linear model over hashed features: each action logit is a sparse
     dot product with the policy weights, the value is a logistic of the
-    state-feature dot product, both over all ``FEATURE_DIM`` features."""
+    state-feature dot product, both over all ``FEATURE_DIM`` features.
+    The weight arrays it is given are made read-only when it is built,
+    and the reads declared then: all-zero weights score 0 whatever the
+    features."""
 
     def __init__(self, policy_weights: Optional[np.ndarray] = None,
                  value_weights: Optional[np.ndarray] = None,
                  temperature: float = 1.0):
-        if temperature <= 0.0:
-            raise ValueError(f"temperature must be positive, got {temperature}")
-        self.policy_weights = (np.zeros(FEATURE_DIM) if policy_weights is None
-                               else np.asarray(policy_weights, dtype=float))
-        self.value_weights = (np.zeros(FEATURE_DIM) if value_weights is None
-                              else np.asarray(value_weights, dtype=float))
+        if not 0.0 < temperature < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {temperature}")
+        self.policy_weights, self.value_weights = (
+            np.zeros(FEATURE_DIM) if w is None else np.asarray(w, dtype=float)
+            for w in (policy_weights, value_weights))
         if {self.policy_weights.shape, self.value_weights.shape} != {(FEATURE_DIM,)}:
             raise ValueError("weight vectors must match the feature dimension")
+        self.policy_weights.flags.writeable = self.value_weights.flags.writeable = False
         self.temperature = temperature
-        self._policy_nonzero = self._value_nonzero = -1
-
-    # All-zero weights score everything 0, features or not.  Callers edit
-    # the weights in place, so the answers are recomputed on every call:
-    # the index of a nonzero weight found last time is tried first.
-
-    @property
-    def reads_state(self) -> bool:
-        self._value_nonzero = _nonzero_index(self.value_weights, self._value_nonzero)
-        return self._value_nonzero >= 0
-
-    @property
-    def reads_actions(self) -> bool:
-        self._policy_nonzero = _nonzero_index(self.policy_weights, self._policy_nonzero)
-        return self._policy_nonzero >= 0
+        self.reads_state = bool(self.value_weights.any())
+        self.reads_actions = bool(self.policy_weights.any())
 
     def predict_policy(self, features, action_features):
         return np.array([_sparse_dot(self.policy_weights, af) for af in action_features])
@@ -219,14 +202,8 @@ class FixedEntropyPredictor(Predictor):
         self.target = target
         self.seed = seed
         self.cache: Dict[int, np.ndarray] = {}
-
-    @property
-    def reads_state(self) -> bool:
-        return self.base.reads_state
-
-    @property
-    def reads_actions(self) -> bool:
-        return self.base.reads_actions
+        self.reads_state = base.reads_state
+        self.reads_actions = base.reads_actions
 
     def vector_for(self, n: int) -> np.ndarray:
         if n not in self.cache:
@@ -290,7 +267,8 @@ def save_model(path, kind: str, weights: np.ndarray, temperature: float = 1.0,
 
 
 def load_model(path) -> Tuple[str, np.ndarray, float, float]:
-    """Returns (kind, weights, temperature, alpha)."""
+    """Returns (kind, weights, temperature, alpha); a damaged file raises
+    ``ValueError`` naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != MODEL_MAGIC:
@@ -303,15 +281,22 @@ def load_model(path) -> Tuple[str, np.ndarray, float, float]:
         if key == "nonzero":
             body_at = i + 1
             break
-    if not {"kind", "dim", "temperature", "alpha"} <= header.keys():
-        raise ValueError(f"{path}: model header lacks a kind, dim, temperature or alpha line")
+    if not {"kind", "dim", "temperature", "alpha", "nonzero"} <= header.keys():
+        raise ValueError(f"{path}: model header lacks a kind, dim, temperature, alpha "
+                         f"or nonzero line")
     try:
-        dim = int(header["dim"])
+        dim, nonzero = int(header["dim"]), int(header["nonzero"])
         temperature, alpha = float(header["temperature"]), float(header["alpha"])
         entries = [(int(idx), float(val)) for idx, val in (ln.split() for ln in lines[body_at:] if ln)]
         weights = np.zeros(dim)
     except ValueError as e:
         raise ValueError(f"{path}: malformed model file: {e}") from None
+    if len(entries) != nonzero:
+        raise ValueError(f"{path}: header counts {nonzero} weights, {len(entries)} follow")
+    if len({idx for idx, _ in entries}) != nonzero:
+        raise ValueError(f"{path}: a weight index is given twice")
+    if not np.isfinite([temperature, alpha] + [val for _, val in entries]).all():
+        raise ValueError(f"{path}: a weight, the temperature or alpha is not finite")
     for idx, val in entries:
         if not 0 <= idx < dim:
             raise ValueError(f"{path}: weight index {idx} outside dim {dim}")

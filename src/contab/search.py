@@ -37,8 +37,9 @@ class SearchLimits:
     def __post_init__(self):
         if self.inference_limit <= 0 or self.bigstep_frequency <= 0:
             raise ValueError("limits must be positive")
-        if self.cp <= 0 or self.wall_clock <= 0:
-            raise ValueError("cp and wall_clock must be positive")
+        if not (0 < self.cp < math.inf and 0 < self.wall_clock < math.inf):
+            raise ValueError(f"cp and wall_clock must be positive and finite, "
+                             f"got {self.cp} and {self.wall_clock}")
 
 
 class MCTSNode:

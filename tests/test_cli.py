@@ -84,6 +84,16 @@ class TestProve:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--cp", "nan"], ["--wall-clock", "nan"],
+                                       ["--cp", "inf"], ["--wall-clock", "inf"]])
+    def test_non_finite_limit_exits_2_before_any_output(
+            self, problem_dir, tmp_path, capsys, flags):
+        out = tmp_path / "o"
+        code = run_cli("prove", problem_dir, "--out", out, *flags, *FAST)
+        assert code == 2
+        assert "cp and wall_clock must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unparsable_problem_becomes_error_record(self, problem_dir, tmp_path):
         (problem_dir / "broken.p").write_text("fof(oops, axiom, p(.\n")
         out = tmp_path / "out"
@@ -277,6 +287,8 @@ class TestLoop:
     @pytest.mark.parametrize("flags, complaint", [
         (["--temperature", "0"], "temperature must be positive"),
         (["--alpha", "0.7,-1"], "alpha must be nonnegative"),
+        (["--alpha", "nan"], "alpha must be nonnegative and finite"),
+        (["--learning-rate", "inf"], "batch size must be positive and finite"),
     ])
     def test_bad_setting_exits_2_before_any_output(self, problem_dir, tmp_path, capsys,
                                                    flags, complaint):
@@ -286,6 +298,14 @@ class TestLoop:
         assert code == 2
         assert complaint in capsys.readouterr().err
         assert not out.exists()
+
+    def test_diverged_training_exits_2(self, tmp_path, capsys):
+        """The bundled corpus gives examples that a huge step throws to inf."""
+        code = run_cli("loop", "--out", tmp_path / "o", "--iterations", "1",
+                       "--learning-rate", "1e9", "--inference-limit", "500",
+                       "--bigstep-frequency", "50", "--workers", "1", "--epochs", "3")
+        assert code == 2
+        assert "loss diverged at epoch 1" in capsys.readouterr().err
 
     def test_resume_matches_uninterrupted_run(self, problem_dir, tmp_path):
         full, part = tmp_path / "full", tmp_path / "part"
@@ -552,8 +572,12 @@ class TestPredictorSpecs:
          "malformed model file: not enough values to unpack"),
         ("kind policy\ndim abc\ntemperature 1.0\nalpha 0.7\nnonzero 0\n",
          "malformed model file: invalid literal for int()"),
+        ("kind policy\ndim 16\ntemperature 1.0\nalpha 0.7\nnonzero 1\n3 1.0\n",
+         f"expected a policy model of dim {FEATURE_DIM}, found a policy model of dim 16"),
+        (f"kind policy\ndim {FEATURE_DIM}\ntemperature 1.0\nalpha 0.7\nnonzero 2\n3 1.0\n",
+         "header counts 2 weights, 1 follow"),
     ], ids=["no-dim", "index-past-dim", "negative-index", "weight-line-without-value",
-            "non-integer-dim"])
+            "non-integer-dim", "other-dim", "truncated"])
     def test_damaged_model_file_exits_2(self, problem_dir, tmp_path, capsys, body, complaint):
         model = tmp_path / "bad.model"
         model.write_text("contab-model v1\n" + body)

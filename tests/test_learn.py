@@ -7,6 +7,7 @@ against hand-built search trees with known visit counts.
 import concurrent.futures
 import math
 import multiprocessing
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +35,7 @@ from contab.learn import (
     value_loss,
     write_examples,
 )
-from contab.policy import (UniformPredictor, normalized_entropy, save_model,
+from contab.policy import (LinearPredictor, UniformPredictor, normalized_entropy, save_model,
                            softmax_temperature)
 from contab.search import DISCOUNT, MCTSNode, ProofResult, SearchLimits
 from contab.tableau import Action, Engine, write_trace
@@ -286,6 +287,8 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(synthetic_examples(4), alpha=-0.1)
         with pytest.raises(ValueError):
+            train(synthetic_examples(4), alpha=math.nan)
+        with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
@@ -317,6 +320,26 @@ class TestExampleFiles:
         path.write_text("something else\n")
         with pytest.raises(ValueError):
             read_examples(path)
+
+    def test_target_count_must_match_action_count(self, tmp_path):
+        path = tmp_path / "ex.txt"
+        write_examples(path, synthetic_examples(2, seed=8))
+        path.write_text(path.read_text() + "p\t0\t0.5\t1.0\t1:1\t2:1\t3:1\t4:1\n")
+        complaint = "4: 1 policy targets for 3 actions"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{complaint}"):
+            read_examples(path)
+
+
+@pytest.mark.parametrize("build, setting", [
+    (SearchLimits, "cp"), (SearchLimits, "wall_clock"),
+    (LoopConfig, "alpha"), (LoopConfig, "temperature"),
+    (TrainConfig, "learning_rate"), (LinearPredictor, "temperature"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_settings_are_rejected_when_built(build, setting, value):
+    """NaN passes every ``<= 0`` check, so finiteness is checked itself."""
+    with pytest.raises(ValueError, match="finite"):
+        build(**{setting: value})
 
 
 def loop_problems():

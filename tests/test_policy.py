@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -225,9 +226,10 @@ class TestPredictors:
         assert value == 0.5
 
     def test_linear_sparse_dot_closed_form(self):
-        lp = LinearPredictor()
-        lp.policy_weights[3] = 2.0
-        lp.value_weights[1] = 1.0
+        pw, vw = np.zeros(FEATURE_DIM), np.zeros(FEATURE_DIM)
+        pw[3] = 2.0
+        vw[1] = 1.0
+        lp = LinearPredictor(pw, vw)
         logits = lp.predict_policy({}, [{3: 2}, {3: 1, 5: 4}, {}])
         assert list(logits) == [4.0, 2.0, 0.0]
         assert lp.predict_value({1: 1}) == pytest.approx(1.0 / (1.0 + math.exp(-1.0)))
@@ -242,6 +244,23 @@ class TestPredictors:
     def test_linear_rejects_nonpositive_temperature(self, temperature):
         with pytest.raises(ValueError, match="temperature must be positive"):
             LinearPredictor(temperature=temperature)
+
+    def test_linear_weights_are_read_only(self):
+        lp = LinearPredictor(np.full(FEATURE_DIM, 0.5), np.full(FEATURE_DIM, -0.5))
+        for weights in (lp.policy_weights, lp.value_weights):
+            with pytest.raises(ValueError, match="read-only"):
+                weights[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                weights[:] = 0.0
+        assert (lp.policy_weights == 0.5).all() and (lp.value_weights == -0.5).all()
+
+    def test_linear_freezes_the_weights_it_is_given(self):
+        pw = np.zeros(FEATURE_DIM)
+        lp = LinearPredictor(pw)
+        with pytest.raises(ValueError, match="read-only"):
+            pw[4] = 1.0
+        assert not lp.reads_actions
+        assert lp.predict_policy({}, [{4: 1}]).tolist() == [0.0]
 
     def test_value_clamped_to_unit_interval(self):
         engine, state, actions = small_state_and_actions()
@@ -268,9 +287,8 @@ class TestPredictors:
 
     def test_fixed_entropy_predictor_keeps_base_order(self):
         engine, state, actions = small_state_and_actions()
-        base = LinearPredictor()
         rng = np.random.default_rng(0)
-        base.policy_weights[:] = rng.standard_normal(FEATURE_DIM) * 0.1
+        base = LinearPredictor(rng.standard_normal(FEATURE_DIM) * 0.1)
         ref, _ = predict(base, state, actions, engine.matrix)
         fep = FixedEntropyPredictor(base, 0.5, seed=3)
         probs, _ = predict(fep, state, actions, engine.matrix)
@@ -328,8 +346,7 @@ class TestDeclaredReads:
 
     def test_policy_only_linear_skips_state_features(self, monkeypatch):
         engine, state, actions = small_state_and_actions()
-        lp = LinearPredictor()
-        lp.policy_weights[:] = np.random.default_rng(0).standard_normal(FEATURE_DIM)
+        lp = LinearPredictor(np.random.default_rng(0).standard_normal(FEATURE_DIM))
         assert lp.reads_actions and not lp.reads_state
         want = predict(lp, state, actions, engine.matrix)
         monkeypatch.setattr(policy_module, "extract_features", _refuse)
@@ -337,35 +354,16 @@ class TestDeclaredReads:
         assert list(probs) == list(want[0]) and value == want[1] == 0.5
 
     def test_linear_declarations_follow_its_weights(self):
-        lp = LinearPredictor()
-        assert (lp.reads_state, lp.reads_actions) == (False, False)
-        lp.value_weights[2] = 0.5
-        assert (lp.reads_state, lp.reads_actions) == (True, False)
-        lp.policy_weights[1] = -1.0
-        assert (lp.reads_state, lp.reads_actions) == (True, True)
-        fep = FixedEntropyPredictor(lp, 0.5, seed=1)
-        assert (fep.reads_state, fep.reads_actions) == (True, True)
-
-    def test_declarations_recheck_the_remembered_weight(self):
-        lp = LinearPredictor()
-        lp.value_weights[2] = 0.5
-        lp.policy_weights[6] = 1.0
-        assert (lp.reads_state, lp.reads_actions) == (True, True)
-        # zeroing the weight found last time flips the declaration
-        lp.value_weights[2] = 0.0
-        lp.policy_weights[6] = 0.0
-        assert (lp.reads_state, lp.reads_actions) == (False, False)
-        # and any other nonzero weight flips it back
-        lp.value_weights[5] = -2.0
-        lp.policy_weights[0] = 0.25
-        assert (lp.reads_state, lp.reads_actions) == (True, True)
-        # a second nonzero weight keeps it when the remembered one goes
-        lp.value_weights[7] = 1.0
-        assert lp.reads_state
-        lp.value_weights[5] = 0.0
-        assert lp.reads_state
-        lp.value_weights = np.zeros(FEATURE_DIM)
-        assert not lp.reads_state
+        vw, pw = np.zeros(FEATURE_DIM), np.zeros(FEATURE_DIM)
+        vw[2] = 0.5
+        pw[1] = -1.0
+        cases = [((None, None), (False, False)), ((None, vw), (True, False)),
+                 ((pw, None), (False, True)), ((pw, vw), (True, True))]
+        for (policy_weights, value_weights), want in cases:
+            lp = LinearPredictor(policy_weights, value_weights)
+            assert (lp.reads_state, lp.reads_actions) == want
+            fep = FixedEntropyPredictor(lp, 0.5, seed=1)
+            assert (fep.reads_state, fep.reads_actions) == want
 
     @pytest.mark.parametrize("make", [
         UniformPredictor,
@@ -388,8 +386,7 @@ class TestDeclaredReads:
 
     def test_state_reader_gets_the_real_features(self, monkeypatch):
         engine, state, actions = small_state_and_actions()
-        lp = LinearPredictor()
-        lp.value_weights[:] = 0.01
+        lp = LinearPredictor(value_weights=np.full(FEATURE_DIM, 0.01))
         seen = []
         monkeypatch.setattr(policy_module, "extract_features",
                             lambda s: seen.append(s) or extract_features(s))
@@ -438,4 +435,27 @@ class TestModelFiles:
         p = tmp_path / "junk.model"
         p.write_text("not a model\n")
         with pytest.raises(ValueError):
+            load_model(p)
+
+    @pytest.mark.parametrize("damage, complaint", [
+        (lambda lines: lines[:-3], "header counts 14 weights, 11 follow"),
+        (lambda lines: lines + ["3 1.0"], "header counts 14 weights, 15 follow"),
+        (lambda lines: lines[:-1] + [lines[-2].split()[0] + " 2.0"], "index is given twice"),
+        (lambda lines: lines[:-1] + [lines[-1].split()[0] + " nan"], "not finite"),
+        (lambda lines: lines[:-1] + [lines[-1].split()[0] + " -inf"], "not finite"),
+        (lambda lines: [ln.replace("temperature 1.5", "temperature inf") for ln in lines],
+         "not finite"),
+        (lambda lines: [ln.replace("alpha 0.7", "alpha nan") for ln in lines],
+         "not finite"),
+    ], ids=["truncated", "extra-line", "repeated-index", "nan-weight", "infinite-weight",
+            "infinite-temperature", "nan-alpha"])
+    def test_damaged_file_rejected_by_name(self, tmp_path, damage, complaint):
+        w = np.zeros(64)
+        w[np.arange(3, 64, 4)[:14]] = np.arange(1.0, 15.0)
+        p = tmp_path / "m.model"
+        save_model(p, "policy", w, temperature=1.5, alpha=0.7)
+        lines = p.read_text().splitlines()
+        assert "nonzero 14" in lines
+        p.write_text("\n".join(damage(lines)) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: .*{complaint}"):
             load_model(p)
