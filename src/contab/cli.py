@@ -304,6 +304,8 @@ def cmd_loop(args) -> int:
         print(f"warning: skipping {name}: {err}", file=sys.stderr)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
+    # first, so a loop that stops with an error still says how it was run
+    _write_manifest(out, "loop", cfg)
     sweep_rows = []
     for loop_cfg in loop_cfgs:
         sub = out / f"alpha_{loop_cfg.alpha:g}" if len(loop_cfgs) > 1 else out
@@ -313,7 +315,6 @@ def cmd_loop(args) -> int:
             sweep_rows.append([f"{loop_cfg.alpha:g}"] + row.row())
     if len(loop_cfgs) > 1:
         report_csv(out / "sweep.csv", ["alpha"] + STATS_COLUMNS, sweep_rows)
-    _write_manifest(out, "loop", cfg)
     print(f"loop: {len(loop_cfgs)} alpha value(s), {cfg.iterations + 1} iterations each, "
           f"outputs in {out}")
     return 0

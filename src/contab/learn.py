@@ -255,12 +255,17 @@ def read_examples(path) -> List[TrainingExample]:
             targets = [float(t) for t in ptargets.split(",")]
             if len(targets) != len(fields) - 5:
                 raise ValueError(f"{len(targets)} policy targets for {len(fields) - 5} actions")
+            value_target = float(value)
+            if not math.isfinite(value_target):
+                raise ValueError(f"value target {value!r} is not finite")
+            if not all(map(math.isfinite, targets)):
+                raise ValueError(f"policy targets {ptargets!r} are not all finite")
             out.append(TrainingExample(
                 problem=problem,
                 iteration=int(iteration),
                 state_features=_parse_sparse(state),
                 action_features=[_parse_sparse(f) for f in fields[5:]],
-                value_target=float(value),
+                value_target=value_target,
                 policy_targets=targets,
             ))
         except ValueError as e:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .policy import Predictor, entropy, predict
 from .tableau import Action, Engine
@@ -43,8 +43,8 @@ class SearchLimits:
 
 
 class MCTSNode:
-    __slots__ = ("state", "actions", "priors", "children", "visits",
-                 "reward_sum", "parent", "action_index", "depth", "fully_explored")
+    __slots__ = ("state", "actions", "priors", "children", "visits", "reward_sum", "parent",
+                 "action_index", "depth", "fully_explored", "expanded", "order", "frontier")
 
     def __init__(self, state, parent, action_index, depth):
         self.state = state
@@ -55,9 +55,35 @@ class MCTSNode:
         # priors[i] is the prior of action i and of children[i]
         self.priors = None
         self.children: List[Optional[MCTSNode]] = []
+        # what _select reads instead of every slot: the expanded slots, and
+        # all slots ordered by (-prior, index), expanded before position
+        # ``frontier`` and unexpanded at it
+        self.expanded: List[int] = []
+        self.order: Sequence[int] = ()
+        self.frontier = 0
         self.visits = 0
         self.reward_sum = 0.0
         self.fully_explored = False
+
+    def set_priors(self, priors: List[float]) -> None:
+        """Give each action slot its prior; every slot starts unexpanded."""
+        n = len(priors)
+        self.priors = priors
+        self.children = [None] * n
+        # (-prior, index) order: the sort is stable, and equal priors (one
+        # action, or a uniform predictor) are in it already
+        self.order = (range(n) if priors.count(priors[0]) == n
+                      else sorted(range(n), key=priors.__getitem__, reverse=True))
+
+    def add_child(self, i: int, child: "MCTSNode") -> None:
+        """Expand slot ``i`` with ``child``."""
+        children = self.children
+        children[i] = child
+        self.expanded.append(i)
+        order, f = self.order, self.frontier
+        while f < len(order) and children[order[f]] is not None:
+            f += 1
+        self.frontier = f
 
     @property
     def mean(self) -> float:
@@ -139,8 +165,7 @@ class _Search:
             return 0.0
         probs, value = predict(self.predictor, state, node.actions, self.engine.matrix)
         # plain floats: _select reads them in the hot loop
-        node.priors = probs.tolist()
-        node.children = [None] * len(node.actions)
+        node.set_priors(probs.tolist())
         if len(probs) > 1:
             # [1.0] has entropy 0.0; h / ln n is normalized_entropy(probs)
             h = entropy(probs)
@@ -156,29 +181,50 @@ class _Search:
         """Index of the child slot with maximal UCT score
         ``mean + cp * prior * sqrt(ln N / visits)``, lowest index on ties;
         unexpanded slots score cp * prior * sqrt(ln N); fully explored
-        children are skipped.  This is the only place UCT is computed."""
+        children are skipped.  This is the only place UCT is computed.
+
+        At one visit (N = 1) every unexpanded slot scores 0, and nothing
+        is expanded yet, so the first expansion below a node is slot 0,
+        whatever the predictor says.
+
+        Only the expanded children and the leading unexpanded slots are
+        scored: an unexpanded slot's score falls (weakly) along
+        ``node.order``, so the best one is the first, unless slots after
+        it with lower priors round to the same score and a lower index."""
         log_n = math.log(node.visits)
-        sqrt_log_n = math.sqrt(log_n)
         cp = self.limits.cp
         priors = node.priors
+        children = node.children
+        order = node.order
         best, best_score = -1, -math.inf
-        for i, child in enumerate(node.children):
-            if child is None:
-                score = cp * priors[i] * sqrt_log_n
-            elif child.fully_explored:
+        f = node.frontier
+        if f < len(order):
+            sqrt_log_n = math.sqrt(log_n)
+            best = order[f]
+            best_score = cp * priors[best] * sqrt_log_n
+            if priors[order[-1]] != priors[best]:
+                for k in range(f + 1, len(order)):
+                    j = order[k]
+                    if cp * priors[j] * sqrt_log_n < best_score:
+                        break
+                    if j < best and children[j] is None:
+                        best = j
+        for i in node.expanded:
+            child = children[i]
+            if child.fully_explored:
                 continue
-            else:
-                # an expanded child has visits >= 1, so this is its mean
-                score = (child.reward_sum / child.visits
-                         + cp * priors[i] * math.sqrt(log_n / child.visits))
-            if score > best_score:
+            # an expanded child has visits >= 1, so this is its mean
+            score = (child.reward_sum / child.visits
+                     + cp * priors[i] * math.sqrt(log_n / child.visits))
+            if score > best_score or score == best_score and i < best:
                 best, best_score = i, score
         return best
 
     def _mark_explored(self, node: MCTSNode) -> None:
         cur = node.parent
         while cur is not None:
-            if any(c is None or not c.fully_explored for c in cur.children):
+            if (cur.frontier < len(cur.order)
+                    or any(not cur.children[i].fully_explored for i in cur.expanded)):
                 break
             cur.fully_explored = True
             cur = cur.parent
@@ -215,7 +261,7 @@ class _Search:
             state = self.engine.apply(node.state, node.actions[i])
             self.inferences += 1
             leaf = MCTSNode(state, node, i, node.depth + 1)
-            node.children[i] = leaf
+            node.add_child(i, leaf)
             self.add_node(leaf)
             self.playouts += 1
             return True

@@ -17,6 +17,16 @@ choice is itself an action; proof traces therefore begin with a ``start``
 action.  Goal selection is leftmost; because goals are processed
 depth-first, every pending goal's path is a prefix of the current path, so
 states store one path plus a per-goal depth.
+
+Clauses are standardized apart: every variable of a state (in its goals,
+path and substitution, bound or not) is below its ``next_var``, and an
+action copies its input clause with variables from ``next_var`` up.  A
+goal subterm and a fresh copy of a clause term therefore share no
+variable, so unifying them when either one is a variable always
+succeeds (the occurs check cannot fire), as does unifying a goal's
+arguments with distinct variables, and two non-variable terms with
+different head symbols never unify.  ``legal_actions`` decides such
+candidates by their heads alone and unifies only the rest.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from .terms import (
     Matrix,
     apply_subst_lit,
     clause_var_count,
+    head,
     literal_str,
     offset_literal,
     replace_at,
@@ -40,6 +51,7 @@ from .terms import (
     undo_trail,
     unify_args_trail,
     unify_terms_trail,
+    walk,
 )
 
 START = "start"
@@ -167,6 +179,25 @@ def _instantiate(lit: Literal, subst) -> Tuple[Literal, bool]:
     return apply_subst_lit(lit, subst, free), not free
 
 
+def _candidate(cid: int, li: int, lit: Literal) -> tuple:
+    """An extension candidate with what can decide it without unifying:
+    the (index, head) of each non-variable argument, and whether its
+    arguments are distinct variables, which unify with any goal's."""
+    fixed = tuple([(k, head(a)) for k, a in enumerate(lit.args) if type(a) is not int])
+    return cid, li, lit, fixed, not fixed and len(set(lit.args)) == len(lit.args)
+
+
+def _clash(goal_heads, fixed) -> bool:
+    """Whether a goal argument's head differs from the head ``fixed`` gives
+    the same argument of a candidate (a variable clashes with nothing).  A
+    predicate has one arity (the parser checks), so the two line up."""
+    for k, h in fixed:
+        gh = goal_heads[k]
+        if gh is not None and gh != h:
+            return True
+    return False
+
+
 class IllegalActionError(Exception):
     pass
 
@@ -184,8 +215,10 @@ class ProofCheck:
 class Engine:
     """Action semantics over one matrix.
 
-    The engine itself is stateless apart from precomputed candidate
-    indexes, so a single instance may serve many concurrent searches.
+    The engine itself is stateless apart from candidate indexes (the
+    extension head tables are filled per key on first use, and hold the
+    same whichever search fills them), so a single instance may serve
+    many concurrent searches.
     """
 
     def __init__(self, matrix: Matrix, path_limit: int = 100, paramodulation: bool = True):
@@ -195,12 +228,17 @@ class Engine:
         self.var_counts = [clause_var_count(c) for c in matrix.clauses]
         # (pred, neg) -> [(clause_id, literal_index, literal)], in canonical order
         self.by_key: dict = {}
-        self.equations: List[Tuple[int, int, Literal]] = []
+        # (clause_id, literal_index, equation, head of its left side, of its right)
+        self.equations: List[Tuple[int, int, Literal, Optional[tuple], Optional[tuple]]] = []
         for c in matrix.clauses:
             for i, lit in enumerate(c.literals):
                 self.by_key.setdefault((lit.pred, lit.neg), []).append((c.id, i, lit))
                 if lit.pred == EQ and not lit.neg and c.id != matrix.reflexivity_id:
-                    self.equations.append((c.id, i, lit))
+                    self.equations.append((c.id, i, lit, head(lit.args[0]), head(lit.args[1])))
+        # (pred, neg) -> by_key's entries as _candidate gives them; filled
+        # per key on first use, since most keys of a wide matrix are never
+        # looked up
+        self._candidates: dict = {}
 
     # -- states -------------------------------------------------------------
 
@@ -240,22 +278,41 @@ class Engine:
                     out.append(Action(REDUCTION, path_index=i))
 
         off = s.next_var
-        for cid, li, lit in self.by_key.get(neg_key, ()):
-            cand = offset_literal(lit, off)
-            ok = unify_args_trail(goal.args, cand.args, subst, trail)
-            undo_trail(subst, trail)
-            if ok:
-                out.append(Action(EXTENSION, clause_id=cid, literal_index=li))
+        candidates = self._candidates.get(neg_key)
+        if candidates is None:
+            candidates = self._candidates[neg_key] = [
+                _candidate(cid, li, lit) for cid, li, lit in self.by_key.get(neg_key, ())]
+        goal_heads = None  # found for the first candidate that needs them
+        for cid, li, lit, fixed, free in candidates:
+            if not free:
+                if fixed:
+                    if goal_heads is None:
+                        goal_heads = [head(walk(a, subst)) for a in goal.args]
+                    if _clash(goal_heads, fixed):
+                        continue
+                ok = unify_args_trail(goal.args, offset_literal(lit, off).args, subst, trail)
+                undo_trail(subst, trail)
+                if not ok:
+                    continue
+            out.append(Action(EXTENSION, clause_id=cid, literal_index=li))
 
         if self.paramodulation and self.equations:
             g = apply_subst_lit(goal, subst)
-            positions = subterm_positions(g)
-            for cid, li, lit in self.equations:
-                lhs = offset_literal(lit, off).args
-                for pos, sub in positions:
-                    for direction, side in (("lr", lhs[0]), ("rl", lhs[1])):
-                        ok = unify_terms_trail(sub, side, subst, trail)
-                        undo_trail(subst, trail)
+            subterms = [(pos, sub, head(sub)) for pos, sub in subterm_positions(g)]
+            for cid, li, lit, lh, rh in self.equations:
+                sides = None  # the offset copy, made for the first pair that needs it
+                directions = (("lr", lh, 0), ("rl", rh, 1))
+                for pos, sub, gh in subterms:
+                    for direction, sh, k in directions:
+                        if gh is None or sh is None:
+                            ok = True
+                        elif gh != sh:
+                            continue
+                        else:
+                            if sides is None:
+                                sides = offset_literal(lit, off).args
+                            ok = unify_terms_trail(sub, sides[k], subst, trail)
+                            undo_trail(subst, trail)
                         if ok:
                             out.append(Action(PARAMODULATION, clause_id=cid, literal_index=li,
                                               position=pos, direction=direction))

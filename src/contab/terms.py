@@ -74,6 +74,14 @@ def mk(sym: str, *args: Term) -> tuple:
     return (sym,) + args
 
 
+def head(t: Term) -> Optional[tuple]:
+    """(symbol, arity) of a compound term or constant; None for a variable.
+
+    Two non-variable terms with different heads never unify, whatever the
+    substitution, since bindings replace variables only."""
+    return None if type(t) is int else (t[0], len(t) - 1)
+
+
 # ---------------------------------------------------------------------------
 # substitution machinery
 

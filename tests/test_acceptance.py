@@ -150,7 +150,11 @@ def check_tree(node, failures):
 def select_slot(children, priors, parent_visits, cp):
     """``_select`` on a hand-built parent (None marks an unexpanded slot)."""
     parent = MCTSNode(None, None, -1, 0)
-    parent.visits, parent.children, parent.priors = parent_visits, children, priors
+    parent.visits = parent_visits
+    parent.set_priors(priors)
+    for i, child in enumerate(children):
+        if child is not None:
+            parent.add_child(i, child)
     return _Search(None, None, SearchLimits(cp=cp), False)._select(parent)
 
 

@@ -307,6 +307,21 @@ class TestLoop:
         assert code == 2
         assert "loss diverged at epoch 1" in capsys.readouterr().err
 
+    def test_a_loop_stopped_by_an_error_leaves_its_manifest(self, tmp_path):
+        """The manifest is written before the first iteration, with the
+        bytes a finished loop with the same settings leaves."""
+        flags = ["--iterations", "1", "--inference-limit", "500", "--bigstep-frequency", "50",
+                 "--workers", "1", "--epochs", "3"]
+        diverged, finished = tmp_path / "diverged", tmp_path / "finished"
+        assert run_cli("loop", "--out", diverged, *flags, "--learning-rate", "1e9") == 2
+        assert not (diverged / "policy_iter1.model").exists()
+        assert run_cli("loop", "--out", finished, *flags) == 0
+        lines = (diverged / "manifest.txt").read_text().splitlines()
+        assert lines[1] == "command loop" and "learning_rate=1000000000.0" in lines
+        want = (finished / "manifest.txt").read_text().replace(
+            f"out={finished}", f"out={diverged}").replace("learning_rate=0.1", "learning_rate=1000000000.0")
+        assert (diverged / "manifest.txt").read_text() == want
+
     def test_resume_matches_uninterrupted_run(self, problem_dir, tmp_path):
         full, part = tmp_path / "full", tmp_path / "part"
         run_cli("loop", problem_dir, "--out", full, "--iterations", "2", *LOOP_FAST)
@@ -345,7 +360,9 @@ class TestLoop:
         ("stats.csv", 1, "0,30", "not enough values to unpack (expected 5, got 2)"),
         ("examples_iter0.txt", None, "chain\t0\t0.5",
          "not enough values to unpack (expected 5, got 3)"),
-    ], ids=["short-stats-row", "short-examples-line"])
+        ("examples_iter0.txt", None, "chain\t0\tnan\t0.5,0.5\t1:1\t2:1\t3:1",
+         "value target 'nan' is not finite"),
+    ], ids=["short-stats-row", "short-examples-line", "nan-value-target"])
     def test_resume_over_a_malformed_line_exits_2(self, problem_dir, tmp_path, capsys,
                                                   name, keep, bad_line, complaint):
         out = tmp_path / "out"

@@ -329,6 +329,20 @@ class TestExampleFiles:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{complaint}"):
             read_examples(path)
 
+    @pytest.mark.parametrize("value, targets, complaint", [
+        ("nan", "0.5,0.5", "value target 'nan' is not finite"),
+        ("inf", "0.5,0.5", "value target 'inf' is not finite"),
+        ("0.5", "nan,0.5", "policy targets 'nan,0.5' are not all finite"),
+        ("0.5", "0.5,-inf", "policy targets '0.5,-inf' are not all finite"),
+    ], ids=["nan-value", "inf-value", "nan-target", "neg-inf-target"])
+    def test_non_finite_targets_are_rejected_by_line(self, tmp_path, value, targets, complaint):
+        """A NaN target would reach train, which blames the learning rate."""
+        path = tmp_path / "ex.txt"
+        write_examples(path, synthetic_examples(2, seed=8))
+        path.write_text(path.read_text() + f"p\t0\t{value}\t{targets}\t1:1\t2:1\t3:1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: {re.escape(complaint)}$"):
+            read_examples(path)
+
 
 @pytest.mark.parametrize("build, setting", [
     (SearchLimits, "cp"), (SearchLimits, "wall_clock"),

@@ -1,21 +1,25 @@
 """Search tests.
 
-Two oracles here: an arbitrary-precision recomputation of the UCT score
-that ``_select`` ranks children by (mpmath at 50 digits), and a
+Three oracles here: an arbitrary-precision recomputation of the UCT score
+that ``_select`` ranks children by (mpmath at 50 digits), a full scan of
+every child slot that ``_select``'s bookkeeping must agree with, and a
 plain-dict scripted simulation of the whole
 select/expand/backpropagate/bigstep loop that prove() must reproduce
 node for node.
 """
 
+import hashlib
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
 import contab.search as search_module
-from contab.clausify import clausify_text
+from contab.clausify import clausify, clausify_text
 from contab.policy import FixedEntropyPredictor, Predictor, UniformPredictor, predict
 from contab.search import (
     DISCOUNT,
@@ -29,6 +33,12 @@ from contab.search import (
     prove,
 )
 from contab.tableau import Engine
+from contab.tptp import parse_problem
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_problems", ROOT / "perfbench" / "problems.py")
+bench_problems = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_problems)
 
 TRIVIAL = "fof(ax, axiom, p(a)).\nfof(c, conjecture, p(a))."
 CHAIN3 = (
@@ -56,8 +66,9 @@ def select(children, parent_visits, cp=1.0):
     """``_select`` on a hand-built parent over expanded children, given
     as (prior, node) pairs."""
     parent = make_node(visits=parent_visits, depth=0)
-    parent.priors = [prior for prior, _ in children]
-    parent.children = [node for _, node in children]
+    parent.set_priors([prior for prior, _ in children])
+    for i, (_, node) in enumerate(children):
+        parent.add_child(i, node)
     return _Search(None, None, SearchLimits(cp=cp), False)._select(parent)
 
 
@@ -125,6 +136,139 @@ class TestUctScore:
         children = [(0.25, make_node(visits=v, reward=0.5 * v)) for v in (7, 3, 9, 5)]
         parent_n = 1 + sum(c.visits for _, c in children)
         assert select(children, parent_n, 1.0) == 1
+
+
+def full_scan(node, cp):
+    """_select by scoring every child slot: the reference its bookkeeping
+    of expanded and unexpanded slots must agree with."""
+    log_n = math.log(node.visits)
+    best, best_score = -1, -math.inf
+    for i, child in enumerate(node.children):
+        if child is None:
+            score = cp * node.priors[i] * math.sqrt(log_n)
+        elif child.fully_explored:
+            continue
+        else:
+            score = child.reward_sum / child.visits + cp * node.priors[i] * math.sqrt(
+                log_n / child.visits)
+        if score > best_score:
+            best, best_score = i, score
+    return best
+
+
+def built_node(priors, expanded, visits):
+    """A parent given its priors and then expanded, in the given order,
+    through the search's own bookkeeping; ``expanded`` maps a slot to its
+    child's (visits, reward sum, fully explored)."""
+    node = make_node(visits=visits, depth=0)
+    node.set_priors(list(priors))
+    for i, (n, reward, done) in expanded.items():
+        child = make_node(visits=n, reward=reward)
+        child.fully_explored = done
+        node.add_child(i, child)
+    return node
+
+
+def selected(node, cp=1.0):
+    return _Search(None, None, SearchLimits(cp=cp), False)._select(node)
+
+
+class TestSelectMatchesFullScan:
+    def test_random_nodes(self):
+        rng = random.Random(12)
+        for _ in range(3000):
+            k = rng.randrange(1, 13)
+            # a few distinct values make equal priors common
+            pool = [rng.random() for _ in range(rng.choice([1, 2, 3, k]))]
+            weights = [rng.choice(pool) for _ in range(k)]
+            priors = [w / sum(weights) for w in weights]
+            slots = rng.sample(range(k), rng.randrange(0, k + 1))
+            expanded = {i: (n, rng.random() * n, rng.random() < 0.2)
+                        for i in slots for n in [rng.randrange(1, 40)]}
+            visits = 1 + sum(n for n, _, _ in expanded.values()) + rng.randrange(0, 3)
+            node = built_node(priors, expanded, visits)
+            cp = rng.choice([0.5, 1.0, 2.0])
+            assert selected(node, cp) == full_scan(node, cp)
+
+    def test_one_visit_picks_slot_zero_whatever_the_priors(self):
+        for priors in ([0.1, 0.2, 0.7], [0.7, 0.2, 0.1], [0.0, 1.0], [0.25] * 4, [1.0]):
+            node = built_node(priors, {}, visits=1)
+            assert selected(node) == full_scan(node, 1.0) == 0
+
+    def test_equal_priors_pick_the_lowest_unexpanded_slot(self):
+        node = built_node([0.2] * 5, {0: (3, 0.0, False), 2: (2, 0.0, False)}, visits=6)
+        assert selected(node) == full_scan(node, 1.0) == 1
+
+    def test_priors_that_round_to_one_score_pick_the_lowest_index(self):
+        """A higher prior one ulp above a lower-index slot's can round to
+        the same score; the lower index must win, as in the full scan."""
+        ties = 0
+        for visits in range(2, 400):
+            for p in (0.1, 0.3, 1 / 3, 0.45):
+                q = math.nextafter(p, 1.0)
+                node = built_node([p, q, p, q], {}, visits)
+                want = full_scan(node, 1.0)
+                assert selected(node) == want
+                ties += want == 0
+                # slot 0 expanded out of prior order: it is no longer a
+                # candidate for the tie, and its child scores lower
+                node = built_node([p, q, p, q], {0: (4, 0.0, False)}, visits)
+                assert selected(node) == full_scan(node, 1.0)
+        assert ties > 50
+
+    def test_exact_ties_between_slots_pick_the_lowest_index(self):
+        # two expanded children with one score, expanded high slot first
+        node = built_node([0.25] * 4, {3: (2, 1.8, False), 1: (2, 1.8, False)}, visits=5)
+        assert selected(node) == full_scan(node, 1.0) == 1
+        # an expanded child of prior 0 whose mean is exactly the score of
+        # the unexpanded slot after it
+        p, visits = 0.6, 9
+        score = 1.0 * p * math.sqrt(math.log(visits))
+        node = built_node([0.0, p, 0.4], {0: (1, score, False)}, visits)
+        assert selected(node) == full_scan(node, 1.0) == 0
+
+    def test_fully_explored_children_are_skipped(self):
+        node = built_node([0.6, 0.4], {0: (5, 5.0, True)}, visits=7)
+        assert selected(node) == full_scan(node, 1.0) == 1
+        node = built_node([0.6, 0.4], {0: (5, 5.0, True), 1: (1, 0.0, True)}, visits=7)
+        assert selected(node) == full_scan(node, 1.0) == -1
+
+    def test_every_selection_of_real_searches(self, monkeypatch):
+        real_select = _Search._select
+        calls = 0
+
+        def checked(search, node):
+            nonlocal calls
+            calls += 1
+            got = real_select(search, node)
+            assert got == full_scan(node, search.limits.cp)
+            return got
+
+        monkeypatch.setattr(_Search, "_select", checked)
+        engines = [Engine(clausify(parse_problem(p.text))) for p in
+                   bench_problems.eq_problems(random.Random(7))]
+        engines.append(Engine(clausify_text(BRANCHY)))
+        for predictor in (UniformPredictor(), FixedEntropyPredictor(UniformPredictor(), 0.6, 5)):
+            for engine in engines:
+                prove(engine, "p", predictor, SearchLimits(inference_limit=60, cp=0.7))
+        assert calls > 5000
+
+
+# sha256 of the result lines below, computed before _select scored only
+# expanded children and legal_actions decided candidates by head symbol
+GROUP_THEORY_DIGEST = "445f61bdbec7bb5cbf3b4c346ce56561f1922eb2a8a1f0fdd19f754068ad6987"
+
+
+def test_group_theory_searches_are_pinned():
+    """The benchmark's seed-7 group-theory problems at a 150-inference
+    budget: status, counts and proof of every search are unchanged."""
+    lines = []
+    for p in bench_problems.eq_problems(random.Random(7)):
+        engine = Engine(clausify(parse_problem(p.text)))
+        r = prove(engine, p.name, UniformPredictor(), SearchLimits(inference_limit=150))
+        proof = ";".join(a.encode() for a in r.proof) if r.proof else "-"
+        lines.append(f"{p.name} {r.status} {r.inferences} {r.playouts} {r.bigsteps} {proof}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GROUP_THEORY_DIGEST
 
 
 class TestBigstep:

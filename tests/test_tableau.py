@@ -2,14 +2,24 @@
 
 legal_actions is cross-checked by a brute-force enumerator that retries
 every (clause, literal, position, direction) candidate with the
-non-destructive unifier.
+non-destructive unifier and decides nothing by head symbols.  They must
+agree on random walks, on every state of real searches, and on random
+goals and equations.
 """
 
+import importlib.util
 import random
+from collections import deque
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from contab.clausify import clausify_text
+from contab.clausify import clausify, clausify_text, load_matrix
+from contab.corpus import corpus_dir, corpus_problems
+from contab.policy import UniformPredictor
+from contab.search import SearchLimits, prove
 from contab.tableau import (
     EXTENSION,
     PARAMODULATION,
@@ -18,18 +28,28 @@ from contab.tableau import (
     Action,
     Engine,
     IllegalActionError,
+    TableauState,
     decode_action,
     read_trace,
     write_trace,
 )
 from contab.terms import (
     EQ,
+    Clause,
+    Literal,
+    Matrix,
     apply_subst_lit,
     offset_literal,
     subterm_positions,
     unify,
     unify_terms,
 )
+from contab.tptp import parse_problem
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_problems", ROOT / "perfbench" / "problems.py")
+bench_problems = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_problems)
 
 
 def oracle_actions(engine, state):
@@ -265,7 +285,7 @@ class TestParamodulation:
         m = clausify_text("fof(e, axiom, f(a) = a).\nfof(c, conjecture, f(f(a)) = a).")
         e = Engine(m)
         assert m.reflexivity_id is not None
-        assert all(cid != m.reflexivity_id for cid, _, _ in e.equations)
+        assert all(eq[0] != m.reflexivity_id for eq in e.equations)
 
     def test_reflexivity_closes_equality_goals_by_extension(self):
         m = clausify_text("fof(e, axiom, f(a) = a).\nfof(c, conjecture, f(a) = f(a)).")
@@ -350,6 +370,120 @@ class TestOracleAgreement:
             if not acts:
                 break
             s = e.apply(s, acts[0])
+
+
+def search_tree_nodes(result):
+    """Every node of a finished search's tree, root first."""
+    stack = [result.bigstep_nodes[0]]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(c for c in node.children if c is not None)
+
+
+def assert_search_states_agree(engine, limits):
+    """Every state a uniform search visits is offered, in order, exactly
+    the actions the brute-force enumerator finds; returns the count."""
+    result = prove(engine, "p", UniformPredictor(), limits)
+    count = 0
+    for node in search_tree_nodes(result):
+        assert node.actions == oracle_actions(engine, node.state), node.state.describe()
+        count += 1
+    return count
+
+
+def bench_engines(problems, path_limit):
+    return [Engine(clausify(parse_problem(p.text, p.source_dir)), path_limit=path_limit)
+            for p in problems]
+
+
+class TestHeadDecisions:
+    """legal_actions decides a pair of non-variable terms with different
+    heads, or one with a variable, without unifying; it must agree with
+    unifying everything."""
+
+    def test_corpus_search_states(self):
+        states = 0
+        for path in corpus_problems():
+            states += assert_search_states_agree(Engine(load_matrix(path)),
+                                                 SearchLimits(inference_limit=300))
+        assert states > 150
+
+    def test_group_theory_search_states(self):
+        engines = bench_engines(bench_problems.eq_problems(random.Random(7)), 100)
+        states = sum(assert_search_states_agree(e, SearchLimits(inference_limit=150))
+                     for e in engines)
+        assert states > 600
+
+    def test_chain_search_states(self):
+        problems = bench_problems.chain_problems(random.Random(7))
+        states = sum(assert_search_states_agree(e, SearchLimits(inference_limit=150))
+                     for e in bench_engines(problems[::3], 40))
+        assert states > 300
+
+    def test_rewrite_states_of_an_equality_problem(self):
+        """Breadth-first over the first 400 states of a problem that
+        rewrites at many positions with equations of both head kinds."""
+        engine = Engine(load_matrix(corpus_dir() / "eq_fun_chain.p"), path_limit=12)
+        queue, seen, rewrites = deque([engine.root_state()]), 0, 0
+        while queue and seen < 400:
+            state = queue.popleft()
+            actions = engine.legal_actions(state)
+            assert actions == oracle_actions(engine, state), state.describe()
+            rewrites += sum(a.kind == PARAMODULATION for a in actions)
+            seen += 1
+            queue.extend(engine.apply(state, a) for a in actions)
+        assert seen == 400 and rewrites > 1000
+
+
+# random terms over unary and binary h (one symbol, two heads), g/1, a, b
+def _terms(variables):
+    leaves = st.one_of(st.sampled_from(variables), st.sampled_from([("a",), ("b",)]))
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.tuples(st.just("h"), sub), st.tuples(st.just("h"), sub, sub),
+        st.tuples(st.just("g"), sub)), max_leaves=6)
+
+
+STATE_VARS = 6     # a random state's variables; 0-3 may be bound
+CLAUSE_TERMS = _terms([0, 1, 2])
+STATE_TERMS = _terms(list(range(STATE_VARS)))
+BINDING_TERMS = {v: _terms(list(range(2 if v < 2 else 4, STATE_VARS))) for v in range(4)}
+
+
+@st.composite
+def _random_state(draw):
+    """An engine over random equations and p/q clauses, and a started
+    state over it that keeps clauses standardized apart: every variable of
+    the state is below ``next_var``, and bindings point to higher ones
+    only, so the substitution is acyclic."""
+    clause_terms = CLAUSE_TERMS
+    clauses = [Clause(0, (Literal(False, EQ, (0, 0)),))]  # reflexivity
+    for _ in range(draw(st.integers(1, 4))):
+        lits = [Literal(False, EQ, (draw(clause_terms), draw(clause_terms)))]
+        if draw(st.booleans()):
+            lits.append(Literal(draw(st.booleans()), "p", (draw(clause_terms), draw(clause_terms))))
+        clauses.append(Clause(len(clauses), tuple(lits)))
+    for _ in range(draw(st.integers(0, 3))):
+        lit = Literal(draw(st.booleans()), "p", (draw(clause_terms), draw(clause_terms)))
+        clauses.append(Clause(len(clauses), (lit, Literal(True, "q", (draw(clause_terms),)))))
+    engine = Engine(Matrix(clauses, [1], reflexivity_id=0))
+    subst = {}
+    for v, terms in BINDING_TERMS.items():
+        if draw(st.booleans()):
+            subst[v] = draw(terms)
+    state_terms = STATE_TERMS
+    pred = draw(st.sampled_from(["p", EQ]))
+    goal = Literal(draw(st.booleans()), pred, (draw(state_terms), draw(state_terms)))
+    path = tuple(Literal(draw(st.booleans()), "p", (draw(state_terms), draw(state_terms)))
+                 for _ in range(draw(st.integers(0, 2))))
+    return engine, TableauState(True, ((goal, len(path)),), path, subst, STATE_VARS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_state())
+def test_random_goals_and_equations_match_the_brute_force_enumerator(case):
+    engine, state = case
+    assert engine.legal_actions(state) == oracle_actions(engine, state)
 
 
 class TestCheckProof:
