@@ -13,7 +13,7 @@ from .policy import (FixedEntropyPredictor, LinearPredictor, Predictor,
 from .search import MCTSNode, ProofResult, SearchLimits, bigstep, prove
 from .tableau import (Action, Engine, IllegalActionError, ProofCheck, TableauState,
                       decode_action, read_trace, write_trace)
-from .terms import Clause, Literal, Matrix, unify
+from .terms import Clause, Literal, Matrix
 from .tptp import ParseError, Problem, UnsupportedError, parse_problem, parse_problem_file
 
 __version__ = "0.1.0"
@@ -30,7 +30,7 @@ __all__ = [
     "MCTSNode", "ProofResult", "SearchLimits", "bigstep", "prove",
     "Action", "Engine", "IllegalActionError", "ProofCheck", "TableauState",
     "decode_action", "read_trace", "write_trace",
-    "Clause", "Literal", "Matrix", "unify",
+    "Clause", "Literal", "Matrix",
     "ParseError", "Problem", "UnsupportedError", "parse_problem", "parse_problem_file",
     "__version__",
 ]

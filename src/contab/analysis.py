@@ -83,7 +83,8 @@ def save_bank(path, bank: StateBank) -> None:
 
 
 def load_bank(path) -> StateBank:
-    """A malformed line raises ``ValueError`` naming the file and line."""
+    """A malformed line, or a state with fewer than two actions (harvest
+    records none), raises ``ValueError`` naming the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != BANK_MAGIC:
@@ -95,6 +96,8 @@ def load_bank(path) -> StateBank:
         try:
             problem, encoded, n = ln.split("\t")
             entry = BankEntry(problem, () if encoded == "-" else tuple(encoded.split(";")), int(n))
+            if entry.n_actions < 2:
+                raise ValueError(f"a bank state has at least 2 actions, got {entry.n_actions}")
         except ValueError as e:
             raise ValueError(f"{path}:{lineno}: {e}") from None
         bank.entries.append(entry)
@@ -102,15 +105,19 @@ def load_bank(path) -> StateBank:
 
 
 def replay_entry(engine: Engine, entry: BankEntry):
-    """The state the entry's action path reaches; a step that does not
-    apply raises ``ValueError`` naming the problem and the step."""
-    state = engine.root_state()
+    """The state :meth:`Engine.replay` reaches along the entry's path; a
+    step that does not decode or is not legal raises ``ValueError`` naming
+    the problem and the 1-based step."""
+    actions = []
     for step, encoded in enumerate(entry.path, start=1):
         try:
-            state = engine.apply(state, decode_action(encoded))
-        except (IllegalActionError, IndexError, ValueError) as e:
+            actions.append(decode_action(encoded))
+        except ValueError as e:
             raise ValueError(f"{entry.problem}: bank step {step} {encoded!r}: {e}") from None
-    return state
+    try:
+        return engine.replay(actions)
+    except IllegalActionError as e:
+        raise ValueError(f"{entry.problem}: bank step {e.step + 1} {e}") from None
 
 
 @dataclass

@@ -24,8 +24,8 @@ import numpy as np
 from .analysis import report_csv
 from .features import FEATURE_DIM, extract_action_features, extract_features
 from .fileio import atomic_open
-from .policy import (LinearPredictor, Predictor, UniformPredictor, _sparse_dot, save_model,
-                     sigmoid, softmax_temperature)
+from .policy import (LinearPredictor, Predictor, UniformPredictor, _sparse_dot, entropy,
+                     save_model, sigmoid, softmax_temperature)
 from .search import DISCOUNT, ProofResult, SearchLimits, prove
 from .tableau import Engine
 
@@ -89,9 +89,7 @@ def policy_loss(targets: Sequence[float], predicted: Sequence[float], alpha: flo
     nz = p > 0.0
     with np.errstate(divide="ignore"):  # q=0 at a target yields inf on purpose
         ce = float(-np.sum(p[nz] * np.log(q[nz])))
-    qnz = q[q > 0.0]
-    ent = float(-np.sum(qnz * np.log(qnz)))
-    return ce - alpha * ent
+    return ce - alpha * entropy(q)
 
 
 def policy_grad_logits(targets: Sequence[float], predicted: Sequence[float],
@@ -345,7 +343,9 @@ def prove_problems(problems: Sequence[Tuple[str, Engine]], predictor: Predictor,
                    workers: int = 1) -> List[Tuple[ProofResult, List[TrainingExample]]]:
     """Proves every problem, returning (result, extracted examples) pairs
     in problem order.  Search has no randomness, so the worker count
-    never changes results.
+    never changes results, with one exception: where a ``wall_clock``
+    stop falls depends on machine load, and ``search.prove`` reports such
+    a stop as ``budget-exhausted``.
 
     With more than one worker and more than one problem, a pool of at
     most one worker per problem receives the whole task list (engines,

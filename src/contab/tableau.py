@@ -1,5 +1,5 @@
 """Connection tableau engine: legal-action enumeration, action application,
-closure detection, and independent proof replay.
+closure detection, and checked replay of action sequences.
 
 The calculus has three inference rules over the clause matrix:
 
@@ -199,7 +199,12 @@ def _clash(goal_heads, fixed) -> bool:
 
 
 class IllegalActionError(Exception):
-    pass
+    """An action that cannot be taken; ``step`` is its 0-based index when
+    :meth:`Engine.replay` refused it."""
+
+    def __init__(self, message: str, step: Optional[int] = None):
+        super().__init__(message)
+        self.step = step
 
 
 @dataclass
@@ -389,14 +394,24 @@ class Engine:
 
     # -- replay -------------------------------------------------------------
 
-    def check_proof(self, actions) -> ProofCheck:
-        """Replay an action sequence from scratch, re-deriving every unifier."""
+    def replay(self, actions) -> TableauState:
+        """The state an action sequence (a search's, a trace's or a bank's)
+        reaches from the root.  Each action must be one ``legal_actions``
+        offers; the first that is not raises :class:`IllegalActionError`
+        carrying its 0-based step."""
         state = self.root_state()
         for i, a in enumerate(actions):
-            legal = self.legal_actions(state)
-            if a not in legal:
-                return ProofCheck(False, i, f"step {i}: {a.encode()!r} is not a legal action")
+            if a not in self.legal_actions(state):
+                raise IllegalActionError(f"{a.encode()!r} is not a legal action", i)
             state = self.apply(state, a)
+        return state
+
+    def check_proof(self, actions) -> ProofCheck:
+        """:meth:`replay` an action sequence, which must close the tableau."""
+        try:
+            state = self.replay(actions)
+        except IllegalActionError as e:
+            return ProofCheck(False, e.step, f"step {e.step}: {e}")
         if not self.is_closed(state):
             return ProofCheck(False, len(actions), "tableau not closed after the last action")
         return ProofCheck(True)

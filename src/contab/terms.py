@@ -131,36 +131,13 @@ def occurs(v: int, t: Term, subst: Subst) -> bool:
     return any(occurs(v, a, subst) for a in t[1:])
 
 
-def unify_terms(a: Term, b: Term, subst: Subst) -> Optional[Subst]:
-    """Most general unifier of two terms extending ``subst``, or None.
-
-    The input dict is never mutated; on success a new dict is returned.
-    The occurs check is always performed.
-    """
-    out = dict(subst)
-    return out if unify_terms_trail(a, b, out, []) else None
-
-
-def unify(a, b, subst: Optional[Subst] = None) -> Optional[Subst]:
-    """Unify two terms or two literals (same polarity, predicate, arity)."""
-    if subst is None:
-        subst = {}
-    if isinstance(a, Literal) or isinstance(b, Literal):
-        if not (isinstance(a, Literal) and isinstance(b, Literal)):
-            return None
-        if a.neg != b.neg or a.pred != b.pred or len(a.args) != len(b.args):
-            return None
-        out = dict(subst)
-        return out if unify_args_trail(a.args, b.args, out, []) else None
-    return unify_terms(a, b, subst)
-
-
 def unify_terms_trail(a: Term, b: Term, subst: Subst, trail: list) -> bool:
-    """Destructive unification for the enumeration hot path.
+    """Extend ``subst`` to a most general unifier of two terms, with the
+    occurs check; False when there is none.
 
-    Bindings are written into ``subst`` directly and recorded on ``trail``;
-    the caller undoes a failed or speculative attempt with
-    :func:`undo_trail`.
+    This is the only unifier.  Bindings are written into ``subst``
+    directly and recorded on ``trail``; the caller undoes a failed or
+    speculative attempt with :func:`undo_trail`, or passes a copy.
     """
     stack = [(a, b)]
     while stack:

@@ -221,6 +221,14 @@ class TestBankFiles:
         with pytest.raises(ValueError):
             load_bank(path)
 
+    @pytest.mark.parametrize("n_actions", [0, 1])
+    def test_fewer_than_two_actions_rejected_by_line(self, tmp_path, n_actions):
+        path = tmp_path / "states.bank"
+        path.write_text(f"contab-bank v1\nchain1\tstart 2\t2\n\nchain1\tstart 2\t{n_actions}\n")
+        with pytest.raises(ValueError) as info:
+            load_bank(path)
+        assert str(info.value) == f"{path}:4: a bank state has at least 2 actions, got {n_actions}"
+
 
 def scripted_compare(pred_a, pred_b, bank, engines, tol=1e-9):
     """Independent recomputation: favorites via explicit max scan,

@@ -470,11 +470,13 @@ class TestHarvestAnalyze:
 
     @pytest.mark.parametrize("damage, complaint", [
         # the fact the harvested path extends with no longer unifies
-        (None, "bank step 5 'extension 1 0': extension does not unify"),
+        (None, "bank step 5 'extension 1 0' is not a legal action"),
         # clause indices past either end of the matrix
         ("start 40;", "bank step 1 'start 40'"),
         ("start -1;", "bank step 1 'start -1'"),
-    ], ids=["problem-edited", "index-past-end", "negative-index"])
+        # at(one) is a clause no search starts from
+        ("start 3;", "bank step 1 'start 3' is not a legal action"),
+    ], ids=["problem-edited", "index-past-end", "negative-index", "non-start-clause"])
     def test_bank_that_does_not_replay_exits_2(self, tmp_path, capsys, damage, complaint):
         text = (corpus_dir() / "rule_pick.p").read_text()
         problems, hout = tmp_path / "problems", tmp_path / "h"
@@ -504,6 +506,18 @@ class TestHarvestAnalyze:
         assert code == 2
         assert (f"{bank}:{len(lines)}: not enough values to unpack (expected 3, got 1)"
                 in capsys.readouterr().err)
+
+    def test_zero_action_entry_exits_2(self, tmp_path, capsys):
+        # the path reaches chain1's closed tableau, where no action is left
+        problems = tmp_path / "problems"
+        problems.mkdir()
+        (problems / "chain1.p").write_text((corpus_dir() / "chain1.p").read_text())
+        bank = tmp_path / "bank.txt"
+        bank.write_text("contab-bank v1\nchain1\tstart 2;extension 1 1;extension 0 0\t0\n")
+        code = run_cli("analyze", problems, "--bank", bank, "--predictor-a", "uniform",
+                       "--predictor-b", "uniform", "--out", tmp_path / "a")
+        assert code == 2
+        assert f"{bank}:2: a bank state has at least 2 actions, got 0" in capsys.readouterr().err
 
     def test_bank_against_wrong_problem_set_exits_2(self, problem_dir, tmp_path, capsys):
         hout = tmp_path / "h"

@@ -1,8 +1,8 @@
 """Engine tests: action enumeration, application, replay, and traces.
 
 legal_actions is cross-checked by a brute-force enumerator that retries
-every (clause, literal, position, direction) candidate with the
-non-destructive unifier and decides nothing by head symbols.  They must
+every (clause, literal, position, direction) candidate on a copy of the
+state's substitution and decides nothing by head symbols.  They must
 agree on random walks, on every state of real searches, and on random
 goals and equations.
 """
@@ -41,8 +41,8 @@ from contab.terms import (
     apply_subst_lit,
     offset_literal,
     subterm_positions,
-    unify,
-    unify_terms,
+    unify_args_trail,
+    unify_terms_trail,
 )
 from contab.tptp import parse_problem
 
@@ -52,9 +52,17 @@ bench_problems = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_problems)
 
 
+def complementary(goal, lit, subst):
+    """Whether ``lit`` closes ``goal``: opposite polarity, same predicate
+    and arity, arguments unifiable under (a copy of) ``subst``."""
+    return (lit.neg != goal.neg and lit.pred == goal.pred and len(lit.args) == len(goal.args)
+            and unify_args_trail(goal.args, lit.args, dict(subst), []))
+
+
 def oracle_actions(engine, state):
     """Contract-level action enumeration, independent of the engine's
-    indexes and trail-based unification."""
+    indexes and head decisions: every candidate is unified on a copy of
+    the state's substitution."""
     if not state.started:
         return engine.start_actions()
     if not state.goals or len(state.path) >= engine.path_limit:
@@ -62,12 +70,12 @@ def oracle_actions(engine, state):
     goal = state.goals[0][0]
     out = []
     for i, plit in enumerate(state.path):
-        if unify(goal.negated(), plit, dict(state.subst)) is not None:
+        if complementary(goal, plit, state.subst):
             out.append(Action(REDUCTION, path_index=i))
     for clause in engine.matrix.clauses:
         for li, lit in enumerate(clause.literals):
             cand = offset_literal(lit, state.next_var)
-            if unify(goal.negated(), cand, dict(state.subst)) is not None:
+            if complementary(goal, cand, state.subst):
                 out.append(Action(EXTENSION, clause_id=clause.id, literal_index=li))
     if engine.paramodulation:
         g = apply_subst_lit(goal, state.subst)
@@ -81,7 +89,7 @@ def oracle_actions(engine, state):
                 eq = offset_literal(lit, state.next_var)
                 for pos, sub in positions:
                     for direction, side in (("lr", eq.args[0]), ("rl", eq.args[1])):
-                        if unify_terms(sub, side, dict(state.subst)) is not None:
+                        if unify_terms_trail(sub, side, dict(state.subst), []):
                             out.append(
                                 Action(
                                     PARAMODULATION,
@@ -484,6 +492,79 @@ def _random_state(draw):
 def test_random_goals_and_equations_match_the_brute_force_enumerator(case):
     engine, state = case
     assert engine.legal_actions(state) == oracle_actions(engine, state)
+
+
+def refused_step(engine, actions):
+    with pytest.raises(IllegalActionError) as info:
+        engine.replay(actions)
+    assert str(info.value) == f"{actions[info.value.step].encode()!r} is not a legal action"
+    return info.value.step
+
+
+class TestReplay:
+    """``Engine.replay`` applies an action only when ``legal_actions``
+    offers it, and names the 0-based step of the first it refuses."""
+
+    # clause 0: a = b, clause 1: r(b), clause 2 (start): ~r(a), clause 3: X = X
+    TEXT = "cnf(e, axiom, a = b).\ncnf(r, axiom, r(b)).\nfof(c, conjecture, r(a))."
+    PROOF = [
+        Action(START, clause_id=2),
+        Action(PARAMODULATION, clause_id=0, literal_index=0, position=(1,), direction="lr"),
+        Action(EXTENSION, clause_id=1, literal_index=0),
+    ]
+
+    def engine(self, **kwargs):
+        return Engine(clausify_text(self.TEXT), **kwargs)
+
+    def test_a_legal_sequence_reaches_the_state_apply_does(self):
+        e = self.engine()
+        state = e.root_state()
+        for i, a in enumerate(self.PROOF):
+            state = e.apply(state, a)
+            replayed = e.replay(self.PROOF[: i + 1])
+            assert (replayed.goals, replayed.path, replayed.subst, replayed.next_var) == (
+                state.goals, state.path, state.subst, state.next_var)
+        assert e.is_closed(state)
+        assert e.replay([]).started is False
+
+    def test_start_on_a_non_start_clause(self):
+        e = self.engine()
+        e.apply(e.root_state(), Action(START, clause_id=1))  # apply alone takes it
+        assert refused_step(e, [Action(START, clause_id=1)]) == 0
+
+    def test_start_on_a_started_tableau(self):
+        e = self.engine()
+        assert refused_step(e, self.PROOF[:1] * 2) == 1
+
+    def test_a_clause_index_past_the_matrix(self):
+        e = self.engine()
+        start = self.PROOF[:1]
+        assert refused_step(e, [Action(START, clause_id=40)]) == 0
+        assert refused_step(e, start + [Action(EXTENSION, clause_id=40, literal_index=0)]) == 1
+        assert refused_step(e, start + [Action(EXTENSION, clause_id=1, literal_index=5)]) == 1
+
+    def test_any_step_once_the_path_limit_is_reached(self):
+        m = clausify_text("cnf(rule, axiom, p(X) | ~p(f(X))).\nfof(c, conjecture, p(a)).")
+        uncapped = Engine(m)
+        actions, state = [], uncapped.root_state()
+        for _ in range(5):
+            actions.append(uncapped.legal_actions(state)[0])
+            state = uncapped.apply(state, actions[-1])
+        assert uncapped.replay(actions).depth == 4
+        # start, then one extension per level: the third extension would
+        # go below depth 2
+        assert refused_step(Engine(m, path_limit=2), actions) == 3
+
+    def test_paramodulation_with_the_reflexivity_clause(self):
+        e = self.engine()
+        refl = Action(PARAMODULATION, clause_id=e.matrix.reflexivity_id, literal_index=0,
+                      position=(1,), direction="lr")
+        e.apply(e.replay(self.PROOF[:1]), refl)  # apply alone takes it
+        assert refused_step(e, self.PROOF[:1] + [refl]) == 1
+
+    def test_paramodulation_on_an_engine_without_it(self):
+        assert self.engine().is_closed(self.engine().replay(self.PROOF))
+        assert refused_step(self.engine(paramodulation=False), self.PROOF) == 1
 
 
 class TestCheckProof:

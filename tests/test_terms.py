@@ -29,8 +29,7 @@ from contab.terms import (
     term_str,
     term_vars,
     undo_trail,
-    unify,
-    unify_terms,
+    unify_args_trail,
     unify_terms_trail,
     walk,
 )
@@ -176,41 +175,38 @@ class TestWalkAndApply:
 class TestUnify:
     def test_identical_terms(self):
         t = mk("f", mk("a"))
-        s = unify_terms(t, t, {})
+        s = {}
+        assert unify_terms_trail(t, t, s, [])
         assert s == {}
 
     def test_var_binding(self):
-        s = unify_terms(0, mk("a"), {})
+        s = {}
+        assert unify_terms_trail(0, mk("a"), s, [])
         assert walk(0, s) == mk("a")
 
     def test_symbol_clash(self):
-        assert unify_terms(mk("a"), mk("b"), {}) is None
+        assert not unify_terms_trail(mk("a"), mk("b"), {}, [])
 
     def test_occurs_check_rejects(self):
-        assert unify_terms(0, mk("f", 0), {}) is None
+        assert not unify_terms_trail(0, mk("f", 0), {}, [])
 
     def test_occurs_check_through_chain(self):
-        s = unify_terms(0, mk("f", 1), {})
-        assert s is not None
-        assert unify_terms(1, mk("g", 0), s) is None
-
-    def test_literal_unify_same_polarity_required(self):
-        p = Literal(False, "p", (0,))
-        q = Literal(True, "p", (mk("a"),))
-        assert unify(p, q) is None
+        s = {}
+        assert unify_terms_trail(0, mk("f", 1), s, [])
+        assert not unify_terms_trail(1, mk("g", 0), dict(s), [])
 
     def test_literal_unify(self):
         p = Literal(False, "p", (0, mk("b")))
         q = Literal(False, "p", (mk("a"), 1))
-        s = unify(p, q)
-        assert s is not None
+        s = {}
+        assert unify_args_trail(p.args, q.args, s, [])
         assert apply_subst_lit(p, s) == apply_subst_lit(q, s)
 
     def test_unifier_is_applied_equal(self):
         a = mk("h", 0, mk("f", 1))
         b = mk("h", mk("f", 2), 0)
-        s = unify_terms(a, b, {})
-        assert s is not None
+        s = {}
+        assert unify_terms_trail(a, b, s, [])
         sn = normalize_subst(s)
         assert apply_subst(a, sn) == apply_subst(b, sn)
 
@@ -227,10 +223,11 @@ class TestUnifyAgainstOracle:
         for _ in range(self.N_PAIRS):
             a = random_term(rng, 3)
             b = random_term(rng, 3)
-            s = unify_terms(a, b, {})
+            s = {}
+            ok = unify_terms_trail(a, b, s, [])
             expect = naive_unify(a, b)
-            assert (s is None) == (expect is None), (a, b)
-            if s is None:
+            assert ok == (expect is not None), (a, b)
+            if not ok:
                 failures += 1
                 continue
             successes += 1
@@ -250,13 +247,13 @@ class TestUnifyAgainstOracle:
         for _ in range(200):
             a = random_term(rng, 2)
             b = random_term(rng, 2)
-            s0 = unify_terms(a, b, {})
-            if s0 is None:
+            s0 = {}
+            if not unify_terms_trail(a, b, s0, []):
                 continue
             c = random_term(rng, 2)
             d = random_term(rng, 2)
-            s1 = unify_terms(c, d, dict(s0))
-            if s1 is None:
+            s1 = dict(s0)
+            if not unify_terms_trail(c, d, s1, []):
                 continue
             sn = normalize_subst(s1)
             assert apply_subst(a, sn) == apply_subst(b, sn)
@@ -295,11 +292,12 @@ class TestTrail:
         assert 1 not in s
 
     def test_trail_agrees_with_plain_unifier(self):
+        # the plain unifier is the naive eager one; undoing the trail gives {}
         rng = random.Random(99)
         for _ in range(300):
             a = random_term(rng, 3)
             b = random_term(rng, 3)
-            plain = unify_terms(a, b, {})
+            plain = naive_unify(a, b)
             s = {}
             trail = []
             ok = unify_terms_trail(a, b, s, trail)
