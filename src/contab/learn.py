@@ -9,6 +9,14 @@ times the predicted distribution's entropy; value training minimizes
 squared error through a logistic output.  Both models are plain linear
 in the hashed features and are fit by mini-batch SGD, which keeps every
 run bit-reproducible under a fixed seed.
+
+Training computes the same bits as a ``LinearPredictor`` scoring the
+same weights: every sparse sum adds its terms one at a time in dict
+order, softmaxes and policy gradients are taken on one 2-D array per
+action count with rows summed as 1-D vectors are, and the value side
+uses ``sigmoid``'s ``math.exp``.  Neither ``np.add.reduceat`` (pairwise
+sums), ``np.add.reduce`` over the batch axis (its order depends on the
+batch width) nor ``np.exp`` in place of ``math.exp`` keeps those bits.
 """
 
 from __future__ import annotations
@@ -17,15 +25,15 @@ import csv
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .analysis import report_csv
 from .features import FEATURE_DIM, extract_action_features, extract_features
 from .fileio import atomic_open
-from .policy import (LinearPredictor, Predictor, UniformPredictor, _sparse_dot, entropy,
-                     save_model, sigmoid, softmax_temperature)
+from .policy import (LinearPredictor, Predictor, UniformPredictor, _sparse_dot, save_model,
+                     sigmoid, softmax_temperature)
 from .search import DISCOUNT, ProofResult, SearchLimits, prove
 from .tableau import Engine
 
@@ -81,25 +89,31 @@ def extract_training_data(result: ProofResult, matrix, iteration: int = 0) -> Li
 # losses
 
 
-def policy_loss(targets: Sequence[float], predicted: Sequence[float], alpha: float) -> float:
+def policy_loss(targets: Sequence[float], predicted: Sequence[float],
+                alpha: float) -> Union[float, np.ndarray]:
     """Cross-entropy of the predicted distribution against the targets,
-    minus alpha times the predicted distribution's entropy."""
+    minus alpha times the predicted distribution's entropy, over the last
+    axis: a float for two vectors, one loss per row for two 2-D arrays."""
     p = np.asarray(targets, dtype=float)
     q = np.asarray(predicted, dtype=float)
-    nz = p > 0.0
-    with np.errstate(divide="ignore"):  # q=0 at a target yields inf on purpose
-        ce = float(-np.sum(p[nz] * np.log(q[nz])))
-    return ce - alpha * entropy(q)
+    # q=0 at a target yields inf on purpose; 0 log 0 terms are masked out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logq = np.log(q)
+        ce = -np.where(p > 0.0, p * logq, 0.0).sum(axis=-1)
+        h = -np.where(q > 0.0, q * logq, 0.0).sum(axis=-1)
+    loss = ce - alpha * h
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def policy_grad_logits(targets: Sequence[float], predicted: Sequence[float],
                        alpha: float) -> np.ndarray:
     """Gradient of policy_loss in the logits that produced ``predicted``
-    via softmax: (q - p) + alpha * q * (log q + H[q])."""
+    via softmax: (q - p) + alpha * q * (log q + H[q]), over the last axis
+    like :func:`policy_loss`."""
     p = np.asarray(targets, dtype=float)
     q = np.asarray(predicted, dtype=float)
     logq = np.log(np.maximum(q, 1e-300))
-    ent = float(-np.sum(q * logq))
+    ent = -(q * logq).sum(axis=-1, keepdims=True)
     return (q - p) + alpha * q * (logq + ent)
 
 
@@ -145,17 +159,55 @@ class TrainResult:
         return LinearPredictor(self.policy_weights, self.value_weights, temperature=temperature)
 
 
-def _scores(wp: np.ndarray, wv: np.ndarray, ex: TrainingExample) -> Tuple[np.ndarray, float]:
-    """What a :class:`LinearPredictor` over ``wp``, ``wv`` at temperature 1 scores ``ex``."""
-    logits = np.array([_sparse_dot(wp, af) for af in ex.action_features])
-    return softmax_temperature(logits), sigmoid(_sparse_dot(wv, ex.state_features))
+class _Packed:
+    """Training examples packed once for :func:`train`.  Every feature
+    index the examples use gets a dense slot, in order of first use, and
+    each example's feature maps are rewritten over the slots in their own
+    order, so the weights are lists as long as the features in use.  The
+    examples are grouped by action count."""
 
+    def __init__(self, examples: Sequence[TrainingExample]):
+        self.examples = examples
+        self.slots: Dict[int, int] = {}
+        self.actions = [[self._slotted(af) for af in ex.action_features] for ex in examples]
+        self.states = [self._slotted(ex.state_features) for ex in examples]
+        self.groups = self.by_count(range(len(examples)))
 
-def _dataset_losses(wp, wv, examples, alpha) -> Tuple[float, float]:
-    scores = [_scores(wp, wv, ex) for ex in examples]
-    pl = sum(policy_loss(ex.policy_targets, q, alpha) for ex, (q, _) in zip(examples, scores))
-    vl = sum(value_loss(ex.value_target, v) for ex, (_, v) in zip(examples, scores))
-    return pl / len(examples), vl / len(examples)
+    def _slotted(self, features: Dict[int, int]) -> Dict[int, int]:
+        slots = self.slots
+        return {slots.setdefault(f, len(slots)): c for f, c in features.items()}
+
+    def weights(self, dense: List[float]) -> np.ndarray:
+        """The ``FEATURE_DIM`` weight vector of dense slot weights."""
+        out = np.zeros(FEATURE_DIM)
+        out[list(self.slots)] = dense
+        return out
+
+    def by_count(self, indices: Sequence[int]) -> Dict[int, List[int]]:
+        """``indices`` grouped by their examples' action count, in order."""
+        groups: Dict[int, List[int]] = {}
+        for i in indices:
+            groups.setdefault(len(self.actions[i]), []).append(i)
+        return groups
+
+    def policy(self, wp: List[float], idx: List[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """(targets, predicted distributions) of the examples ``idx``, all
+        with one action count, as rows."""
+        targets = np.array([self.examples[i].policy_targets for i in idx])
+        logits = np.array([[_sparse_dot(wp, af) for af in self.actions[i]] for i in idx])
+        return targets, softmax_temperature(logits)
+
+    def value(self, wv: List[float], i: int) -> float:
+        return sigmoid(_sparse_dot(wv, self.states[i]))
+
+    def losses(self, wp: List[float], wv: List[float], alpha: float) -> Tuple[float, float]:
+        """Mean policy and value losses over every example."""
+        pl = [0.0] * len(self.examples)
+        for idx in self.groups.values():
+            for i, loss in zip(idx, policy_loss(*self.policy(wp, idx), alpha).tolist()):
+                pl[i] = loss
+        vl = [value_loss(ex.value_target, self.value(wv, i)) for i, ex in enumerate(self.examples)]
+        return sum(pl) / len(pl), sum(vl) / len(vl)
 
 
 def train(examples: Sequence[TrainingExample], config: Optional[TrainConfig] = None,
@@ -163,47 +215,57 @@ def train(examples: Sequence[TrainingExample], config: Optional[TrainConfig] = N
     """Fits independent policy and value weight vectors by mini-batch SGD,
     scoring them as a :class:`LinearPredictor` would, with entropy
     coefficient ``alpha``.  Reported losses are full-dataset means
-    evaluated after each epoch."""
+    evaluated after each epoch.
+
+    The examples are packed once.  The weights are Python float lists
+    over the packed feature slots while training, every score is
+    :func:`_sparse_dot`'s, and each batch takes its softmaxes and policy
+    gradients row-wise, one 2-D array per action count.  Gradients are
+    accumulated example by example, action by action and feature by
+    feature."""
     config = config or TrainConfig()
     if not 0 <= alpha < math.inf:
         raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
     if not examples:
         raise ValueError("no training examples")
-    wp, wv = np.zeros(FEATURE_DIM), np.zeros(FEATURE_DIM)
     rng = np.random.default_rng(config.seed)
-    pl0, vl0 = _dataset_losses(wp, wv, examples, alpha)
+    packed = _Packed(examples)
+    wp, wv = [0.0] * len(packed.slots), [0.0] * len(packed.slots)
+    pl0, vl0 = packed.losses(wp, wv, alpha)
     policy_losses, value_losses = [pl0], [vl0]
 
     for epoch in range(config.epochs):
-        order = rng.permutation(len(examples))
+        order = rng.permutation(len(examples)).tolist()
         for lo in range(0, len(order), config.batch_size):
-            batch = [examples[i] for i in order[lo:lo + config.batch_size]]
+            batch = order[lo:lo + config.batch_size]
+            grads: Dict[int, List[float]] = {}
+            for idx in packed.by_count(batch).values():
+                rows = policy_grad_logits(*packed.policy(wp, idx), alpha).tolist()
+                grads.update(zip(idx, rows))
             gp: Dict[int, float] = {}
             gv: Dict[int, float] = {}
-            for ex in batch:
-                probs, value = _scores(wp, wv, ex)
-                g = policy_grad_logits(ex.policy_targets, probs, alpha)
-                for gi, af in zip(g, ex.action_features):
+            for i in batch:
+                for gi, af in zip(grads[i], packed.actions[i]):
                     if gi:
                         for f, c in af.items():
                             gp[f] = gp.get(f, 0.0) + gi * c
-                gz = value_grad_logit(ex.value_target, value)
+                gz = value_grad_logit(examples[i].value_target, packed.value(wv, i))
                 if gz:
-                    for f, c in ex.state_features.items():
+                    for f, c in packed.states[i].items():
                         gv[f] = gv.get(f, 0.0) + gz * c
             scale = config.learning_rate / len(batch)
             for f, g in gp.items():
                 wp[f] -= scale * g
             for f, g in gv.items():
                 wv[f] -= scale * g
-        pl, vl = _dataset_losses(wp, wv, examples, alpha)
+        pl, vl = packed.losses(wp, wv, alpha)
         if math.isnan(pl) or math.isnan(vl) or math.isinf(pl) or math.isinf(vl):
             raise TrainingDiverged(
                 f"loss diverged at epoch {epoch + 1}: policy={pl}, value={vl}; "
                 f"reduce the learning rate (currently {config.learning_rate})")
         policy_losses.append(pl)
         value_losses.append(vl)
-    return TrainResult(wp, wv, policy_losses, value_losses)
+    return TrainResult(packed.weights(wp), packed.weights(wv), policy_losses, value_losses)
 
 
 # ---------------------------------------------------------------------------

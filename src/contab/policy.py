@@ -51,12 +51,15 @@ def normalized_entropy(p: Sequence[float]) -> float:
 
 
 def softmax_temperature(logits: Sequence[float], temperature: float = 1.0) -> np.ndarray:
+    """Softmax over the last axis: one distribution, or one per row of a
+    2-D array.  A row sums as a 1-D vector of its length does, so each
+    row's distribution is, to the bit, that of the row on its own."""
     if temperature <= 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     arr = np.asarray(logits, dtype=float) / temperature
-    arr = arr - arr.max()
+    arr = arr - arr.max(axis=-1, keepdims=True)
     e = np.exp(arr)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def make_fixed_entropy_vector(n: int, target: float, seed: int) -> np.ndarray:
@@ -110,8 +113,14 @@ def apply_order_preserving(fixed: Sequence[float], reference: Sequence[float]) -
 # predictors
 
 
-def _sparse_dot(weights: np.ndarray, features: Dict[int, int]) -> float:
-    return float(sum(weights[i] * c for i, c in features.items()))
+def _sparse_dot(weights: Sequence[float], features: Dict[int, int]) -> float:
+    """Adds ``weights[i] * c`` one term at a time in the dict's order, so
+    a weight array and a list of the same floats score the same bits
+    (``sum`` would compensate Python floats on Python 3.12 and later)."""
+    total = 0.0
+    for i, c in features.items():
+        total += weights[i] * c
+    return float(total)
 
 
 class Predictor:

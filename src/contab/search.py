@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .policy import Predictor, entropy, predict
 from .tableau import Action, Engine
@@ -151,6 +151,10 @@ class _Search:
         self.harvested: List[Tuple[Tuple[str, ...], int]] = []
         # the first closed leaf: the only record that a proof was found
         self.proof_leaf: Optional[MCTSNode] = None
+        # a predictor that reads no features scores every node with n
+        # actions alike: (priors, value, entropy, normalized entropy) by n,
+        # the priors list shared read-only by those nodes
+        self.scored: Dict[int, Tuple[List[float], float, float, float]] = {}
 
     def _evaluate(self, node: MCTSNode) -> float:
         """Fill in actions, priors, and value; returns the node's reward."""
@@ -163,14 +167,21 @@ class _Search:
         if not node.actions:
             node.fully_explored = True
             return 0.0
-        probs, value = predict(self.predictor, state, node.actions, self.engine.matrix)
-        # plain floats: _select reads them in the hot loop
-        node.set_priors(probs.tolist())
-        if len(probs) > 1:
+        n = len(node.actions)
+        scored = self.scored.get(n)
+        if scored is None:
+            probs, value = predict(self.predictor, state, node.actions, self.engine.matrix)
             # [1.0] has entropy 0.0; h / ln n is normalized_entropy(probs)
-            h = entropy(probs)
+            h = entropy(probs) if n > 1 else 0.0
+            # plain floats: _select reads them in the hot loop
+            scored = (probs.tolist(), value, h, h / math.log(n) if n > 1 else 0.0)
+            if not (self.predictor.reads_state or self.predictor.reads_actions):
+                self.scored[n] = scored
+        priors, value, h, normalized = scored
+        node.set_priors(priors)
+        if n > 1:
             self.entropy_sum += h
-            self.normalized_entropy_sum += h / math.log(len(probs))
+            self.normalized_entropy_sum += normalized
         self.entropy_count += 1
         if self.collect_states and len(node.actions) >= 2 and len(self.harvested) < HARVEST_CAP:
             path = tuple(a.encode() for a in node.action_path())

@@ -5,6 +5,7 @@ against hand-built search trees with known visit counts.
 """
 
 import concurrent.futures
+import hashlib
 import math
 import multiprocessing
 import re
@@ -168,6 +169,19 @@ class TestGradients:
                 denom = max(abs(numeric), 1e-4)
                 assert abs(grad[j] - numeric) / denom <= 1e-4
 
+    def test_rows_give_the_loss_and_gradient_of_each_row_to_the_bit(self):
+        rng = np.random.default_rng(15)
+        for n in (1, 2, 3, 9, 12):
+            targets = rng.random((6, n))
+            targets[:, 0] = 0.0
+            targets /= targets.sum(axis=1, keepdims=True) + 1e-3
+            predicted = softmax_temperature(rng.standard_normal((6, n)) * 4)
+            grads = policy_grad_logits(targets, predicted, 0.7)
+            losses = policy_loss(targets, predicted, 0.7)
+            for p, q, g, loss in zip(targets, predicted, grads, losses):
+                assert g.tobytes() == policy_grad_logits(p, q, 0.7).tobytes()
+                assert loss == policy_loss(p, q, 0.7)
+
     def test_value_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(77)
         h = 1e-6
@@ -292,6 +306,98 @@ class TestTrain:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+
+
+def wide_examples(n=45, seed=14):
+    """Examples with 9-12 actions of 1-6 features each and 9-20 state
+    features, in unsorted dict order, drawn from few feature indices so
+    that examples share weights.  45 is not a multiple of the batch size."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        k = int(rng.integers(9, 13))
+        afs = [{int(f): int(rng.integers(1, 4)) for f in rng.integers(0, 60, size=rng.integers(1, 7))}
+               for _ in range(k)]
+        visits = rng.integers(0, 5, size=k)
+        visits[rng.integers(k)] += 1
+        state = {int(f): int(rng.integers(1, 4))
+                 for f in rng.choice(200, size=int(rng.integers(9, 21)), replace=False)}
+        out.append(TrainingExample(f"wide{i}", 0, state, afs, float(rng.random()),
+                                   (visits / visits.sum()).tolist()))
+    return out
+
+
+def single_action_examples():
+    """Single-action examples whose target is not 1.0, which a resumed
+    loop's examples file may hold, among two-action ones: 17 in all."""
+    out = [TrainingExample(f"one{i}", 0, {3 + i: 1, 40: 2}, [{5: 1, 6 + i: 2}], i / 7, [t])
+           for i, t in enumerate([0.5, 0.0, 2.0, 0.25, 1.0, 0.75, 0.1])]
+    return out + synthetic_examples(10, n_actions=2, seed=4)
+
+
+def corpus_examples():
+    """The iteration-0 examples of a loop over the bundled corpus."""
+    problems = [(p.stem, Engine(load_matrix(p))) for p in corpus_problems()]
+    return run_loop(problems, 0, small_loop_config()).examples
+
+
+def weight_digests(result):
+    return tuple(hashlib.sha256(w.tobytes()).hexdigest()[:16]
+                 for w in (result.policy_weights, result.value_weights))
+
+
+TRAINING_SETS = {"corpus": corpus_examples, "wide": wide_examples,
+                 "single": single_action_examples}
+
+# (policy, value) weight digests of ``train(examples, TrainConfig(), alpha)``
+PINNED_WEIGHTS = {
+    ("corpus", 0.0): ("05fa6d99fad7ed18", "63c66a1f2bd7c812"),
+    ("corpus", 0.7): ("e34d23663482d4d7", "63c66a1f2bd7c812"),
+    ("corpus", 5.0): ("054f0ecbd1c3461a", "63c66a1f2bd7c812"),
+    ("wide", 0.0): ("74f13b6327c281e8", "4c7e369771e47fcc"),
+    ("wide", 0.7): ("26669932be7af1bf", "4c7e369771e47fcc"),
+    ("wide", 5.0): ("7a7cdc3ca50cb8b5", "4c7e369771e47fcc"),
+    ("single", 0.7): ("0074c5428b278fa0", "eeab50cdc3bdb926"),
+    ("single", 5.0): ("01ef5abb30a5192d", "eeab50cdc3bdb926"),
+}
+DIVERGED = ("loss diverged at epoch 1: policy=inf, value=0.28575813329521743; "
+            "reduce the learning rate (currently 1000000000.0)")
+
+
+class TestPinnedTraining:
+    """``train`` gives these weights to the bit: the digests were taken
+    from a trainer that scored one example at a time through numpy."""
+
+    @pytest.fixture(scope="class")
+    def datasets(self):
+        return {name: make() for name, make in TRAINING_SETS.items()}
+
+    @pytest.mark.parametrize("name, alpha", sorted(PINNED_WEIGHTS))
+    def test_weights_are_pinned(self, datasets, name, alpha):
+        result = train(datasets[name], TrainConfig(), alpha=alpha)
+        assert result.policy_weights.any() and result.value_weights.any()
+        assert weight_digests(result) == PINNED_WEIGHTS[name, alpha]
+
+    def test_divergence_names_the_same_epoch(self, datasets):
+        with pytest.raises(TrainingDiverged) as info:
+            train(datasets["wide"], TrainConfig(learning_rate=1e9), alpha=0.7)
+        assert str(info.value) == DIVERGED
+
+    @pytest.mark.parametrize("name", sorted(TRAINING_SETS))
+    def test_losses_are_dataset_means_at_each_epoch(self, datasets, name):
+        examples = datasets[name]
+        full = train(examples, TrainConfig(epochs=4), alpha=0.7)
+        for epoch in range(5):
+            # the first epochs of a run draw the same batches as a shorter run
+            model = (train(examples, TrainConfig(epochs=epoch), alpha=0.7).predictor()
+                     if epoch else LinearPredictor())
+            pl = [policy_loss(ex.policy_targets, softmax_temperature(
+                      model.predict_policy(ex.state_features, ex.action_features)), 0.7)
+                  for ex in examples]
+            vl = [value_loss(ex.value_target, model.predict_value(ex.state_features))
+                  for ex in examples]
+            assert full.policy_losses[epoch] == pytest.approx(sum(pl) / len(pl), rel=1e-12, abs=0)
+            assert full.value_losses[epoch] == pytest.approx(sum(vl) / len(vl), rel=1e-12, abs=0)
 
 
 class TestExampleFiles:

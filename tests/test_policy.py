@@ -123,6 +123,14 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             softmax_temperature([1.0, 2.0], -1.0)
 
+    def test_rows_are_the_softmax_of_each_row_to_the_bit(self):
+        rng = np.random.default_rng(14)
+        for n in range(1, 131):
+            logits = rng.standard_normal((5, n)) * 3
+            rows = softmax_temperature(logits, 0.7)
+            for logit_row, row in zip(logits, rows):
+                assert row.tobytes() == softmax_temperature(logit_row, 0.7).tobytes()
+
     def test_extreme_logits_stay_finite(self):
         p = softmax_temperature([1000.0, 0.0, -1000.0], 1.0)
         assert np.isfinite(p).all()

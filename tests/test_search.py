@@ -450,7 +450,8 @@ class TestDeclaredReadsChangeNothing:
     @staticmethod
     def outcome(result):
         return (result.status, result.inferences, result.playouts, result.bigsteps,
-                result.proof, result.mean_entropy, result.mean_normalized_entropy)
+                result.proof, result.entropy_sum, result.normalized_entropy_sum,
+                result.entropy_count)
 
     def test_corpus(self):
         from contab.clausify import load_matrix
@@ -485,6 +486,31 @@ class TestLeavesWithoutActions:
         prove(Engine(clausify_text(text)), "p", UniformPredictor(),
               SearchLimits(inference_limit=300, bigstep_frequency=30))
         assert asked and 0 not in asked
+
+
+class TestScoresByActionCount:
+    """A predictor that reads no features is asked once per action count
+    and its scores reused; any other is asked at every scored node."""
+
+    @pytest.mark.parametrize("predictor, reused", [
+        (UniformPredictor(), True),
+        (FixedEntropyPredictor(UniformPredictor(), 0.6, seed=5), True),
+        (ReadsEverything(), False),
+    ], ids=["uniform", "fixed-entropy", "reading"])
+    def test_asked(self, predictor, reused, monkeypatch):
+        asked = []
+
+        def recording_predict(predictor, state, actions, matrix):
+            asked.append(len(actions))
+            return predict(predictor, state, actions, matrix)
+
+        monkeypatch.setattr(search_module, "predict", recording_predict)
+        result = prove(Engine(clausify_text(GROUP_EQ)), "eq", predictor,
+                       SearchLimits(inference_limit=300, bigstep_frequency=30))
+        if reused:
+            assert len(asked) == len(set(asked)) < result.entropy_count
+        else:
+            assert len(asked) == result.entropy_count
 
 
 class TestDeterminism:
