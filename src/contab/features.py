@@ -13,6 +13,11 @@ over and over, and a literal's walks depend on nothing else.  The
 instantiated literals themselves are kept per state
 (:meth:`TableauState.instantiated`) and inherited from the parent state,
 so a state pays only for the literals its last action added or bound.
+
+:func:`extract_features` builds a state's count map for training.  A
+search that needs only one weight vector's dot product with that map
+takes it from :class:`StateDot`, literal by literal, without building
+the map.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .terms import Literal, apply_subst_lit, is_var
 
 FEATURE_DIM = 2 ** 15
 WALK_CACHE_SIZE = 2 ** 12
+PRESTART = "<prestart>"
 
 
 def _sym(t) -> str:
@@ -76,13 +82,63 @@ def extract_features(state: TableauState) -> Dict[int, int]:
     the remaining open goals (o:), keyed in order of first occurrence."""
     if not state.started:
         counts: Dict[int, int] = {}
-        _add(counts, "g:", ["<prestart>"])
+        _add(counts, "g:", [PRESTART])
         return counts
     goals, path = state.instantiated()
     walks = [_literal_indices("g:", goals[0][0])] if goals else []
     walks += [_literal_indices("o:", lit) for lit, _ in goals[1:]]
     walks += [_literal_indices("p:", lit) for lit, _ in path]
     return dict(Counter(chain.from_iterable(walks)))
+
+
+class LiteralSums(dict):
+    """Memo: literal -> the sum of ``weights`` over the literal's walk
+    indices in ``namespace``, added one term at a time.  It is cleared
+    when it holds ``WALK_CACHE_SIZE`` literals, so it stays bounded."""
+
+    def __init__(self, weights, namespace: str):
+        super().__init__()
+        self.weights = weights
+        self.namespace = namespace
+
+    def __missing__(self, lit: Literal) -> float:
+        if len(self) >= WALK_CACHE_SIZE:
+            self.clear()
+        weights = self.weights
+        total = 0.0
+        for idx in _literal_indices(self.namespace, lit):
+            total += weights[idx]
+        self[lit] = total = float(total)
+        return total
+
+
+class StateDot:
+    """The dot product of one weight vector with a state's features,
+    taken as :func:`extract_features` lays them out but without building
+    the count map: the current goal's g: sum, then the other goals' o:
+    sums, then the path's p: sums, each literal's sum memoized.  It adds
+    the same terms as ``_sparse_dot(weights, extract_features(state))``,
+    grouped by literal and one occurrence at a time, so the two agree up
+    to rounding, not to the bit.  The weights must not change after."""
+
+    def __init__(self, weights):
+        self.prestart = float(weights[_hash("g:" + PRESTART)])
+        self.goal, self.other, self.path = (LiteralSums(weights, ns) for ns in ("g:", "o:", "p:"))
+
+    def __call__(self, state: TableauState) -> float:
+        if not state.started:
+            return self.prestart
+        goals, path = state.instantiated()
+        total = 0.0
+        if goals:
+            total += self.goal[goals[0][0]]
+            other = self.other
+            for lit, _ in goals[1:]:
+                total += other[lit]
+        sums = self.path
+        for lit, _ in path:
+            total += sums[lit]
+        return total
 
 
 def extract_action_features(state: TableauState, action: Action, matrix) -> Dict[int, int]:

@@ -10,13 +10,21 @@ squared error through a logistic output.  Both models are plain linear
 in the hashed features and are fit by mini-batch SGD, which keeps every
 run bit-reproducible under a fixed seed.
 
-Training computes the same bits as a ``LinearPredictor`` scoring the
-same weights: every sparse sum adds its terms one at a time in dict
-order, softmaxes and policy gradients are taken on one 2-D array per
-action count with rows summed as 1-D vectors are, and the value side
-uses ``sigmoid``'s ``math.exp``.  Neither ``np.add.reduceat`` (pairwise
-sums), ``np.add.reduce`` over the batch axis (its order depends on the
-batch width) nor ``np.exp`` in place of ``math.exp`` keeps those bits.
+Training's policy scores are the bits a ``LinearPredictor`` computes
+for the same weights and action features: every sparse sum adds its
+terms one at a time in dict order, and softmaxes and policy gradients
+are taken on one 2-D array per action count with rows summed as 1-D
+vectors are.  Neither ``np.add.reduceat`` (pairwise sums),
+``np.add.reduce`` over the batch axis (its order depends on the batch
+width) nor ``np.exp`` in place of ``math.exp`` keeps those bits.
+Training's value is ``sigmoid(_sparse_dot(value weights, state
+features))``; a ``LinearPredictor`` values the state those features
+were extracted from by summing memoized per-literal partial logits
+instead, which agrees with it up to rounding, not to the bit.
+
+An example whose policy target is ``[1.0]`` (one action) has a policy
+loss and gradient of exactly 0, so training leaves out its policy side
+and keeps its value side.
 """
 
 from __future__ import annotations
@@ -164,7 +172,8 @@ class _Packed:
     index the examples use gets a dense slot, in order of first use, and
     each example's feature maps are rewritten over the slots in their own
     order, so the weights are lists as long as the features in use.  The
-    examples are grouped by action count."""
+    examples are grouped by action count, leaving out those whose policy
+    target is ``[1.0]``: their policy loss and gradient are exactly 0."""
 
     def __init__(self, examples: Sequence[TrainingExample]):
         self.examples = examples
@@ -184,10 +193,12 @@ class _Packed:
         return out
 
     def by_count(self, indices: Sequence[int]) -> Dict[int, List[int]]:
-        """``indices`` grouped by their examples' action count, in order."""
+        """``indices`` grouped by their examples' action count, in order,
+        without the examples whose policy target is ``[1.0]``."""
         groups: Dict[int, List[int]] = {}
         for i in indices:
-            groups.setdefault(len(self.actions[i]), []).append(i)
+            if self.examples[i].policy_targets != [1.0]:
+                groups.setdefault(len(self.actions[i]), []).append(i)
         return groups
 
     def policy(self, wp: List[float], idx: List[int]) -> Tuple[np.ndarray, np.ndarray]:
@@ -245,7 +256,7 @@ def train(examples: Sequence[TrainingExample], config: Optional[TrainConfig] = N
             gp: Dict[int, float] = {}
             gv: Dict[int, float] = {}
             for i in batch:
-                for gi, af in zip(grads[i], packed.actions[i]):
+                for gi, af in zip(grads.get(i, ()), packed.actions[i]):
                     if gi:
                         for f, c in af.items():
                             gp[f] = gp.get(f, 0.0) + gi * c

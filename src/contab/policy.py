@@ -1,11 +1,11 @@
 """Probability-vector mathematics and action-scoring predictors.
 
 Entropy, normalized entropy, and tempered softmax all use the natural
-logarithm.  Predictors map hashed state/action features to action logits
-and a state value; the built-ins are a uniform baseline, a linear model
-over the hashed features, and a fixed-normalized-entropy random policy
-that keeps a base predictor's action ordering while pinning the
-distribution's normalized entropy to a chosen target.
+logarithm.  Predictors map hashed action features to action logits and
+a search state to a value; the built-ins are a uniform baseline, a
+linear model over the hashed features, and a fixed-normalized-entropy
+random policy that keeps a base predictor's action ordering while
+pinning the distribution's normalized entropy to a chosen target.
 """
 
 from __future__ import annotations
@@ -15,8 +15,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .features import FEATURE_DIM, extract_action_features, extract_features
+# extract_features is not called here; perfbench's tracing wraps it under
+# this module's name, beside extract_action_features
+from .features import FEATURE_DIM, StateDot, extract_action_features, extract_features  # noqa: F401
 from .fileio import atomic_open
+from .tableau import TableauState
 
 __all__ = [
     "entropy", "normalized_entropy", "softmax_temperature", "sigmoid",
@@ -126,14 +129,18 @@ def _sparse_dot(weights: Sequence[float], features: Dict[int, int]) -> float:
 class Predictor:
     """Scoring interface: per-action logits plus a state value in [0, 1].
 
+    ``predict_policy`` scores the actions' feature maps and
+    ``predict_value`` scores a search state, which each predictor reads
+    as it needs; hashed state features are extracted only for training.
     ``temperature`` is applied by :func:`predict` when turning logits
     into a distribution.
 
-    ``reads_state`` and ``reads_actions`` declare whether the scores
-    depend on the state features and on the action features.  When one
-    is false, :func:`predict` skips that extraction and passes empty
-    feature maps instead (``{}`` for the state, one ``{}`` per action),
-    so a predictor must score those exactly as it would the real ones.
+    ``reads_state`` and ``reads_actions`` declare whether the value
+    depends on the state and the logits on the action features.  When
+    ``reads_actions`` is false, :func:`predict` skips that extraction and
+    passes one ``{}`` per action instead, so a predictor must score those
+    exactly as it would the real ones; a search that meets two states
+    with the same action count scores them alike when neither is read.
     The base class reads both.  A predictor is fixed once built: its
     declarations and temperature are plain attributes set then, and its
     scores never change after.
@@ -143,11 +150,10 @@ class Predictor:
     reads_state: bool = True
     reads_actions: bool = True
 
-    def predict_policy(self, features: Dict[int, int],
-                       action_features: List[Dict[int, int]]) -> np.ndarray:
+    def predict_policy(self, action_features: List[Dict[int, int]]) -> np.ndarray:
         raise NotImplementedError
 
-    def predict_value(self, features: Dict[int, int]) -> float:
+    def predict_value(self, state: TableauState) -> float:
         raise NotImplementedError
 
 
@@ -157,20 +163,26 @@ class UniformPredictor(Predictor):
     reads_state = False
     reads_actions = False
 
-    def predict_policy(self, features, action_features):
+    def predict_policy(self, action_features):
         return np.zeros(len(action_features))
 
-    def predict_value(self, features):
+    def predict_value(self, state):
         return 0.5
 
 
 class LinearPredictor(Predictor):
     """Linear model over hashed features: each action logit is a sparse
     dot product with the policy weights, the value is a logistic of the
-    state-feature dot product, both over all ``FEATURE_DIM`` features.
-    The weight arrays it is given are made read-only when it is built,
-    and the reads declared then: all-zero weights score 0 whatever the
-    features."""
+    state features' dot product with the value weights, both over all
+    ``FEATURE_DIM`` features.  The weight arrays it is given are made
+    read-only when it is built, and the reads declared then: all-zero
+    weights score 0 whatever the features.
+
+    The value's dot product is a :class:`~contab.features.StateDot` built
+    with the predictor: a sum of per-literal partial logits, memoized for
+    the predictor's life (a copy shares the memo), so it matches
+    ``sigmoid(_sparse_dot(value_weights, extract_features(state)))`` up
+    to rounding."""
 
     def __init__(self, policy_weights: Optional[np.ndarray] = None,
                  value_weights: Optional[np.ndarray] = None,
@@ -186,12 +198,13 @@ class LinearPredictor(Predictor):
         self.temperature = temperature
         self.reads_state = bool(self.value_weights.any())
         self.reads_actions = bool(self.policy_weights.any())
+        self.value_dot = StateDot(self.value_weights)
 
-    def predict_policy(self, features, action_features):
+    def predict_policy(self, action_features):
         return np.array([_sparse_dot(self.policy_weights, af) for af in action_features])
 
-    def predict_value(self, features):
-        return sigmoid(_sparse_dot(self.value_weights, features))
+    def predict_value(self, state):
+        return sigmoid(self.value_dot(state)) if self.reads_state else 0.5
 
 
 class FixedEntropyPredictor(Predictor):
@@ -219,28 +232,27 @@ class FixedEntropyPredictor(Predictor):
             self.cache[n] = make_fixed_entropy_vector(n, self.target, self.seed)
         return self.cache[n]
 
-    def predict_policy(self, features, action_features):
+    def predict_policy(self, action_features):
         n = len(action_features)
         if n < 2:
             return np.zeros(n)
-        base_logits = self.base.predict_policy(features, action_features)
+        base_logits = self.base.predict_policy(action_features)
         reference = softmax_temperature(base_logits, self.base.temperature)
         probs = apply_order_preserving(self.vector_for(n), reference)
         # logits = ln p reproduce p exactly under softmax at T = 1
         return np.log(probs)
 
-    def predict_value(self, features):
-        return self.base.predict_value(features)
+    def predict_value(self, state):
+        return self.base.predict_value(state)
 
 
 def predict(predictor: Predictor, state, actions, matrix) -> Tuple[Optional[np.ndarray], float]:
-    """Feature-extraction glue: returns (distribution over ``actions``,
-    value estimate).  The distribution is None when there are no actions,
-    and exactly ``[1.0]`` for one action, which the softmax of any finite
-    logit gives, so no action is scored then.  Only the features the
-    predictor declares it reads are extracted."""
-    features = extract_features(state) if predictor.reads_state else {}
-    value = min(1.0, max(0.0, predictor.predict_value(features)))
+    """Returns (distribution over ``actions``, value estimate).  The
+    distribution is None when there are no actions, and exactly ``[1.0]``
+    for one action, which the softmax of any finite logit gives, so no
+    action is scored then.  Action features are extracted only for a
+    predictor that declares it reads them."""
+    value = min(1.0, max(0.0, predictor.predict_value(state)))
     if not actions:
         return None, value
     if len(actions) == 1:
@@ -249,7 +261,7 @@ def predict(predictor: Predictor, state, actions, matrix) -> Tuple[Optional[np.n
         afs = [extract_action_features(state, a, matrix) for a in actions]
     else:
         afs = [{}] * len(actions)
-    logits = predictor.predict_policy(features, afs)
+    logits = predictor.predict_policy(afs)
     return softmax_temperature(logits, predictor.temperature), value
 
 

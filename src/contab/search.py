@@ -151,9 +151,10 @@ class _Search:
         self.harvested: List[Tuple[Tuple[str, ...], int]] = []
         # the first closed leaf: the only record that a proof was found
         self.proof_leaf: Optional[MCTSNode] = None
-        # a predictor that reads no features scores every node with n
-        # actions alike: (priors, value, entropy, normalized entropy) by n,
-        # the priors list shared read-only by those nodes
+        # a predictor that reads neither the state nor action features
+        # scores every node with n actions alike: (priors, value, entropy,
+        # normalized entropy) by n, the priors list shared read-only by
+        # those nodes
         self.scored: Dict[int, Tuple[List[float], float, float, float]] = {}
 
     def _evaluate(self, node: MCTSNode) -> float:

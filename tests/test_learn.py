@@ -36,8 +36,8 @@ from contab.learn import (
     value_loss,
     write_examples,
 )
-from contab.policy import (LinearPredictor, UniformPredictor, normalized_entropy, save_model,
-                           softmax_temperature)
+from contab.policy import (LinearPredictor, UniformPredictor, _sparse_dot, normalized_entropy,
+                           save_model, sigmoid, softmax_temperature)
 from contab.search import DISCOUNT, MCTSNode, ProofResult, SearchLimits
 from contab.tableau import Action, Engine, write_trace
 
@@ -230,7 +230,7 @@ def mean_prediction_entropy(result, examples):
     predictor = result.predictor()
     total = 0.0
     for ex in examples:
-        logits = predictor.predict_policy(ex.state_features, ex.action_features)
+        logits = predictor.predict_policy(ex.action_features)
         total += normalized_entropy(softmax_temperature(logits, 1.0))
     return total / len(examples)
 
@@ -240,7 +240,7 @@ class TestTrain:
         ex = synthetic_examples(1, seed=3)[0]
         result = train([ex] * 8, TrainConfig(epochs=20, seed=0), alpha=0.0)
         predictor = result.predictor()
-        logits = predictor.predict_policy(ex.state_features, ex.action_features)
+        logits = predictor.predict_policy(ex.action_features)
         assert int(np.argmax(logits)) == int(np.argmax(ex.policy_targets))
 
     def test_argmax_fit_on_fixture_dataset(self):
@@ -249,7 +249,7 @@ class TestTrain:
         predictor = result.predictor()
         hits = 0
         for ex in examples:
-            logits = predictor.predict_policy(ex.state_features, ex.action_features)
+            logits = predictor.predict_policy(ex.action_features)
             hits += int(np.argmax(logits)) == int(np.argmax(ex.policy_targets))
         assert hits / len(examples) >= 0.9
 
@@ -392,9 +392,10 @@ class TestPinnedTraining:
             model = (train(examples, TrainConfig(epochs=epoch), alpha=0.7).predictor()
                      if epoch else LinearPredictor())
             pl = [policy_loss(ex.policy_targets, softmax_temperature(
-                      model.predict_policy(ex.state_features, ex.action_features)), 0.7)
+                      model.predict_policy(ex.action_features)), 0.7)
                   for ex in examples]
-            vl = [value_loss(ex.value_target, model.predict_value(ex.state_features))
+            vl = [value_loss(ex.value_target,
+                             sigmoid(_sparse_dot(model.value_weights, ex.state_features)))
                   for ex in examples]
             assert full.policy_losses[epoch] == pytest.approx(sum(pl) / len(pl), rel=1e-12, abs=0)
             assert full.value_losses[epoch] == pytest.approx(sum(vl) / len(vl), rel=1e-12, abs=0)

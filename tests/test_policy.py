@@ -1,19 +1,26 @@
 """Distribution mathematics and predictor tests."""
 
+import copy
+import importlib.util
 import math
+import pickle
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import contab.features as features_module
 import contab.policy as policy_module
-from contab.clausify import clausify_text
+from contab.clausify import clausify, clausify_text, load_matrix
+from contab.corpus import corpus_problems
 from contab.features import FEATURE_DIM, extract_features
 from contab.policy import (
     FixedEntropyPredictor,
     LinearPredictor,
     UniformPredictor,
+    _sparse_dot,
     apply_order_preserving,
     entropy,
     load_model,
@@ -21,10 +28,12 @@ from contab.policy import (
     normalized_entropy,
     predict,
     save_model,
+    sigmoid,
     softmax_temperature,
 )
 from contab.search import SearchLimits, prove
 from contab.tableau import Engine
+from contab.tptp import parse_problem
 
 NEAR_UNIFORM_3 = [0.34, 0.33, 0.33]
 SKEWED_10 = [0.73, 0.07, 0.05, 0.05, 0.05, 0.01, 0.01, 0.01, 0.01, 0.01]
@@ -234,13 +243,15 @@ class TestPredictors:
         assert value == 0.5
 
     def test_linear_sparse_dot_closed_form(self):
+        engine, _, _ = small_state_and_actions()
         pw, vw = np.zeros(FEATURE_DIM), np.zeros(FEATURE_DIM)
         pw[3] = 2.0
-        vw[1] = 1.0
+        # the pre-start state's one feature
+        vw[list(extract_features(engine.root_state()))] = 1.0
         lp = LinearPredictor(pw, vw)
-        logits = lp.predict_policy({}, [{3: 2}, {3: 1, 5: 4}, {}])
+        logits = lp.predict_policy([{3: 2}, {3: 1, 5: 4}, {}])
         assert list(logits) == [4.0, 2.0, 0.0]
-        assert lp.predict_value({1: 1}) == pytest.approx(1.0 / (1.0 + math.exp(-1.0)))
+        assert lp.predict_value(engine.root_state()) == pytest.approx(1.0 / (1.0 + math.exp(-1.0)))
 
     def test_linear_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):
@@ -268,13 +279,13 @@ class TestPredictors:
         with pytest.raises(ValueError, match="read-only"):
             pw[4] = 1.0
         assert not lp.reads_actions
-        assert lp.predict_policy({}, [{4: 1}]).tolist() == [0.0]
+        assert lp.predict_policy([{4: 1}]).tolist() == [0.0]
 
     def test_value_clamped_to_unit_interval(self):
         engine, state, actions = small_state_and_actions()
 
         class Wild(UniformPredictor):
-            def predict_value(self, features):
+            def predict_value(self, state):
                 return 7.5
 
         _, value = predict(Wild(), state, actions, engine.matrix)
@@ -306,16 +317,17 @@ class TestPredictors:
 
     def test_fixed_entropy_value_delegates_to_base(self):
         class V(UniformPredictor):
-            def predict_value(self, features):
-                return 0.77
+            def predict_value(self, state):
+                return 0.77 if state is seen else 0.0
 
+        _, seen, _ = small_state_and_actions()
         fep = FixedEntropyPredictor(V(), 0.8, seed=0)
-        assert fep.predict_value({}) == 0.77
+        assert fep.predict_value(seen) == 0.77
 
     def test_fixed_entropy_cache_fills_on_use(self):
         fep = FixedEntropyPredictor(UniformPredictor(), 0.8, seed=0)
         assert fep.cache == {}
-        fep.predict_policy({}, [{}] * 4)
+        fep.predict_policy([{}] * 4)
         assert set(fep.cache) == {4}
         v = fep.vector_for(30)
         assert len(v) == 30
@@ -325,7 +337,7 @@ class TestPredictors:
 
     def test_fixed_entropy_single_action(self):
         fep = FixedEntropyPredictor(UniformPredictor(), 0.8, seed=0)
-        logits = fep.predict_policy({}, [{}])
+        logits = fep.predict_policy([{}])
         assert list(softmax_temperature(logits, 1.0)) == [1.0]
 
 
@@ -392,16 +404,113 @@ class TestDeclaredReads:
         assert probs.tolist() == [1.0]
         assert value == want_value
 
-    def test_state_reader_gets_the_real_features(self, monkeypatch):
+    def test_state_reader_values_the_real_state(self, monkeypatch):
         engine, state, actions = small_state_and_actions()
-        lp = LinearPredictor(value_weights=np.full(FEATURE_DIM, 0.01))
+        vw = np.full(FEATURE_DIM, 0.01)
+        lp = LinearPredictor(value_weights=vw)
+        # one literal: the memoized sum adds the terms as _sparse_dot does
+        want = sigmoid(_sparse_dot(vw, extract_features(state)))
         seen = []
-        monkeypatch.setattr(policy_module, "extract_features",
-                            lambda s: seen.append(s) or extract_features(s))
+        real = LinearPredictor.predict_value
+        monkeypatch.setattr(LinearPredictor, "predict_value",
+                            lambda self, s: seen.append(s) or real(self, s))
+        monkeypatch.setattr(policy_module, "extract_features", _refuse)
         monkeypatch.setattr(policy_module, "extract_action_features", _refuse)
         _, value = predict(lp, state, actions, engine.matrix)
         assert seen == [state]
-        assert value == lp.predict_value(extract_features(state)) != 0.5
+        assert value == want != 0.5
+
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_problems", ROOT / "perfbench" / "problems.py")
+bench_problems = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_problems)
+
+def random_linear(seed=11):
+    rng = np.random.default_rng(seed)
+    return LinearPredictor(rng.standard_normal(FEATURE_DIM) * 0.3,
+                           rng.standard_normal(FEATURE_DIM) * 0.3)
+
+
+def searched_states(engines, predictor, limits):
+    """Every state of every search tree, the pre-start roots included."""
+    states = []
+    for engine in engines:
+        result = prove(engine, "v", predictor, limits)
+        stack = [result.bigstep_nodes[0]]
+        while stack:
+            node = stack.pop()
+            states.append(node.state)
+            stack.extend(c for c in node.children if c is not None)
+    return states
+
+
+def chain_engines():
+    """Every fourth of the benchmark's seed-7 chain problems, at the
+    chain-loop workload's path limit."""
+    return [Engine(clausify(parse_problem(p.text)), path_limit=40)
+            for p in bench_problems.chain_problems(random.Random(7))[::4]]
+
+
+def group_engines():
+    """The first two of the benchmark's seed-7 group-theory problems."""
+    return [Engine(clausify(parse_problem(p.text)))
+            for p in bench_problems.eq_problems(random.Random(7))[:2]]
+
+
+class TestStateValue:
+    """A linear predictor values a state from memoized per-literal partial
+    logits, which agree with the value of the state's feature map."""
+
+    @pytest.mark.parametrize("make_engines", [
+        chain_engines, group_engines,
+        # chain and group-theory states have one open goal; these have more
+        lambda: [Engine(load_matrix(path)) for path in corpus_problems()],
+    ], ids=["chain", "group-theory", "corpus"])
+    def test_matches_the_feature_map(self, make_engines):
+        lp = random_linear()
+        states = searched_states(make_engines(), lp,
+                                 SearchLimits(inference_limit=400, bigstep_frequency=25))
+        assert len(states) > 200
+        for state in states:
+            want = sigmoid(_sparse_dot(lp.value_weights, extract_features(state)))
+            assert abs(lp.predict_value(state) - want) <= 1e-12
+
+    def test_search_extracts_no_state_features(self, monkeypatch):
+        want = searched_states(chain_engines()[:2], random_linear(),
+                               SearchLimits(inference_limit=200, bigstep_frequency=25))
+        monkeypatch.setattr(features_module, "extract_features", _refuse)
+        monkeypatch.setattr(policy_module, "extract_features", _refuse)
+        got = searched_states(chain_engines()[:2], random_linear(),
+                              SearchLimits(inference_limit=200, bigstep_frequency=25))
+        assert [s.describe() for s in got] == [s.describe() for s in want]
+
+    def test_memo_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(features_module, "WALK_CACHE_SIZE", 16)
+        lp = random_linear()
+        memos = (lp.value_dot.goal, lp.value_dot.other, lp.value_dot.path)
+        sizes = []
+        real = LinearPredictor.predict_value
+
+        def checked(self, state):
+            value = real(self, state)
+            sizes.append(max(len(m) for m in memos))
+            want = sigmoid(_sparse_dot(self.value_weights, extract_features(state)))
+            assert abs(value - want) <= 1e-12
+            return value
+
+        monkeypatch.setattr(LinearPredictor, "predict_value", checked)
+        searched_states(chain_engines(), lp, SearchLimits(inference_limit=300))
+        assert len(sizes) > 300 and max(sizes) == 16
+        # and it was cleared on the way
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
+
+    def test_copies_share_the_memo_and_pickles_rebuild_it(self):
+        lp = random_linear()
+        states = searched_states(group_engines(), lp, SearchLimits(inference_limit=50))
+        assert copy.copy(lp).value_dot is lp.value_dot
+        back = pickle.loads(pickle.dumps(lp))
+        assert [back.predict_value(s) for s in states] == [lp.predict_value(s) for s in states]
 
 
 class TestModelFiles:

@@ -436,10 +436,10 @@ GROUP_EQ = (
 class ReadsEverything(Predictor):
     """Uniform scores, but declares that it reads every feature."""
 
-    def predict_policy(self, features, action_features):
+    def predict_policy(self, action_features):
         return np.zeros(len(action_features))
 
-    def predict_value(self, features):
+    def predict_value(self, state):
         return 0.5
 
 
