@@ -142,24 +142,22 @@ def _limits(cfg: Config) -> SearchLimits:
 
 
 def _problem_paths(cfg: Config, positional: List[str]) -> List[Path]:
-    if positional:
-        paths: List[Path] = []
-        for p in positional:
-            path = Path(p)
-            if path.is_dir():
-                paths.extend(sorted(path.glob("*.p")))
-            elif path.exists():
-                paths.append(path)
-            else:
-                matched = sorted(Path(q) for q in globmod.glob(p))
-                if not matched:
-                    raise FileNotFoundError(f"no problem matches {p!r}")
-                paths.extend(matched)
-        return paths
-    base = cfg.corpus or os.environ.get(CORPUS_ENV) or str(corpus_dir())
-    paths = sorted(Path(base).glob("*.p"))
-    if not paths:
-        raise FileNotFoundError(f"no *.p problems under {base!r}")
+    """The problems each spec names: a directory's ``*.p`` files, a file or
+    a glob.  The default spec is ``--corpus``, else $CONTAB_CORPUS_DIR, else
+    the bundled corpus; a spec that matches nothing is an error."""
+    specs = positional or [cfg.corpus or os.environ.get(CORPUS_ENV) or str(corpus_dir())]
+    paths: List[Path] = []
+    for p in specs:
+        path = Path(p)
+        if path.is_dir():
+            matched = sorted(path.glob("*.p"))
+        elif path.exists():
+            matched = [path]
+        else:
+            matched = sorted(Path(q) for q in globmod.glob(p))
+        if not matched:
+            raise FileNotFoundError(f"no problem matches {p!r}")
+        paths.extend(matched)
     return paths
 
 

@@ -37,7 +37,6 @@ from typing import List, NamedTuple, Optional, Tuple
 from .fileio import atomic_open
 from .terms import (
     EQ,
-    Clause,
     Literal,
     Matrix,
     apply_subst_lit,
@@ -79,13 +78,24 @@ class Action(NamedTuple):
         return f"paramodulation {self.clause_id} {self.literal_index} {pos} {self.direction}"
 
 
+# the fields of each kind's action line, the kind included
+_FIELDS = {START: 2, REDUCTION: 2, EXTENSION: 3, PARAMODULATION: 5}
+
+
 def decode_action(line: str) -> Action:
+    """The action ``line`` encodes; an unknown kind, a missing or extra
+    field, or a field that does not parse raises ``ValueError``."""
     parts = line.split()
     if not parts:
         raise ValueError("empty action line")
     if "-" in line:  # no kind or direction has one, so it signs a negative index
         raise ValueError(f"malformed action line {line!r}: negative index")
     kind = parts[0]
+    if kind not in _FIELDS:
+        raise ValueError(f"unknown action kind {kind!r}")
+    if len(parts) != _FIELDS[kind]:
+        raise ValueError(f"malformed action line {line!r}: a {kind} action has "
+                         f"{_FIELDS[kind]} fields, not {len(parts)}")
     try:
         if kind == START:
             return Action(START, clause_id=int(parts[1]))
@@ -93,13 +103,11 @@ def decode_action(line: str) -> Action:
             return Action(REDUCTION, path_index=int(parts[1]))
         if kind == EXTENSION:
             return Action(EXTENSION, clause_id=int(parts[1]), literal_index=int(parts[2]))
-        if kind == PARAMODULATION:
-            pos = tuple(int(i) for i in parts[3].split("."))
-            return Action(PARAMODULATION, clause_id=int(parts[1]), literal_index=int(parts[2]),
-                          position=pos, direction=parts[4])
-    except (IndexError, ValueError) as e:
+        pos = tuple(int(i) for i in parts[3].split("."))
+        return Action(PARAMODULATION, clause_id=int(parts[1]), literal_index=int(parts[2]),
+                      position=pos, direction=parts[4])
+    except ValueError as e:
         raise ValueError(f"malformed action line {line!r}: {e}") from None
-    raise ValueError(f"unknown action kind {kind!r}")
 
 
 class TableauState:
@@ -160,10 +168,6 @@ class TableauState:
     @property
     def current_goal(self) -> Optional[Literal]:
         return self.goals[0][0] if self.goals else None
-
-    @property
-    def depth(self) -> int:
-        return len(self.path)
 
     def describe(self) -> str:
         if not self.started:
@@ -227,6 +231,8 @@ class Engine:
     """
 
     def __init__(self, matrix: Matrix, path_limit: int = 100, paramodulation: bool = True):
+        if path_limit < 1:  # below 1 not even the start clause's goals could be expanded
+            raise ValueError(f"path limit must be at least 1, got {path_limit}")
         self.matrix = matrix
         self.path_limit = path_limit
         self.paramodulation = paramodulation
@@ -252,10 +258,6 @@ class Engine:
 
     def start_actions(self) -> List[Action]:
         return [Action(START, clause_id=cid) for cid in self.matrix.start_ids]
-
-    def initial_states(self) -> List[TableauState]:
-        root = self.root_state()
-        return [self.apply(root, a) for a in self.start_actions()]
 
     def is_closed(self, s: TableauState) -> bool:
         return s.started and not s.goals
@@ -429,9 +431,16 @@ def write_trace(path, problem_name: str, actions) -> None:
 
 
 def read_trace(path) -> Tuple[str, List[Action]]:
+    """The problem name and the actions of a trace file; a line that does
+    not decode raises ``ValueError`` naming the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("problem "):
-        raise ValueError("trace file must begin with a 'problem <name>' line")
-    name = lines[0][len("problem "):]
-    return name, [decode_action(ln) for ln in lines[1:]]
+        lines = [(lineno, ln.strip()) for lineno, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("problem "):
+        raise ValueError(f"{path}: trace file must begin with a 'problem <name>' line")
+    actions = []
+    for lineno, ln in lines[1:]:
+        try:
+            actions.append(decode_action(ln))
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
+    return lines[0][1][len("problem "):], actions

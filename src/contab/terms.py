@@ -26,19 +26,10 @@ class Literal(NamedTuple):
     pred: str
     args: tuple
 
-    def negated(self) -> "Literal":
-        return Literal(not self.neg, self.pred, self.args)
-
-    def __str__(self) -> str:
-        return literal_str(self)
-
 
 class Clause(NamedTuple):
     id: int
     literals: tuple
-
-    def __str__(self) -> str:
-        return " | ".join(literal_str(l) for l in self.literals)
 
 
 class Matrix:
@@ -59,19 +50,12 @@ class Matrix:
         if not self.start_ids:
             raise ValueError("matrix needs at least one start clause")
 
-    def __len__(self) -> int:
-        return len(self.clauses)
-
     def dump(self) -> str:
         return matrix_dump(self)
 
 
 def is_var(t: Term) -> bool:
     return type(t) is int
-
-
-def mk(sym: str, *args: Term) -> tuple:
-    return (sym,) + args
 
 
 def head(t: Term) -> Optional[tuple]:
@@ -170,14 +154,10 @@ def unify_args_trail(a: tuple, b: tuple, subst: Subst, trail: list) -> bool:
     return True
 
 
-def undo_trail(subst: Subst, trail: list, mark: int = 0):
-    while len(trail) > mark:
+def undo_trail(subst: Subst, trail: list):
+    """Remove every binding the trail records, emptying it."""
+    while trail:
         del subst[trail.pop()]
-
-
-def normalize_subst(subst: Subst) -> Subst:
-    """Idempotent form: every binding fully dereferenced."""
-    return {v: apply_subst(t, subst) for v, t in subst.items()}
 
 
 def term_vars(t: Term, acc=None) -> set:
@@ -223,13 +203,10 @@ def clause_var_count(clause: Clause) -> int:
 Position = tuple
 
 
-def subterm_positions(obj) -> list:
-    """All (position, subterm) pairs in left-to-right, outside-in order.
-
-    For a literal the root atom itself is excluded: positions start at the
-    argument index (1-based).  For a bare term the empty position (the term
-    itself) is included.
-    """
+def subterm_positions(lit: Literal) -> list:
+    """All (position, subterm) pairs of a literal's arguments, in
+    left-to-right, outside-in order.  A position starts at the argument
+    index (1-based); the atom itself has no position."""
     out: list = []
 
     def rec(t: Term, pos: tuple):
@@ -238,48 +215,37 @@ def subterm_positions(obj) -> list:
             for i, a in enumerate(t[1:], start=1):
                 rec(a, pos + (i,))
 
-    if isinstance(obj, Literal):
-        for i, a in enumerate(obj.args, start=1):
-            rec(a, (i,))
-    else:
-        rec(obj, ())
+    for i, a in enumerate(lit.args, start=1):
+        rec(a, (i,))
     return out
 
 
-def subterm_at(obj, pos: Position):
-    if isinstance(obj, Literal):
-        if not pos:
-            raise KeyError("literal root is not a term position")
-        t = obj.args[pos[0] - 1]
-        pos = pos[1:]
-    else:
-        t = obj
-    for i in pos:
+def subterm_at(lit: Literal, pos: Position) -> Term:
+    """The subterm of a literal at ``pos``, as ``subterm_positions`` gives
+    it; KeyError when ``pos`` is empty or runs into a variable."""
+    if not pos:
+        raise KeyError("literal root is not a term position")
+    t = lit.args[pos[0] - 1]
+    for i in pos[1:]:
         if type(t) is int:
             raise KeyError("position runs into a variable")
         t = t[i]
     return t
 
 
-def replace_at(obj, pos: Position, new: Term):
-    """Replace the subterm at ``pos`` with ``new``; round-trips with
-    ``subterm_at``."""
+def replace_at(lit: Literal, pos: Position, new: Term) -> Literal:
+    """The literal with the subterm at ``pos``, a position ``subterm_at``
+    accepts, replaced by ``new``."""
 
     def rec(t: Term, p: tuple) -> Term:
         if not p:
             return new
-        if type(t) is int:
-            raise KeyError("position runs into a variable")
         i = p[0]
         return t[:i] + (rec(t[i], p[1:]),) + t[i + 1 :]
 
-    if isinstance(obj, Literal):
-        if not pos:
-            raise KeyError("literal root is not a term position")
-        i = pos[0] - 1
-        args = obj.args[:i] + (rec(obj.args[i], pos[1:]),) + obj.args[i + 1 :]
-        return Literal(obj.neg, obj.pred, args)
-    return rec(obj, pos)
+    i = pos[0] - 1
+    args = lit.args[:i] + (rec(lit.args[i], pos[1:]),) + lit.args[i + 1 :]
+    return Literal(lit.neg, lit.pred, args)
 
 
 # ---------------------------------------------------------------------------

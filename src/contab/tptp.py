@@ -1,4 +1,4 @@
-"""Parser and printer for the untyped CNF/FOF subset of the TPTP syntax.
+"""Parser for the untyped CNF/FOF subset of the TPTP syntax.
 
 Accepted inputs: ``cnf(name, role, formula).`` and ``fof(name, role,
 formula).`` annotated formulas, ``include('file').`` directives, ``%`` line
@@ -436,48 +436,3 @@ def parse_problem_file(path) -> Problem:
         text = fh.read()
     return parse_problem(text, os.path.dirname(os.path.abspath(path)))
 
-
-# ---------------------------------------------------------------------------
-# printer
-
-
-def format_term(t) -> str:
-    if isinstance(t, str):
-        return t
-    if len(t) == 1:
-        return _quote(t[0])
-    return f"{_quote(t[0])}({','.join(format_term(a) for a in t[1:])})"
-
-
-def _quote(sym: str) -> str:
-    if sym and sym[0].islower() and all(c.isalnum() or c == "_" for c in sym):
-        return sym
-    escaped = sym.replace("\\", "\\\\").replace("'", "\\'")
-    return f"'{escaped}'"
-
-
-def format_formula(f) -> str:
-    if isinstance(f, FConst):
-        return "$true" if f.value else "$false"
-    if isinstance(f, FAtom):
-        if f.pred == EQ:
-            return f"({format_term(f.args[0])} = {format_term(f.args[1])})"
-        if not f.args:
-            return _quote(f.pred)
-        return f"{_quote(f.pred)}({','.join(format_term(a) for a in f.args)})"
-    if isinstance(f, FNeg):
-        if isinstance(f.sub, FAtom) and f.sub.pred == EQ:
-            return f"({format_term(f.sub.args[0])} != {format_term(f.sub.args[1])})"
-        return f"~{format_formula(f.sub)}"
-    if isinstance(f, FBin):
-        return f"({format_formula(f.left)} {f.op} {format_formula(f.right)})"
-    if isinstance(f, FQuant):
-        return f"{f.q}[{','.join(f.vars)}]: {format_formula(f.sub)}"
-    raise TypeError(f"not a formula node: {f!r}")
-
-
-def format_problem(problem: Problem) -> str:
-    lines = []
-    for af in problem.formulas:
-        lines.append(f"{af.lang}({_quote(af.name)}, {af.role}, {format_formula(af.formula)}).")
-    return "\n".join(lines) + "\n"

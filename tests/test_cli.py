@@ -4,8 +4,6 @@ Each test drives main() in process with explicit --out directories, so
 stdout/stderr and exit codes are checked without spawning a shell.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -93,6 +91,26 @@ class TestProve:
         assert code == 2
         assert "cp and wall_clock must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("limit", ["0", "-5"])
+    def test_path_limit_below_one_exits_2_before_any_output(
+            self, problem_dir, tmp_path, capsys, limit):
+        out = tmp_path / "o"
+        code = run_cli("prove", problem_dir, "--out", out, "--path-limit", limit, *FAST)
+        assert code == 2
+        assert f"path limit must be at least 1, got {limit}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_directory_without_problems_exits_2_as_an_empty_corpus_does(
+            self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "notes.txt").write_text("no problems here\n")
+        assert run_cli("prove", empty, "--out", tmp_path / "o", *FAST) == 2
+        positional = capsys.readouterr().err
+        assert run_cli("prove", "--corpus", empty, "--out", tmp_path / "o", *FAST) == 2
+        assert capsys.readouterr().err == positional == f"error: no problem matches {str(empty)!r}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_unparsable_problem_becomes_error_record(self, problem_dir, tmp_path):
         (problem_dir / "broken.p").write_text("fof(oops, axiom, p(.\n")
@@ -476,7 +494,11 @@ class TestHarvestAnalyze:
         ("start -1;", "bank step 1 'start -1'"),
         # at(one) is a clause no search starts from
         ("start 3;", "bank step 1 'start 3' is not a legal action"),
-    ], ids=["problem-edited", "index-past-end", "negative-index", "non-start-clause"])
+        # a step is decoded as strictly as a trace line
+        ("start 4 9;", "bank step 1 'start 4 9': malformed action line 'start 4 9': "
+                       "a start action has 2 fields, not 3"),
+    ], ids=["problem-edited", "index-past-end", "negative-index", "non-start-clause",
+            "extra-field"])
     def test_bank_that_does_not_replay_exits_2(self, tmp_path, capsys, damage, complaint):
         text = (corpus_dir() / "rule_pick.p").read_text()
         problems, hout = tmp_path / "problems", tmp_path / "h"
@@ -664,6 +686,16 @@ class TestCheck:
                        "--workers", "1") == 0
         assert run_cli("check", problem, out / "traces" / "long.trace") == 0
         assert "ok: long: 107 actions" in capsys.readouterr().out
+
+    def test_trace_line_with_an_extra_field_exits_2_naming_the_line(
+            self, problem_dir, tmp_path, capsys):
+        problem, trace = self.prove_chain(problem_dir, tmp_path)
+        lines = trace.read_text().splitlines()
+        assert lines[1].startswith("start ")
+        lines[1] += " 99"
+        trace.write_text("\n".join(lines) + "\n")
+        assert run_cli("check", problem, trace) == 2
+        assert f"{trace}:2: malformed action line '{lines[1]}'" in capsys.readouterr().err
 
     def test_missing_trace_exits_2(self, problem_dir, tmp_path):
         assert run_cli("check", problem_dir / "chain.p", tmp_path / "no.trace") == 2

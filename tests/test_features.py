@@ -3,7 +3,6 @@
 import zlib
 
 import numpy as np
-import pytest
 
 from contab import features
 from contab.clausify import clausify_text
@@ -14,7 +13,7 @@ from contab.features import (
     literal_walks,
 )
 from contab.tableau import EXTENSION, PARAMODULATION, REDUCTION, START, Engine, TableauState
-from contab.terms import Literal, apply_subst_lit, mk
+from contab.terms import Literal, apply_subst_lit
 
 
 def bucket(namespace, walk):
@@ -23,7 +22,7 @@ def bucket(namespace, walk):
 
 class TestLiteralWalks:
     def test_goal_example_walks(self):
-        lit = Literal(False, "p", (mk("f", mk("a")),))
+        lit = Literal(False, "p", (("f", ("a",)),))
         walks = literal_walks(lit)
         assert "p" in walks
         assert "p>f" in walks
@@ -31,14 +30,14 @@ class TestLiteralWalks:
         assert "f" in walks and "a" in walks
 
     def test_negation_marks_the_root(self):
-        lit = Literal(True, "p", (mk("a"),))
+        lit = Literal(True, "p", (("a",),))
         walks = literal_walks(lit)
         assert "~p" in walks
         assert "~p>a" in walks
         assert "p" not in walks
 
     def test_variables_collapse_to_star(self):
-        lit = Literal(False, "q", (0, mk("f", 3)))
+        lit = Literal(False, "q", (0, ("f", 3)))
         walks = literal_walks(lit)
         assert "*" in walks
         assert "q>*" in walks
@@ -50,7 +49,7 @@ class TestLiteralWalks:
 
 def goal_state(text="cnf(a, axiom, p(X)).\nfof(c, conjecture, p(f(a)))."):
     engine = Engine(clausify_text(text))
-    return engine, engine.initial_states()[0]
+    return engine, engine.replay(engine.start_actions()[:1])
 
 
 class TestStateFeatures:
@@ -77,7 +76,7 @@ class TestStateFeatures:
                 "cnf(a, axiom, p(X) | q(X) | r(X)).\nfof(c, conjecture, p(b))."
             )
         )
-        state = engine.initial_states()[0]
+        state = engine.replay(engine.start_actions()[:1])
         state = engine.apply(state, engine.legal_actions(state)[0])
         # Now: current goal q(b), open goal r(b), path [~p(b)].
         feats = extract_features(state)
@@ -91,7 +90,7 @@ class TestStateFeatures:
         engine = Engine(
             clausify_text("cnf(a, axiom, p(X) | q(X)).\nfof(c, conjecture, p(b)).")
         )
-        state = engine.initial_states()[0]
+        state = engine.replay(engine.start_actions()[:1])
         state = engine.apply(state, engine.legal_actions(state)[0])
         feats = extract_features(state)
         # The open goal literal is stored as q(X) but X is bound to b.
@@ -133,7 +132,7 @@ class TestActionFeatures:
                 "cnf(e, axiom, a = b).\ncnf(r, axiom, r(b)).\nfof(c, conjecture, r(a))."
             )
         )
-        state = engine.initial_states()[0]
+        state = engine.replay(engine.start_actions()[:1])
         para = [a for a in engine.legal_actions(state) if a.kind == PARAMODULATION]
         feats = extract_action_features(state, para[0], engine.matrix)
         assert feats.get(bucket("d:", "lr"), 0) == 1
@@ -146,7 +145,7 @@ class TestActionFeatures:
                 "fof(c, conjecture, p(f(b)))."
             )
         )
-        state = engine.initial_states()[0]
+        state = engine.replay(engine.start_actions()[:1])
         acts = engine.legal_actions(state)
         assert len(acts) == 2
         f0 = extract_action_features(state, acts[0], engine.matrix)
@@ -163,7 +162,7 @@ class TestActionFeatures:
                 "fof(c, conjecture, p(b))."
             )
         )
-        state = engine.initial_states()[0]
+        state = engine.replay(engine.start_actions()[:1])
         acts = engine.legal_actions(state)
         f0 = extract_action_features(state, acts[0], engine.matrix)
         f1 = extract_action_features(state, acts[1], engine.matrix)
@@ -180,8 +179,8 @@ class TestHashing:
 
         for path in corpus_problems()[:10]:
             engine = Engine(load_matrix(path))
-            for state in engine.initial_states():
-                for idx, count in extract_features(state).items():
+            for a in engine.start_actions():
+                for idx, count in extract_features(engine.replay([a])).items():
                     assert 0 <= idx < FEATURE_DIM
                     assert count >= 1
 
@@ -246,7 +245,7 @@ class TestWalkMemo:
         info = features._literal_indices.cache_info()
         assert info.maxsize == features.WALK_CACHE_SIZE
         for i in range(features.WALK_CACHE_SIZE + 50):
-            features._literal_indices("g:", Literal(False, "p", (mk(f"c{i}"),)))
+            features._literal_indices("g:", Literal(False, "p", ((f"c{i}",),)))
         info = features._literal_indices.cache_info()
         assert info.currsize == info.maxsize
 
@@ -356,7 +355,7 @@ class TestInheritedInstantiations:
                             lambda lit, subst: calls.append(lit) or real(lit, subst))
         engine = Engine(clausify_text(CHAIN_TEXT))
         # initial states: their parent is the pre-start root, which has none cached
-        for state in engine.initial_states():
+        for state in [engine.replay([a]) for a in engine.start_actions()]:
             calls.clear()
             assert list(extract_features(state).items()) == \
                 list(fresh_state_features(state).items())

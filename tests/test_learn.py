@@ -50,7 +50,7 @@ THREE_WAY = (
 def three_action_node(visits, depth=1):
     """A bigstep-trace node over a real state with three legal actions."""
     engine = Engine(clausify_text(THREE_WAY))
-    state = engine.initial_states()[0]
+    state = engine.replay(engine.start_actions()[:1])
     node = MCTSNode(state, None, -1, depth)
     node.actions = engine.legal_actions(state)
     assert len(node.actions) == 3

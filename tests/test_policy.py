@@ -224,7 +224,7 @@ def small_state_and_actions():
             "fof(c, conjecture, p(a))."
         )
     )
-    state = engine.initial_states()[0]
+    state = engine.replay(engine.start_actions()[:1])
     return engine, state, engine.legal_actions(state)
 
 
@@ -393,7 +393,7 @@ class TestDeclaredReads:
     ], ids=["uniform", "linear", "fixed-entropy-over-linear"])
     def test_one_action_is_certain_and_never_scored(self, make, monkeypatch):
         engine = Engine(clausify_text("cnf(a, axiom, p(X)).\nfof(c, conjecture, p(a))."))
-        state = engine.initial_states()[0]
+        state = engine.replay(engine.start_actions()[:1])
         actions = engine.legal_actions(state)
         assert len(actions) == 1
         predictor = make()

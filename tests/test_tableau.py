@@ -9,6 +9,7 @@ goals and equations.
 
 import importlib.util
 import random
+import re
 from collections import deque
 from pathlib import Path
 
@@ -106,10 +107,8 @@ class TestStartStates:
     def test_single_start_clause(self):
         m = clausify_text("fof(ax, axiom, p(a)).\nfof(c, conjecture, p(a)).")
         e = Engine(m)
-        states = e.initial_states()
-        assert len(states) == 1
-        s = states[0]
-        assert s.depth == 0
+        assert len(e.start_actions()) == 1
+        s = e.replay(e.start_actions())
         assert s.path == ()
         goal = s.current_goal
         assert goal.pred == "p" and goal.neg
@@ -117,17 +116,17 @@ class TestStartStates:
     def test_two_start_clauses_two_states(self):
         m = clausify_text("fof(a, axiom, p(a)).\nfof(c, conjecture, p(a) | q(a)).")
         e = Engine(m)
-        assert len(e.initial_states()) == 2
-        assert len(e.start_actions()) == 2
+        states = [e.replay([a]) for a in e.start_actions()]
+        assert len(states) == 2
+        assert states[0].goals != states[1].goals
 
     def test_three_literal_start_clause(self):
         m = clausify_text(
             "fof(a, axiom, p(a)).\nfof(c, conjecture, p(a) & q(a) & r(a))."
         )
         e = Engine(m)
-        states = e.initial_states()
-        assert len(states) == 1
-        assert len(states[0].goals) == 3
+        assert len(e.start_actions()) == 1
+        assert len(e.replay(e.start_actions()).goals) == 3
 
     def test_root_state_offers_start_actions(self):
         m = clausify_text("fof(ax, axiom, p(a)).\nfof(c, conjecture, p(a)).")
@@ -140,7 +139,7 @@ class TestStartStates:
     def test_start_twice_is_illegal(self):
         m = clausify_text("fof(ax, axiom, p(a)).\nfof(c, conjecture, p(a)).")
         e = Engine(m)
-        s = e.initial_states()[0]
+        s = e.replay(e.start_actions()[:1])
         with pytest.raises(IllegalActionError):
             e.apply(s, e.start_actions()[0])
 
@@ -149,26 +148,25 @@ class TestExtension:
     def test_single_extension_offer(self):
         m = clausify_text("cnf(a, axiom, p(X) | q(X)).\nfof(c, conjecture, p(a)).")
         e = Engine(m)
-        s = e.initial_states()[0]
+        s = e.replay(e.start_actions()[:1])
         acts = e.legal_actions(s)
         assert acts == [Action(EXTENSION, clause_id=0, literal_index=0)]
 
     def test_extension_opens_residual_goals(self):
         m = clausify_text("cnf(a, axiom, p(X) | q(X)).\nfof(c, conjecture, p(a)).")
         e = Engine(m)
-        s = e.initial_states()[0]
+        s = e.replay(e.start_actions()[:1])
         s2 = e.apply(s, e.legal_actions(s)[0])
         assert len(s2.goals) == 1
         goal = apply_subst_lit(s2.current_goal, s2.subst)
         assert goal.pred == "q"
         assert goal.args == (("a",),)  # the unifier instantiated X
-        assert s2.depth == 1
         assert len(s2.path) == 1
 
     def test_unit_extension_closes(self):
         m = clausify_text("fof(ax, axiom, p(a)).\nfof(c, conjecture, p(a)).")
         e = Engine(m)
-        s = e.initial_states()[0]
+        s = e.replay(e.start_actions()[:1])
         s2 = e.apply(s, e.legal_actions(s)[0])
         assert e.is_closed(s2)
         assert not e.legal_actions(s2)
@@ -179,7 +177,7 @@ class TestExtension:
             "fof(c, conjecture, p(a))."
         )
         e = Engine(m)
-        s = e.initial_states()[0]
+        s = e.replay(e.start_actions()[:1])
         while not e.is_closed(s):
             acts = e.legal_actions(s)
             if not acts:
@@ -200,7 +198,7 @@ class TestReduction:
 
     def test_reduction_appears_with_path_index(self):
         e = self.fixture()
-        s = e.initial_states()[0]
+        s = e.replay(e.start_actions()[:1])
         s = e.apply(s, Action(EXTENSION, clause_id=0, literal_index=0))
         s = e.apply(s, Action(EXTENSION, clause_id=1, literal_index=0))
         acts = e.legal_actions(s)
@@ -211,7 +209,7 @@ class TestReduction:
 
     def test_reduction_discharges_without_new_goals(self):
         e = self.fixture()
-        s = e.initial_states()[0]
+        s = e.replay(e.start_actions()[:1])
         s = e.apply(s, Action(EXTENSION, clause_id=0, literal_index=0))
         s = e.apply(s, Action(EXTENSION, clause_id=1, literal_index=0))
         n_before = len(s.goals)
@@ -226,7 +224,7 @@ class TestParamodulation:
             "cnf(e, axiom, a = b).\ncnf(r, axiom, r(b)).\nfof(c, conjecture, r(a))."
         )
         e = Engine(m)
-        s = e.initial_states()[0]
+        s = e.replay(e.start_actions()[:1])
         acts = e.legal_actions(s)
         para = [a for a in acts if a.kind == PARAMODULATION]
         assert para == [
@@ -242,7 +240,7 @@ class TestParamodulation:
             "cnf(e, axiom, f(a) = b | r(c)).\nfof(c, conjecture, q(f(a)))."
         )
         e = Engine(m)
-        s = e.initial_states()[0]
+        s = e.replay(e.start_actions()[:1])
         para = [a for a in e.legal_actions(s) if a.kind == PARAMODULATION]
         s2 = e.apply(s, para[0])
         assert len(s2.goals) == 2
@@ -275,7 +273,7 @@ class TestParamodulation:
             "cnf(e, axiom, g(X) = g(Y)).\nfof(c, conjecture, p(g(a)))."
         )
         e = Engine(m)
-        s = e.initial_states()[0]
+        s = e.replay(e.start_actions()[:1])
         para = [a for a in e.legal_actions(s) if a.kind == PARAMODULATION]
         dirs = {(a.position, a.direction) for a in para}
         assert ((1,), "lr") in dirs
@@ -286,7 +284,7 @@ class TestParamodulation:
             "cnf(e, axiom, a = b).\ncnf(r, axiom, r(b)).\nfof(c, conjecture, r(a))."
         )
         e = Engine(m)
-        s = e.initial_states()[0]
+        s = e.replay(e.start_actions()[:1])
         assert all(a.position for a in e.legal_actions(s) if a.kind == PARAMODULATION)
 
     def test_reflexivity_clause_never_rewrites(self):
@@ -298,7 +296,7 @@ class TestParamodulation:
     def test_reflexivity_closes_equality_goals_by_extension(self):
         m = clausify_text("fof(e, axiom, f(a) = a).\nfof(c, conjecture, f(a) = f(a)).")
         e = Engine(m)
-        s = e.initial_states()[0]
+        s = e.replay(e.start_actions()[:1])
         ext = [
             a
             for a in e.legal_actions(s)
@@ -312,17 +310,24 @@ class TestParamodulation:
             "cnf(e, axiom, a = b).\ncnf(r, axiom, r(b)).\nfof(c, conjecture, r(a))."
         )
         e = Engine(m, paramodulation=False)
-        s = e.initial_states()[0]
+        s = e.replay(e.start_actions()[:1])
         assert all(a.kind != PARAMODULATION for a in e.legal_actions(s))
 
 
 class TestPathLimit:
+    @pytest.mark.parametrize("limit", [0, -5])
+    def test_a_limit_below_one_is_rejected(self, limit):
+        m = clausify_text("fof(ax, axiom, p(a)).\nfof(c, conjecture, p(a)).")
+        with pytest.raises(ValueError, match=f"path limit must be at least 1, got {limit}"):
+            Engine(m, path_limit=limit)
+        assert Engine(m, path_limit=1).path_limit == 1
+
     def test_states_past_the_cap_offer_nothing(self):
         m = clausify_text(
             "cnf(rule, axiom, p(X) | ~p(f(X))).\nfof(c, conjecture, p(a))."
         )
         e = Engine(m, path_limit=3)
-        s = e.initial_states()[0]
+        s = e.replay(e.start_actions()[:1])
         depths = 0
         while True:
             acts = e.legal_actions(s)
@@ -331,9 +336,9 @@ class TestPathLimit:
             s = e.apply(s, acts[0])
             depths += 1
             assert depths < 50, "cap did not bite"
-        assert s.depth >= 3
+        assert len(s.path) >= 3
         uncapped = Engine(m, path_limit=100)
-        deep = uncapped.initial_states()[0]
+        deep = uncapped.replay(uncapped.start_actions()[:1])
         for _ in range(10):
             deep = uncapped.apply(deep, uncapped.legal_actions(deep)[0])
         assert uncapped.legal_actions(deep)
@@ -550,7 +555,7 @@ class TestReplay:
         for _ in range(5):
             actions.append(uncapped.legal_actions(state)[0])
             state = uncapped.apply(state, actions[-1])
-        assert uncapped.replay(actions).depth == 4
+        assert len(uncapped.replay(actions).path) == 4
         # start, then one extension per level: the third extension would
         # go below depth 2
         assert refused_step(Engine(m, path_limit=2), actions) == 3
@@ -615,9 +620,13 @@ class TestActionEncoding:
     def test_decode_rejects_garbage(self):
         for line in ["", "frobnicate 1", "extension x y", "reduction",
                      # an index is never negative, where Python would count from the end
-                     "start -1", "reduction -2", "extension 0 -1", "paramodulation 0 2 1.-1 lr"]:
+                     "start -1", "reduction -2", "extension 0 -1", "paramodulation 0 2 1.-1 lr",
+                     # an extra field, which would otherwise be ignored
+                     "start 3 99", "reduction 1 0", "extension 1 0 0",
+                     "paramodulation 0 2 1.1 lr x"]:
             with pytest.raises(ValueError):
                 decode_action(line)
+
 
 
 class TestTraceFiles:
@@ -633,4 +642,10 @@ class TestTraceFiles:
         p = tmp_path / "bad.trace"
         p.write_text("extension 0 0\n")
         with pytest.raises(ValueError):
+            read_trace(p)
+
+    def test_a_bad_line_is_named_by_file_and_line(self, tmp_path):
+        p = tmp_path / "bad.trace"
+        p.write_text("problem x\nstart 0\n\nextension 1 x\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{p}:4: malformed action line 'extension 1 x'")):
             read_trace(p)

@@ -1,10 +1,9 @@
-"""Parser tests: cnf/fof inputs, includes, errors, and print round-trips."""
-
-import os
+"""Parser tests: cnf/fof inputs, includes and errors."""
 
 import pytest
 
 from contab.tptp import (
+    AnnotatedFormula,
     FAtom,
     FBin,
     FConst,
@@ -12,7 +11,6 @@ from contab.tptp import (
     FQuant,
     ParseError,
     UnsupportedError,
-    format_problem,
     parse_problem,
     parse_problem_file,
 )
@@ -90,31 +88,30 @@ class TestBasicParsing:
         f = parse_problem(r"fof(a, axiom, p('it\'s', 'a\\b')).").formulas[0].formula
         assert f == FAtom("p", (("it's",), ("a\\b",)))
 
+    @pytest.mark.parametrize("text, name, formula", [
+        ("fof(ax, axiom, ! [X] : (p(X) => q(X))).", "ax",
+         FQuant("!", ("X",), FBin("=>", FAtom("p", ("X",)), FAtom("q", ("X",))))),
+        ("fof(ax, axiom, ? [X, Y] : (r(X, Y) & ~r(Y, X))).", "ax",
+         FQuant("?", ("X", "Y"), FBin("&", FAtom("r", ("X", "Y")), FNeg(FAtom("r", ("Y", "X")))))),
+        ("cnf(c, axiom, p(a) | ~q(f(b))).", "c",
+         FBin("|", FAtom("p", (("a",),)), FNeg(FAtom("q", (("f", ("b",)),))))),
+        ("fof(e, axiom, (f(a) = b) & (a != c)).", "e",
+         FBin("&", FAtom("=", (("f", ("a",)), ("b",))), FNeg(FAtom("=", (("a",), ("c",)))))),
+        ("fof(m, axiom, (p(a) <=> q(a)) | $false).", "m",
+         FBin("|", FBin("<=>", FAtom("p", (("a",),)), FAtom("q", (("a",),))), FConst(False))),
+        ("fof(n, axiom, ~(~p(a))).", "n", FNeg(FNeg(FAtom("p", (("a",),))))),
+        (r"fof('it\'s', axiom, p('a\\b') & 'Q\\'('it\'s')).", "it's",
+         FBin("&", FAtom("p", (("a\\b",),)), FAtom("Q\\", (("it's",),)))),
+    ], ids=["quantified-implication", "quantified-conjunction", "cnf-disjunction",
+            "parenthesized-equations", "iff-or-false", "double-negation", "quoted-names"])
+    def test_parses_to_its_ast(self, text, name, formula):
+        lang = text[:3]
+        assert parse_problem(text).formulas == (AnnotatedFormula(name, "axiom", formula, lang),)
+
     def test_multiple_formulas(self):
         p = parse_problem("fof(a1, axiom, p(a)).\nfof(a2, axiom, q(a)).\nfof(c, conjecture, q(a)).")
         assert [f.name for f in p.formulas] == ["a1", "a2", "c"]
         assert p.formulas[2].role == "conjecture"
-
-
-class TestRoundTrip:
-    CASES = [
-        "fof(ax, axiom, ! [X] : (p(X) => q(X))).",
-        "fof(ax, axiom, ? [X, Y] : (r(X, Y) & ~r(Y, X))).",
-        "cnf(c, axiom, p(a) | ~q(f(b))).",
-        "fof(e, axiom, (f(a) = b) & (a != c)).",
-        "fof(m, conjecture, (p(a) <=> q(a)) | $false).",
-        "fof(n, axiom, ~(~p(a))).",
-        r"fof('it\'s', axiom, p('a\\b') & 'Q\\'('it\'s')).",
-    ]
-
-    @pytest.mark.parametrize("text", CASES)
-    def test_format_then_reparse_is_identity(self, text):
-        p1 = parse_problem(text)
-        printed = format_problem(p1)
-        p2 = parse_problem(printed)
-        assert p2.formulas == p1.formulas
-        # Printing must reach a fixed point after one pass.
-        assert format_problem(p2) == printed
 
 
 class TestErrors:
