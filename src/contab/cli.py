@@ -33,7 +33,7 @@ from .policy import (FixedEntropyPredictor, LinearPredictor, Predictor,
                      UniformPredictor, load_model, make_fixed_entropy_vector,
                      apply_order_preserving)
 from .search import SearchLimits, format_result_line
-from .tableau import Engine, read_trace, write_trace
+from .tableau import Engine, check_path_limit, read_trace, write_trace
 from .tptp import ParseError
 
 CORPUS_ENV = "CONTAB_CORPUS_DIR"
@@ -164,6 +164,7 @@ def _problem_paths(cfg: Config, positional: List[str]) -> List[Path]:
 def _build_engines(paths: List[Path], cfg: Config) -> Tuple[List[Tuple[str, Engine]], List[Tuple[str, str]]]:
     """Returns (name, engine) pairs plus (name, error) records for the
     problems that failed to parse or clausify."""
+    check_path_limit(cfg.path_limit)  # even if no problem parses
     engines: List[Tuple[str, Engine]] = []
     errors: List[Tuple[str, str]] = []
     seen = set()

@@ -28,7 +28,7 @@ from collections import Counter
 from itertools import chain
 from typing import Dict, List, Tuple
 
-from .tableau import Action, EXTENSION, PARAMODULATION, REDUCTION, START, TableauState
+from .tableau import Action, PARAMODULATION, REDUCTION, START, TableauState
 from .terms import Literal, apply_subst_lit, is_var
 
 FEATURE_DIM = 2 ** 15

@@ -427,6 +427,8 @@ def prove_problems(problems: Sequence[Tuple[str, Engine]], predictor: Predictor,
     nothing of it is pickled, elsewhere it is pickled once per worker.
     Each task sent to a worker is then a problem index, and only the
     result and its examples come back."""
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
     tasks = [(name, engine, predictor, limits, iteration) for name, engine in problems]
     workers = min(workers, len(tasks))
     if workers <= 1:
@@ -474,6 +476,8 @@ def run_loop(problems: Sequence[Tuple[str, Engine]], iterations: int,
     completed iteration using those files, and raises ``ValueError`` if
     the checkpoint was written under other settings.
     """
+    if iterations < 0:
+        raise ValueError(f"iteration count must be at least 0, got {iterations}")
     config = config or LoopConfig()
     stats: List[IterationStats] = []
     examples: List[TrainingExample] = []

@@ -12,6 +12,10 @@ The calculus has three inference rules over the clause matrix:
   literal of an input clause (both directions); the rewritten goal and the
   clause's residual literals become new open goals.
 
+``legal_actions`` decides which actions a state admits, ``apply`` commits
+one without deciding again, and ``replay`` checks each action of a
+sequence from outside against ``legal_actions`` before applying it.
+
 A synthetic pre-state precedes the choice of start clause so that the
 choice is itself an action; proof traces therefore begin with a ``start``
 action.  Goal selection is leftmost; because goals are processed
@@ -202,11 +206,16 @@ def _clash(goal_heads, fixed) -> bool:
     return False
 
 
-class IllegalActionError(Exception):
-    """An action that cannot be taken; ``step`` is its 0-based index when
-    :meth:`Engine.replay` refused it."""
+def check_path_limit(path_limit: int) -> None:
+    if path_limit < 1:  # below 1 not even the start clause's goals could be expanded
+        raise ValueError(f"path limit must be at least 1, got {path_limit}")
 
-    def __init__(self, message: str, step: Optional[int] = None):
+
+class IllegalActionError(Exception):
+    """An action :meth:`Engine.replay` refused; ``step`` is its 0-based
+    index in the sequence."""
+
+    def __init__(self, message: str, step: int):
         super().__init__(message)
         self.step = step
 
@@ -231,8 +240,7 @@ class Engine:
     """
 
     def __init__(self, matrix: Matrix, path_limit: int = 100, paramodulation: bool = True):
-        if path_limit < 1:  # below 1 not even the start clause's goals could be expanded
-            raise ValueError(f"path limit must be at least 1, got {path_limit}")
+        check_path_limit(path_limit)
         self.matrix = matrix
         self.path_limit = path_limit
         self.paramodulation = paramodulation
@@ -328,71 +336,38 @@ class Engine:
     # -- application --------------------------------------------------------
 
     def apply(self, s: TableauState, a: Action) -> TableauState:
+        """The state action ``a`` leads to from ``s``.  ``legal_actions``
+        decides, ``apply`` commits and ``replay`` checks: ``a`` must be one
+        ``legal_actions(s)`` offers, so the unifications here cannot fail
+        and only compute the bindings."""
         if a.kind == START:
-            if s.started:
-                raise IllegalActionError("start action on a started tableau")
-            clause = self.matrix.clauses[a.clause_id]
-            goals = tuple((lit, 0) for lit in clause.literals)
+            goals = tuple((lit, 0) for lit in self.matrix.clauses[a.clause_id].literals)
             return TableauState(True, goals, (), {}, self.var_counts[a.clause_id], s)
-        if not s.goals:
-            raise IllegalActionError("no open goal")
-        goal, gdepth = s.goals[0]
+        goal = s.goals[0][0]
         subst = dict(s.subst)
-        trail: list = []
-
+        next_var = s.next_var
         if a.kind == REDUCTION:
-            plit = s.path[a.path_index]
-            if not (plit.pred == goal.pred and plit.neg != goal.neg
-                    and unify_args_trail(goal.args, plit.args, subst, trail)):
-                raise IllegalActionError(f"reduction does not unify: {a}")
-            return self._discharge(s, subst)
-
-        if a.kind == EXTENSION:
+            unify_args_trail(goal.args, s.path[a.path_index].args, subst, [])
+            new = []
+        else:
             clause = self.matrix.clauses[a.clause_id]
-            off = s.next_var
-            lit = offset_literal(clause.literals[a.literal_index], off)
-            if not (lit.pred == goal.pred and lit.neg != goal.neg
-                    and unify_args_trail(goal.args, lit.args, subst, trail)):
-                raise IllegalActionError(f"extension does not unify: {a}")
-            rest = tuple(offset_literal(l, off) for i, l in enumerate(clause.literals)
-                         if i != a.literal_index)
-            next_var = off + self.var_counts[a.clause_id]
-            if not rest:
-                return self._discharge(s, subst, next_var)
+            new = [offset_literal(lit, next_var) for lit in clause.literals]
+            conn = new.pop(a.literal_index)
+            next_var += self.var_counts[a.clause_id]
+            if a.kind == EXTENSION:
+                unify_args_trail(goal.args, conn.args, subst, [])
+            else:
+                x, y = conn.args if a.direction == "lr" else conn.args[::-1]
+                g = apply_subst_lit(goal, s.subst)
+                unify_terms_trail(subterm_at(g, a.position), x, subst, [])
+                new.insert(0, replace_at(g, a.position, y))
+        if new:
             depth = len(s.path) + 1
-            goals = tuple((l, depth) for l in rest) + s.goals[1:]
+            goals = tuple((lit, depth) for lit in new) + s.goals[1:]
             return TableauState(True, goals, s.path + (goal,), subst, next_var, s)
-
-        if a.kind == PARAMODULATION:
-            clause = self.matrix.clauses[a.clause_id]
-            off = s.next_var
-            eq = offset_literal(clause.literals[a.literal_index], off)
-            if eq.pred != EQ or eq.neg:
-                raise IllegalActionError(f"not an equation literal: {a}")
-            x, y = eq.args if a.direction == "lr" else (eq.args[1], eq.args[0])
-            g = apply_subst_lit(goal, s.subst)
-            try:
-                target = subterm_at(g, a.position)
-            except (KeyError, IndexError):
-                raise IllegalActionError(f"position {a.position} not in goal") from None
-            if not unify_terms_trail(target, x, subst, trail):
-                raise IllegalActionError(f"paramodulation does not unify: {a}")
-            rewritten = replace_at(g, a.position, y)
-            rest = tuple(offset_literal(l, off) for i, l in enumerate(clause.literals)
-                         if i != a.literal_index)
-            depth = len(s.path) + 1
-            goals = ((rewritten, depth),) + tuple((l, depth) for l in rest) + s.goals[1:]
-            return TableauState(True, goals, s.path + (goal,), subst,
-                                off + self.var_counts[a.clause_id], s)
-
-        raise IllegalActionError(f"unknown action kind {a.kind!r}")
-
-    def _discharge(self, s: TableauState, subst, next_var=None) -> TableauState:
-        """Drop the current goal and re-point the path at the next one."""
-        goals = s.goals[1:]
+        goals = s.goals[1:]  # the current goal closes; the path is the next goal's
         path = s.path[: goals[0][1]] if goals else ()
-        return TableauState(True, goals, path, subst,
-                            s.next_var if next_var is None else next_var, s)
+        return TableauState(True, goals, path, subst, next_var, s)
 
     # -- replay -------------------------------------------------------------
 

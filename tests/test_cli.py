@@ -101,6 +101,22 @@ class TestProve:
         assert f"path limit must be at least 1, got {limit}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["prove", "harvest"])
+    def test_path_limit_is_checked_although_no_problem_parses(self, tmp_path, capsys, command):
+        broken = tmp_path / "broken.p"
+        broken.write_text("fof(oops, axiom, p(.\n")
+        out = tmp_path / "o"
+        assert run_cli(command, broken, "--out", out, "--path-limit", "0", *FAST_LIMITS) == 2
+        assert "path limit must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_worker_count_below_one_exits_2(self, problem_dir, tmp_path, capsys, workers):
+        out = tmp_path / "o"
+        assert run_cli("prove", problem_dir, "--out", out, *FAST_LIMITS, "--workers", workers) == 2
+        assert f"worker count must be at least 1, got {workers}" in capsys.readouterr().err
+        assert not (out / "results.txt").exists() and not (out / "manifest.txt").exists()
+
     def test_a_directory_without_problems_exits_2_as_an_empty_corpus_does(
             self, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -316,6 +332,17 @@ class TestLoop:
         assert code == 2
         assert complaint in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, complaint", [
+        (["--iterations", "-1"], "iteration count must be at least 0, got -1"),
+        (["--workers", "0"], "worker count must be at least 1, got 0"),
+    ], ids=["iterations", "workers"])
+    def test_bad_run_size_exits_2_leaving_only_the_manifest(self, problem_dir, tmp_path,
+                                                            capsys, flags, complaint):
+        out = tmp_path / "out"
+        assert run_cli("loop", problem_dir, "--out", out, *LOOP_FAST, *flags) == 2
+        assert complaint in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["manifest.txt"]
 
     def test_diverged_training_exits_2(self, tmp_path, capsys):
         """The bundled corpus gives examples that a huge step throws to inf."""

@@ -526,6 +526,11 @@ class TestProveProblems:
         parallel = prove_problems(problems, UnpicklablePredictor(), limits, workers=2)
         assert comparable(parallel) == comparable(serial)
 
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_a_worker_count_below_one_is_rejected(self, workers):
+        with pytest.raises(ValueError, match=f"worker count must be at least 1, got {workers}"):
+            prove_problems(loop_problems(), UniformPredictor(), SearchLimits(), workers=workers)
+
     def test_one_problem_is_proved_without_a_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started for one problem")
@@ -556,6 +561,11 @@ class TestRunLoop:
         out = run_loop(loop_problems(), 0, small_loop_config())
         assert len(out.stats) == 1
         assert out.final_model is None
+
+    def test_a_negative_iteration_count_is_rejected_on_entry(self, tmp_path):
+        with pytest.raises(ValueError, match="iteration count must be at least 0, got -1"):
+            run_loop(loop_problems(), -1, small_loop_config(), out_dir=str(tmp_path / "o"))
+        assert not (tmp_path / "o").exists()
 
     def test_artifacts_written_per_iteration(self, tmp_path):
         run_loop(loop_problems(), 1, small_loop_config(), out_dir=str(tmp_path))

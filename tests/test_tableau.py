@@ -4,7 +4,9 @@ legal_actions is cross-checked by a brute-force enumerator that retries
 every (clause, literal, position, direction) candidate on a copy of the
 state's substitution and decides nothing by head symbols.  They must
 agree on random walks, on every state of real searches, and on random
-goals and equations.
+goals and equations.  apply is cross-checked the same way, on every
+expanded child of those searches and every offered action of the random
+states, by a successor derived from each rule's definition.
 """
 
 import importlib.util
@@ -40,7 +42,10 @@ from contab.terms import (
     Literal,
     Matrix,
     apply_subst_lit,
+    clause_var_count,
     offset_literal,
+    replace_at,
+    subterm_at,
     subterm_positions,
     unify_args_trail,
     unify_terms_trail,
@@ -103,6 +108,60 @@ def oracle_actions(engine, state):
     return out
 
 
+def oracle_apply(engine, state, action):
+    """The successor of ``state`` by an offered ``action``, derived from
+    the rule's definition rather than from ``Engine.apply``: copy the
+    clause above ``next_var``, unify on a copy of the substitution, rewrite,
+    and push the residual literals above the pending goals.  Returns what
+    ``successor`` returns."""
+    if action.kind == START:
+        clause = engine.matrix.clauses[action.clause_id]
+        return successor([(lit, 0) for lit in clause.literals], [], {}, clause_var_count(clause))
+    goal = state.goals[0][0]
+    subst = dict(state.subst)
+    next_var = state.next_var
+    new = []
+    if action.kind == REDUCTION:
+        plit = state.path[action.path_index]
+        assert complementary(goal, plit, subst)
+        unify_args_trail(goal.args, plit.args, subst, [])
+    else:
+        clause = engine.matrix.clauses[action.clause_id]
+        copy = [offset_literal(lit, next_var) for lit in clause.literals]
+        next_var += clause_var_count(clause)
+        conn = copy[action.literal_index]
+        residual = copy[: action.literal_index] + copy[action.literal_index + 1:]
+        if action.kind == EXTENSION:
+            assert complementary(goal, conn, subst)
+            unify_args_trail(goal.args, conn.args, subst, [])
+        else:
+            assert conn.pred == EQ and not conn.neg
+            lhs, rhs = conn.args if action.direction == "lr" else reversed(conn.args)
+            g = apply_subst_lit(goal, state.subst)
+            assert unify_terms_trail(subterm_at(g, action.position), lhs, subst, [])
+            new = [replace_at(g, action.position, rhs)]
+        new += residual
+    pending = list(state.goals[1:])
+    if new:
+        depth = len(state.path) + 1
+        return successor([(lit, depth) for lit in new] + pending, [*state.path, goal],
+                         subst, next_var)
+    # the closed goal's path is left; the next goal's is the prefix at its depth
+    path = state.path[: pending[0][1]] if pending else ()
+    return successor(pending, path, subst, next_var)
+
+
+def successor(goals, path, subst, next_var):
+    """What two ways of deriving a state must agree on: its goals and
+    path under its own substitution, the goal depths, and ``next_var``."""
+    return ([apply_subst_lit(lit, subst) for lit, _ in goals], [d for _, d in goals],
+            [apply_subst_lit(lit, subst) for lit in path], next_var)
+
+
+def state_successor(state):
+    return successor(state.goals, state.path, state.subst, state.next_var)
+
+
 class TestStartStates:
     def test_single_start_clause(self):
         m = clausify_text("fof(ax, axiom, p(a)).\nfof(c, conjecture, p(a)).")
@@ -135,13 +194,6 @@ class TestStartStates:
         assert not root.started
         assert e.legal_actions(root) == e.start_actions()
         assert not e.is_closed(root)
-
-    def test_start_twice_is_illegal(self):
-        m = clausify_text("fof(ax, axiom, p(a)).\nfof(c, conjecture, p(a)).")
-        e = Engine(m)
-        s = e.replay(e.start_actions()[:1])
-        with pytest.raises(IllegalActionError):
-            e.apply(s, e.start_actions()[0])
 
 
 class TestExtension:
@@ -449,6 +501,40 @@ class TestHeadDecisions:
         assert seen == 400 and rewrites > 1000
 
 
+def assert_children_agree(engine, limits):
+    """Every expanded child of a uniform search is the state
+    ``oracle_apply`` derives for its action; returns the count."""
+    count = 0
+    for node in search_tree_nodes(prove(engine, "p", UniformPredictor(), limits)):
+        for action, child in zip(node.actions, node.children):
+            if child is not None:
+                assert state_successor(child.state) == oracle_apply(engine, node.state, action), (
+                    node.state.describe(), action)
+                count += 1
+    return count
+
+
+class TestApplyOracle:
+    """apply commits an offered action without deciding it again; its
+    successor must be the one each rule's definition gives."""
+
+    def test_corpus_search_children(self):
+        children = sum(assert_children_agree(Engine(load_matrix(path)),
+                                             SearchLimits(inference_limit=300))
+                       for path in corpus_problems())
+        assert children > 140
+
+    def test_group_theory_search_children(self):
+        engines = bench_engines(bench_problems.eq_problems(random.Random(7)), 100)
+        assert sum(assert_children_agree(e, SearchLimits(inference_limit=150))
+                   for e in engines) > 700
+
+    def test_chain_search_children(self):
+        problems = bench_problems.chain_problems(random.Random(7))
+        assert sum(assert_children_agree(e, SearchLimits(inference_limit=150))
+                   for e in bench_engines(problems[::3], 40)) > 650
+
+
 # random terms over unary and binary h (one symbol, two heads), g/1, a, b
 def _terms(variables):
     leaves = st.one_of(st.sampled_from(variables), st.sampled_from([("a",), ("b",)]))
@@ -495,8 +581,13 @@ def _random_state(draw):
 @settings(max_examples=200, deadline=None)
 @given(_random_state())
 def test_random_goals_and_equations_match_the_brute_force_enumerator(case):
+    """The offered actions are the enumerator's, and each one's successor
+    is the one ``oracle_apply`` derives."""
     engine, state = case
-    assert engine.legal_actions(state) == oracle_actions(engine, state)
+    actions = engine.legal_actions(state)
+    assert actions == oracle_actions(engine, state)
+    for action in actions:
+        assert state_successor(engine.apply(state, action)) == oracle_apply(engine, state, action)
 
 
 def refused_step(engine, actions):
