@@ -2,13 +2,15 @@
 
 Subcommands: prove, loop, harvest, analyze, check, make-vector.  Each
 of the first four takes only the flag groups it reads (see ``_FLAGS``).
-Every flag has a default; a key=value config file can override defaults,
-and explicit flags override the file.  All outputs land under --out next
-to a manifest listing the resolved configuration.  ``prove --predictor``
-and ``analyze --predictor-a/-b`` take one spec format, a kind and the
-options it reads (see ``parse_predictor_spec``).  Search has no
-randomness, so the worker count never changes any result; ``loop --seed``
-seeds training and a fixed-entropy spec's ``seed=`` its vectors.
+Every flag has a default, shown by ``--help``; where the library defines
+it (``SearchLimits``, ``TrainConfig``, ``LoopConfig``, ``PATH_LIMIT``) it
+is read from there.  A key=value ``--config`` file replaces defaults and
+explicit flags override the file; argparse's namespace holds the result,
+which a manifest under --out records beside the outputs.  ``prove
+--predictor`` and ``analyze --predictor-a/-b`` take one spec format (see
+``parse_predictor_spec``).  Search has no randomness, so the worker count
+never changes any result; ``loop --seed`` seeds training and a
+fixed-entropy spec's ``seed=`` its vectors.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import glob as globmod
 import os
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -33,25 +36,29 @@ from .policy import (FixedEntropyPredictor, LinearPredictor, Predictor,
                      UniformPredictor, load_model, make_fixed_entropy_vector,
                      apply_order_preserving)
 from .search import SearchLimits, format_result_line
-from .tableau import Engine, check_path_limit, read_trace, write_trace
+from .tableau import PATH_LIMIT, Engine, check_path_limit, read_trace, write_trace
 from .tptp import ParseError
 
 CORPUS_ENV = "CONTAB_CORPUS_DIR"
 
 # Flag groups, key -> (default, converter, help).  The flag is the key
 # with dashes; the converter also parses config-file strings, and None
-# marks an on/off switch.
+# marks an on/off switch.  A default that the library defines is read
+# from the type that uses it.
 _PROBLEM_SET = {
     "corpus": (None, str, "directory of *.p problems used when no problems are listed"),
-    "path_limit": (100, int, "maximum tableau depth (default 100)"),
+    "path_limit": (PATH_LIMIT, int, "maximum tableau depth (default %(default)s)"),
     "no_paramodulation": (False, None, "disable equality rewriting steps"),
-    "out": ("contab-out", str, "output directory (default contab-out)"),
+    "out": ("contab-out", str, "output directory (default %(default)s)"),
 }
 _LIMITS = {
-    "inference_limit": (20000, int, "total action applications per problem (default 20000)"),
-    "bigstep_frequency": (200, int, "playouts between root advances (default 200)"),
-    "cp": (1.0, float, "UCT exploration constant (default 1.0)"),
-    "wall_clock": (300.0, float, "per-problem time limit in seconds (default 300)"),
+    "inference_limit": (SearchLimits.inference_limit, int,
+                        "total action applications per problem (default %(default)s)"),
+    "bigstep_frequency": (SearchLimits.bigstep_frequency, int,
+                          "playouts between root advances (default %(default)s)"),
+    "cp": (SearchLimits.cp, float, "UCT exploration constant (default %(default)s)"),
+    "wall_clock": (SearchLimits.wall_clock, float,
+                   "per-problem time limit in seconds (default %(default)s)"),
 }
 _RUN = {
     "workers": (os.cpu_count() or 1, int, "parallel prover processes, at most one per problem "
@@ -59,20 +66,22 @@ _RUN = {
 }
 _PREDICTOR = {
     "predictor": ("uniform", str, "predictor spec, e.g. uniform or "
-                                  "linear:policy=F:value=G (default uniform)"),
+                                  "linear:policy=F:value=G (default %(default)s)"),
 }
 _LOOP = {
-    "seed": (0, int, "training seed, shuffles SGD batches (default 0)"),
-    "iterations": (3, int, "guided iterations after the unguided pass (default 3)"),
-    "alpha": ("0.7", str, "entropy coefficient, or comma-separated coefficients "
-                          "to run one loop each (default 0.7)"),
-    "temperature": (1.0, float, "softmax temperature of the trained predictors (default 1.0)"),
-    "learning_rate": (0.1, float, "SGD step size (default 0.1)"),
-    "epochs": (10, int, "training epochs per iteration (default 10)"),
-    "batch_size": (8, int, "SGD batch size (default 8)"),
+    "seed": (TrainConfig.seed, int, "training seed, shuffles SGD batches (default %(default)s)"),
+    "iterations": (3, int, "guided iterations after the unguided pass (default %(default)s)"),
+    "alpha": (str(LoopConfig.alpha), str, "entropy coefficient, or comma-separated "
+                                          "coefficients to run one loop each "
+                                          "(default %(default)s)"),
+    "temperature": (LoopConfig.temperature, float,
+                    "softmax temperature of the trained predictors (default %(default)s)"),
+    "learning_rate": (TrainConfig.learning_rate, float, "SGD step size (default %(default)s)"),
+    "epochs": (TrainConfig.epochs, int, "training epochs per iteration (default %(default)s)"),
+    "batch_size": (TrainConfig.batch_size, int, "SGD batch size (default %(default)s)"),
     "resume": (False, None, "continue after the last completed iteration in --out"),
 }
-# the groups each subcommand registers, resolves and records in its manifest
+# the groups each subcommand registers and records in its manifest
 _FLAGS = {
     "prove": (_PROBLEM_SET, _LIMITS, _RUN, _PREDICTOR),
     "loop": (_PROBLEM_SET, _LIMITS, _RUN, _LOOP),
@@ -100,52 +109,31 @@ def _flag_items(command: str):
     return [item for group in _FLAGS[command] for item in group.items()]
 
 
-class Config:
-    """Resolved configuration of the subcommand ``args.command``: flags
-    beat the config file, the config file beats defaults."""
-
-    def __init__(self, args: argparse.Namespace):
-        file_cfg = _read_config_file(args.config) if args.config else {}
-        unknown = sorted(set(file_cfg) - _CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"{args.config}: no subcommand reads config key(s) {unknown}")
-        if args.command == "prove" and "temperature" in file_cfg:
-            raise ValueError(f"{args.config}: prove reads no temperature key; give it in the "
-                             f"predictor spec, e.g. predictor = linear:policy=F:temperature=2")
-        self._values: Dict[str, object] = {}
-        for key, (default, conv, _) in _flag_items(args.command):
-            val = getattr(args, key)
-            if val is None and key in file_cfg:
-                raw = file_cfg[key]
-                if conv is None:
-                    val = raw.lower() in ("1", "true", "yes", "on")
-                else:
-                    val = conv(raw)
-            if val is None:
-                val = default
-            self._values[key] = val
-
-    def __getattr__(self, key):
-        try:
-            return self._values[key]
-        except KeyError:
-            raise AttributeError(key) from None
-
-    def items(self):
-        return sorted(self._values.items())
+def _config_defaults(args: argparse.Namespace) -> Dict[str, object]:
+    """The settings of the subcommand ``args.command`` that its
+    ``--config`` file gives, each converted as its flag's value is."""
+    file_cfg = _read_config_file(args.config)
+    unknown = sorted(set(file_cfg) - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"{args.config}: no subcommand reads config key(s) {unknown}")
+    if args.command == "prove" and "temperature" in file_cfg:
+        raise ValueError(f"{args.config}: prove reads no temperature key; give it in the "
+                         f"predictor spec, e.g. predictor = linear:policy=F:temperature=2")
+    on = ("1", "true", "yes", "on")
+    return {key: file_cfg[key].lower() in on if conv is None else conv(file_cfg[key])
+            for key, (_, conv, _) in _flag_items(args.command) if key in file_cfg}
 
 
-def _limits(cfg: Config) -> SearchLimits:
-    return SearchLimits(inference_limit=cfg.inference_limit,
-                        bigstep_frequency=cfg.bigstep_frequency,
-                        cp=cfg.cp, wall_clock=cfg.wall_clock)
+def _from_fields(cls, args: argparse.Namespace):
+    """A ``cls`` that takes each of its fields from the setting of that name."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
-def _problem_paths(cfg: Config, positional: List[str]) -> List[Path]:
+def _problem_paths(args: argparse.Namespace) -> List[Path]:
     """The problems each spec names: a directory's ``*.p`` files, a file or
     a glob.  The default spec is ``--corpus``, else $CONTAB_CORPUS_DIR, else
     the bundled corpus; a spec that matches nothing is an error."""
-    specs = positional or [cfg.corpus or os.environ.get(CORPUS_ENV) or str(corpus_dir())]
+    specs = args.problems or [args.corpus or os.environ.get(CORPUS_ENV) or str(corpus_dir())]
     paths: List[Path] = []
     for p in specs:
         path = Path(p)
@@ -161,10 +149,11 @@ def _problem_paths(cfg: Config, positional: List[str]) -> List[Path]:
     return paths
 
 
-def _build_engines(paths: List[Path], cfg: Config) -> Tuple[List[Tuple[str, Engine]], List[Tuple[str, str]]]:
-    """Returns (name, engine) pairs plus (name, error) records for the
-    problems that failed to parse or clausify."""
-    check_path_limit(cfg.path_limit)  # even if no problem parses
+def _build_engines(args: argparse.Namespace) -> Tuple[List[Tuple[str, Engine]], List[Tuple[str, str]]]:
+    """Returns (name, engine) pairs for the problem set plus (name, error)
+    records for the problems that failed to parse or clausify."""
+    paths = _problem_paths(args)
+    check_path_limit(args.path_limit)  # even if no problem parses
     engines: List[Tuple[str, Engine]] = []
     errors: List[Tuple[str, str]] = []
     seen = set()
@@ -178,9 +167,17 @@ def _build_engines(paths: List[Path], cfg: Config) -> Tuple[List[Tuple[str, Engi
         except (ParseError, ClausifyError, OSError) as e:
             errors.append((name, str(e)))
             continue
-        engines.append((name, Engine(matrix, path_limit=cfg.path_limit,
-                                     paramodulation=not cfg.no_paramodulation)))
+        engines.append((name, Engine(matrix, path_limit=args.path_limit,
+                                     paramodulation=not args.no_paramodulation)))
     return engines, errors
+
+
+def _engines_skipping_errors(args: argparse.Namespace) -> List[Tuple[str, Engine]]:
+    """The problem set's engines, with a warning for each problem skipped."""
+    engines, errors = _build_engines(args)
+    for name, err in errors:
+        print(f"warning: skipping {name}: {err}", file=sys.stderr)
+    return engines
 
 
 # the options each predictor kind reads
@@ -238,13 +235,14 @@ def parse_predictor_spec(spec: str) -> Predictor:
     return FixedEntropyPredictor(base, float(opts.get("hstar", 0.8)), int(opts.get("seed", 0)))
 
 
-def _write_manifest(out: Path, command: str, cfg: Config, **arguments) -> None:
-    """Records the resolved configuration and, from ``arguments``, the
-    subcommand's own arguments, one ``key=value`` line each in key order."""
+def _write_manifest(out: Path, args: argparse.Namespace, **arguments) -> None:
+    """Records the subcommand's settings and its own ``arguments``, one
+    ``key=value`` line each in key order."""
+    settings = {key: getattr(args, key) for key, _ in _flag_items(args.command)}
     with atomic_open(out / "manifest.txt") as fh:
         fh.write(f"contab {__version__}\n")
-        fh.write(f"command {command}\n")
-        for key, val in sorted([*cfg.items(), *arguments.items()]):
+        fh.write(f"command {args.command}\n")
+        for key, val in sorted({**settings, **arguments}.items()):
             fh.write(f"{key}={val}\n")
 
 
@@ -253,15 +251,12 @@ def _write_manifest(out: Path, command: str, cfg: Config, **arguments) -> None:
 
 
 def cmd_prove(args) -> int:
-    cfg = Config(args)
-    limits = _limits(cfg)
-    predictor = parse_predictor_spec(cfg.predictor)
-    paths = _problem_paths(cfg, args.problems)
-    engines, errors = _build_engines(paths, cfg)
-    out = Path(cfg.out)
-    traces = out / "traces"
-    traces.mkdir(parents=True, exist_ok=True)
-    pairs = prove_problems(engines, predictor, limits, workers=cfg.workers)
+    limits = _from_fields(SearchLimits, args)
+    predictor = parse_predictor_spec(args.predictor)
+    engines, errors = _build_engines(args)
+    pairs = prove_problems(engines, predictor, limits, workers=args.workers)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     solved = 0
     with atomic_open(out / "results.txt") as fh:
         for name, err in errors:
@@ -271,9 +266,10 @@ def cmd_prove(args) -> int:
             if result.solved:
                 solved += 1
                 trace_ref = f"traces/{name}.trace"
-                write_trace(traces / f"{name}.trace", name, result.proof)
+                (out / "traces").mkdir(exist_ok=True)
+                write_trace(out / trace_ref, name, result.proof)
             fh.write(format_result_line(result, trace_ref) + "\n")
-    _write_manifest(out, "prove", cfg)
+    _write_manifest(out, args)
     print(f"prove: {solved}/{len(engines)} solved "
           f"({len(errors)} errors), results in {out}")
     return 0
@@ -292,76 +288,65 @@ def _parse_alphas(text: str) -> List[float]:
 
 
 def cmd_loop(args) -> int:
-    cfg = Config(args)
-    train_cfg = TrainConfig(learning_rate=cfg.learning_rate, epochs=cfg.epochs,
-                            batch_size=cfg.batch_size, seed=cfg.seed)
-    loop_cfgs = [LoopConfig(alpha, _limits(cfg), train_cfg, cfg.temperature)
-                 for alpha in _parse_alphas(cfg.alpha)]
-    paths = _problem_paths(cfg, args.problems)
-    engines, errors = _build_engines(paths, cfg)
-    for name, err in errors:
-        print(f"warning: skipping {name}: {err}", file=sys.stderr)
-    out = Path(cfg.out)
+    limits = _from_fields(SearchLimits, args)
+    train_cfg = _from_fields(TrainConfig, args)
+    loop_cfgs = [LoopConfig(alpha, limits, train_cfg, args.temperature)
+                 for alpha in _parse_alphas(args.alpha)]
+    engines = _engines_skipping_errors(args)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # first, so a loop that stops with an error still says how it was run
-    _write_manifest(out, "loop", cfg)
+    # first, so a loop that stops with an error still says how it was run,
+    # but last for a resume, so a refused one keeps its checkpoint's manifest
+    keep = args.resume and (out / "manifest.txt").exists()
+    if not keep:
+        _write_manifest(out, args)
     sweep_rows = []
     for loop_cfg in loop_cfgs:
         sub = out / f"alpha_{loop_cfg.alpha:g}" if len(loop_cfgs) > 1 else out
-        result = run_loop(engines, cfg.iterations, loop_cfg, out_dir=str(sub),
-                          resume=cfg.resume, workers=cfg.workers)
+        result = run_loop(engines, args.iterations, loop_cfg, out_dir=str(sub),
+                          resume=args.resume, workers=args.workers)
         for row in result.stats:
             sweep_rows.append([f"{loop_cfg.alpha:g}"] + row.row())
     if len(loop_cfgs) > 1:
         report_csv(out / "sweep.csv", ["alpha"] + STATS_COLUMNS, sweep_rows)
-    print(f"loop: {len(loop_cfgs)} alpha value(s), {cfg.iterations + 1} iterations each, "
+    if keep:
+        _write_manifest(out, args)
+    print(f"loop: {len(loop_cfgs)} alpha value(s), {args.iterations + 1} iterations each, "
           f"outputs in {out}")
     return 0
 
 
 def cmd_harvest(args) -> int:
-    cfg = Config(args)
-    limits = _limits(cfg)
-    paths = _problem_paths(cfg, args.problems)
-    engines, errors = _build_engines(paths, cfg)
-    for name, err in errors:
-        print(f"warning: skipping {name}: {err}", file=sys.stderr)
-    out = Path(cfg.out)
+    limits = _from_fields(SearchLimits, args)
+    engines = _engines_skipping_errors(args)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     bank = harvest_states(engines, limits)
     save_bank(out / "bank.txt", bank)
-    _write_manifest(out, "harvest", cfg)
+    _write_manifest(out, args)
     print(f"harvest: {len(bank)} states from {len(engines)} problems into {out / 'bank.txt'}")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    cfg = Config(args)
     pred_a = parse_predictor_spec(args.predictor_a)
     pred_b = parse_predictor_spec(args.predictor_b)
     bank_path = Path(args.bank)
     if not bank_path.exists():
-        print(f"error: state bank {bank_path} not found; "
-              f"run `contab harvest` first to create one", file=sys.stderr)
-        return 2
-    paths = _problem_paths(cfg, args.problems)
-    engines, errors = _build_engines(paths, cfg)
-    for name, err in errors:
-        print(f"warning: skipping {name}: {err}", file=sys.stderr)
+        raise FileNotFoundError(f"state bank {bank_path} not found; "
+                                f"run `contab harvest` first to create one")
+    engine_map = dict(_engines_skipping_errors(args))
     bank = load_bank(bank_path)
-    engine_map = dict(engines)
     missing = sorted({e.problem for e in bank.entries} - set(engine_map))
     if missing:
-        print(f"error: bank references problems not in the problem set: {missing}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"bank references problems not in the problem set: {missing}")
     report = compare(pred_a, pred_b, bank, engine_map)
-    out = Path(cfg.out)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     label = args.label or f"{args.predictor_a} vs {args.predictor_b}"
     report_csv(out / "agreement.csv", AGREEMENT_COLUMNS,
                agreement_rows([(label, report)]))
-    _write_manifest(out, "analyze", cfg, bank=args.bank, predictor_a=args.predictor_a,
+    _write_manifest(out, args, bank=args.bank, predictor_a=args.predictor_a,
                     predictor_b=args.predictor_b, label=label)
     print(f"analyze: {report.states} states, best={report.best:.2f} "
           f"order={report.order:.2f} kl_ab={report.kl_ab:.2f} kl_ba={report.kl_ba:.2f}; "
@@ -392,9 +377,7 @@ def cmd_make_vector(args) -> int:
     if args.reference:
         ref = [float(x) for x in args.reference.split(",")]
         if len(ref) != args.length:
-            print(f"error: reference has {len(ref)} entries, expected {args.length}",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"reference has {len(ref)} entries, expected {args.length}")
         vec = apply_order_preserving(vec, ref)
     lines = "\n".join(repr(float(x)) for x in vec)
     if args.out:
@@ -409,17 +392,23 @@ def cmd_make_vector(args) -> int:
 # argument parsing
 
 
-def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
-    p.add_argument("problems", nargs="*",
-                   help="problem files, directories, or globs; defaults to the "
-                        f"bundled corpus (override with --corpus or ${CORPUS_ENV})")
-    p.add_argument("--config", help="key=value config file; flags override it")
-    for key, (_, conv, text) in _flag_items(command):
-        flag = "--" + key.replace("_", "-")
-        if conv is None:
-            p.add_argument(flag, action="store_const", const=True, help=text)
-        else:
-            p.add_argument(flag, type=conv, help=text)
+def _add_command(sub, command: str, func, text: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, with the flag groups it reads."""
+    p = sub.add_parser(command, help=text)
+    # the parser too, since a --config file replaces its defaults
+    p.set_defaults(func=func, parser=p)
+    if command in _FLAGS:
+        p.add_argument("problems", nargs="*",
+                       help="problem files, directories, or globs; defaults to the "
+                            f"bundled corpus (override with --corpus or ${CORPUS_ENV})")
+        p.add_argument("--config", help="key=value config file; flags override it")
+        for key, (default, conv, text) in _flag_items(command):
+            flag = "--" + key.replace("_", "-")
+            if conv is None:
+                p.add_argument(flag, action="store_true", help=text)
+            else:
+                p.add_argument(flag, type=conv, default=default, help=text)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,35 +418,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "entropy-shaped predictors.")
     parser.add_argument("--version", action="version", version=f"contab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    _add_command(sub, "prove", cmd_prove, "prove problems with a configured predictor")
+    _add_command(sub, "loop", cmd_loop, "alternate proving and training for several iterations")
+    _add_command(sub, "harvest", cmd_harvest, "collect search states into a comparison bank")
 
-    p = sub.add_parser("prove", help="prove problems with a configured predictor")
-    _add_flags(p, "prove")
-    p.set_defaults(func=cmd_prove)
-
-    p = sub.add_parser("loop", help="alternate proving and training for several iterations")
-    _add_flags(p, "loop")
-    p.set_defaults(func=cmd_loop)
-
-    p = sub.add_parser("harvest", help="collect search states into a comparison bank")
-    _add_flags(p, "harvest")
-    p.set_defaults(func=cmd_harvest)
-
-    p = sub.add_parser("analyze", help="compare two predictors over a state bank")
-    _add_flags(p, "analyze")
+    p = _add_command(sub, "analyze", cmd_analyze, "compare two predictors over a state bank")
     p.add_argument("--bank", required=True, help="state bank from `contab harvest`")
     p.add_argument("--predictor-a", required=True, dest="predictor_a",
                    help="predictor spec, as for prove --predictor")
     p.add_argument("--predictor-b", required=True, dest="predictor_b",
                    help="second predictor spec")
     p.add_argument("--label", help="row label in the report CSV")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("check", help="replay a proof trace against a problem")
+    p = _add_command(sub, "check", cmd_check, "replay a proof trace against a problem")
     p.add_argument("problem", help="TPTP problem file")
     p.add_argument("trace", help="proof trace file")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("make-vector", help="emit a fixed normalized-entropy distribution")
+    p = _add_command(sub, "make-vector", cmd_make_vector,
+                     "emit a fixed normalized-entropy distribution")
     p.add_argument("--length", type=int, required=True, help="number of entries")
     p.add_argument("--hstar", type=float, required=True,
                    help="target normalized entropy in (0, 1]")
@@ -465,13 +443,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", help="comma-separated probabilities whose "
                                        "ordering the output must preserve")
     p.add_argument("--out", help="write the vector here instead of stdout")
-    p.set_defaults(func=cmd_make_vector)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # the file's values become defaults, so parsing again lets flags win
+            args.parser.set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ParseError, ClausifyError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

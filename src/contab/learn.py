@@ -411,6 +411,11 @@ def _prove_index(i: int) -> Tuple[ProofResult, List[TrainingExample]]:
     return _prove_one(_TASKS[i])
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
+
+
 def prove_problems(problems: Sequence[Tuple[str, Engine]], predictor: Predictor,
                    limits: SearchLimits, iteration: int = 0,
                    workers: int = 1) -> List[Tuple[ProofResult, List[TrainingExample]]]:
@@ -427,8 +432,7 @@ def prove_problems(problems: Sequence[Tuple[str, Engine]], predictor: Predictor,
     nothing of it is pickled, elsewhere it is pickled once per worker.
     Each task sent to a worker is then a problem index, and only the
     result and its examples come back."""
-    if workers < 1:
-        raise ValueError(f"worker count must be at least 1, got {workers}")
+    _check_workers(workers)
     tasks = [(name, engine, predictor, limits, iteration) for name, engine in problems]
     workers = min(workers, len(tasks))
     if workers <= 1:
@@ -478,6 +482,7 @@ def run_loop(problems: Sequence[Tuple[str, Engine]], iterations: int,
     """
     if iterations < 0:
         raise ValueError(f"iteration count must be at least 0, got {iterations}")
+    _check_workers(workers)
     config = config or LoopConfig()
     stats: List[IterationStats] = []
     examples: List[TrainingExample] = []

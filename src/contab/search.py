@@ -104,7 +104,6 @@ class ProofResult:
     problem: str
     status: str
     inferences: int = 0
-    playouts: int = 0
     bigsteps: int = 0
     proof: Optional[List[Action]] = None
     # summed over the states that were scored; the means divide by the count
@@ -120,6 +119,11 @@ class ProofResult:
     @property
     def solved(self) -> bool:
         return self.status == "solved"
+
+    @property
+    def playouts(self) -> int:
+        """Playouts that added a leaf, each by one action: ``inferences``."""
+        return self.inferences
 
     @property
     def mean_entropy(self) -> float:
@@ -144,7 +148,6 @@ class _Search:
         self.limits = limits
         self.collect_states = collect_states
         self.inferences = 0
-        self.playouts = 0
         self.entropy_sum = 0.0
         self.normalized_entropy_sum = 0.0
         self.entropy_count = 0
@@ -275,7 +278,6 @@ class _Search:
             leaf = MCTSNode(state, node, i, node.depth + 1)
             node.add_child(i, leaf)
             self.add_node(leaf)
-            self.playouts += 1
             return True
 
 
@@ -330,7 +332,6 @@ def prove(engine: Engine, problem: str, predictor: Predictor,
         problem=problem,
         status=status,
         inferences=search.inferences,
-        playouts=search.playouts,
         bigsteps=len(bigstep_nodes) - 1,
         proof=proof,
         entropy_sum=search.entropy_sum,

@@ -61,6 +61,7 @@ START = "start"
 REDUCTION = "reduction"
 EXTENSION = "extension"
 PARAMODULATION = "paramodulation"
+PATH_LIMIT = 100  # Engine's default maximum tableau depth
 
 
 class Action(NamedTuple):
@@ -239,7 +240,7 @@ class Engine:
     many concurrent searches.
     """
 
-    def __init__(self, matrix: Matrix, path_limit: int = 100, paramodulation: bool = True):
+    def __init__(self, matrix: Matrix, path_limit: int = PATH_LIMIT, paramodulation: bool = True):
         check_path_limit(path_limit)
         self.matrix = matrix
         self.path_limit = path_limit

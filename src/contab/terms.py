@@ -221,14 +221,10 @@ def subterm_positions(lit: Literal) -> list:
 
 
 def subterm_at(lit: Literal, pos: Position) -> Term:
-    """The subterm of a literal at ``pos``, as ``subterm_positions`` gives
-    it; KeyError when ``pos`` is empty or runs into a variable."""
-    if not pos:
-        raise KeyError("literal root is not a term position")
+    """The subterm of a literal at ``pos``, which must be a position that
+    ``subterm_positions`` gives for it; no other position is checked."""
     t = lit.args[pos[0] - 1]
     for i in pos[1:]:
-        if type(t) is int:
-            raise KeyError("position runs into a variable")
         t = t[i]
     return t
 

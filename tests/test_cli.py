@@ -4,14 +4,16 @@ Each test drives main() in process with explicit --out directories, so
 stdout/stderr and exit codes are checked without spawning a shell.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from contab.cli import main, parse_predictor_spec
+from contab.cli import build_parser, main, parse_predictor_spec
 from contab.clausify import clausify
 from contab.corpus import corpus_dir
 from contab.features import FEATURE_DIM
-from contab.learn import prove_problems
+from contab.learn import LoopConfig, TrainConfig, prove_problems
 from contab.policy import (FixedEntropyPredictor, LinearPredictor,
                            UniformPredictor, load_model, normalized_entropy,
                            save_model)
@@ -115,7 +117,7 @@ class TestProve:
         out = tmp_path / "o"
         assert run_cli("prove", problem_dir, "--out", out, *FAST_LIMITS, "--workers", workers) == 2
         assert f"worker count must be at least 1, got {workers}" in capsys.readouterr().err
-        assert not (out / "results.txt").exists() and not (out / "manifest.txt").exists()
+        assert not out.exists()
 
     def test_a_directory_without_problems_exits_2_as_an_empty_corpus_does(
             self, tmp_path, capsys):
@@ -226,6 +228,15 @@ class TestManifestAndConfig:
         keys = [ln.split("=", 1)[0] for ln in (aout / "manifest.txt").read_text().splitlines()[2:]]
         assert keys == sorted(keys)
 
+    def test_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(["loop"])
+        for cls in (SearchLimits, TrainConfig):
+            assert cls(**{f.name: getattr(args, f.name) for f in fields(cls)}) == cls()
+        assert float(args.alpha) == LoopConfig().alpha
+        assert args.temperature == LoopConfig().temperature
+        engine = Engine(clausify(parse_problem_file(corpus_dir() / "fact.p")))
+        assert args.path_limit == engine.path_limit
+
     def test_flags_beat_config_file_beats_defaults(self, problem_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -249,6 +260,16 @@ class TestManifestAndConfig:
                        "--config", cfg)
         assert code == 2
         assert "key=value" in capsys.readouterr().err
+
+    def test_config_value_that_does_not_parse_exits_2(self, problem_dir, tmp_path, capsys):
+        """The file is refused whole, also where a flag overrides the value."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("cp = x\n")
+        code = run_cli("prove", problem_dir / "trivial.p", "--out", tmp_path / "o",
+                       "--config", cfg, "--cp", "2", *FAST)
+        assert code == 2
+        assert "could not convert string to float: 'x'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_misspelt_config_key_exits_2(self, problem_dir, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"
@@ -375,6 +396,24 @@ class TestLoop:
                        "--resume", *LOOP_FAST)
         assert code == 0
         assert (part / "stats.csv").read_bytes() == (full / "stats.csv").read_bytes()
+        assert read_manifest(part)[1]["iterations"] == "2"
+
+    @pytest.mark.parametrize("flags", [["--alpha", "5"], ["--workers", "0"]],
+                             ids=["alpha", "workers"])
+    def test_a_refused_resume_leaves_the_manifest(self, problem_dir, tmp_path, flags):
+        """A resumed loop writes its manifest only once its loops return."""
+        out = tmp_path / "out"
+        assert run_cli("loop", problem_dir, "--out", out, "--iterations", "1", *LOOP_FAST) == 0
+        manifest = (out / "manifest.txt").read_bytes()
+        assert run_cli("loop", problem_dir, "--out", out, "--iterations", "2", "--resume",
+                       *LOOP_FAST, *flags) == 2
+        assert (out / "manifest.txt").read_bytes() == manifest
+
+    def test_a_resume_with_no_manifest_to_keep_writes_it_first(self, problem_dir, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("loop", problem_dir, "--out", out, "--resume", *LOOP_FAST,
+                       "--workers", "0") == 2
+        assert read_manifest(out)[1]["workers"] == "0"
 
     def test_resume_drops_the_row_of_an_unrecorded_iteration(self, problem_dir, tmp_path):
         """stats.csv is written before loop_state.txt; a run stopped between

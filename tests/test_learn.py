@@ -567,6 +567,17 @@ class TestRunLoop:
             run_loop(loop_problems(), -1, small_loop_config(), out_dir=str(tmp_path / "o"))
         assert not (tmp_path / "o").exists()
 
+    def test_a_worker_count_below_one_is_rejected_on_entry(self, tmp_path, monkeypatch):
+        """A resumed loop refuses it before training its next iteration."""
+        run_loop(loop_problems(), 0, small_loop_config(), out_dir=str(tmp_path))
+
+        def no_train(*args, **kwargs):
+            raise AssertionError("trained before the worker count was checked")
+        monkeypatch.setattr("contab.learn.train", no_train)
+        with pytest.raises(ValueError, match="worker count must be at least 1, got 0"):
+            run_loop(loop_problems(), 1, small_loop_config(), out_dir=str(tmp_path),
+                     resume=True, workers=0)
+
     def test_artifacts_written_per_iteration(self, tmp_path):
         run_loop(loop_problems(), 1, small_loop_config(), out_dir=str(tmp_path))
         names = {p.name for p in tmp_path.iterdir()}

@@ -421,7 +421,7 @@ class TestTreeInvariants:
         engine = CountingEngine(clausify_text(INFINITE))
         limits = SearchLimits(inference_limit=77, bigstep_frequency=10)
         result = prove(engine, "t", UniformPredictor(), limits)
-        assert result.inferences == calls == 77
+        assert result.inferences == result.playouts == calls == 77
 
 
 GROUP_EQ = (
