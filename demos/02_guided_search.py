@@ -63,7 +63,7 @@ def main():
     examples = extract_training_data(unguided, engine.matrix)
     print(f"\ntraining on {len(examples)} visit-count example(s) from that run")
     model = train(examples, TrainConfig(epochs=20, learning_rate=0.5), alpha=0.3)
-    print(f"  policy loss {model.policy_losses[0]:.3f} -> {model.policy_losses[-1]:.3f}\n")
+    print(f"  trained policy loss {model.policy_loss:.3f}, value loss {model.value_loss:.3f}\n")
 
     guided = prove(engine, "chain", model.predictor(), LIMITS)
     describe_run("trained policy", guided)

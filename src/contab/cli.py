@@ -30,7 +30,6 @@ from .analysis import (AGREEMENT_COLUMNS, agreement_rows, compare, harvest_state
 from .clausify import ClausifyError, load_matrix
 from .corpus import corpus_dir
 from .fileio import atomic_open
-from .features import FEATURE_DIM
 from .learn import STATS_COLUMNS, LoopConfig, TrainConfig, prove_problems, run_loop
 from .policy import (FixedEntropyPredictor, LinearPredictor, Predictor,
                      UniformPredictor, load_model, make_fixed_entropy_vector,
@@ -190,9 +189,8 @@ _SPEC_OPTIONS = {
 
 def _load_weights(path: str, kind: str):
     mkind, weights, temperature, _ = load_model(path)
-    if mkind != kind or len(weights) != FEATURE_DIM:
-        raise ValueError(f"{path}: expected a {kind} model of dim {FEATURE_DIM}, "
-                         f"found a {mkind} model of dim {len(weights)}")
+    if mkind != kind:
+        raise ValueError(f"{path}: expected a {kind} model, found a {mkind} model")
     return weights, temperature
 
 

@@ -159,9 +159,9 @@ class TrainingDiverged(ValueError):
 class TrainResult:
     policy_weights: np.ndarray
     value_weights: np.ndarray
-    # entry 0 is the pre-training loss, then one entry per epoch
-    policy_losses: List[float]
-    value_losses: List[float]
+    # mean losses of these weights over every training example
+    policy_loss: float
+    value_loss: float
 
     def predictor(self, temperature: float = 1.0) -> LinearPredictor:
         return LinearPredictor(self.policy_weights, self.value_weights, temperature=temperature)
@@ -225,8 +225,9 @@ def train(examples: Sequence[TrainingExample], config: Optional[TrainConfig] = N
           alpha: float = 0.7) -> TrainResult:
     """Fits independent policy and value weight vectors by mini-batch SGD,
     scoring them as a :class:`LinearPredictor` would, with entropy
-    coefficient ``alpha``.  Reported losses are full-dataset means
-    evaluated after each epoch.
+    coefficient ``alpha``.  The reported losses are the means over every
+    example of the returned weights' losses, evaluated once, after the
+    last epoch; a NaN or infinite one raises :class:`TrainingDiverged`.
 
     The examples are packed once.  The weights are Python float lists
     over the packed feature slots while training, every score is
@@ -242,10 +243,7 @@ def train(examples: Sequence[TrainingExample], config: Optional[TrainConfig] = N
     rng = np.random.default_rng(config.seed)
     packed = _Packed(examples)
     wp, wv = [0.0] * len(packed.slots), [0.0] * len(packed.slots)
-    pl0, vl0 = packed.losses(wp, wv, alpha)
-    policy_losses, value_losses = [pl0], [vl0]
-
-    for epoch in range(config.epochs):
+    for _ in range(config.epochs):
         order = rng.permutation(len(examples)).tolist()
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo:lo + config.batch_size]
@@ -269,14 +267,11 @@ def train(examples: Sequence[TrainingExample], config: Optional[TrainConfig] = N
                 wp[f] -= scale * g
             for f, g in gv.items():
                 wv[f] -= scale * g
-        pl, vl = packed.losses(wp, wv, alpha)
-        if math.isnan(pl) or math.isnan(vl) or math.isinf(pl) or math.isinf(vl):
-            raise TrainingDiverged(
-                f"loss diverged at epoch {epoch + 1}: policy={pl}, value={vl}; "
-                f"reduce the learning rate (currently {config.learning_rate})")
-        policy_losses.append(pl)
-        value_losses.append(vl)
-    return TrainResult(packed.weights(wp), packed.weights(wv), policy_losses, value_losses)
+    pl, vl = packed.losses(wp, wv, alpha)
+    if not (math.isfinite(pl) and math.isfinite(vl)):
+        raise TrainingDiverged(f"loss diverged: policy={pl}, value={vl}; "
+                               f"reduce the learning rate (currently {config.learning_rate})")
+    return TrainResult(packed.weights(wp), packed.weights(wv), pl, vl)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +289,10 @@ def _parse_sparse(text: str) -> Dict[int, int]:
         return {}
     out = {}
     for part in text.split(","):
-        i, c = part.split(":")
-        out[int(i)] = int(c)
+        i, c = map(int, part.split(":"))
+        if not 0 <= i < FEATURE_DIM:
+            raise ValueError(f"feature index {i} outside [0, {FEATURE_DIM})")
+        out[i] = c
     return out
 
 

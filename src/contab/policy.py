@@ -288,8 +288,8 @@ def save_model(path, kind: str, weights: np.ndarray, temperature: float = 1.0,
 
 
 def load_model(path) -> Tuple[str, np.ndarray, float, float]:
-    """Returns (kind, weights, temperature, alpha); a damaged file raises
-    ``ValueError`` naming it."""
+    """Returns (kind, weights, temperature, alpha); a damaged file, or one
+    whose dim is not ``FEATURE_DIM``, raises ``ValueError`` naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != MODEL_MAGIC:
@@ -309,15 +309,17 @@ def load_model(path) -> Tuple[str, np.ndarray, float, float]:
         dim, nonzero = int(header["dim"]), int(header["nonzero"])
         temperature, alpha = float(header["temperature"]), float(header["alpha"])
         entries = [(int(idx), float(val)) for idx, val in (ln.split() for ln in lines[body_at:] if ln)]
-        weights = np.zeros(dim)
     except ValueError as e:
         raise ValueError(f"{path}: malformed model file: {e}") from None
+    if dim != FEATURE_DIM:
+        raise ValueError(f"{path}: model dim {dim} is not the feature dimension {FEATURE_DIM}")
     if len(entries) != nonzero:
         raise ValueError(f"{path}: header counts {nonzero} weights, {len(entries)} follow")
     if len({idx for idx, _ in entries}) != nonzero:
         raise ValueError(f"{path}: a weight index is given twice")
     if not np.isfinite([temperature, alpha] + [val for _, val in entries]).all():
         raise ValueError(f"{path}: a weight, the temperature or alpha is not finite")
+    weights = np.zeros(dim)
     for idx, val in entries:
         if not 0 <= idx < dim:
             raise ValueError(f"{path}: weight index {idx} outside dim {dim}")

@@ -371,7 +371,8 @@ class TestLoop:
                        "--learning-rate", "1e9", "--inference-limit", "500",
                        "--bigstep-frequency", "50", "--workers", "1", "--epochs", "3")
         assert code == 2
-        assert "loss diverged at epoch 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: loss diverged: policy=") and err.count("\n") == 1
 
     def test_a_loop_stopped_by_an_error_leaves_its_manifest(self, tmp_path):
         """The manifest is written before the first iteration, with the
@@ -446,7 +447,14 @@ class TestLoop:
          "not enough values to unpack (expected 5, got 3)"),
         ("examples_iter0.txt", None, "chain\t0\tnan\t0.5,0.5\t1:1\t2:1\t3:1",
          "value target 'nan' is not finite"),
-    ], ids=["short-stats-row", "short-examples-line", "nan-value-target"])
+        ("examples_iter0.txt", None, "chain\t0\t0.5\t0.5,0.5\t99999:1\t2:1\t3:1",
+         f"feature index 99999 outside [0, {FEATURE_DIM})"),
+        ("examples_iter0.txt", None, "chain\t0\t0.5\t0.5,0.5\t-5:1\t2:1\t3:1",
+         f"feature index -5 outside [0, {FEATURE_DIM})"),
+        ("examples_iter0.txt", None, f"chain\t0\t0.5\t0.5,0.5\t1:1\t2:1\t{FEATURE_DIM}:1",
+         f"feature index {FEATURE_DIM} outside [0, {FEATURE_DIM})"),
+    ], ids=["short-stats-row", "short-examples-line", "nan-value-target",
+            "state-index-past-dim", "negative-state-index", "action-index-at-dim"])
     def test_resume_over_a_malformed_line_exits_2(self, problem_dir, tmp_path, capsys,
                                                   name, keep, bad_line, complaint):
         out = tmp_path / "out"
@@ -692,11 +700,13 @@ class TestPredictorSpecs:
         ("kind policy\ndim abc\ntemperature 1.0\nalpha 0.7\nnonzero 0\n",
          "malformed model file: invalid literal for int()"),
         ("kind policy\ndim 16\ntemperature 1.0\nalpha 0.7\nnonzero 1\n3 1.0\n",
-         f"expected a policy model of dim {FEATURE_DIM}, found a policy model of dim 16"),
+         f"model dim 16 is not the feature dimension {FEATURE_DIM}"),
+        ("kind policy\ndim 100000000000000\ntemperature 1.0\nalpha 0.7\nnonzero 0\n",
+         f"model dim 100000000000000 is not the feature dimension {FEATURE_DIM}"),
         (f"kind policy\ndim {FEATURE_DIM}\ntemperature 1.0\nalpha 0.7\nnonzero 2\n3 1.0\n",
          "header counts 2 weights, 1 follow"),
     ], ids=["no-dim", "index-past-dim", "negative-index", "weight-line-without-value",
-            "non-integer-dim", "other-dim", "truncated"])
+            "non-integer-dim", "other-dim", "huge-dim", "truncated"])
     def test_damaged_model_file_exits_2(self, problem_dir, tmp_path, capsys, body, complaint):
         model = tmp_path / "bad.model"
         model.write_text("contab-model v1\n" + body)

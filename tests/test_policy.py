@@ -515,7 +515,7 @@ class TestStateValue:
 
 class TestModelFiles:
     def test_roundtrip(self, tmp_path):
-        w = np.zeros(64)
+        w = np.zeros(FEATURE_DIM)
         w[3] = 1.5
         w[17] = -0.25
         p = tmp_path / "m.model"
@@ -528,8 +528,8 @@ class TestModelFiles:
 
     def test_roundtrip_preserves_exact_floats(self, tmp_path):
         rng = np.random.default_rng(3)
-        w = np.zeros(256)
-        idx = rng.choice(256, size=40, replace=False)
+        w = np.zeros(FEATURE_DIM)
+        idx = rng.choice(FEATURE_DIM, size=40, replace=False)
         w[idx] = rng.standard_normal(40)
         p = tmp_path / "m.model"
         save_model(p, "value", w)
@@ -538,11 +538,11 @@ class TestModelFiles:
 
     def test_all_zero_weights(self, tmp_path):
         p = tmp_path / "z.model"
-        save_model(p, "value", np.zeros(16))
+        save_model(p, "value", np.zeros(FEATURE_DIM))
         kind, w, _, _ = load_model(p)
         assert kind == "value"
         assert not w.any()
-        assert len(w) == 16
+        assert len(w) == FEATURE_DIM
 
     def test_bad_kind_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -564,10 +564,14 @@ class TestModelFiles:
          "not finite"),
         (lambda lines: [ln.replace("alpha 0.7", "alpha nan") for ln in lines],
          "not finite"),
+        (lambda lines: [ln.replace(f"dim {FEATURE_DIM}", "dim 64") for ln in lines],
+         f"model dim 64 is not the feature dimension {FEATURE_DIM}"),
+        (lambda lines: [ln.replace(f"dim {FEATURE_DIM}", "dim 100000000000000") for ln in lines],
+         "model dim 100000000000000 is not"),
     ], ids=["truncated", "extra-line", "repeated-index", "nan-weight", "infinite-weight",
-            "infinite-temperature", "nan-alpha"])
+            "infinite-temperature", "nan-alpha", "other-dim", "huge-dim"])
     def test_damaged_file_rejected_by_name(self, tmp_path, damage, complaint):
-        w = np.zeros(64)
+        w = np.zeros(FEATURE_DIM)
         w[np.arange(3, 64, 4)[:14]] = np.arange(1.0, 15.0)
         p = tmp_path / "m.model"
         save_model(p, "policy", w, temperature=1.5, alpha=0.7)
