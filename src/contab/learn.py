@@ -395,17 +395,105 @@ def _prove_one(task) -> Tuple[ProofResult, List[TrainingExample]]:
     return r, examples
 
 
-# the task list of a pool worker, set by the pool initializer in the worker only
-_TASKS: Sequence[tuple] = ()
+# a pool worker's problems and the predictor, limits and iteration of
+# the call it serves: set by the pool initializer for the pool's first
+# call, then by the first task the worker takes of each later call
+_WORKER: Dict[str, object] = {}
 
 
-def _set_tasks(tasks: Sequence[tuple]) -> None:
-    global _TASKS
-    _TASKS = tasks
+def _start_worker(problems, predictor, limits, iteration) -> None:
+    _WORKER.update(problems=problems, call=0, predictor=predictor, limits=limits,
+                   iteration=iteration)
 
 
-def _prove_index(i: int) -> Tuple[ProofResult, List[TrainingExample]]:
-    return _prove_one(_TASKS[i])
+def _prove_task(task) -> Tuple[ProofResult, List[TrainingExample]]:
+    """A pool task: a problem index on the pool's first call, ``(index,
+    call, shipped predictor, limits, iteration)`` on a later one."""
+    if isinstance(task, int):
+        index = task
+    else:
+        index, call, shipped, limits, iteration = task
+        if _WORKER["call"] != call:
+            _WORKER.update(call=call, predictor=_unship(shipped), limits=limits,
+                           iteration=iteration)
+    name, engine = _WORKER["problems"][index]
+    return _prove_one((name, engine, _WORKER["predictor"], _WORKER["limits"],
+                       _WORKER["iteration"]))
+
+
+def _ship(predictor: Predictor):
+    """What a later pool call sends of its predictor: a ``LinearPredictor``
+    as its temperature and the indices and values of its nonzero weights,
+    since pickled whole it carries two ``FEATURE_DIM`` arrays (over 500 KB)
+    that training leaves mostly zero; any other predictor whole."""
+    if type(predictor) is not LinearPredictor:
+        return predictor
+    nonzero = []
+    for w in (predictor.policy_weights, predictor.value_weights):
+        idx = np.flatnonzero(w)
+        nonzero.append((idx, w[idx]))
+    return predictor.temperature, nonzero
+
+
+def _unship(shipped) -> Predictor:
+    if isinstance(shipped, Predictor):
+        return shipped
+    temperature, nonzero = shipped
+    dense = []
+    for idx, values in nonzero:
+        w = np.zeros(FEATURE_DIM)
+        w[idx] = values
+        dense.append(w)
+    return LinearPredictor(*dense, temperature=temperature)
+
+
+class _WorkerPool:
+    """A process pool that proves one problem list over several
+    :func:`prove_problems` calls.  The workers are started by the first
+    call, at most one per problem, and inherit that call's problems,
+    predictor, limits and iteration through the pool initializer (where
+    the ``fork`` start method exists; elsewhere they are pickled once per
+    worker); each task is then a problem index.  A later call sends each
+    task the call's predictor (see :func:`_ship`), limits and iteration,
+    and each worker rebuilds the predictor once per call, so its memo
+    serves every search the worker runs in that call.  Leaving the
+    ``with`` block shuts the workers down."""
+
+    def __init__(self):
+        self.executor = None
+        self.problems: Optional[Sequence[Tuple[str, Engine]]] = None
+        self.calls = 0
+
+    def __enter__(self) -> "_WorkerPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.executor is not None:
+            self.executor.shutdown()
+
+    def prove(self, problems: Sequence[Tuple[str, Engine]], predictor: Predictor,
+              limits: SearchLimits, iteration: int, workers: int):
+        if self.executor is None:
+            # imported here: the serial path does not pay their ~2 MB
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            # a fork pool forks every worker before it starts its own
+            # threads, and the prover starts none, so no lock can be copied
+            # while another thread of the prover holds it
+            fork = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+            self.executor = ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context(fork),
+                initializer=_start_worker, initargs=(problems, predictor, limits, iteration))
+            self.problems = problems
+            tasks: Sequence = range(len(problems))
+        elif problems is not self.problems:
+            raise ValueError("a worker pool proves only the problems it was started with")
+        else:
+            self.calls += 1
+            shipped = _ship(predictor)
+            tasks = [(i, self.calls, shipped, limits, iteration) for i in range(len(problems))]
+        return list(self.executor.map(_prove_task, tasks))
 
 
 def _check_workers(workers: int) -> None:
@@ -414,36 +502,33 @@ def _check_workers(workers: int) -> None:
 
 
 def prove_problems(problems: Sequence[Tuple[str, Engine]], predictor: Predictor,
-                   limits: SearchLimits, iteration: int = 0,
-                   workers: int = 1) -> List[Tuple[ProofResult, List[TrainingExample]]]:
+                   limits: SearchLimits, iteration: int = 0, workers: int = 1,
+                   pool: Optional[_WorkerPool] = None,
+                   ) -> List[Tuple[ProofResult, List[TrainingExample]]]:
     """Proves every problem, returning (result, extracted examples) pairs
     in problem order.  Search has no randomness, so the worker count
     never changes results, with one exception: where a ``wall_clock``
     stop falls depends on machine load, and ``search.prove`` reports such
     a stop as ``budget-exhausted``.
 
-    With more than one worker and more than one problem, a pool of at
-    most one worker per problem receives the whole task list (engines,
-    predictor, limits) once, through its initializer; where the
-    ``fork`` start method exists the workers inherit that list and
-    nothing of it is pickled, elsewhere it is pickled once per worker.
-    Each task sent to a worker is then a problem index, and only the
-    result and its examples come back."""
+    With more than one worker and more than one problem, the problems are
+    proved in a worker pool: ``pool``, which :func:`run_loop` keeps open
+    over its iterations, or else one opened and shut down for this call.
+    On a pool's first call the workers inherit the problems (engines
+    included), the predictor, the limits and the iteration by fork, and
+    nothing of them is pickled; each task sent is a problem index.  A
+    later call over the same problems sends with each task the limits,
+    the iteration and the predictor, a ``LinearPredictor`` as its
+    nonzero weights only.  Only the result and its examples come back."""
     _check_workers(workers)
-    tasks = [(name, engine, predictor, limits, iteration) for name, engine in problems]
-    workers = min(workers, len(tasks))
+    workers = min(workers, len(problems))
     if workers <= 1:
-        return [_prove_one(t) for t in tasks]
-    # imported here: the serial path does not pay their ~2 MB
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    # a fork pool forks every worker before it starts its own threads, and
-    # the prover starts none, so no lock can be copied while another
-    # thread of the prover holds it
-    fork = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context(fork),
-                             initializer=_set_tasks, initargs=(tasks,)) as pool:
-        return list(pool.map(_prove_index, range(len(tasks))))
+        return [_prove_one((name, engine, predictor, limits, iteration))
+                for name, engine in problems]
+    if pool is None:
+        with _WorkerPool() as pool:
+            return pool.prove(problems, predictor, limits, iteration, workers)
+    return pool.prove(problems, predictor, limits, iteration, workers)
 
 
 def _reduce_stats(iteration: int,
@@ -476,6 +561,14 @@ def run_loop(problems: Sequence[Tuple[str, Engine]], iterations: int,
     statistics CSV are written there; ``resume`` restarts after the last
     completed iteration using those files, and raises ``ValueError`` if
     the checkpoint was written under other settings.
+
+    With more than one worker and more than one problem, one worker pool
+    serves every iteration (see :func:`prove_problems`).  It is forked by
+    the first iteration proved, whose workers inherit the problems, the
+    predictor, the limits and the iteration; each later iteration sends
+    its trained predictor's temperature and nonzero weights with each
+    problem index, and each worker rebuilds the predictor once.  The
+    workers are shut down however the loop ends, a raise included.
     """
     if iterations < 0:
         raise ValueError(f"iteration count must be at least 0, got {iterations}")
@@ -494,33 +587,34 @@ def run_loop(problems: Sequence[Tuple[str, Engine]], iterations: int,
             raise ValueError("resume requires out_dir")
         start_at = _load_checkpoint(out_dir, config, stats, examples)
 
-    for it in range(start_at, iterations + 1):
-        if it == 0:
-            predictor: Predictor = UniformPredictor()
-        else:
-            model = train(examples, config.train, alpha=config.alpha)
-            predictor = model.predictor(temperature=config.temperature)
-        pairs = prove_problems(problems, predictor, config.limits,
-                               iteration=it, workers=workers)
-        stats.append(_reduce_stats(it, pairs))
-        all_results.append([r for r, _ in pairs])
-        fresh: List[TrainingExample] = []
-        for _, exs in pairs:
-            fresh.extend(exs)
-        examples.extend(fresh)
-        if out_dir:
-            write_examples(os.path.join(out_dir, f"examples_iter{it}.txt"), fresh)
-            if model is not None:
-                save_model(os.path.join(out_dir, f"policy_iter{it}.model"),
-                           "policy", model.policy_weights, config.temperature, config.alpha)
-                save_model(os.path.join(out_dir, f"value_iter{it}.model"),
-                           "value", model.value_weights, config.temperature, config.alpha)
-            report_csv(os.path.join(out_dir, "stats.csv"), STATS_COLUMNS,
-                       [s.row() for s in stats])
-            with atomic_open(os.path.join(out_dir, "loop_state.txt")) as fh:
-                fh.write(f"completed {it}\n")
-                for key, val in config.settings().items():
-                    fh.write(f"{key} {val!r}\n")
+    with _WorkerPool() as pool:
+        for it in range(start_at, iterations + 1):
+            if it == 0:
+                predictor: Predictor = UniformPredictor()
+            else:
+                model = train(examples, config.train, alpha=config.alpha)
+                predictor = model.predictor(temperature=config.temperature)
+            pairs = prove_problems(problems, predictor, config.limits,
+                                   iteration=it, workers=workers, pool=pool)
+            stats.append(_reduce_stats(it, pairs))
+            all_results.append([r for r, _ in pairs])
+            fresh: List[TrainingExample] = []
+            for _, exs in pairs:
+                fresh.extend(exs)
+            examples.extend(fresh)
+            if out_dir:
+                write_examples(os.path.join(out_dir, f"examples_iter{it}.txt"), fresh)
+                if model is not None:
+                    save_model(os.path.join(out_dir, f"policy_iter{it}.model"),
+                               "policy", model.policy_weights, config.temperature, config.alpha)
+                    save_model(os.path.join(out_dir, f"value_iter{it}.model"),
+                               "value", model.value_weights, config.temperature, config.alpha)
+                report_csv(os.path.join(out_dir, "stats.csv"), STATS_COLUMNS,
+                           [s.row() for s in stats])
+                with atomic_open(os.path.join(out_dir, "loop_state.txt")) as fh:
+                    fh.write(f"completed {it}\n")
+                    for key, val in config.settings().items():
+                        fh.write(f"{key} {val!r}\n")
 
     return LoopResult(stats=stats, examples=examples, final_model=model, results=all_results)
 

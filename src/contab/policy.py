@@ -273,8 +273,14 @@ MODEL_MAGIC = "contab-model v1"
 
 def save_model(path, kind: str, weights: np.ndarray, temperature: float = 1.0,
                alpha: float = 0.0) -> None:
+    """Writes the nonzero weights; a weight vector whose length is not
+    ``FEATURE_DIM``, which :func:`load_model` would refuse, raises
+    ``ValueError`` naming ``path`` before the file is created."""
     if kind not in ("policy", "value"):
         raise ValueError(f"kind must be 'policy' or 'value', got {kind!r}")
+    if len(weights) != FEATURE_DIM:
+        raise ValueError(f"{path}: {len(weights)} weights, not the feature dimension "
+                         f"{FEATURE_DIM}")
     nz = np.nonzero(weights)[0]
     with atomic_open(path) as fh:
         fh.write(MODEL_MAGIC + "\n")

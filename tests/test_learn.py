@@ -8,6 +8,7 @@ import concurrent.futures
 import hashlib
 import math
 import multiprocessing
+import pickle
 import re
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ import pytest
 from contab.analysis import BankEntry, StateBank, report_csv, save_bank
 from contab.clausify import clausify_text, load_matrix
 from contab.corpus import corpus_problems
+from contab.features import FEATURE_DIM
 from contab.learn import (
     EXAMPLES_MAGIC,
     STATS_COLUMNS,
@@ -25,6 +27,8 @@ from contab.learn import (
     TrainConfig,
     TrainingDiverged,
     TrainingExample,
+    _ship,
+    _unship,
     extract_training_data,
     policy_grad_logits,
     policy_loss,
@@ -38,7 +42,7 @@ from contab.learn import (
 )
 from contab.policy import (LinearPredictor, UniformPredictor, _sparse_dot, normalized_entropy,
                            save_model, sigmoid, softmax_temperature)
-from contab.search import DISCOUNT, MCTSNode, ProofResult, SearchLimits
+from contab.search import DISCOUNT, MCTSNode, ProofResult, SearchLimits, prove
 from contab.tableau import Action, Engine, write_trace
 
 THREE_WAY = (
@@ -348,10 +352,13 @@ def single_action_examples():
     return out + synthetic_examples(10, n_actions=2, seed=4)
 
 
+def corpus_engines():
+    return [(p.stem, Engine(load_matrix(p))) for p in corpus_problems()]
+
+
 def corpus_examples():
     """The iteration-0 examples of a loop over the bundled corpus."""
-    problems = [(p.stem, Engine(load_matrix(p))) for p in corpus_problems()]
-    return run_loop(problems, 0, small_loop_config()).examples
+    return run_loop(corpus_engines(), 0, small_loop_config()).examples
 
 
 def weight_digests(result):
@@ -546,6 +553,16 @@ class TestProveProblems:
         assert comparable(pairs) == comparable(prove_problems(problems, UniformPredictor(),
                                                               limits))
 
+    def test_a_linear_predictor_is_shipped_as_its_nonzero_weights(self):
+        model = train(corpus_examples(), TrainConfig(epochs=3, seed=0)).predictor(temperature=2.0)
+        shipped = pickle.dumps(_ship(model))
+        assert len(shipped) < len(pickle.dumps(model)) / 100
+        back = _unship(pickle.loads(shipped))
+        assert type(back) is LinearPredictor
+        assert back.temperature == 2.0
+        assert back.policy_weights.tobytes() == model.policy_weights.tobytes()
+        assert back.value_weights.tobytes() == model.value_weights.tobytes()
+
     def test_results_come_back_in_problem_order(self):
         problems = loop_problems()
         limits = SearchLimits(inference_limit=60, bigstep_frequency=10)
@@ -648,7 +665,7 @@ class TestRunLoop:
 
     def test_loop_trains_with_its_own_alpha(self):
         # the corpus, unlike loop_problems, gives examples that move the policy weights
-        problems = [(p.stem, Engine(load_matrix(p))) for p in corpus_problems()]
+        problems = corpus_engines()
         config = small_loop_config(alpha=2.0)
         loop = run_loop(problems, 1, config)
         model = loop.final_model
@@ -668,6 +685,64 @@ class TestRunLoop:
             small_loop_config(**setting)
 
 
+def counted_pools(monkeypatch):
+    """Patches the process pool class ``prove_problems`` imports; the list
+    returned gets each pool's worker count as the pool is started."""
+    started = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return started
+
+
+class TestLoopPool:
+    """One worker pool serves every iteration of a loop, and no worker
+    outlives the loop."""
+
+    def test_two_workers_give_what_one_gives_from_one_pool(self, monkeypatch):
+        problems = corpus_engines()
+        serial = run_loop(problems, 2, small_loop_config(), workers=1)
+        started = counted_pools(monkeypatch)
+        pooled = run_loop(problems, 2, small_loop_config(), workers=2)
+        assert started == [2]
+        assert pooled.final_model.policy_weights.any()
+        assert [s.row() for s in pooled.stats] == [s.row() for s in serial.stats]
+        assert ([[replace(r, wall_time=0.0) for r in rs] for rs in pooled.results]
+                == [[replace(r, wall_time=0.0) for r in rs] for rs in serial.results])
+        assert pooled.examples == serial.examples
+        for got, want in [(pooled.final_model.policy_weights, serial.final_model.policy_weights),
+                          (pooled.final_model.value_weights, serial.final_model.value_weights)]:
+            assert got.tobytes() == want.tobytes()
+
+    def test_no_worker_outlives_a_loop_whose_training_diverges(self, monkeypatch):
+        started = counted_pools(monkeypatch)
+        config = replace(small_loop_config(), train=TrainConfig(epochs=3, learning_rate=1e9))
+        with pytest.raises(TrainingDiverged):
+            run_loop(corpus_engines(), 1, config, workers=2)
+        assert started == [2]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the injected failure reaches the workers by fork")
+    def test_no_worker_outlives_a_loop_whose_search_raises(self, monkeypatch):
+        started = counted_pools(monkeypatch)
+        problems = corpus_engines()
+
+        def failing_prove(engine, name, predictor, limits):
+            if isinstance(predictor, LinearPredictor) and name == problems[3][0]:
+                raise RuntimeError(f"injected failure in {name}")
+            return prove(engine, name, predictor, limits)
+        monkeypatch.setattr("contab.learn.prove", failing_prove)
+        with pytest.raises(RuntimeError, match=f"injected failure in {problems[3][0]}"):
+            run_loop(problems, 1, small_loop_config(), workers=2)
+        assert started == [2]
+        assert multiprocessing.active_children() == []
+
+
 class TestStatsCsv:
     def test_row_formatting(self, tmp_path):
         # stats.csv is a report: its row strings pass the report's cell
@@ -679,6 +754,11 @@ class TestStatsCsv:
         assert lines == [",".join(STATS_COLUMNS), "0,12,1.234568,0.500000,4321"]
 
 
+def feature_wide(values):
+    """A ``FEATURE_DIM``-long weight vector that starts with ``values``."""
+    return np.array(values + [0.0] * (FEATURE_DIM - len(values)), dtype=object)
+
+
 class TestAtomicWrites:
     """A checkpoint writer that raises part-way leaves the previous file
     as it was and no temporary file behind."""
@@ -686,8 +766,8 @@ class TestAtomicWrites:
     @pytest.mark.parametrize("writer, good, bad", [
         (write_examples, synthetic_examples(3, seed=1),
          synthetic_examples(3, seed=2)[:2] + [None]),
-        (lambda path, w: save_model(path, "policy", w), np.array([0.0, 1.5, 2.5]),
-         np.array([0.0, 1.5, "not a float"], dtype=object)),
+        (lambda path, w: save_model(path, "policy", w), feature_wide([0.0, 1.5, 2.5]),
+         feature_wide([0.0, 1.5, "not a float"])),
         (save_bank, StateBank([BankEntry("p", ("e0",), 2)]),
          StateBank([BankEntry("p", ("e1",), 3), None])),
         (lambda path, rows: report_csv(path, ["alpha", "solved"], rows), [[0.7, 3]],

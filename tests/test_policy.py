@@ -544,6 +544,14 @@ class TestModelFiles:
         assert not w.any()
         assert len(w) == FEATURE_DIM
 
+    @pytest.mark.parametrize("width", [16, FEATURE_DIM + 1])
+    def test_another_width_is_refused_before_the_file_is_created(self, tmp_path, width):
+        p = tmp_path / "w.model"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {width} weights, not the "
+                                             f"feature dimension {FEATURE_DIM}$"):
+            save_model(p, "value", np.zeros(width))
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_kind_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_model(tmp_path / "x.model", "oracle", np.zeros(4))
