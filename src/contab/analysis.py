@@ -71,6 +71,7 @@ def harvest_states(problems: Sequence[Tuple[str, Engine]],
                 continue
             seen.add(key)
             bank.entries.append(BankEntry(name, path, n_actions))
+        result.drop_tree()
     return bank
 
 

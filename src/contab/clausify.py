@@ -10,9 +10,16 @@ equational goals can be discharged; paramodulation never rewrites with it.
 Each formula is scanned once for its symbols and free variables; then one
 recursive pass (``_clauses``) takes it to negation normal form,
 Skolemizes and distributes, returning its clauses as lists of plain
-``(neg, pred, args)`` triples over named variables.  ``_number_vars``
-builds each :class:`Literal` once, from a triple, with clause-local
-integer variables.  Both passes dispatch on the exact node type.
+``(neg, pred, args)`` triples over named variables.  An equivalence
+``a <=> b`` is clausified as ``(a => b) & (b => a)`` without building
+those nodes: ``a``, ``b``, ``b`` and ``a`` are clausified in that order,
+each under its polarity in the expansion, so fresh variable and Skolem
+names are the expansion's.  A clause's duplicate
+literals are dropped with ``dict.fromkeys``, and ``_number_vars`` builds
+each :class:`Literal` once, from a triple, with clause-local integer
+variables numbered in first-use order; their count is the clause's
+variable count, which the matrix carries so that the engine need not
+count again.  Both passes dispatch on the exact node type.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ def clausify(problem: Problem) -> Matrix:
     ctx = _Ctx(used_symbols)
     clauses: List[Clause] = []
     start_ids: List[int] = []
-    has_eq = False
+    var_counts: List[int] = []
     for af, free in zip(problem.formulas, free_vars):
         f = FQuant("!", tuple(sorted(free)), af.formula) if free else af.formula
         # conjectures are refuted; negated_conjecture and cnf inputs are
@@ -52,14 +59,13 @@ def clausify(problem: Problem) -> Matrix:
         positive = not (af.lang == "fof" and af.role == "conjecture")
         is_start = af.role in ("conjecture", "negated_conjecture")
         for lits in _clauses(f, positive, {}, (), ctx):
-            lits = _dedup(lits)
             if not lits:
                 raise ClausifyError("problem clausifies to an empty clause (degenerate input)")
-            clause = Clause(len(clauses), _number_vars(lits))
-            clauses.append(clause)
+            literals, nvars = _number_vars(dict.fromkeys(lits))
             if is_start:
-                start_ids.append(clause.id)
-            has_eq = has_eq or any(l.pred == EQ for l in clause.literals)
+                start_ids.append(len(clauses))
+            clauses.append(Clause(len(clauses), literals))
+            var_counts.append(nvars)
 
     if not clauses:
         raise ClausifyError("problem contains no clauses")
@@ -67,11 +73,14 @@ def clausify(problem: Problem) -> Matrix:
         start_ids = [c.id for c in clauses]
 
     reflexivity_id = None
-    if has_eq:
+    # an equation the clauses lost (as in ``$true | a = b``) adds no
+    # reflexivity clause
+    if EQ in used_symbols and any(l.pred == EQ for c in clauses for l in c.literals):
         reflexivity_id = len(clauses)
         clauses.append(Clause(reflexivity_id, (Literal(False, EQ, (0, 0)),)))
+        var_counts.append(1)
 
-    return Matrix(clauses, start_ids, reflexivity_id)
+    return Matrix(clauses, start_ids, reflexivity_id, var_counts)
 
 
 def clausify_text(text: str) -> Matrix:
@@ -132,15 +141,23 @@ def _clauses(f, positive: bool, env: dict, uvars: tuple, ctx: _Ctx) -> List[list
     """The clauses of ``f`` under ``positive`` polarity, each a list of
     ``(neg, pred, args)`` literals over named variables: negation normal
     form, Skolemization and distribution in one pass.  The left subformula
-    is always clausified before the right one, so fresh names follow the
-    formula's text."""
+    is always clausified before the right one (an equivalence as its two
+    implications), so fresh names follow the formula's text."""
     kind = type(f)
     if kind is FAtom:
-        return [[(not positive, f.pred, tuple([_subst_named(a, env) for a in f.args]))]]
+        args = tuple([env.get(a, a) if type(a) is str else _subst_named(a, env) for a in f.args])
+        return [[(not positive, f.pred, args)]]
     if kind is FBin:
         if f.op == "<=>":
-            expanded = FBin("&", FBin("=>", f.left, f.right), FBin("=>", f.right, f.left))
-            return _clauses(expanded, positive, env, uvars, ctx)
+            # (a => b) & (b => a), its four halves clausified in that order
+            a1 = _clauses(f.left, not positive, env, uvars, ctx)
+            b1 = _clauses(f.right, positive, env, uvars, ctx)
+            b2 = _clauses(f.right, not positive, env, uvars, ctx)
+            a2 = _clauses(f.left, positive, env, uvars, ctx)
+            if positive:
+                return [x + y for x in a1 for y in b1] + [x + y for x in b2 for y in a2]
+            # ~(a => b) | ~(b => a), each negated implication a conjunction
+            return [x + y for x in a1 + b1 for y in b2 + a2]
         if f.op not in ("&", "|", "=>"):
             raise ClausifyError(f"unknown connective {f.op!r}")
         # a => b is ~a | b
@@ -175,29 +192,18 @@ def _subst_named(t, env: dict):
     return (t[0],) + tuple([_subst_named(a, env) for a in t[1:]])
 
 
-def _dedup(lits: list) -> list:
-    seen = set()
-    out = []
-    for l in lits:
-        if l not in seen:
-            seen.add(l)
-            out.append(l)
-    return out
-
-
-def _number_vars(lits: list) -> tuple:
+def _number_vars(lits) -> tuple:
     """The ``(neg, pred, args)`` literals ``lits`` as a tuple of
     :class:`Literal`, their named variables mapped onto clause-local
-    integers 0.. in first-use order."""
+    integers 0.. in first-use order, and the number of those variables."""
     names: Dict[str, int] = {}
+    literals = tuple([Literal(neg, pred, _number_args(args, names)) for neg, pred, args in lits])
+    return literals, len(names)
 
-    def conv(t):
-        if type(t) is str:
-            if t not in names:
-                names[t] = len(names)
-            return names[t]
-        if len(t) == 1:
-            return t
-        return (t[0],) + tuple([conv(a) for a in t[1:]])
 
-    return tuple([Literal(neg, pred, tuple([conv(a) for a in args])) for neg, pred, args in lits])
+def _number_args(args: tuple, names: Dict[str, int]) -> tuple:
+    """``args`` with each named variable replaced by its number in
+    ``names``, where a new name gets the next number."""
+    return tuple([names.setdefault(a, len(names)) if type(a) is str
+                  else a if len(a) == 1 else (a[0],) + _number_args(a[1:], names)
+                  for a in args])

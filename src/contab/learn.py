@@ -228,6 +228,9 @@ def train(examples: Sequence[TrainingExample], config: Optional[TrainConfig] = N
     coefficient ``alpha``.  The reported losses are the means over every
     example of the returned weights' losses, evaluated once, after the
     last epoch; a NaN or infinite one raises :class:`TrainingDiverged`.
+    So does an epoch that leaves a NaN or infinite weight: training stops
+    there, since no later epoch can make that weight finite again, and the
+    losses reported are those of its weights.
 
     The examples are packed once.  The weights are Python float lists
     over the packed feature slots while training, every score is
@@ -243,6 +246,7 @@ def train(examples: Sequence[TrainingExample], config: Optional[TrainConfig] = N
     rng = np.random.default_rng(config.seed)
     packed = _Packed(examples)
     wp, wv = [0.0] * len(packed.slots), [0.0] * len(packed.slots)
+    finite = True
     for _ in range(config.epochs):
         order = rng.permutation(len(examples)).tolist()
         for lo in range(0, len(order), config.batch_size):
@@ -267,8 +271,11 @@ def train(examples: Sequence[TrainingExample], config: Optional[TrainConfig] = N
                 wp[f] -= scale * g
             for f, g in gv.items():
                 wv[f] -= scale * g
+        finite = all(map(math.isfinite, wp)) and all(map(math.isfinite, wv))
+        if not finite:
+            break
     pl, vl = packed.losses(wp, wv, alpha)
-    if not (math.isfinite(pl) and math.isfinite(vl)):
+    if not (finite and math.isfinite(pl) and math.isfinite(vl)):
         raise TrainingDiverged(f"loss diverged: policy={pl}, value={vl}; "
                                f"reduce the learning rate (currently {config.learning_rate})")
     return TrainResult(packed.weights(wp), packed.weights(wv), pl, vl)
@@ -391,7 +398,7 @@ def _prove_one(task) -> Tuple[ProofResult, List[TrainingExample]]:
     r = prove(engine, name, predictor, limits)
     examples = extract_training_data(r, engine.matrix, iteration=iteration)
     # drop the search tree so results stay cheap to pickle across workers
-    r.bigstep_nodes = []
+    r.drop_tree()
     return r, examples
 
 

@@ -120,6 +120,18 @@ class ProofResult:
     def solved(self) -> bool:
         return self.status == "solved"
 
+    def drop_tree(self) -> None:
+        """Forgets the search tree.  Its nodes point back at their parents,
+        so a dropped tree is a reference cycle that holds its memory until
+        the cyclic garbage collector runs; with the back links cut, it is
+        freed as soon as it is dropped."""
+        stack = self.bigstep_nodes[:1]
+        self.bigstep_nodes = []
+        while stack:
+            node = stack.pop()
+            node.parent = None
+            stack.extend([node.children[i] for i in node.expanded])
+
     @property
     def playouts(self) -> int:
         """Playouts that added a leaf, each by one action: ``inferences``."""
@@ -205,11 +217,18 @@ class _Search:
         Only the expanded children and the leading unexpanded slots are
         scored: an unexpanded slot's score falls (weakly) along
         ``node.order``, so the best one is the first, unless slots after
-        it with lower priors round to the same score and a lower index."""
+        it with lower priors round to the same score and a lower index.
+
+        A node with one slot, the most common kind, needs no score: the
+        slot is the answer unless its child is fully explored, since its
+        prior, its child's mean and ``cp`` are all finite."""
+        children = node.children
+        if len(children) == 1:
+            child = children[0]
+            return -1 if child is not None and child.fully_explored else 0
         log_n = math.log(node.visits)
         cp = self.limits.cp
         priors = node.priors
-        children = node.children
         order = node.order
         best, best_score = -1, -math.inf
         f = node.frontier

@@ -44,7 +44,6 @@ from .terms import (
     Literal,
     Matrix,
     apply_subst_lit,
-    clause_var_count,
     head,
     literal_str,
     offset_literal,
@@ -245,14 +244,15 @@ class Engine:
         self.matrix = matrix
         self.path_limit = path_limit
         self.paramodulation = paramodulation
-        self.var_counts = [clause_var_count(c) for c in matrix.clauses]
-        # (pred, neg) -> [(clause_id, literal_index, literal)], in canonical order
+        self.var_counts = matrix.var_counts
+        # (pred, neg) -> [(clause_id, literal_index)], in canonical order:
+        # pairs of ints, which the garbage collector stops tracking
         self.by_key: dict = {}
         # (clause_id, literal_index, equation, head of its left side, of its right)
         self.equations: List[Tuple[int, int, Literal, Optional[tuple], Optional[tuple]]] = []
         for c in matrix.clauses:
             for i, lit in enumerate(c.literals):
-                self.by_key.setdefault((lit.pred, lit.neg), []).append((c.id, i, lit))
+                self.by_key.setdefault((lit.pred, lit.neg), []).append((c.id, i))
                 if lit.pred == EQ and not lit.neg and c.id != matrix.reflexivity_id:
                     self.equations.append((c.id, i, lit, head(lit.args[0]), head(lit.args[1])))
         # (pred, neg) -> by_key's entries as _candidate gives them; filled
@@ -296,8 +296,10 @@ class Engine:
         off = s.next_var
         candidates = self._candidates.get(neg_key)
         if candidates is None:
+            clauses = self.matrix.clauses
             candidates = self._candidates[neg_key] = [
-                _candidate(cid, li, lit) for cid, li, lit in self.by_key.get(neg_key, ())]
+                _candidate(cid, li, clauses[cid].literals[li])
+                for cid, li in self.by_key.get(neg_key, ())]
         goal_heads = None  # found for the first candidate that needs them
         for cid, li, lit, fixed, free in candidates:
             if not free:

@@ -37,13 +37,20 @@ class Matrix:
 
     ``reflexivity_id`` marks an automatically added ``X = X`` clause (present
     only when the problem mentions equality); it is excluded from
-    paramodulation enumeration.
+    paramodulation enumeration.  ``var_counts`` holds each clause's
+    variable count, as ``clause_var_count`` gives it; a producer that
+    knows the counts hands them over, else they are counted here.
     """
 
-    def __init__(self, clauses, start_ids, reflexivity_id=None):
+    def __init__(self, clauses, start_ids, reflexivity_id=None, var_counts=None):
         self.clauses = list(clauses)
         self.start_ids = list(start_ids)
         self.reflexivity_id = reflexivity_id
+        if var_counts is None:
+            var_counts = [clause_var_count(c) for c in self.clauses]
+        elif len(var_counts) != len(self.clauses):
+            raise ValueError("one variable count per clause is needed")
+        self.var_counts = list(var_counts)
         for i, c in enumerate(self.clauses):
             if c.id != i:
                 raise ValueError("clause ids must be dense and in order")

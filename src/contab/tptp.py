@@ -6,14 +6,20 @@ comments, quoted names with the escapes ``\\\\`` and ``\\'``, connectives
 ``~ & | => <=>``, quantifiers ``![X]:`` / ``?[X]:``, infix ``=`` / ``!=``
 and the constants ``$true`` / ``$false``.
 
-The tokenizer is one table, the compiled pattern ``_TOKEN`` with a named
-group per token class, read by ``re.finditer``; each match is one token,
-its leading whitespace and comments included.  The tokens are two
-parallel lists, their kinds and their texts, with no per-token object;
-a recursive-descent parser reads them.  Line and column are found only
-when an error is raised: from the match offset for a lexical error, and
-by re-scanning the text up to the offending token's index for a parse
-error.
+The tokenizer is one pattern, ``_TOKEN``: each match is one token, its
+leading whitespace and comments included, and its one group is the
+token's text, so a single ``re.findall`` gives every token's text.  A
+token's kind comes from a dict lookup on its text (operators,
+punctuation, ``$true``/``$false``, and the empty text that ends the
+input) or else on its first character (words led by an ASCII letter or
+``_``, and quoted names).  Only the rare token that neither table places
+is looked at once more: a quoted name loses its quotes and escapes, a word
+led by a non-ASCII letter gets its case, and anything else is a lexical
+error.  The tokens are two parallel lists, their kinds and their texts,
+with no per-token object; a recursive-descent parser reads them, its
+per-token methods indexing the lists directly.  Line and column are found
+only when an error is raised, by re-scanning the text up to the offending
+token's index, whether the error is lexical or a parse error.
 
 Parse-level terms use strings for variables (TPTP upper-case words) and
 tuples ``(symbol, arg...)`` for function applications; clausification maps
@@ -89,57 +95,48 @@ class Problem(NamedTuple):
 # ---------------------------------------------------------------------------
 # tokenizer
 
-# one match per token: leading whitespace and ``%`` comments, then one
-# alternative per token class, tried in this order; the unsupported
-# connectives come before the operators they begin with, and ``EOF``
-# matches only at the end of the text
+# one match per token: leading whitespace and ``%`` comments, then the
+# token itself as the one group; the alternatives are tried in this order:
+# the unsupported connectives before the operators they begin with, then
+# operators, quoted names, an unterminated quote or a distinct object's
+# quote, defined symbols, words, the end of the text (an empty token), and
+# any other character
 _TOKEN = re.compile(r"""
     [ \t\r\n]*(?:%[^\n]*[ \t\r\n]*)*
-    (?:
-        (?P<UNSUPPORTED><~>|<=(?!>)|~[&|])
-      | (?P<PUNCT><=>|=>|!=|[()\[\],.:&|~!?=])
-      | (?P<QUOTED>'(?:[^'\\\n]|\\[^\n])*')
-      | (?P<UNTERMINATED>')
-      | (?P<DISTINCT>")
-      | (?P<DEFINED>\$\w*)
-      | (?P<WORD>\w+)
-      | (?P<EOF>\Z)
-      | (?P<BAD>.)
+    (
+        <~>|<=(?!>)|~[&|]
+      | <=>|=>|!=|[()\[\],.:&|~!?=]
+      | '(?:[^'\\\n]|\\[^\n])*'
+      | ['"]
+      | \$\w*
+      | \w+
+      | \Z
+      | .
     )
 """, re.VERBOSE | re.DOTALL)
 
-_PUNCT = {
+# a token's kind by its text, else by its first character; a token that
+# neither table places is a word led by a non-ASCII letter or no token
+_KINDS = {
     "(": "LP", ")": "RP", "[": "LB", "]": "RB",
     ",": "COMMA", ".": "DOT", ":": "COLON",
     "&": "AND", "|": "OR", "~": "NOT", "!": "BANG", "?": "QUEST", "=": "EQ",
     "<=>": "IFF", "=>": "IMPL", "!=": "NEQ",
+    "$true": "DEFINED", "$false": "DEFINED", "": "EOF",
 }
-
-
-def _where(text: str, offset: int) -> Tuple[int, int]:
-    """The 1-based line and column of ``offset`` in ``text``."""
-    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+_FIRST = dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ_", "UPPER")
+_FIRST.update(dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "LOWER"))
+_FIRST["'"] = "QUOTED"
 
 
 def _token_where(text: str, index: int) -> Tuple[int, int]:
-    """The line and column of the ``index``-th token of ``text``, which
-    tokenizes without error: each ``_TOKEN`` match is one token."""
+    """The 1-based line and column of the ``index``-th token of ``text``:
+    each ``_TOKEN`` match is one token, whether or not it is a valid one."""
     for i, m in enumerate(_TOKEN.finditer(text)):
         if i == index:
-            return _where(text, m.start(m.lastgroup))
+            offset = m.start(1)
+            return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
     raise IndexError(index)
-
-
-def _unescape(name: str, text: str, offset: int) -> str:
-    """The quoted name ``name``, which starts at ``offset`` in ``text``,
-    with its ``\\\\`` and ``\\'`` escapes resolved; any other escape is an
-    error."""
-    def resolve(m):
-        if m.group(1) not in "\\'":
-            raise ParseError(f"invalid escape {m.group()!r} in a quoted name",
-                             *_where(text, offset + m.start()))
-        return m.group(1)
-    return re.sub(r"\\(.)", resolve, name)
 
 
 def _tokenize(text: str) -> Tuple[List[str], List[str]]:
@@ -148,43 +145,61 @@ def _tokenize(text: str) -> Tuple[List[str], List[str]]:
     a 2-tuple falls in the same allocator size class as the symbol strings
     that outlive the parse, and the freed tokens would leave that class
     full of holes (2 MB after setting up the wide benchmark problems)."""
-    kinds: List[str] = []
-    texts: List[str] = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        tok = m.group(kind)
-        if kind == "PUNCT":
-            kind = _PUNCT[tok]
-        elif kind == "WORD" and (tok[0].isalpha() or tok[0] == "_"):
-            kind = "UPPER" if tok[0].isupper() or tok[0] == "_" else "LOWER"
-        elif kind == "QUOTED":
-            tok = tok[1:-1]
-            if "\\" in tok:
-                tok = _unescape(tok, text, m.start(kind) + 1)
-        elif kind == "EOF":
-            break
-        elif kind != "DEFINED" or tok not in ("$true", "$false"):
-            raise _lexical_error(kind, tok, *_where(text, m.start(kind)))
-        kinds.append(kind)
-        texts.append(tok)
-    kinds.append("EOF")
-    texts.append("")
+    texts = _TOKEN.findall(text)
+    if len(texts) > 1 and not texts[-2]:
+        # the end of a text that ends in whitespace matches twice: once
+        # after the whitespace and once more, empty, at the same offset
+        texts.pop()
+    by_text = _KINDS.get
+    by_first = _FIRST.get
+    kinds = [by_text(tok) or by_first(tok[0], "?") for tok in texts]
+    if "?" in kinds or "QUOTED" in kinds:
+        _resolve(kinds, texts, text)
     return kinds, texts
 
 
-def _lexical_error(kind: str, tok: str, line: int, col: int) -> ParseError:
-    """The error for the match ``tok`` of ``kind``, which is no token."""
-    if kind == "WORD" and tok[0].isdigit():
+def _resolve(kinds: List[str], texts: List[str], text: str) -> None:
+    """Settles, in token order, the tokens ``_tokenize`` left open: a
+    quoted name loses its quotes and escapes, a word led by a non-ASCII
+    letter gets its case, and the first token that is none raises."""
+    for i, kind in enumerate(kinds):
+        if kind == "QUOTED":
+            tok = texts[i]
+            if len(tok) == 1:
+                raise ParseError("unterminated quoted name", *_token_where(text, i))
+            texts[i] = _unescape(tok[1:-1], text, i) if "\\" in tok else tok[1:-1]
+        elif kind == "?":
+            c = texts[i][0]
+            if not c.isalpha():
+                raise _lexical_error(texts[i], *_token_where(text, i))
+            kinds[i] = "UPPER" if c.isupper() else "LOWER"
+
+
+def _unescape(name: str, text: str, index: int) -> str:
+    """The quoted name ``name`` of the ``index``-th token of ``text`` with
+    its ``\\\\`` and ``\\'`` escapes resolved; any other escape is an
+    error."""
+    def resolve(m):
+        if m.group(1) not in "\\'":
+            line, col = _token_where(text, index)
+            raise ParseError(f"invalid escape {m.group()!r} in a quoted name",
+                             line, col + 1 + m.start())
+        return m.group(1)
+    return re.sub(r"\\(.)", resolve, name)
+
+
+def _lexical_error(tok: str, line: int, col: int) -> ParseError:
+    """The error for the text ``tok``, which is no token."""
+    if tok[0].isdigit():
         return UnsupportedError("numeric terms are not supported", line, col)
-    if kind == "DEFINED":
+    if tok[0] == "$":
         return UnsupportedError(f"defined symbol '{tok}' is not supported", line, col)
-    if kind == "UNSUPPORTED":
+    if tok in ("<~>", "<=", "~&", "~|"):
         return UnsupportedError(f"connective '{tok}' is not supported", line, col)
-    if kind == "DISTINCT":
+    if tok == '"':
         return UnsupportedError("distinct objects are not supported", line, col)
-    if kind == "UNTERMINATED":
-        return ParseError("unterminated quoted name", line, col)
-    # BAD, or a WORD that starts with neither a letter nor a digit
+    # any other character, or a word led by a numeric character that is
+    # no digit
     return ParseError(f"unexpected character {tok[0]!r}", line, col)
 
 
@@ -193,6 +208,7 @@ def _lexical_error(kind: str, tok: str, line: int, col: int) -> ParseError:
 
 _LANG_DIRECTIVES = ("cnf", "fof")
 _KNOWN_UNSUPPORTED = ("thf", "tff", "tcf", "tpi")
+_BINARY = ("IMPL", "IFF", "AND", "OR")
 
 
 class _Parser:
@@ -212,14 +228,17 @@ class _Parser:
 
     def next(self) -> str:
         """The text of the next token, which is consumed."""
-        self.pos += 1
-        return self.texts[self.pos - 1]
+        pos = self.pos
+        self.pos = pos + 1
+        return self.texts[pos]
 
     def expect(self, kind: str, what: str) -> str:
         """The text of the next token, which must be of ``kind``."""
-        if self.kinds[self.pos] != kind:
-            self.error(f"expected {what}, found {self.texts[self.pos]!r}")
-        return self.next()
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            self.error(f"expected {what}, found {self.texts[pos]!r}")
+        self.pos = pos + 1
+        return self.texts[pos]
 
     def fail(self, msg: str, index: int, cls=ParseError):
         """Raise ``cls`` at the ``index``-th token."""
@@ -290,51 +309,50 @@ class _Parser:
         return AnnotatedFormula(name, role, formula, lang)
 
     # -- fof formulas -------------------------------------------------------
+    #
+    # The methods below run once per token or per subformula, so they read
+    # the token lists directly instead of calling peek/next/expect.
 
     def _parse_formula(self):
         left = self._parse_unitary()
-        kind = self.peek()
-        if kind in ("IMPL", "IFF"):
+        kinds = self.kinds
+        kind = kinds[self.pos]
+        if kind == "IMPL" or kind == "IFF":
             op = self.next()
             right = self._parse_unitary()
-            if self.peek() in ("IMPL", "IFF", "AND", "OR"):
+            if kinds[self.pos] in _BINARY:
                 self.error(f"'{op}' is non-associative; parenthesize")
             return FBin(op, left, right)
-        if kind in ("AND", "OR"):
+        if kind == "AND" or kind == "OR":
             op = self.texts[self.pos]
-            parts = [left]
-            while self.peek() == kind:
-                self.next()
-                parts.append(self._parse_unitary())
-            if self.peek() in ("IMPL", "IFF", "AND", "OR"):
+            node = left
+            while kinds[self.pos] == kind:
+                self.pos += 1
+                node = FBin(op, node, self._parse_unitary())
+            if kinds[self.pos] in _BINARY:
                 self.error(f"cannot mix '{op}' with '{self.texts[self.pos]}' without parentheses")
-            node = parts[0]
-            for p in parts[1:]:
-                node = FBin(op, node, p)
             return node
         return left
 
     def _parse_unitary(self):
-        kind = self.peek()
-        if kind in ("BANG", "QUEST"):
-            q = self.next()
+        kinds = self.kinds
+        kind = kinds[self.pos]
+        if kind == "BANG" or kind == "QUEST":
+            q = self.texts[self.pos]
+            self.pos += 1
             self.expect("LB", "'['")
-            vars_: List[str] = []
-            while True:
+            vars_: List[str] = [self.expect("UPPER", "a variable")]
+            while kinds[self.pos] == "COMMA":
+                self.pos += 1
                 vars_.append(self.expect("UPPER", "a variable"))
-                if self.peek() == "COMMA":
-                    self.next()
-                    continue
-                break
             self.expect("RB", "']'")
             self.expect("COLON", "':'")
-            sub = self._parse_unitary()
-            return FQuant(q, tuple(vars_), sub)
+            return FQuant(q, tuple(vars_), self._parse_unitary())
         if kind == "NOT":
-            self.next()
+            self.pos += 1
             return FNeg(self._parse_unitary())
         if kind == "LP":
-            self.next()
+            self.pos += 1
             f = self._parse_formula()
             self.expect("RP", "')'")
             return f
@@ -342,17 +360,19 @@ class _Parser:
 
     def _parse_atomic(self):
         at = self.pos
-        kind = self.peek()
-        if kind == "DEFINED":
-            return FConst(self.next() == "$true")
+        kind = self.kinds[at]
+        if kind == "LOWER" or kind == "QUOTED":
+            app = self._parse_term(checked=False)
+            if self.kinds[self.pos] not in ("EQ", "NEQ"):
+                self._check_arity(self.pred_arity, app[0], len(app) - 1, at)
+                return FAtom(app[0], app[1:])
+            self._check_arity(self.fun_arity, app[0], len(app) - 1, at)
+            return self._parse_equation_rest(app)
         if kind == "UPPER":
             # a bare variable is only a formula as one side of an equation
             return self._parse_equation_rest(self.next())
-        if kind in ("LOWER", "QUOTED"):
-            app = self._parse_term(checked=False)
-            equation = self.peek() in ("EQ", "NEQ")
-            self._check_arity(self.fun_arity if equation else self.pred_arity, app[0], len(app) - 1, at)
-            return self._parse_equation_rest(app) if equation else FAtom(app[0], app[1:])
+        if kind == "DEFINED":
+            return FConst(self.next() == "$true")
         self.error(f"expected a formula, found {self.texts[self.pos]!r}")
 
     def _parse_equation_rest(self, lhs):
@@ -369,30 +389,34 @@ class _Parser:
         """A variable or an application ``(symbol, arg...)``; unless
         ``checked`` is false, the symbol's arity is checked as a
         function's.  An atom is parsed as an unchecked application."""
+        kinds = self.kinds
         at = self.pos
-        kind = self.peek()
+        kind = kinds[at]
         if kind == "UPPER":
-            return self.next()
-        if kind not in ("LOWER", "QUOTED"):
-            self.error(f"expected a term, found {self.texts[self.pos]!r}")
-        app = [self.next()]
-        if self.peek() == "LP":
-            self.next()
-            app.append(self._parse_term())
-            while self.peek() == "COMMA":
-                self.next()
-                app.append(self._parse_term())
+            self.pos = at + 1
+            return self.texts[at]
+        if kind != "LOWER" and kind != "QUOTED":
+            self.error(f"expected a term, found {self.texts[at]!r}")
+        if kinds[at + 1] != "LP":
+            self.pos = at + 1
+            app = (self.texts[at],)
+        else:
+            self.pos = at + 2
+            args = [self.texts[at], self._parse_term()]
+            while kinds[self.pos] == "COMMA":
+                self.pos += 1
+                args.append(self._parse_term())
             self.expect("RP", "')'")
+            app = tuple(args)
         if checked:
             self._check_arity(self.fun_arity, app[0], len(app) - 1, at)
-        return tuple(app)
+        return app
 
     def _check_arity(self, table: dict, sym: str, arity: int, at: int):
         """Record ``sym`` with ``arity``; a clash is an error at token ``at``."""
-        prev = table.get(sym)
-        if prev is not None and prev != arity:
+        prev = table.setdefault(sym, arity)
+        if prev != arity:
             self.fail(f"symbol {sym!r} used with arity {arity} and {prev}", at)
-        table[sym] = arity
 
     # -- cnf formulas -------------------------------------------------------
 

@@ -5,16 +5,19 @@ check for ground problems, and a tiny standalone ground connection
 tableau prover used to cross-check engine solvability.
 """
 
+import functools
 import hashlib
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from contab.clausify import ClausifyError, clausify, clausify_text, load_matrix
 from contab.corpus import corpus_problems
 from contab.tableau import Engine
-from contab.terms import EQ
+from contab.terms import EQ, Matrix, clause_var_count
 from contab.tptp import FAtom, FBin, FConst, FNeg, parse_problem
 
 
@@ -116,6 +119,12 @@ class TestReflexivity:
         assert m.reflexivity_id is None
         assert all(l.pred != EQ for c in m.clauses for l in c.literals)
 
+    def test_absent_when_no_clause_keeps_the_equation(self):
+        # the problem mentions '=', but the only formula that does is true
+        m = clausify_text("fof(a, axiom, $true | a = b).\nfof(c, conjecture, p(a)).")
+        assert m.reflexivity_id is None
+        assert len(m.clauses) == 1
+
 
 class TestDegenerateInputs:
     def test_false_axiom_raises(self):
@@ -177,6 +186,26 @@ def wide_fof_text(n=40):
     return "\n".join(lines) + "\n"
 
 
+def benchmark_problems(seed=1):
+    """The problems of the benchmark's three families (``eq``, ``chain``
+    and ``batch``) for ``seed``, as the benchmark generates them; its
+    known-defect problems are not among them."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "problems.py"
+    spec = importlib.util.spec_from_file_location("benchmark_problems", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return {family: make(random.Random(seed)) for family, make in (
+        ("eq", gen.eq_problems), ("chain", gen.chain_problems), ("batch", gen.batch_problems))}
+
+
+@functools.lru_cache(maxsize=None)
+def benchmark_matrices(family):
+    return [clausify(parse_problem(p.text, p.source_dir)) for p in BENCHMARK_PROBLEMS[family]]
+
+
+BENCHMARK_PROBLEMS = benchmark_problems()
+
+
 class TestMatrixDumpPinned:
     """The matrices of fixed inputs, pinned by the sha256 of their dumps:
     a front-end change that renumbers clauses, variables or Skolem
@@ -196,6 +225,52 @@ class TestMatrixDumpPinned:
         assert len(m.clauses) == 286
         assert self.digest([m]) == (
             "d0072ea6fbb20176aa41e8bdf2ed44729b74aa18409d064b0f93b5d5eee9aabf")
+
+    def test_equivalences_with_quantifiers_on_both_sides(self):
+        # each side's fresh names depend on the order the four halves of
+        # the expansion are clausified in, under either polarity
+        m = clausify_text(
+            "fof(a, axiom, ![X]: ((?[Y]: p(X, Y)) <=> (![Z]: ?[W]: q(Z, W, X)))).\n"
+            "fof(b, axiom, (?[Y]: r(Y)) <=> ((?[Z]: s(Z)) <=> ![W]: r(W))).\n"
+            "fof(c, conjecture, ?[X]: ((![Y]: p(X, Y)) <=> ?[Z]: (s(Z) & r(X)))).\n")
+        assert len(m.clauses) == 14
+        assert self.digest([m]) == (
+            "043838ab12ca8d14c41df9eca477e6dc755644e419cd6f9848ddc0409235a491")
+
+    @pytest.mark.parametrize("family, clauses, digest", [
+        ("eq", 32, "c1b124e360a726b96741b6def40d43b7db926bab0bb98d5078e8a75ec696c311"),
+        ("chain", 450, "565e82f206174730877ab29226ca3f6bd2a0272aa94792f512379fd4199783cc"),
+        ("batch", 9183, "37d8b738ef123c9623f0a8ea947ad88f64dfe58ce1b78925902c7f655ada030d"),
+    ])
+    def test_benchmark_problems_of_seed_1(self, family, clauses, digest):
+        matrices = benchmark_matrices(family)
+        assert sum(len(m.clauses) for m in matrices) == clauses
+        assert self.digest(matrices) == digest
+
+
+class TestVarCounts:
+    """The variable counts clausify hands over with the matrix, and the
+    engine reads, are ``clause_var_count``'s."""
+
+    @pytest.mark.parametrize("family", sorted(BENCHMARK_PROBLEMS))
+    def test_benchmark_problems(self, family):
+        for m in benchmark_matrices(family):
+            assert Engine(m).var_counts == [clause_var_count(c) for c in m.clauses]
+
+    def test_corpus_and_wide_fof(self):
+        matrices = [load_matrix(p) for p in corpus_problems()] + [clausify_text(wide_fof_text())]
+        for m in matrices:
+            assert Engine(m).var_counts == [clause_var_count(c) for c in m.clauses]
+
+    def test_a_hand_built_matrix_counts_its_own(self):
+        m = clausify_text(wide_fof_text())
+        rebuilt = Matrix(m.clauses, m.start_ids, m.reflexivity_id)
+        assert rebuilt.var_counts == m.var_counts
+
+    def test_one_count_per_clause(self):
+        m = clausify_text(wide_fof_text())
+        with pytest.raises(ValueError, match="one variable count per clause"):
+            Matrix(m.clauses, m.start_ids, m.reflexivity_id, m.var_counts[1:])
 
 
 # --- ground oracles ---------------------------------------------------------

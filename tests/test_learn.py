@@ -310,6 +310,30 @@ class TestTrain:
         with pytest.raises(TrainingDiverged):
             train(examples, TrainConfig(learning_rate=1e18, epochs=40), alpha=0.0)
 
+    def test_divergence_stops_at_the_first_epoch_with_a_non_finite_weight(self, monkeypatch):
+        # epochs are counted by the permutations train draws, one per epoch
+        examples = wide_examples()
+        epochs = []
+        default_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def permutation(self, n):
+                epochs.append(n)
+                return self.rng.permutation(n)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        # a step of 1e308 leaves an infinite weight after the first epoch
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged, match="^loss diverged: policy=nan"):
+                train(examples, TrainConfig(learning_rate=1e308, epochs=40), alpha=0.0)
+        assert len(epochs) == 1
+        epochs.clear()
+        train(examples, TrainConfig(epochs=4), alpha=0.0)
+        assert len(epochs) == 4
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train([])

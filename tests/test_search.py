@@ -8,6 +8,7 @@ select/expand/backpropagate/bigstep loop that prove() must reproduce
 node for node.
 """
 
+import gc
 import hashlib
 import importlib.util
 import math
@@ -365,6 +366,21 @@ class TestRewards:
         leaf = proof_leaf(result)
         assert leaf.visits == 1
         assert leaf.reward_sum == pytest.approx(DISCOUNT**2)
+
+
+class TestDropTree:
+    def test_a_dropped_tree_is_freed_without_the_collector(self):
+        engine = Engine(clausify_text(BRANCHY))
+        gc.collect()
+        gc.disable()
+        try:
+            result = prove(engine, "b", UniformPredictor(), SearchLimits(inference_limit=200))
+            assert len(result.bigstep_nodes) > 1
+            result.drop_tree()
+            assert result.bigstep_nodes == []
+            assert not any(type(o) is MCTSNode for o in gc.get_objects())
+        finally:
+            gc.enable()
 
 
 class TestTreeInvariants:

@@ -1,7 +1,12 @@
-"""Parser tests: cnf/fof inputs, includes and errors."""
+"""Parser tests: cnf/fof inputs, includes, errors, and a round trip of
+random formulas through their printed text."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from contab.clausify import ClausifyError, clausify
+from contab.terms import EQ
 from contab.tptp import (
     AnnotatedFormula,
     FAtom,
@@ -10,6 +15,7 @@ from contab.tptp import (
     FNeg,
     FQuant,
     ParseError,
+    Problem,
     UnsupportedError,
     parse_problem,
     parse_problem_file,
@@ -254,3 +260,83 @@ class TestCorpusFilesParse:
         for path in paths:
             prob = parse_problem_file(path)
             assert prob.formulas, path
+
+
+# --- round trip: random ASTs, printed here, parse back to themselves -------
+
+VARIABLES = ["X", "Y", "Z"]
+# one arity per symbol, so that no printed problem has an arity clash
+terms = st.recursive(
+    st.sampled_from(VARIABLES + [("a",), ("b",)]),
+    lambda sub: st.one_of(st.tuples(st.just("f"), sub), st.tuples(st.just("g"), sub, sub)),
+    max_leaves=4)
+atoms = st.one_of(
+    st.builds(lambda t: FAtom("p", (t,)), terms),
+    st.builds(lambda s, t: FAtom("q", (s, t)), terms, terms),
+    st.just(FAtom("r", ())),
+    st.builds(lambda s, t: FAtom(EQ, (s, t)), terms, terms),
+    st.builds(FConst, st.booleans()))
+# at most 6 atoms: a nest of 5 equivalences is 2 620 clauses, one more is
+# 335 878
+formulas = st.recursive(atoms, lambda sub: st.one_of(
+    st.builds(FNeg, sub),
+    st.builds(FBin, st.sampled_from(["&", "|", "=>", "<=>"]), sub, sub),
+    st.builds(FQuant, st.sampled_from(["!", "?"]),
+              st.lists(st.sampled_from(VARIABLES), min_size=1, max_size=2,
+                       unique=True).map(tuple), sub)),
+    max_leaves=6)
+problems = st.lists(
+    st.tuples(st.sampled_from(["axiom", "hypothesis", "conjecture", "negated_conjecture"]),
+              formulas),
+    min_size=1, max_size=3).map(lambda fs: Problem(tuple(
+        AnnotatedFormula(f"f{i}", role, f, "fof") for i, (role, f) in enumerate(fs))))
+
+
+def tptp_term(t):
+    if type(t) is str:
+        return t
+    if len(t) == 1:
+        return t[0]
+    return f"{t[0]}({','.join(tptp_term(a) for a in t[1:])})"
+
+
+def tptp_text(problem, rng):
+    """The TPTP text of ``problem``: every binary formula in parentheses,
+    and between any two tokens a gap ``rng`` picks, from none to a comment.
+    A negated equation is written ``~s = t`` or ``s != t``."""
+    def gap():
+        return rng.choice(["", " ", "  ", "\n", "\t", " % note\n"])
+
+    def formula(f):
+        if isinstance(f, FAtom):
+            if f.pred == EQ:
+                return f"{tptp_term(f.args[0])}{gap()}={gap()}{tptp_term(f.args[1])}"
+            return tptp_term((f.pred,) + f.args)
+        if isinstance(f, FConst):
+            return "$true" if f.value else "$false"
+        if isinstance(f, FNeg):
+            if isinstance(f.sub, FAtom) and f.sub.pred == EQ and rng.random() < 0.5:
+                lhs, rhs = f.sub.args
+                return f"{tptp_term(lhs)}{gap()}!={gap()}{tptp_term(rhs)}"
+            return f"~{gap()}{formula(f.sub)}"
+        if isinstance(f, FQuant):
+            return f"{f.q}{gap()}[{gap()}{','.join(f.vars)}{gap()}]{gap()}:{gap()}({formula(f.sub)})"
+        return f"({gap()}{formula(f.left)}{gap()}{f.op}{gap()}{formula(f.right)}{gap()})"
+
+    return "".join(f"{gap()}fof({af.name},{gap()}{af.role},{gap()}{formula(af.formula)}){gap()}.\n"
+                   for af in problem.formulas)
+
+
+def clausified(problem):
+    try:
+        return clausify(problem).dump()
+    except ClausifyError as e:
+        return f"ClausifyError: {e}"
+
+
+@settings(max_examples=80, deadline=None)
+@given(problems, st.randoms(use_true_random=False))
+def test_printed_problems_parse_back_to_their_ast(problem, rng):
+    parsed = parse_problem(tptp_text(problem, rng))
+    assert parsed == problem
+    assert clausified(parsed) == clausified(problem)
