@@ -40,10 +40,21 @@ from .tptp import ParseError
 
 CORPUS_ENV = "CONTAB_CORPUS_DIR"
 
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (``taskset`` or a cpuset narrows it), else the CPU
+    count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 # Flag groups, key -> (default, converter, help).  The flag is the key
 # with dashes; the converter also parses config-file strings, and None
 # marks an on/off switch.  A default that the library defines is read
-# from the type that uses it.
+# from the type that uses it; a callable default is called when the
+# parser is built.
 _PROBLEM_SET = {
     "corpus": (None, str, "directory of *.p problems used when no problems are listed"),
     "path_limit": (PATH_LIMIT, int, "maximum tableau depth (default %(default)s)"),
@@ -60,8 +71,8 @@ _LIMITS = {
                    "per-problem time limit in seconds (default %(default)s)"),
 }
 _RUN = {
-    "workers": (os.cpu_count() or 1, int, "parallel prover processes, at most one per problem "
-                                      "(default: CPU count)"),
+    "workers": (_usable_cpus, int, "prover processes, this one included, at most one per "
+                                   "problem (default: the CPUs this process may run on)"),
 }
 _PREDICTOR = {
     "predictor": ("uniform", str, "predictor spec, e.g. uniform or "
@@ -405,7 +416,8 @@ def _add_command(sub, command: str, func, text: str) -> argparse.ArgumentParser:
             if conv is None:
                 p.add_argument(flag, action="store_true", help=text)
             else:
-                p.add_argument(flag, type=conv, default=default, help=text)
+                p.add_argument(flag, type=conv, default=default() if callable(default) else default,
+                               help=text)
     return p
 
 

@@ -30,10 +30,11 @@ and keeps its value side.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -402,105 +403,139 @@ def _prove_one(task) -> Tuple[ProofResult, List[TrainingExample]]:
     return r, examples
 
 
-# a pool worker's problems and the predictor, limits and iteration of
-# the call it serves: set by the pool initializer for the pool's first
-# call, then by the first task the worker takes of each later call
-_WORKER: Dict[str, object] = {}
-
-
-def _start_worker(problems, predictor, limits, iteration) -> None:
-    _WORKER.update(problems=problems, call=0, predictor=predictor, limits=limits,
-                   iteration=iteration)
-
-
-def _prove_task(task) -> Tuple[ProofResult, List[TrainingExample]]:
-    """A pool task: a problem index on the pool's first call, ``(index,
-    call, shipped predictor, limits, iteration)`` on a later one."""
-    if isinstance(task, int):
-        index = task
-    else:
-        index, call, shipped, limits, iteration = task
-        if _WORKER["call"] != call:
-            _WORKER.update(call=call, predictor=_unship(shipped), limits=limits,
-                           iteration=iteration)
-    name, engine = _WORKER["problems"][index]
-    return _prove_one((name, engine, _WORKER["predictor"], _WORKER["limits"],
-                       _WORKER["iteration"]))
-
-
-def _ship(predictor: Predictor):
-    """What a later pool call sends of its predictor: a ``LinearPredictor``
-    as its temperature and the indices and values of its nonzero weights,
-    since pickled whole it carries two ``FEATURE_DIM`` arrays (over 500 KB)
-    that training leaves mostly zero; any other predictor whole."""
-    if type(predictor) is not LinearPredictor:
-        return predictor
-    nonzero = []
-    for w in (predictor.policy_weights, predictor.value_weights):
-        idx = np.flatnonzero(w)
-        nonzero.append((idx, w[idx]))
-    return predictor.temperature, nonzero
-
-
-def _unship(shipped) -> Predictor:
-    if isinstance(shipped, Predictor):
-        return shipped
-    temperature, nonzero = shipped
-    dense = []
-    for idx, values in nonzero:
-        w = np.zeros(FEATURE_DIM)
-        w[idx] = values
-        dense.append(w)
-    return LinearPredictor(*dense, temperature=temperature)
+def _prove_share(problems: Sequence[Tuple[str, Engine]], take: Callable[[], int],
+                 predictor: Predictor, limits: SearchLimits, iteration: int
+                 ) -> List[Tuple[int, Tuple[ProofResult, List[TrainingExample]]]]:
+    """Proves ``problems[take()]`` until ``take`` passes the end of the
+    list; ``(index, (result, examples))`` for each problem proved."""
+    out = []
+    i = take()
+    while i < len(problems):
+        name, engine = problems[i]
+        out.append((i, _prove_one((name, engine, predictor, limits, iteration))))
+        i = take()
+    return out
 
 
 class _WorkerPool:
-    """A process pool that proves one problem list over several
-    :func:`prove_problems` calls.  The workers are started by the first
-    call, at most one per problem, and inherit that call's problems,
-    predictor, limits and iteration through the pool initializer (where
-    the ``fork`` start method exists; elsewhere they are pickled once per
-    worker); each task is then a problem index.  A later call sends each
-    task the call's predictor (see :func:`_ship`), limits and iteration,
-    and each worker rebuilds the predictor once per call, so its memo
-    serves every search the worker runs in that call.  Leaving the
-    ``with`` block shuts the workers down."""
+    """The processes that prove one problem list over several
+    :func:`prove_problems` calls: the caller and ``workers - 1`` children,
+    each with a pipe to the caller.  The first call forks the children,
+    which inherit its problems, predictor, limits and iteration unpickled;
+    a later call sends each child its predictor, limits and iteration
+    once.  Every process takes the next problem index from one shared
+    counter until it passes the end, and each child sends its ``(index,
+    (result, examples))`` pairs back once, at the end of the call.
+
+    A raise in any share sets the counter to its end; the call collects
+    every child, shuts them down and re-raises the first exception, the
+    caller's before any child's.  A child that dies makes the call raise
+    ``RuntimeError``.  Leaving the ``with`` block closes the pipes, so
+    each waiting child sees end-of-file and exits; one still running a
+    second later is terminated."""
 
     def __init__(self):
-        self.executor = None
         self.problems: Optional[Sequence[Tuple[str, Engine]]] = None
-        self.calls = 0
+        # (process, the caller's end of its pipe) per child
+        self.children: List[tuple] = []
+        self.next = self.lock = None
 
     def __enter__(self) -> "_WorkerPool":
         return self
 
     def __exit__(self, *exc) -> None:
-        if self.executor is not None:
-            self.executor.shutdown()
+        self.close()
+
+    def close(self) -> None:
+        for _, conn in self.children:
+            conn.close()
+        for process, _ in self.children:
+            process.join(1.0)
+            if process.exitcode is None:
+                process.terminate()
+                process.join()
+        self.children = []
+
+    def _take(self) -> int:
+        with self.lock:
+            i = self.next.value
+            self.next.value = i + 1
+        return i
+
+    def _stop(self) -> None:
+        with self.lock:
+            self.next.value = len(self.problems)
+
+    def _start(self, workers: int, args: tuple) -> None:
+        """Forks ``workers - 1`` children, which prove their share of this
+        call with ``args``.  The prover starts no thread, so no lock can be
+        copied while another thread holds it."""
+        # imported here: the serial path does not pay its ~2 MB
+        import multiprocessing
+        ctx = multiprocessing.get_context("fork")
+        self.next, self.lock = ctx.RawValue("q", 0), ctx.Lock()
+        for _ in range(workers - 1):
+            mine, theirs = ctx.Pipe()
+            process = ctx.Process(target=self._serve, args=(theirs, args), daemon=True)
+            self.children.append((process, mine))
+            process.start()
+            theirs.close()
+
+    def _serve(self, conn, args: tuple) -> None:
+        """A child's loop: prove a share, send it back, wait for the next
+        call's arguments, until the caller closes the pipe."""
+        # the caller's ends of this child's pipe and of every earlier one's:
+        # while a copy stays open here, that child would never see end-of-file
+        for _, end in self.children:
+            end.close()
+        try:
+            while True:
+                try:
+                    reply = _prove_share(self.problems, self._take, *args)
+                except Exception as e:
+                    self._stop()
+                    reply = e
+                conn.send(reply)
+                args = conn.recv()
+        except EOFError:
+            pass
 
     def prove(self, problems: Sequence[Tuple[str, Engine]], predictor: Predictor,
               limits: SearchLimits, iteration: int, workers: int):
-        if self.executor is None:
-            # imported here: the serial path does not pay their ~2 MB
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            # a fork pool forks every worker before it starts its own
-            # threads, and the prover starts none, so no lock can be copied
-            # while another thread of the prover holds it
-            fork = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-            self.executor = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context(fork),
-                initializer=_start_worker, initargs=(problems, predictor, limits, iteration))
+        if self.problems is None:
             self.problems = problems
-            tasks: Sequence = range(len(problems))
         elif problems is not self.problems:
             raise ValueError("a worker pool proves only the problems it was started with")
+        args = (predictor, limits, iteration)
+        if self.children:
+            # every child has sent its last share and waits for these
+            self.next.value = 0
+            for _, conn in self.children:
+                conn.send(args)
         else:
-            self.calls += 1
-            shipped = _ship(predictor)
-            tasks = [(i, self.calls, shipped, limits, iteration) for i in range(len(problems))]
-        return list(self.executor.map(_prove_task, tasks))
+            self._start(workers, args)
+        errors = []
+        try:
+            shares = _prove_share(problems, self._take, *args)
+        except Exception as e:
+            self._stop()
+            errors.append(e)
+            shares = []
+        for process, conn in self.children:
+            try:
+                reply = conn.recv()
+            except EOFError:
+                process.join()
+                reply = RuntimeError(f"prover process {process.pid} died mid-call "
+                                     f"(exit code {process.exitcode})")
+            if isinstance(reply, Exception):
+                errors.append(reply)
+            else:
+                shares.extend(reply)
+        if errors:
+            self.close()
+            raise errors[0]
+        return [pair for _, pair in sorted(shares, key=lambda share: share[0])]
 
 
 def _check_workers(workers: int) -> None:
@@ -518,20 +553,18 @@ def prove_problems(problems: Sequence[Tuple[str, Engine]], predictor: Predictor,
     stop falls depends on machine load, and ``search.prove`` reports such
     a stop as ``budget-exhausted``.
 
-    With more than one worker and more than one problem, the problems are
-    proved in a worker pool: ``pool``, which :func:`run_loop` keeps open
-    over its iterations, or else one opened and shut down for this call.
-    On a pool's first call the workers inherit the problems (engines
-    included), the predictor, the limits and the iteration by fork, and
-    nothing of them is pickled; each task sent is a problem index.  A
-    later call over the same problems sends with each task the limits,
-    the iteration and the predictor, a ``LinearPredictor`` as its
-    nonzero weights only.  Only the result and its examples come back."""
+    ``workers`` counts the calling process: with more than one worker and
+    more than one problem, the caller proves side by side with ``workers
+    - 1`` forked children of ``pool`` (see :class:`_WorkerPool`), the
+    pool :func:`run_loop` keeps open over its iterations, or else of one
+    opened and shut down for this call.  Results are put in place by
+    problem index, so which process proves which problem changes nothing.
+    Where ``fork`` does not exist every call is proved serially."""
     _check_workers(workers)
     workers = min(workers, len(problems))
-    if workers <= 1:
-        return [_prove_one((name, engine, predictor, limits, iteration))
-                for name, engine in problems]
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [pair for _, pair in _prove_share(problems, itertools.count().__next__,
+                                                 predictor, limits, iteration)]
     if pool is None:
         with _WorkerPool() as pool:
             return pool.prove(problems, predictor, limits, iteration, workers)
@@ -569,13 +602,13 @@ def run_loop(problems: Sequence[Tuple[str, Engine]], iterations: int,
     completed iteration using those files, and raises ``ValueError`` if
     the checkpoint was written under other settings.
 
-    With more than one worker and more than one problem, one worker pool
-    serves every iteration (see :func:`prove_problems`).  It is forked by
-    the first iteration proved, whose workers inherit the problems, the
-    predictor, the limits and the iteration; each later iteration sends
-    its trained predictor's temperature and nonzero weights with each
-    problem index, and each worker rebuilds the predictor once.  The
-    workers are shut down however the loop ends, a raise included.
+    With more than one worker and more than one problem, one pool of the
+    calling process and ``workers - 1`` children serves every iteration
+    (see :func:`prove_problems`).  The children are forked by the first
+    iteration proved and inherit its problems, predictor, limits and
+    iteration; each later iteration sends each child its trained
+    predictor, the limits and the iteration once.  No child outlives the
+    loop, however it ends, a raise included.
     """
     if iterations < 0:
         raise ValueError(f"iteration count must be at least 0, got {iterations}")

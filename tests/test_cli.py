@@ -4,6 +4,7 @@ Each test drives main() in process with explicit --out directories, so
 stdout/stderr and exit codes are checked without spawning a shell.
 """
 
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -236,6 +237,14 @@ class TestManifestAndConfig:
         assert args.temperature == LoopConfig().temperature
         engine = Engine(clausify(parse_problem_file(corpus_dir() / "fact.p")))
         assert args.path_limit == engine.path_limit
+
+    @pytest.mark.parametrize("command", ["prove", "loop"])
+    def test_the_worker_default_is_the_cpus_this_process_may_run_on(self, monkeypatch, command):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert build_parser().parse_args([command]).workers == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert build_parser().parse_args([command]).workers == 64
 
     def test_flags_beat_config_file_beats_defaults(self, problem_dir, tmp_path):
         cfg = tmp_path / "run.cfg"

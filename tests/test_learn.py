@@ -4,12 +4,14 @@ Gradient code is checked against central finite differences; extraction
 against hand-built search trees with known visit counts.
 """
 
-import concurrent.futures
 import hashlib
 import math
 import multiprocessing
-import pickle
+import os
 import re
+import signal
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -27,8 +29,7 @@ from contab.learn import (
     TrainConfig,
     TrainingDiverged,
     TrainingExample,
-    _ship,
-    _unship,
+    _WorkerPool,
     extract_training_data,
     policy_grad_logits,
     policy_loss,
@@ -549,8 +550,9 @@ class TestProveProblems:
         trained = train(examples, TrainConfig(epochs=3, seed=0)).predictor()
         for predictor in (UniformPredictor(), trained):
             serial = prove_problems(problems, predictor, limits)
-            parallel = prove_problems(problems, predictor, limits, workers=2)
-            assert comparable(parallel) == comparable(serial)
+            for workers in (2, 3):
+                parallel = prove_problems(problems, predictor, limits, workers=workers)
+                assert comparable(parallel) == comparable(serial)
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="without fork the task list is pickled once per worker")
@@ -570,22 +572,12 @@ class TestProveProblems:
     def test_one_problem_is_proved_without_a_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started for one problem")
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(_WorkerPool, "_start", no_pool)
         problems = loop_problems()[:1]
         limits = SearchLimits(inference_limit=60, bigstep_frequency=10)
         pairs = prove_problems(problems, UniformPredictor(), limits, workers=4)
         assert comparable(pairs) == comparable(prove_problems(problems, UniformPredictor(),
                                                               limits))
-
-    def test_a_linear_predictor_is_shipped_as_its_nonzero_weights(self):
-        model = train(corpus_examples(), TrainConfig(epochs=3, seed=0)).predictor(temperature=2.0)
-        shipped = pickle.dumps(_ship(model))
-        assert len(shipped) < len(pickle.dumps(model)) / 100
-        back = _unship(pickle.loads(shipped))
-        assert type(back) is LinearPredictor
-        assert back.temperature == 2.0
-        assert back.policy_weights.tobytes() == model.policy_weights.tobytes()
-        assert back.value_weights.tobytes() == model.value_weights.tobytes()
 
     def test_results_come_back_in_problem_order(self):
         problems = loop_problems()
@@ -710,16 +702,17 @@ class TestRunLoop:
 
 
 def counted_pools(monkeypatch):
-    """Patches the process pool class ``prove_problems`` imports; the list
-    returned gets each pool's worker count as the pool is started."""
+    """Patches the method that forks a pool's children; the list returned
+    gets each pool's worker count, the caller included, as its children
+    are forked."""
     started = []
+    start = _WorkerPool._start
 
-    class Counted(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(kwargs["max_workers"])
-            super().__init__(*args, **kwargs)
+    def counted(self, workers, args):
+        started.append(workers)
+        start(self, workers, args)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    monkeypatch.setattr(_WorkerPool, "_start", counted)
     return started
 
 
@@ -731,6 +724,10 @@ class TestLoopPool:
         problems = corpus_engines()
         serial = run_loop(problems, 2, small_loop_config(), workers=1)
         started = counted_pools(monkeypatch)
+
+        def no_thread(self):
+            raise AssertionError(f"the pool started thread {self.name}")
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         pooled = run_loop(problems, 2, small_loop_config(), workers=2)
         assert started == [2]
         assert pooled.final_model.policy_weights.any()
@@ -764,6 +761,84 @@ class TestLoopPool:
         with pytest.raises(RuntimeError, match=f"injected failure in {problems[3][0]}"):
             run_loop(problems, 1, small_loop_config(), workers=2)
         assert started == [2]
+        assert multiprocessing.active_children() == []
+
+
+def patch_search(monkeypatch, in_caller, in_child):
+    """Patches the search a pool runs to call ``in_caller`` (in the calling
+    process) or ``in_child`` (in a forked child) with the problem's name
+    before proving it."""
+    caller = os.getpid()
+
+    def patched(engine, name, predictor, limits):
+        (in_caller if os.getpid() == caller else in_child)(name)
+        return prove(engine, name, predictor, limits)
+    monkeypatch.setattr("contab.learn.prove", patched)
+
+
+def pause(name):
+    """Slows a side down, so that the other takes problems too."""
+    time.sleep(0.01)
+
+
+def fail(name):
+    raise LookupError(f"injected failure in {name}")
+
+
+@pytest.fixture
+def bounded():
+    """Fails a test that runs longer than a minute instead of letting it hang."""
+    def hung(signum, frame):
+        raise TimeoutError("the pool call hung")
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the children are forked")
+@pytest.mark.usefixtures("bounded")
+def test_every_problem_is_taken_once_under_contention(monkeypatch, tmp_path):
+    """Four processes take problem indices from the shared counter as fast
+    as they can; a lost update of the counter would prove a problem twice."""
+    taken = tmp_path / "taken"
+
+    def note(task):
+        with open(taken, "a") as fh:
+            fh.write(task[0] + "\n")
+        return task[0], [os.getpid()]
+    monkeypatch.setattr("contab.learn._prove_one", note)
+    names = [f"p{i}" for i in range(2000)]
+    pairs = prove_problems([(name, None) for name in names], UniformPredictor(), SearchLimits(),
+                           workers=4)
+    assert [name for name, _ in pairs] == names
+    assert sorted(taken.read_text().split()) == sorted(names)
+    assert len({pid for _, [pid] in pairs}) > 1
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the children are forked")
+@pytest.mark.usefixtures("bounded")
+class TestPoolFailures:
+    """A failure in any process of a pool call raises in the caller, with
+    its class and message, in bounded time, and leaves no child."""
+
+    LIMITS = SearchLimits(inference_limit=60, bigstep_frequency=10)
+
+    def test_a_child_killed_mid_call_makes_the_call_raise(self, monkeypatch):
+        patch_search(monkeypatch, pause, lambda name: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(RuntimeError, match=r"^prover process \d+ died mid-call "
+                                               r"\(exit code -9\)$"):
+            prove_problems(corpus_engines(), UniformPredictor(), self.LIMITS, workers=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("in_caller, in_child", [(fail, pause), (pause, fail)],
+                             ids=["caller", "child"])
+    def test_a_raise_in_a_share_is_re_raised(self, monkeypatch, in_caller, in_child):
+        patch_search(monkeypatch, in_caller, in_child)
+        with pytest.raises(LookupError, match=r"^injected failure in \w+$"):
+            prove_problems(corpus_engines(), UniformPredictor(), self.LIMITS, workers=3)
         assert multiprocessing.active_children() == []
 
 
