@@ -15,7 +15,7 @@ instantiated literals themselves are kept per state
 so a state pays only for the literals its last action added or bound.
 
 :func:`extract_features` builds a state's count map for training.  A
-search that needs only one weight vector's dot product with that map
+search that needs only the dot product of one sparse weight map with it
 takes it from :class:`StateDot`, literal by literal, without building
 the map.
 """
@@ -92,11 +92,12 @@ def extract_features(state: TableauState) -> Dict[int, int]:
 
 
 class LiteralSums(dict):
-    """Memo: literal -> the sum of ``weights`` over the literal's walk
+    """Memo: literal -> the sum of the sparse ``weights`` (feature index
+    -> weight, a missing index weighing 0.0) over the literal's walk
     indices in ``namespace``, added one term at a time.  It is cleared
     when it holds ``WALK_CACHE_SIZE`` literals, so it stays bounded."""
 
-    def __init__(self, weights, namespace: str):
+    def __init__(self, weights: Dict[int, float], namespace: str):
         super().__init__()
         self.weights = weights
         self.namespace = namespace
@@ -104,25 +105,26 @@ class LiteralSums(dict):
     def __missing__(self, lit: Literal) -> float:
         if len(self) >= WALK_CACHE_SIZE:
             self.clear()
-        weights = self.weights
+        weight = self.weights.get
         total = 0.0
         for idx in _literal_indices(self.namespace, lit):
-            total += weights[idx]
-        self[lit] = total = float(total)
+            total += weight(idx, 0.0)
+        self[lit] = total
         return total
 
 
 class StateDot:
-    """The dot product of one weight vector with a state's features,
-    taken as :func:`extract_features` lays them out but without building
-    the count map: the current goal's g: sum, then the other goals' o:
-    sums, then the path's p: sums, each literal's sum memoized.  It adds
-    the same terms as ``_sparse_dot(weights, extract_features(state))``,
-    grouped by literal and one occurrence at a time, so the two agree up
-    to rounding, not to the bit.  The weights must not change after."""
+    """The dot product of sparse weights (feature index -> weight) with a
+    state's features, taken as :func:`extract_features` lays them out but
+    without building the count map: the current goal's g: sum, then the
+    other goals' o: sums, then the path's p: sums, each literal's sum
+    memoized.  It adds the same terms as ``_sparse_dot(weights,
+    extract_features(state))``, grouped by literal and one occurrence at
+    a time, so the two agree up to rounding, not to the bit.  The weights
+    must not change after."""
 
-    def __init__(self, weights):
-        self.prestart = float(weights[_hash("g:" + PRESTART)])
+    def __init__(self, weights: Dict[int, float]):
+        self.prestart = weights.get(_hash("g:" + PRESTART), 0.0)
         self.goal, self.other, self.path = (LiteralSums(weights, ns) for ns in ("g:", "o:", "p:"))
 
     def __call__(self, state: TableauState) -> float:

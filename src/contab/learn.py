@@ -8,7 +8,9 @@ found no proof).  Policy training minimizes cross-entropy minus alpha
 times the predicted distribution's entropy; value training minimizes
 squared error through a logistic output.  Both models are plain linear
 in the hashed features and are fit by mini-batch SGD, which keeps every
-run bit-reproducible under a fixed seed.
+run bit-reproducible under a fixed seed.  A model is its nonzero weights,
+``{feature index: weight}``, from training through search to the model
+file.
 
 Training's policy scores are the bits a ``LinearPredictor`` computes
 for the same weights and action features: every sparse sum adds its
@@ -158,8 +160,9 @@ class TrainingDiverged(ValueError):
 
 @dataclass
 class TrainResult:
-    policy_weights: np.ndarray
-    value_weights: np.ndarray
+    """Trained sparse weights, feature index -> weight, zeros left out."""
+    policy_weights: Dict[int, float]
+    value_weights: Dict[int, float]
     # mean losses of these weights over every training example
     policy_loss: float
     value_loss: float
@@ -169,29 +172,14 @@ class TrainResult:
 
 
 class _Packed:
-    """Training examples packed once for :func:`train`.  Every feature
-    index the examples use gets a dense slot, in order of first use, and
-    each example's feature maps are rewritten over the slots in their own
-    order, so the weights are lists as long as the features in use.  The
-    examples are grouped by action count, leaving out those whose policy
-    target is ``[1.0]``: their policy loss and gradient are exactly 0."""
+    """Training examples grouped once for :func:`train` by action count,
+    leaving out those whose policy target is ``[1.0]``: their policy loss
+    and gradient are exactly 0.  Weights are sparse, feature index ->
+    weight, as a :class:`LinearPredictor` holds them."""
 
     def __init__(self, examples: Sequence[TrainingExample]):
         self.examples = examples
-        self.slots: Dict[int, int] = {}
-        self.actions = [[self._slotted(af) for af in ex.action_features] for ex in examples]
-        self.states = [self._slotted(ex.state_features) for ex in examples]
         self.groups = self.by_count(range(len(examples)))
-
-    def _slotted(self, features: Dict[int, int]) -> Dict[int, int]:
-        slots = self.slots
-        return {slots.setdefault(f, len(slots)): c for f, c in features.items()}
-
-    def weights(self, dense: List[float]) -> np.ndarray:
-        """The ``FEATURE_DIM`` weight vector of dense slot weights."""
-        out = np.zeros(FEATURE_DIM)
-        out[list(self.slots)] = dense
-        return out
 
     def by_count(self, indices: Sequence[int]) -> Dict[int, List[int]]:
         """``indices`` grouped by their examples' action count, in order,
@@ -199,20 +187,22 @@ class _Packed:
         groups: Dict[int, List[int]] = {}
         for i in indices:
             if self.examples[i].policy_targets != [1.0]:
-                groups.setdefault(len(self.actions[i]), []).append(i)
+                groups.setdefault(len(self.examples[i].action_features), []).append(i)
         return groups
 
-    def policy(self, wp: List[float], idx: List[int]) -> Tuple[np.ndarray, np.ndarray]:
+    def policy(self, wp: Dict[int, float], idx: List[int]) -> Tuple[np.ndarray, np.ndarray]:
         """(targets, predicted distributions) of the examples ``idx``, all
         with one action count, as rows."""
         targets = np.array([self.examples[i].policy_targets for i in idx])
-        logits = np.array([[_sparse_dot(wp, af) for af in self.actions[i]] for i in idx])
+        logits = np.array([[_sparse_dot(wp, af) for af in self.examples[i].action_features]
+                           for i in idx])
         return targets, softmax_temperature(logits)
 
-    def value(self, wv: List[float], i: int) -> float:
-        return sigmoid(_sparse_dot(wv, self.states[i]))
+    def value(self, wv: Dict[int, float], i: int) -> float:
+        return sigmoid(_sparse_dot(wv, self.examples[i].state_features))
 
-    def losses(self, wp: List[float], wv: List[float], alpha: float) -> Tuple[float, float]:
+    def losses(self, wp: Dict[int, float], wv: Dict[int, float],
+               alpha: float) -> Tuple[float, float]:
         """Mean policy and value losses over every example."""
         pl = [0.0] * len(self.examples)
         for idx in self.groups.values():
@@ -233,12 +223,11 @@ def train(examples: Sequence[TrainingExample], config: Optional[TrainConfig] = N
     there, since no later epoch can make that weight finite again, and the
     losses reported are those of its weights.
 
-    The examples are packed once.  The weights are Python float lists
-    over the packed feature slots while training, every score is
-    :func:`_sparse_dot`'s, and each batch takes its softmaxes and policy
-    gradients row-wise, one 2-D array per action count.  Gradients are
-    accumulated example by example, action by action and feature by
-    feature."""
+    The weights are sparse dicts, feature index -> weight, from the first
+    update on; every score is :func:`_sparse_dot`'s, and each batch takes
+    its softmaxes and policy gradients row-wise, one 2-D array per action
+    count.  Gradients are accumulated example by example, action by action
+    and feature by feature."""
     config = config or TrainConfig()
     if not 0 <= alpha < math.inf:
         raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
@@ -246,7 +235,7 @@ def train(examples: Sequence[TrainingExample], config: Optional[TrainConfig] = N
         raise ValueError("no training examples")
     rng = np.random.default_rng(config.seed)
     packed = _Packed(examples)
-    wp, wv = [0.0] * len(packed.slots), [0.0] * len(packed.slots)
+    wp, wv = {}, {}
     finite = True
     for _ in range(config.epochs):
         order = rng.permutation(len(examples)).tolist()
@@ -259,27 +248,27 @@ def train(examples: Sequence[TrainingExample], config: Optional[TrainConfig] = N
             gp: Dict[int, float] = {}
             gv: Dict[int, float] = {}
             for i in batch:
-                for gi, af in zip(grads.get(i, ()), packed.actions[i]):
+                for gi, af in zip(grads.get(i, ()), examples[i].action_features):
                     if gi:
                         for f, c in af.items():
                             gp[f] = gp.get(f, 0.0) + gi * c
                 gz = value_grad_logit(examples[i].value_target, packed.value(wv, i))
                 if gz:
-                    for f, c in packed.states[i].items():
+                    for f, c in examples[i].state_features.items():
                         gv[f] = gv.get(f, 0.0) + gz * c
             scale = config.learning_rate / len(batch)
-            for f, g in gp.items():
-                wp[f] -= scale * g
-            for f, g in gv.items():
-                wv[f] -= scale * g
-        finite = all(map(math.isfinite, wp)) and all(map(math.isfinite, wv))
+            for w, g in ((wp, gp), (wv, gv)):
+                for f, gf in g.items():
+                    w[f] = w.get(f, 0.0) - scale * gf
+        finite = all(map(math.isfinite, wp.values())) and all(map(math.isfinite, wv.values()))
         if not finite:
             break
     pl, vl = packed.losses(wp, wv, alpha)
     if not (finite and math.isfinite(pl) and math.isfinite(vl)):
         raise TrainingDiverged(f"loss diverged: policy={pl}, value={vl}; "
                                f"reduce the learning rate (currently {config.learning_rate})")
-    return TrainResult(packed.weights(wp), packed.weights(wv), pl, vl)
+    return TrainResult({f: w for f, w in wp.items() if w}, {f: w for f, w in wv.items() if w},
+                       pl, vl)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +289,8 @@ def _parse_sparse(text: str) -> Dict[int, int]:
         i, c = map(int, part.split(":"))
         if not 0 <= i < FEATURE_DIM:
             raise ValueError(f"feature index {i} outside [0, {FEATURE_DIM})")
+        if i in out:
+            raise ValueError(f"feature index {i} is given twice")
         out[i] = c
     return out
 

@@ -116,14 +116,16 @@ def apply_order_preserving(fixed: Sequence[float], reference: Sequence[float]) -
 # predictors
 
 
-def _sparse_dot(weights: Sequence[float], features: Dict[int, int]) -> float:
-    """Adds ``weights[i] * c`` one term at a time in the dict's order, so
-    a weight array and a list of the same floats score the same bits
-    (``sum`` would compensate Python floats on Python 3.12 and later)."""
+def _sparse_dot(weights: Dict[int, float], features: Dict[int, int]) -> float:
+    """Adds ``weights[i] * c`` one term at a time in the features' order,
+    a missing weight reading 0.0 (``sum`` would compensate Python floats
+    on Python 3.12 and later).  A sum that starts at +0.0 never becomes
+    -0.0, so a weight of 0.0 and a missing one score the same bits."""
+    weight = weights.get
     total = 0.0
     for i, c in features.items():
-        total += weights[i] * c
-    return float(total)
+        total += weight(i, 0.0) * c
+    return total
 
 
 class Predictor:
@@ -173,10 +175,11 @@ class UniformPredictor(Predictor):
 class LinearPredictor(Predictor):
     """Linear model over hashed features: each action logit is a sparse
     dot product with the policy weights, the value is a logistic of the
-    state features' dot product with the value weights, both over all
-    ``FEATURE_DIM`` features.  The weight arrays it is given are made
-    read-only when it is built, and the reads declared then: all-zero
-    weights score 0 whatever the features.
+    state features' dot product with the value weights.  Weights are
+    sparse, feature index -> weight, a missing index weighing 0.0.  The
+    predictor keeps its own copies of the nonzero weights it is given, so
+    changing those afterwards changes none of its scores, and it declares
+    its reads then: no nonzero weight, no read.
 
     The value's dot product is a :class:`~contab.features.StateDot` built
     with the predictor: a sum of per-literal partial logits, memoized for
@@ -184,20 +187,17 @@ class LinearPredictor(Predictor):
     ``sigmoid(_sparse_dot(value_weights, extract_features(state)))`` up
     to rounding."""
 
-    def __init__(self, policy_weights: Optional[np.ndarray] = None,
-                 value_weights: Optional[np.ndarray] = None,
+    def __init__(self, policy_weights: Optional[Dict[int, float]] = None,
+                 value_weights: Optional[Dict[int, float]] = None,
                  temperature: float = 1.0):
         if not 0.0 < temperature < math.inf:
             raise ValueError(f"temperature must be positive and finite, got {temperature}")
         self.policy_weights, self.value_weights = (
-            np.zeros(FEATURE_DIM) if w is None else np.asarray(w, dtype=float)
+            {i: float(v) for i, v in (w or {}).items() if v}
             for w in (policy_weights, value_weights))
-        if {self.policy_weights.shape, self.value_weights.shape} != {(FEATURE_DIM,)}:
-            raise ValueError("weight vectors must match the feature dimension")
-        self.policy_weights.flags.writeable = self.value_weights.flags.writeable = False
         self.temperature = temperature
-        self.reads_state = bool(self.value_weights.any())
-        self.reads_actions = bool(self.policy_weights.any())
+        self.reads_state = bool(self.value_weights)
+        self.reads_actions = bool(self.policy_weights)
         self.value_dot = StateDot(self.value_weights)
 
     def predict_policy(self, action_features):
@@ -271,21 +271,22 @@ def predict(predictor: Predictor, state, actions, matrix) -> Tuple[Optional[np.n
 MODEL_MAGIC = "contab-model v1"
 
 
-def save_model(path, kind: str, weights: np.ndarray, temperature: float = 1.0,
+def save_model(path, kind: str, weights: Dict[int, float], temperature: float = 1.0,
                alpha: float = 0.0) -> None:
-    """Writes the nonzero weights; a weight vector whose length is not
-    ``FEATURE_DIM``, which :func:`load_model` would refuse, raises
-    ``ValueError`` naming ``path`` before the file is created."""
+    """Writes the nonzero sparse weights in ascending index order; an
+    index outside ``[0, FEATURE_DIM)``, which :func:`load_model` would
+    refuse, raises ``ValueError`` naming ``path`` before the file is
+    created."""
     if kind not in ("policy", "value"):
         raise ValueError(f"kind must be 'policy' or 'value', got {kind!r}")
-    if len(weights) != FEATURE_DIM:
-        raise ValueError(f"{path}: {len(weights)} weights, not the feature dimension "
-                         f"{FEATURE_DIM}")
-    nz = np.nonzero(weights)[0]
+    nz = sorted(i for i, w in weights.items() if w)
+    outside = [i for i in nz if not 0 <= i < FEATURE_DIM]
+    if outside:
+        raise ValueError(f"{path}: weight index {outside[0]} outside [0, {FEATURE_DIM})")
     with atomic_open(path) as fh:
         fh.write(MODEL_MAGIC + "\n")
         fh.write(f"kind {kind}\n")
-        fh.write(f"dim {len(weights)}\n")
+        fh.write(f"dim {FEATURE_DIM}\n")
         fh.write(f"temperature {float(temperature)!r}\n")
         fh.write(f"alpha {float(alpha)!r}\n")
         fh.write(f"nonzero {len(nz)}\n")
@@ -293,9 +294,10 @@ def save_model(path, kind: str, weights: np.ndarray, temperature: float = 1.0,
             fh.write(f"{int(i)} {float(weights[i])!r}\n")
 
 
-def load_model(path) -> Tuple[str, np.ndarray, float, float]:
-    """Returns (kind, weights, temperature, alpha); a damaged file, or one
-    whose dim is not ``FEATURE_DIM``, raises ``ValueError`` naming it."""
+def load_model(path) -> Tuple[str, Dict[int, float], float, float]:
+    """Returns (kind, sparse weights in file order, temperature, alpha); a
+    damaged file, or one whose dim is not ``FEATURE_DIM``, raises
+    ``ValueError`` naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != MODEL_MAGIC:
@@ -325,9 +327,7 @@ def load_model(path) -> Tuple[str, np.ndarray, float, float]:
         raise ValueError(f"{path}: a weight index is given twice")
     if not np.isfinite([temperature, alpha] + [val for _, val in entries]).all():
         raise ValueError(f"{path}: a weight, the temperature or alpha is not finite")
-    weights = np.zeros(dim)
-    for idx, val in entries:
+    for idx, _ in entries:
         if not 0 <= idx < dim:
             raise ValueError(f"{path}: weight index {idx} outside dim {dim}")
-        weights[idx] = val
-    return header["kind"], weights, temperature, alpha
+    return header["kind"], dict(entries), temperature, alpha

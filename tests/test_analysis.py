@@ -159,8 +159,8 @@ def bank_fixture():
 
 def trained_stand_in(seed=5, temperature=1.0):
     rng = np.random.default_rng(seed)
-    return LinearPredictor(rng.standard_normal(FEATURE_DIM) * 0.5,
-                           rng.standard_normal(FEATURE_DIM) * 0.5,
+    return LinearPredictor(dict(enumerate(rng.standard_normal(FEATURE_DIM) * 0.5)),
+                           dict(enumerate(rng.standard_normal(FEATURE_DIM) * 0.5)),
                            temperature=temperature)
 
 

@@ -171,8 +171,9 @@ class TestProve:
         problems = [corpus_dir() / f"{name}.p" for name in ("eq_fun_chain", "eq_sym", "mutual")]
         rng = np.random.default_rng(5)
         policy_file, value_file = tmp_path / "p.model", tmp_path / "v.model"
-        save_model(policy_file, "policy", rng.normal(size=FEATURE_DIM), temperature=2.0)
-        save_model(value_file, "value", rng.normal(size=FEATURE_DIM) * 0.01)
+        save_model(policy_file, "policy", dict(enumerate(rng.normal(size=FEATURE_DIM))),
+                   temperature=2.0)
+        save_model(value_file, "value", dict(enumerate(rng.normal(size=FEATURE_DIM) * 0.01)))
         out = tmp_path / "out"
         assert run_cli("prove", *problems, "--out", out, *FAST, "--predictor",
                        f"linear:policy={policy_file}:value={value_file}") == 0
@@ -648,8 +649,8 @@ class TestPredictorSpecs:
     def test_model_path_may_contain_a_colon(self, tmp_path):
         run = tmp_path / "run-12:30"
         run.mkdir()
-        save_model(run / "p.model", "policy", np.full(FEATURE_DIM, 0.5), temperature=2.5)
-        save_model(run / "v.model", "value", np.full(FEATURE_DIM, -0.5))
+        save_model(run / "p.model", "policy", {0: 0.5}, temperature=2.5)
+        save_model(run / "v.model", "value", {0: -0.5})
         linear = parse_predictor_spec(
             f"linear:policy={run}/p.model:value={run}/v.model:temperature=3")
         assert linear.policy_weights[0] == 0.5 and linear.value_weights[0] == -0.5
@@ -726,7 +727,7 @@ class TestPredictorSpecs:
 
     def test_fixed_entropy_defaults_and_model_temperature(self, tmp_path):
         policy_file = tmp_path / "p.model"
-        save_model(policy_file, "policy", np.full(FEATURE_DIM, 0.5), temperature=2.5)
+        save_model(policy_file, "policy", {0: 0.5}, temperature=2.5)
         fixed = parse_predictor_spec("fixed-entropy")
         assert isinstance(fixed.base, UniformPredictor)
         assert (fixed.target, fixed.seed) == (0.8, 0)

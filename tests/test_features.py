@@ -2,8 +2,6 @@
 
 import zlib
 
-import numpy as np
-
 from contab import features
 from contab.clausify import clausify_text
 from contab.features import (
@@ -212,7 +210,7 @@ class TestWalkMemo:
         from contab.search import SearchLimits, prove
 
         # a predictor that reads every feature, so the search fills the memo
-        predictor = LinearPredictor(np.full(FEATURE_DIM, 0.01), np.full(FEATURE_DIM, 0.01))
+        predictor = LinearPredictor(*[dict.fromkeys(range(FEATURE_DIM), 0.01)] * 2)
         result = prove(engine, "memo", predictor, SearchLimits(inference_limit=300,
                                                                 bigstep_frequency=50))
         states, stack = [], [result.bigstep_nodes[0]]
@@ -304,7 +302,7 @@ class TestInheritedInstantiations:
 
         engine = Engine(clausify_text(text), path_limit=20)
         # reads every feature, so each state's parent has its literals cached
-        predictor = LinearPredictor(np.full(FEATURE_DIM, 0.01), np.full(FEATURE_DIM, 0.01))
+        predictor = LinearPredictor(*[dict.fromkeys(range(FEATURE_DIM), 0.01)] * 2)
         result = prove(engine, "inherit", predictor,
                        SearchLimits(inference_limit=300, bigstep_frequency=50))
         nodes, stack = [], [result.bigstep_nodes[0]]

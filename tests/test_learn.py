@@ -8,6 +8,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import pickle
 import re
 import signal
 import threading
@@ -302,8 +303,8 @@ class TestTrain:
         examples = synthetic_examples(40)
         a = train(examples, TrainConfig(seed=12))
         b = train(examples, TrainConfig(seed=12))
-        assert a.policy_weights.tobytes() == b.policy_weights.tobytes()
-        assert a.value_weights.tobytes() == b.value_weights.tobytes()
+        assert a.policy_weights == b.policy_weights
+        assert a.value_weights == b.value_weights
         assert (a.policy_loss, a.value_loss) == (b.policy_loss, b.value_loss)
 
     def test_divergence_is_reported(self):
@@ -386,8 +387,15 @@ def corpus_examples():
     return run_loop(corpus_engines(), 0, small_loop_config()).examples
 
 
+def dense(weights):
+    """The ``FEATURE_DIM`` float64 vector of sparse ``weights``."""
+    out = np.zeros(FEATURE_DIM)
+    out[list(weights)] = list(weights.values())
+    return out
+
+
 def weight_digests(result):
-    return tuple(hashlib.sha256(w.tobytes()).hexdigest()[:16]
+    return tuple(hashlib.sha256(dense(w).tobytes()).hexdigest()[:16]
                  for w in (result.policy_weights, result.value_weights))
 
 
@@ -420,7 +428,9 @@ class TestPinnedTraining:
     @pytest.mark.parametrize("name, alpha", sorted(PINNED_WEIGHTS))
     def test_weights_are_pinned(self, datasets, name, alpha):
         result = train(datasets[name], TrainConfig(), alpha=alpha)
-        assert result.policy_weights.any() and result.value_weights.any()
+        assert result.policy_weights and result.value_weights
+        assert 0.0 not in result.policy_weights.values()
+        assert 0.0 not in result.value_weights.values()
         assert weight_digests(result) == PINNED_WEIGHTS[name, alpha]
 
     def test_divergence_names_the_same_losses(self, datasets):
@@ -485,6 +495,17 @@ class TestExampleFiles:
         write_examples(path, synthetic_examples(2, seed=8))
         path.write_text(path.read_text() + f"p\t0\t{value}\t{targets}\t1:1\t2:1\t3:1\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: {re.escape(complaint)}$"):
+            read_examples(path)
+
+    @pytest.mark.parametrize("state, action, index", [("3:1,7:2,3:2", "1:1", 3),
+                                                       ("1:1", "2:1,2:1", 2)],
+                             ids=["state", "action"])
+    def test_a_repeated_feature_index_is_refused_by_line(self, tmp_path, state, action, index):
+        path = tmp_path / "ex.txt"
+        write_examples(path, synthetic_examples(2, seed=8))
+        path.write_text(path.read_text() + f"p\t0\t0.5\t0.5,0.5\t{state}\t5:1\t{action}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: feature index {index} "
+                                             f"is given twice$"):
             read_examples(path)
 
 
@@ -687,12 +708,12 @@ class TestRunLoop:
         model = loop.final_model
         examples = [ex for ex in loop.examples if ex.iteration == 0]
         want = train(examples, config.train, alpha=2.0)
-        assert model.policy_weights.any()
-        assert model.policy_weights.tobytes() == want.policy_weights.tobytes()
-        assert model.value_weights.tobytes() == want.value_weights.tobytes()
+        assert model.policy_weights
+        assert model.policy_weights == want.policy_weights
+        assert model.value_weights == want.value_weights
         assert (model.policy_loss, model.value_loss) == (want.policy_loss, want.value_loss)
         sharp = train(examples, config.train, alpha=0.0)
-        assert sharp.policy_weights.tobytes() != want.policy_weights.tobytes()
+        assert sharp.policy_weights != want.policy_weights
 
     @pytest.mark.parametrize("setting", [{"temperature": 0.0}, {"temperature": -1.0},
                                          {"alpha": -0.1}])
@@ -730,14 +751,20 @@ class TestLoopPool:
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         pooled = run_loop(problems, 2, small_loop_config(), workers=2)
         assert started == [2]
-        assert pooled.final_model.policy_weights.any()
+        assert pooled.final_model.policy_weights
         assert [s.row() for s in pooled.stats] == [s.row() for s in serial.stats]
         assert ([[replace(r, wall_time=0.0) for r in rs] for rs in pooled.results]
                 == [[replace(r, wall_time=0.0) for r in rs] for rs in serial.results])
         assert pooled.examples == serial.examples
-        for got, want in [(pooled.final_model.policy_weights, serial.final_model.policy_weights),
-                          (pooled.final_model.value_weights, serial.final_model.value_weights)]:
-            assert got.tobytes() == want.tobytes()
+        assert pooled.final_model == serial.final_model
+
+    def test_a_trained_predictor_pickles_small(self):
+        """What a later pool call sends each child: the nonzero weights,
+        not two ``FEATURE_DIM``-wide vectors."""
+        model = run_loop(corpus_engines(), 1, small_loop_config()).final_model
+        predictor = model.predictor()
+        assert predictor.reads_actions and predictor.reads_state
+        assert len(pickle.dumps(predictor)) < 4096
 
     def test_no_worker_outlives_a_loop_whose_training_diverges(self, monkeypatch):
         started = counted_pools(monkeypatch)
@@ -853,11 +880,6 @@ class TestStatsCsv:
         assert lines == [",".join(STATS_COLUMNS), "0,12,1.234568,0.500000,4321"]
 
 
-def feature_wide(values):
-    """A ``FEATURE_DIM``-long weight vector that starts with ``values``."""
-    return np.array(values + [0.0] * (FEATURE_DIM - len(values)), dtype=object)
-
-
 class TestAtomicWrites:
     """A checkpoint writer that raises part-way leaves the previous file
     as it was and no temporary file behind."""
@@ -865,8 +887,8 @@ class TestAtomicWrites:
     @pytest.mark.parametrize("writer, good, bad", [
         (write_examples, synthetic_examples(3, seed=1),
          synthetic_examples(3, seed=2)[:2] + [None]),
-        (lambda path, w: save_model(path, "policy", w), feature_wide([0.0, 1.5, 2.5]),
-         feature_wide([0.0, 1.5, "not a float"])),
+        (lambda path, w: save_model(path, "policy", w), {1: 1.5, 2: 2.5},
+         {1: 1.5, 2: "not a float"}),
         (save_bank, StateBank([BankEntry("p", ("e0",), 2)]),
          StateBank([BankEntry("p", ("e1",), 3), None])),
         (lambda path, rows: report_csv(path, ["alpha", "solved"], rows), [[0.7, 3]],

@@ -15,7 +15,8 @@ import contab.features as features_module
 import contab.policy as policy_module
 from contab.clausify import clausify, clausify_text, load_matrix
 from contab.corpus import corpus_problems
-from contab.features import FEATURE_DIM, extract_features
+from contab.features import FEATURE_DIM, extract_action_features, extract_features
+from contab.learn import TrainResult
 from contab.policy import (
     FixedEntropyPredictor,
     LinearPredictor,
@@ -244,42 +245,44 @@ class TestPredictors:
 
     def test_linear_sparse_dot_closed_form(self):
         engine, _, _ = small_state_and_actions()
-        pw, vw = np.zeros(FEATURE_DIM), np.zeros(FEATURE_DIM)
-        pw[3] = 2.0
         # the pre-start state's one feature
-        vw[list(extract_features(engine.root_state()))] = 1.0
-        lp = LinearPredictor(pw, vw)
+        vw = dict.fromkeys(extract_features(engine.root_state()), 1.0)
+        lp = LinearPredictor({3: 2.0}, vw)
         logits = lp.predict_policy([{3: 2}, {3: 1, 5: 4}, {}])
         assert list(logits) == [4.0, 2.0, 0.0]
         assert lp.predict_value(engine.root_state()) == pytest.approx(1.0 / (1.0 + math.exp(-1.0)))
-
-    def test_linear_rejects_wrong_dimension(self):
-        with pytest.raises(ValueError):
-            LinearPredictor(policy_weights=np.zeros(4))
-        with pytest.raises(ValueError):
-            LinearPredictor(value_weights=np.zeros(FEATURE_DIM + 1))
 
     @pytest.mark.parametrize("temperature", [0.0, -2.0])
     def test_linear_rejects_nonpositive_temperature(self, temperature):
         with pytest.raises(ValueError, match="temperature must be positive"):
             LinearPredictor(temperature=temperature)
 
-    def test_linear_weights_are_read_only(self):
-        lp = LinearPredictor(np.full(FEATURE_DIM, 0.5), np.full(FEATURE_DIM, -0.5))
-        for weights in (lp.policy_weights, lp.value_weights):
-            with pytest.raises(ValueError, match="read-only"):
-                weights[0] = 1.0
-            with pytest.raises(ValueError, match="read-only"):
-                weights[:] = 0.0
-        assert (lp.policy_weights == 0.5).all() and (lp.value_weights == -0.5).all()
+    def test_linear_keeps_only_nonzero_weights(self):
+        lp = LinearPredictor({1: 0.0, 2: -0.5, 3: -0.0}, {4: 0.0})
+        assert lp.policy_weights == {2: -0.5} and lp.value_weights == {}
+        assert lp.reads_actions and not lp.reads_state
 
     def test_linear_freezes_the_weights_it_is_given(self):
-        pw = np.zeros(FEATURE_DIM)
-        lp = LinearPredictor(pw)
-        with pytest.raises(ValueError, match="read-only"):
-            pw[4] = 1.0
-        assert not lp.reads_actions
-        assert lp.predict_policy([{4: 1}]).tolist() == [0.0]
+        """Mutating the dicts a predictor was built from, given directly or
+        held by a ``TrainResult``, changes none of its scores or reads."""
+        engine, state, actions = small_state_and_actions()
+        afs = [extract_action_features(state, a, engine.matrix) for a in actions]
+        model = TrainResult({}, {}, 0.0, 0.0)
+        given = ({}, {})
+        for (pw, vw), lp in [(given, LinearPredictor(*given)),
+                             ((model.policy_weights, model.value_weights), model.predictor())]:
+            pw.update(dict.fromkeys(afs[0], 1.0))
+            vw.update(dict.fromkeys(extract_features(state), 1.0))
+            assert not lp.reads_actions and not lp.reads_state
+            assert lp.predict_policy(afs).tolist() == [0.0] * len(afs)
+            assert lp.predict_value(state) == 0.5
+            assert predict(lp, state, actions, engine.matrix)[0].tolist() == [0.25] * 4
+            # and the other way round: clearing them takes no weight away
+            lp = LinearPredictor(pw, vw)
+            pw.clear()
+            vw.clear()
+            assert lp.reads_actions and lp.reads_state
+            assert lp.predict_policy(afs)[0] > 0.0 and lp.predict_value(state) > 0.5
 
     def test_value_clamped_to_unit_interval(self):
         engine, state, actions = small_state_and_actions()
@@ -307,7 +310,7 @@ class TestPredictors:
     def test_fixed_entropy_predictor_keeps_base_order(self):
         engine, state, actions = small_state_and_actions()
         rng = np.random.default_rng(0)
-        base = LinearPredictor(rng.standard_normal(FEATURE_DIM) * 0.1)
+        base = LinearPredictor(dict(enumerate(rng.standard_normal(FEATURE_DIM) * 0.1)))
         ref, _ = predict(base, state, actions, engine.matrix)
         fep = FixedEntropyPredictor(base, 0.5, seed=3)
         probs, _ = predict(fep, state, actions, engine.matrix)
@@ -366,7 +369,7 @@ class TestDeclaredReads:
 
     def test_policy_only_linear_skips_state_features(self, monkeypatch):
         engine, state, actions = small_state_and_actions()
-        lp = LinearPredictor(np.random.default_rng(0).standard_normal(FEATURE_DIM))
+        lp = LinearPredictor(dict(enumerate(np.random.default_rng(0).standard_normal(FEATURE_DIM))))
         assert lp.reads_actions and not lp.reads_state
         want = predict(lp, state, actions, engine.matrix)
         monkeypatch.setattr(policy_module, "extract_features", _refuse)
@@ -374,11 +377,10 @@ class TestDeclaredReads:
         assert list(probs) == list(want[0]) and value == want[1] == 0.5
 
     def test_linear_declarations_follow_its_weights(self):
-        vw, pw = np.zeros(FEATURE_DIM), np.zeros(FEATURE_DIM)
-        vw[2] = 0.5
-        pw[1] = -1.0
+        vw, pw = {2: 0.5, 7: 0.0}, {1: -1.0}
         cases = [((None, None), (False, False)), ((None, vw), (True, False)),
-                 ((pw, None), (False, True)), ((pw, vw), (True, True))]
+                 ((pw, None), (False, True)), ((pw, vw), (True, True)),
+                 (({1: 0.0}, {2: 0.0}), (False, False))]
         for (policy_weights, value_weights), want in cases:
             lp = LinearPredictor(policy_weights, value_weights)
             assert (lp.reads_state, lp.reads_actions) == want
@@ -387,9 +389,10 @@ class TestDeclaredReads:
 
     @pytest.mark.parametrize("make", [
         UniformPredictor,
-        lambda: LinearPredictor(np.full(FEATURE_DIM, 0.3), np.full(FEATURE_DIM, 0.01)),
+        lambda: LinearPredictor(dict.fromkeys(range(FEATURE_DIM), 0.3),
+                                dict.fromkeys(range(FEATURE_DIM), 0.01)),
         lambda: FixedEntropyPredictor(
-            LinearPredictor(np.full(FEATURE_DIM, 0.3)), 0.6, seed=3),
+            LinearPredictor(dict.fromkeys(range(FEATURE_DIM), 0.3)), 0.6, seed=3),
     ], ids=["uniform", "linear", "fixed-entropy-over-linear"])
     def test_one_action_is_certain_and_never_scored(self, make, monkeypatch):
         engine = Engine(clausify_text("cnf(a, axiom, p(X)).\nfof(c, conjecture, p(a))."))
@@ -406,7 +409,7 @@ class TestDeclaredReads:
 
     def test_state_reader_values_the_real_state(self, monkeypatch):
         engine, state, actions = small_state_and_actions()
-        vw = np.full(FEATURE_DIM, 0.01)
+        vw = dict.fromkeys(range(FEATURE_DIM), 0.01)
         lp = LinearPredictor(value_weights=vw)
         # one literal: the memoized sum adds the terms as _sparse_dot does
         want = sigmoid(_sparse_dot(vw, extract_features(state)))
@@ -428,8 +431,8 @@ _spec.loader.exec_module(bench_problems)
 
 def random_linear(seed=11):
     rng = np.random.default_rng(seed)
-    return LinearPredictor(rng.standard_normal(FEATURE_DIM) * 0.3,
-                           rng.standard_normal(FEATURE_DIM) * 0.3)
+    return LinearPredictor(dict(enumerate(rng.standard_normal(FEATURE_DIM) * 0.3)),
+                           dict(enumerate(rng.standard_normal(FEATURE_DIM) * 0.3)))
 
 
 def searched_states(engines, predictor, limits):
@@ -515,46 +518,64 @@ class TestStateValue:
 
 class TestModelFiles:
     def test_roundtrip(self, tmp_path):
-        w = np.zeros(FEATURE_DIM)
-        w[3] = 1.5
-        w[17] = -0.25
+        w = {3: 1.5, 17: -0.25}
         p = tmp_path / "m.model"
         save_model(p, "policy", w, temperature=2.5, alpha=0.7)
         kind, got, temperature, alpha = load_model(p)
         assert kind == "policy"
-        assert got.tobytes() == w.tobytes()
+        assert got == w
         assert temperature == 2.5
         assert alpha == 0.7
 
     def test_roundtrip_preserves_exact_floats(self, tmp_path):
         rng = np.random.default_rng(3)
-        w = np.zeros(FEATURE_DIM)
         idx = rng.choice(FEATURE_DIM, size=40, replace=False)
-        w[idx] = rng.standard_normal(40)
+        w = dict(zip(idx.tolist(), rng.standard_normal(40).tolist()))
         p = tmp_path / "m.model"
         save_model(p, "value", w)
         _, got, _, _ = load_model(p)
-        assert got.tobytes() == w.tobytes()
+        assert list(got.items()) == sorted(w.items())
 
     def test_all_zero_weights(self, tmp_path):
         p = tmp_path / "z.model"
-        save_model(p, "value", np.zeros(FEATURE_DIM))
+        save_model(p, "value", {5: 0.0})
         kind, w, _, _ = load_model(p)
         assert kind == "value"
-        assert not w.any()
-        assert len(w) == FEATURE_DIM
+        assert w == {}
+        assert "nonzero 0" in p.read_text().splitlines()
 
-    @pytest.mark.parametrize("width", [16, FEATURE_DIM + 1])
-    def test_another_width_is_refused_before_the_file_is_created(self, tmp_path, width):
+    @pytest.mark.parametrize("index", [-1, FEATURE_DIM])
+    def test_an_index_outside_the_features_is_refused_before_the_file_is_created(
+            self, tmp_path, index):
         p = tmp_path / "w.model"
-        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {width} weights, not the "
-                                             f"feature dimension {FEATURE_DIM}$"):
-            save_model(p, "value", np.zeros(width))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: weight index {index} "
+                                             f"outside \\[0, {FEATURE_DIM}\\)$"):
+            save_model(p, "value", {0: 1.0, index: 0.5, 9: 2.0})
         assert list(tmp_path.iterdir()) == []
+
+    def test_the_bytes_do_not_depend_on_the_dict_order(self, tmp_path):
+        w = {i: (-1.0) ** i / (i + 1) for i in range(0, FEATURE_DIM, 997)}
+        up, down = tmp_path / "up.model", tmp_path / "down.model"
+        save_model(up, "policy", dict(sorted(w.items())), temperature=1.5, alpha=0.7)
+        save_model(down, "policy", dict(sorted(w.items(), reverse=True)), temperature=1.5,
+                   alpha=0.7)
+        assert up.read_bytes() == down.read_bytes()
+        indices = [int(ln.split()[0]) for ln in up.read_text().splitlines()[6:]]
+        assert indices == sorted(w)
+
+    def test_load_then_save_reproduces_the_bytes(self, tmp_path):
+        rng = np.random.default_rng(8)
+        w = dict(enumerate(rng.standard_normal(FEATURE_DIM) * (rng.random(FEATURE_DIM) < 0.01)))
+        first, second = tmp_path / "first.model", tmp_path / "second.model"
+        save_model(first, "value", w, temperature=0.25, alpha=5.0)
+        kind, got, temperature, alpha = load_model(first)
+        save_model(second, kind, got, temperature, alpha)
+        assert second.read_bytes() == first.read_bytes()
+        assert 200 < len(got) < 500
 
     def test_bad_kind_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            save_model(tmp_path / "x.model", "oracle", np.zeros(4))
+            save_model(tmp_path / "x.model", "oracle", {})
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.model"
@@ -579,8 +600,7 @@ class TestModelFiles:
     ], ids=["truncated", "extra-line", "repeated-index", "nan-weight", "infinite-weight",
             "infinite-temperature", "nan-alpha", "other-dim", "huge-dim"])
     def test_damaged_file_rejected_by_name(self, tmp_path, damage, complaint):
-        w = np.zeros(FEATURE_DIM)
-        w[np.arange(3, 64, 4)[:14]] = np.arange(1.0, 15.0)
+        w = dict(zip(range(3, 64, 4), np.arange(1.0, 15.0)))
         p = tmp_path / "m.model"
         save_model(p, "policy", w, temperature=1.5, alpha=0.7)
         lines = p.read_text().splitlines()
