@@ -11,7 +11,8 @@ pinning the distribution's normalized entropy to a chosen target.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -179,7 +180,8 @@ class LinearPredictor(Predictor):
     sparse, feature index -> weight, a missing index weighing 0.0.  The
     predictor keeps its own copies of the nonzero weights it is given, so
     changing those afterwards changes none of its scores, and it declares
-    its reads then: no nonzero weight, no read.
+    its reads then: no nonzero weight, no read.  ``policy_weights`` and
+    ``value_weights`` are read-only views of those copies.
 
     The value's dot product is a :class:`~contab.features.StateDot` built
     with the predictor: a sum of per-literal partial logits, memoized for
@@ -192,16 +194,24 @@ class LinearPredictor(Predictor):
                  temperature: float = 1.0):
         if not 0.0 < temperature < math.inf:
             raise ValueError(f"temperature must be positive and finite, got {temperature}")
-        self.policy_weights, self.value_weights = (
+        self._policy, self._value = (
             {i: float(v) for i, v in (w or {}).items() if v}
             for w in (policy_weights, value_weights))
         self.temperature = temperature
-        self.reads_state = bool(self.value_weights)
-        self.reads_actions = bool(self.policy_weights)
-        self.value_dot = StateDot(self.value_weights)
+        self.reads_state = bool(self._value)
+        self.reads_actions = bool(self._policy)
+        self.value_dot = StateDot(self._value)
+
+    @property
+    def policy_weights(self) -> Mapping[int, float]:
+        return MappingProxyType(self._policy)
+
+    @property
+    def value_weights(self) -> Mapping[int, float]:
+        return MappingProxyType(self._value)
 
     def predict_policy(self, action_features):
-        return np.array([_sparse_dot(self.policy_weights, af) for af in action_features])
+        return np.array([_sparse_dot(self._policy, af) for af in action_features])
 
     def predict_value(self, state):
         return sigmoid(self.value_dot(state)) if self.reads_state else 0.5
@@ -271,14 +281,20 @@ def predict(predictor: Predictor, state, actions, matrix) -> Tuple[Optional[np.n
 MODEL_MAGIC = "contab-model v1"
 
 
-def save_model(path, kind: str, weights: Dict[int, float], temperature: float = 1.0,
-               alpha: float = 0.0) -> None:
-    """Writes the nonzero sparse weights in ascending index order; an
-    index outside ``[0, FEATURE_DIM)``, which :func:`load_model` would
-    refuse, raises ``ValueError`` naming ``path`` before the file is
-    created."""
+def save_model(path, kind: str, weights: Union[Mapping[int, float], Sequence[float]],
+               temperature: float = 1.0, alpha: float = 0.0) -> None:
+    """Writes the nonzero weights in ascending index order.  ``weights``
+    is sparse, feature index -> weight, or a dense vector of
+    ``FEATURE_DIM`` weights.  A vector of another width, or an index
+    outside ``[0, FEATURE_DIM)``, which :func:`load_model` would refuse,
+    raises ``ValueError`` naming ``path`` before the file is created."""
     if kind not in ("policy", "value"):
         raise ValueError(f"kind must be 'policy' or 'value', got {kind!r}")
+    if not isinstance(weights, Mapping):
+        if len(weights) != FEATURE_DIM:
+            raise ValueError(f"{path}: {len(weights)} weights, not the feature dimension "
+                             f"{FEATURE_DIM}")
+        weights = dict(enumerate(weights))
     nz = sorted(i for i, w in weights.items() if w)
     outside = [i for i in nz if not 0 <= i < FEATURE_DIM]
     if outside:

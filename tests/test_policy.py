@@ -257,6 +257,19 @@ class TestPredictors:
         with pytest.raises(ValueError, match="temperature must be positive"):
             LinearPredictor(temperature=temperature)
 
+    def test_linear_weights_are_read_only(self):
+        lp = LinearPredictor(dict.fromkeys(range(FEATURE_DIM), 0.5),
+                             dict.fromkeys(range(FEATURE_DIM), -0.5))
+        for weights in (lp.policy_weights, lp.value_weights):
+            with pytest.raises(TypeError):
+                weights[0] = 1.0
+            with pytest.raises(TypeError):
+                del weights[0]
+            with pytest.raises(AttributeError):
+                weights.clear()
+        assert lp.policy_weights == dict.fromkeys(range(FEATURE_DIM), 0.5)
+        assert lp.value_weights == dict.fromkeys(range(FEATURE_DIM), -0.5)
+
     def test_linear_keeps_only_nonzero_weights(self):
         lp = LinearPredictor({1: 0.0, 2: -0.5, 3: -0.0}, {4: 0.0})
         assert lp.policy_weights == {2: -0.5} and lp.value_weights == {}
@@ -543,6 +556,22 @@ class TestModelFiles:
         assert kind == "value"
         assert w == {}
         assert "nonzero 0" in p.read_text().splitlines()
+
+    @pytest.mark.parametrize("width", [16, FEATURE_DIM + 1])
+    def test_another_width_is_refused_before_the_file_is_created(self, tmp_path, width):
+        p = tmp_path / "w.model"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {width} weights, not the "
+                                             f"feature dimension {FEATURE_DIM}$"):
+            save_model(p, "value", np.zeros(width))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_dense_vector_saves_as_its_nonzero_weights(self, tmp_path):
+        w = np.zeros(FEATURE_DIM)
+        w[[3, 17]] = [1.5, -0.25]
+        dense, sparse = tmp_path / "dense.model", tmp_path / "sparse.model"
+        save_model(dense, "policy", w, temperature=2.5)
+        save_model(sparse, "policy", {17: -0.25, 3: 1.5}, temperature=2.5)
+        assert dense.read_bytes() == sparse.read_bytes()
 
     @pytest.mark.parametrize("index", [-1, FEATURE_DIM])
     def test_an_index_outside_the_features_is_refused_before_the_file_is_created(
