@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .fileio import atomic_open
-from .policy import Predictor, UniformPredictor, predict
+from .policy import Predictor, UniformPredictor, check_distribution, predict
 from .search import SearchLimits, prove
 from .tableau import Engine, IllegalActionError, decode_action
 
@@ -158,10 +158,10 @@ def compare(pred_a: Predictor, pred_b: Predictor, bank: StateBank,
             engines: Dict[str, Engine]) -> AgreementReport:
     """Evaluates both predictors on every bank state over the identical
     canonical action list.  Sums are reduced sequentially in bank order
-    so the report is bit-stable."""
+    so the report is bit-stable.  A distribution that is not finite
+    raises ``ValueError`` naming its predictor."""
     best_hits = order_hits = 0
     kl_ab_sum = kl_ba_sum = 0.0
-    kl_ab_n = kl_ba_n = 0
     inf_ab = inf_ba = 0
     for entry in bank.entries:
         engine = engines[entry.problem]
@@ -173,6 +173,8 @@ def compare(pred_a: Predictor, pred_b: Predictor, bank: StateBank,
                 f"replay produced {len(actions)}; bank and matrix disagree")
         pa, _ = predict(pred_a, state, actions, engine.matrix)
         pb, _ = predict(pred_b, state, actions, engine.matrix)
+        check_distribution(pred_a, pa)
+        check_distribution(pred_b, pb)
         ranks_a = rank_groups(pa)
         ranks_b = rank_groups(pb)
         # ties resolve to the lowest index before comparing favorites
@@ -185,19 +187,17 @@ def compare(pred_a: Predictor, pred_b: Predictor, bank: StateBank,
             inf_ab += 1
         else:
             kl_ab_sum += d
-            kl_ab_n += 1
         d = kl_divergence(pb, pa)
         if math.isinf(d):
             inf_ba += 1
         else:
             kl_ba_sum += d
-            kl_ba_n += 1
     n = len(bank.entries)
     return AgreementReport(
         best=best_hits / n if n else 0.0,
         order=order_hits / n if n else 0.0,
-        kl_ab=kl_ab_sum / kl_ab_n if kl_ab_n else 0.0,
-        kl_ba=kl_ba_sum / kl_ba_n if kl_ba_n else 0.0,
+        kl_ab=kl_ab_sum / (n - inf_ab) if n > inf_ab else 0.0,
+        kl_ba=kl_ba_sum / (n - inf_ba) if n > inf_ba else 0.0,
         states=n,
         infinite_ab=inf_ab,
         infinite_ba=inf_ba)

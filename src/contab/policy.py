@@ -23,7 +23,7 @@ from .fileio import atomic_open
 from .tableau import TableauState
 
 __all__ = [
-    "entropy", "normalized_entropy", "softmax_temperature", "sigmoid",
+    "entropy", "normalized_entropy", "softmax_temperature", "check_distribution", "sigmoid",
     "make_fixed_entropy_vector", "apply_order_preserving",
     "Predictor", "UniformPredictor", "LinearPredictor", "FixedEntropyPredictor",
     "predict", "save_model", "load_model",
@@ -57,13 +57,22 @@ def normalized_entropy(p: Sequence[float]) -> float:
 def softmax_temperature(logits: Sequence[float], temperature: float = 1.0) -> np.ndarray:
     """Softmax over the last axis: one distribution, or one per row of a
     2-D array.  A row sums as a 1-D vector of its length does, so each
-    row's distribution is, to the bit, that of the row on its own."""
+    row's distribution is, to the bit, that of the row on its own.  The
+    maximum is subtracted before dividing by the temperature, so a tiny
+    one gives lower logits probability 0 (numpy warns), not NaN."""
     if temperature <= 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    arr = np.asarray(logits, dtype=float) / temperature
-    arr = arr - arr.max(axis=-1, keepdims=True)
-    e = np.exp(arr)
+    arr = np.asarray(logits, dtype=float)
+    e = np.exp((arr - arr.max(axis=-1, keepdims=True)) / temperature)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def check_distribution(predictor: Predictor, probs: Sequence[float]) -> None:
+    """Raises ``ValueError`` naming the predictor's class when ``probs``
+    holds a NaN or an infinity, as their sum then shows."""
+    if not math.isfinite(sum(probs)):
+        raise ValueError(f"{type(predictor).__name__} scored a distribution over "
+                         f"{len(probs)} actions that is not finite")
 
 
 def make_fixed_entropy_vector(n: int, target: float, seed: int) -> np.ndarray:
@@ -312,8 +321,8 @@ def save_model(path, kind: str, weights: Union[Mapping[int, float], Sequence[flo
 
 def load_model(path) -> Tuple[str, Dict[int, float], float, float]:
     """Returns (kind, sparse weights in file order, temperature, alpha); a
-    damaged file, or one whose dim is not ``FEATURE_DIM``, raises
-    ``ValueError`` naming it."""
+    damaged file, one whose dim is not ``FEATURE_DIM`` or one whose
+    temperature is not positive raises ``ValueError`` naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != MODEL_MAGIC:
@@ -343,6 +352,8 @@ def load_model(path) -> Tuple[str, Dict[int, float], float, float]:
         raise ValueError(f"{path}: a weight index is given twice")
     if not np.isfinite([temperature, alpha] + [val for _, val in entries]).all():
         raise ValueError(f"{path}: a weight, the temperature or alpha is not finite")
+    if temperature <= 0.0:
+        raise ValueError(f"{path}: temperature {temperature!r} is not positive")
     for idx, _ in entries:
         if not 0 <= idx < dim:
             raise ValueError(f"{path}: weight index {idx} outside dim {dim}")

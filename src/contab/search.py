@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .policy import Predictor, entropy, predict
+from .policy import Predictor, check_distribution, entropy, predict
 from .tableau import Action, Engine
 
 DISCOUNT = 0.99
@@ -134,7 +134,7 @@ class ProofResult:
 
     @property
     def playouts(self) -> int:
-        """Playouts that added a leaf, each by one action: ``inferences``."""
+        """Each playout adds one leaf by one action: ``inferences``."""
         return self.inferences
 
     @property
@@ -190,7 +190,9 @@ class _Search:
             # [1.0] has entropy 0.0; h / ln n is normalized_entropy(probs)
             h = entropy(probs) if n > 1 else 0.0
             # plain floats: _select reads them in the hot loop
-            scored = (probs.tolist(), value, h, h / math.log(n) if n > 1 else 0.0)
+            priors = probs.tolist()
+            check_distribution(self.predictor, priors)
+            scored = (priors, value, h, h / math.log(n) if n > 1 else 0.0)
             if not (self.predictor.reads_state or self.predictor.reads_actions):
                 self.scored[n] = scored
         priors, value, h, normalized = scored
@@ -254,50 +256,37 @@ class _Search:
                 best, best_score = i, score
         return best
 
-    def _mark_explored(self, node: MCTSNode) -> None:
-        cur = node.parent
-        while cur is not None:
-            if (cur.frontier < len(cur.order)
-                    or any(not cur.children[i].fully_explored for i in cur.expanded)):
-                break
-            cur.fully_explored = True
-            cur = cur.parent
-
     def add_node(self, node: MCTSNode) -> None:
         """Evaluates a new node, the root or a leaf, and backpropagates its
-        reward through it and every ancestor."""
+        reward through it and every ancestor.  A terminal node is fully
+        explored, and so in turn is each ancestor whose slots are all
+        expanded and fully explored; any other node keeps a slot that
+        ``_select`` picks by finite priors, so a playout adds a leaf."""
         reward = self._evaluate(node)
         cur = node
         while cur is not None:
             cur.visits += 1
             cur.reward_sum += reward
             cur = cur.parent
-        if node.fully_explored:
-            self._mark_explored(node)
+        cur = node.parent if node.fully_explored else None
+        while (cur is not None and cur.frontier == len(cur.order)
+               and all(cur.children[i].fully_explored for i in cur.expanded)):
+            cur.fully_explored = True
+            cur = cur.parent
 
-    def playout(self, root: MCTSNode) -> bool:
-        """One select/expand/evaluate/backpropagate pass; returns whether
-        it added a leaf, which the budget or an exhausted subtree blocks."""
+    def playout(self, root: MCTSNode) -> None:
+        """One select/expand/evaluate/backpropagate pass below ``root``,
+        which is not fully explored: it adds exactly one leaf."""
         node = root
-        while True:
+        i = self._select(node)
+        while node.children[i] is not None:
+            node = node.children[i]
             i = self._select(node)
-            if i < 0:
-                # every branch below is exhausted; nothing left to add
-                node.fully_explored = True
-                self._mark_explored(node)
-                return False
-            child = node.children[i]
-            if child is not None:
-                node = child
-                continue
-            if self.inferences >= self.limits.inference_limit:
-                return False
-            state = self.engine.apply(node.state, node.actions[i])
-            self.inferences += 1
-            leaf = MCTSNode(state, node, i, node.depth + 1)
-            node.add_child(i, leaf)
-            self.add_node(leaf)
-            return True
+        state = self.engine.apply(node.state, node.actions[i])
+        self.inferences += 1
+        leaf = MCTSNode(state, node, i, node.depth + 1)
+        node.add_child(i, leaf)
+        self.add_node(leaf)
 
 
 def bigstep(root: MCTSNode) -> Optional[MCTSNode]:
@@ -308,8 +297,10 @@ def bigstep(root: MCTSNode) -> Optional[MCTSNode]:
 def prove(engine: Engine, problem: str, predictor: Predictor,
           limits: Optional[SearchLimits] = None,
           collect_states: bool = False) -> ProofResult:
-    """Search for a closed tableau; stops at the first proof, on budget
-    exhaustion, or when the root subtree is fully explored."""
+    """Search for a closed tableau, one leaf per playout.  Each stop has one
+    site: the current root fully explored (``dead-end``), the budget or
+    the wall clock spent (``budget-exhausted``), the first proof
+    (``solved``); a distribution that is not finite raises ``ValueError``."""
     limits = limits or SearchLimits()
     t0 = time.monotonic()
     search = _Search(engine, predictor, limits, collect_states)
@@ -318,7 +309,6 @@ def prove(engine: Engine, problem: str, predictor: Predictor,
     current = root
     bigstep_nodes = [root]
     status = "budget-exhausted"
-    since_bigstep = 0
 
     while True:
         if current.fully_explored:
@@ -328,18 +318,15 @@ def prove(engine: Engine, problem: str, predictor: Predictor,
             break
         if time.monotonic() - t0 > limits.wall_clock:
             break
-        if not search.playout(current):
-            continue
+        search.playout(current)
         if search.proof_leaf is not None:
             status = "solved"
             break
-        since_bigstep += 1
-        if since_bigstep >= limits.bigstep_frequency:
-            # each counted playout added a leaf below current, so it has
-            # an expanded child
+        # every playout adds one inference and one leaf below current, so
+        # this counts the playouts since the last bigstep
+        if search.inferences % limits.bigstep_frequency == 0:
             current = bigstep(current)
             bigstep_nodes.append(current)
-            since_bigstep = 0
 
     proof = None
     if search.proof_leaf is not None:

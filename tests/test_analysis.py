@@ -30,8 +30,8 @@ from contab.analysis import (
 )
 from contab.clausify import clausify_text, load_matrix
 from contab.corpus import corpus_problems
-from contab.features import FEATURE_DIM
-from contab.policy import LinearPredictor, UniformPredictor, predict, softmax_temperature
+from contab.features import FEATURE_DIM, _hash
+from contab.policy import LinearPredictor, Predictor, UniformPredictor, predict, softmax_temperature
 from contab.search import HARVEST_CAP, SearchLimits
 from contab.tableau import Engine
 
@@ -342,6 +342,59 @@ class TestCompare:
         report = compare(UniformPredictor(), UniformPredictor(), StateBank(), {})
         assert report.states == 0
         assert report.best == report.order == 0.0
+
+
+@pytest.fixture(scope="module")
+def corpus_bank():
+    problems = [(p.stem, Engine(load_matrix(p))) for p in corpus_problems()]
+    return harvest_states(problems, SearchLimits(inference_limit=100)), dict(problems)
+
+
+class AllInfinite(Predictor):
+    """Every action logit +inf: ``inf - inf`` makes the distribution NaN."""
+
+    reads_state = False
+
+    def predict_policy(self, action_features):
+        return np.full(len(action_features), math.inf)
+
+    def predict_value(self, state):
+        return 0.5
+
+
+class TestCompareOverTheCorpus:
+    def test_infinite_kl_terms_are_counted_apart(self, corpus_bank):
+        # a logit gap of 2000 underflows the extension-less actions' mass
+        # to 0 where extensions compete with them, so uniform's KL to it
+        # is infinite there; the mean is over the other states
+        bank, engines = corpus_bank
+        extension = LinearPredictor({_hash("a:extension"): 2000.0})
+        report = compare(UniformPredictor(), extension, bank, engines)
+        assert (report.states, report.infinite_ab, report.infinite_ba) == (43, 10, 0)
+        want = scripted_compare(UniformPredictor(), extension, bank, engines)
+        assert report.kl_ab == want.kl_ab == 0.0
+        assert report.kl_ba == pytest.approx(want.kl_ba, rel=1e-12)
+        mirrored = compare(extension, UniformPredictor(), bank, engines)
+        assert (mirrored.infinite_ab, mirrored.infinite_ba) == (0, 10)
+        assert (mirrored.kl_ab, mirrored.kl_ba) == (report.kl_ba, report.kl_ab)
+
+    def test_the_finite_mean_leaves_the_infinite_terms_out(self, corpus_bank):
+        bank, engines = corpus_bank
+        reduction = LinearPredictor({_hash("a:reduction"): 2000.0, _hash("a:extension"): 1.0})
+        report = compare(UniformPredictor(), reduction, bank, engines)
+        want = scripted_compare(UniformPredictor(), reduction, bank, engines)
+        assert (report.infinite_ab, report.infinite_ba) == (want.infinite_ab,
+                                                              want.infinite_ba) == (2, 0)
+        assert report.kl_ab == pytest.approx(want.kl_ab, rel=1e-12)
+        assert report.kl_ab > 0.0
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_a_distribution_that_is_not_finite_is_an_error(self, corpus_bank):
+        bank, engines = corpus_bank
+        for a, b in ((AllInfinite(), UniformPredictor()), (UniformPredictor(), AllInfinite())):
+            with pytest.raises(ValueError, match="^AllInfinite scored a distribution over "
+                                                 "[0-9]+ actions that is not finite$"):
+                compare(a, b, bank, engines)
 
 
 class TestReportCsv:

@@ -13,7 +13,7 @@ import pytest
 from contab.cli import build_parser, main, parse_predictor_spec
 from contab.clausify import clausify
 from contab.corpus import corpus_dir
-from contab.features import FEATURE_DIM
+from contab.features import FEATURE_DIM, extract_action_features
 from contab.learn import LoopConfig, TrainConfig, prove_problems
 from contab.policy import (FixedEntropyPredictor, LinearPredictor,
                            UniformPredictor, load_model, normalized_entropy,
@@ -195,6 +195,24 @@ class TestProve:
         for path in problems:
             trace = f"traces/{path.stem}.trace"
             assert (out / trace).read_bytes() == (want / trace).read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_distribution_that_is_not_finite_exits_2(self, tmp_path, capsys, workers):
+        # every feature of excluded's two start actions weighs 1e308, so
+        # each logit sums to +inf; two workers prove side by side
+        problem = corpus_dir() / "excluded.p"
+        engine = Engine(clausify(parse_problem_file(problem)))
+        root = engine.root_state()
+        model = tmp_path / "inf.model"
+        save_model(model, "policy", {i: 1e308 for a in engine.legal_actions(root)
+                                     for i in extract_action_features(root, a, engine.matrix)})
+        code = run_cli("prove", problem, corpus_dir() / "branch2.p", "--out", tmp_path / "o",
+                       *FAST_LIMITS,
+                       "--workers", workers, "--predictor", f"linear:policy={model}")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: LinearPredictor scored a distribution over 2 actions that is not finite\n")
 
     def test_corpus_env_var_supplies_problems(self, problem_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("CONTAB_CORPUS_DIR", str(problem_dir))
@@ -715,8 +733,13 @@ class TestPredictorSpecs:
          f"model dim 100000000000000 is not the feature dimension {FEATURE_DIM}"),
         (f"kind policy\ndim {FEATURE_DIM}\ntemperature 1.0\nalpha 0.7\nnonzero 2\n3 1.0\n",
          "header counts 2 weights, 1 follow"),
+        (f"kind policy\ndim {FEATURE_DIM}\ntemperature -1.0\nalpha 0.7\nnonzero 0\n",
+         "temperature -1.0 is not positive"),
+        (f"kind policy\ndim {FEATURE_DIM}\ntemperature 0.0\nalpha 0.7\nnonzero 0\n",
+         "temperature 0.0 is not positive"),
     ], ids=["no-dim", "index-past-dim", "negative-index", "weight-line-without-value",
-            "non-integer-dim", "other-dim", "huge-dim", "truncated"])
+            "non-integer-dim", "other-dim", "huge-dim", "truncated", "negative-temperature",
+            "zero-temperature"])
     def test_damaged_model_file_exits_2(self, problem_dir, tmp_path, capsys, body, complaint):
         model = tmp_path / "bad.model"
         model.write_text("contab-model v1\n" + body)

@@ -464,6 +464,16 @@ class TestExampleFiles:
             assert a.value_target == b.value_target  # exact, via repr
             assert a.policy_targets == b.policy_targets
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        examples = synthetic_examples(3, seed=8)
+        path = tmp_path / "ex.txt"
+        write_examples(path, examples)
+        magic, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([magic, "", rows[0], "", "", rows[1], rows[2], ""]) + "\n")
+        back = read_examples(path)
+        assert [(b.problem, b.value_target, b.policy_targets) for b in back] == [
+            (a.problem, a.value_target, a.policy_targets) for a in examples]
+
     def test_magic_line_written(self, tmp_path):
         path = tmp_path / "ex.txt"
         write_examples(path, [])
@@ -690,6 +700,24 @@ class TestRunLoop:
         (tmp_path / "loop_state.txt").write_text("completed 1\n")
         with pytest.raises(ValueError, match="records no alpha"):
             run_loop(loop_problems(), 2, small_loop_config(), out_dir=str(tmp_path), resume=True)
+
+    def test_resume_without_a_checkpoint_starts_at_iteration_0(self, tmp_path):
+        fresh = run_loop(loop_problems(), 1, small_loop_config(), out_dir=str(tmp_path / "a"))
+        resumed = run_loop(loop_problems(), 1, small_loop_config(), out_dir=str(tmp_path / "b"),
+                           resume=True)
+        assert [s.row() for s in resumed.stats] == [s.row() for s in fresh.stats]
+        assert [s.iteration for s in resumed.stats] == [0, 1]
+        assert (tmp_path / "b" / "stats.csv").read_bytes() == (
+            tmp_path / "a" / "stats.csv").read_bytes()
+
+    def test_resume_refuses_a_state_file_without_a_completed_line(self, tmp_path):
+        run_loop(loop_problems(), 1, small_loop_config(), out_dir=str(tmp_path))
+        state = tmp_path / "loop_state.txt"
+        state.write_text("".join(ln for ln in state.read_text().splitlines(keepends=True)
+                                 if not ln.startswith("completed ")))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(state))}: not a loop checkpoint$"):
+            run_loop(loop_problems(), 2, small_loop_config(), out_dir=str(tmp_path), resume=True)
+        assert not (tmp_path / "examples_iter2.txt").exists()
 
     def test_resume_requires_out_dir(self):
         with pytest.raises(ValueError):

@@ -146,6 +146,36 @@ class TestSoftmax:
         assert np.isfinite(p).all()
         assert p[0] == pytest.approx(1.0)
 
+    def test_a_tiny_temperature_puts_all_mass_on_the_maximum(self):
+        # each logit divided by the temperature on its own overflows, and
+        # inf - inf is NaN
+        assert softmax_temperature([1.0, 2.0], 1e-308).tolist() == [0.0, 1.0]
+        with np.errstate(over="ignore"):
+            p = softmax_temperature([[3.0, -1.0, 3.0], [0.0, 1e-300, 5.0]], 1e-310)
+        assert p.tolist() == [[0.5, 0.0, 0.5], [0.0, 0.0, 1.0]]
+
+    def test_at_temperature_one_the_bits_are_those_of_dividing_first(self):
+        rng = np.random.default_rng(24)
+        for n in range(1, 40):
+            logits = rng.standard_normal((4, n)) * 10.0 ** rng.integers(-3, 4)
+            arr = logits / 1.0
+            e = np.exp(arr - arr.max(axis=-1, keepdims=True))
+            assert softmax_temperature(logits, 1.0).tobytes() == (
+                e / e.sum(axis=-1, keepdims=True)).tobytes()
+
+
+class TestCheckDistribution:
+    def test_finite_distributions_pass(self):
+        for probs in ([1.0], [0.0, 1.0], np.array([0.25, 0.75]), [1e-300, 1.0]):
+            policy_module.check_distribution(UniformPredictor(), probs)
+
+    @pytest.mark.parametrize("probs", [[math.nan, 0.5], [0.5, math.inf], [-math.inf, 1.0],
+                                       np.array([math.nan, math.nan])])
+    def test_nan_or_infinity_is_refused_naming_the_predictor(self, probs):
+        with pytest.raises(ValueError, match="^LinearPredictor scored a distribution over 2 "
+                                             "actions that is not finite$"):
+            policy_module.check_distribution(LinearPredictor(), probs)
+
 
 class TestFixedEntropyVectors:
     def test_target_one_is_exact_uniform(self):
@@ -620,6 +650,10 @@ class TestModelFiles:
         (lambda lines: lines[:-1] + [lines[-1].split()[0] + " -inf"], "not finite"),
         (lambda lines: [ln.replace("temperature 1.5", "temperature inf") for ln in lines],
          "not finite"),
+        (lambda lines: [ln.replace("temperature 1.5", "temperature 0.0") for ln in lines],
+         "temperature 0.0 is not positive"),
+        (lambda lines: [ln.replace("temperature 1.5", "temperature -1.0") for ln in lines],
+         "temperature -1.0 is not positive"),
         (lambda lines: [ln.replace("alpha 0.7", "alpha nan") for ln in lines],
          "not finite"),
         (lambda lines: [ln.replace(f"dim {FEATURE_DIM}", "dim 64") for ln in lines],
@@ -627,7 +661,7 @@ class TestModelFiles:
         (lambda lines: [ln.replace(f"dim {FEATURE_DIM}", "dim 100000000000000") for ln in lines],
          "model dim 100000000000000 is not"),
     ], ids=["truncated", "extra-line", "repeated-index", "nan-weight", "infinite-weight",
-            "infinite-temperature", "nan-alpha", "other-dim", "huge-dim"])
+            "infinite-temperature", "zero-temperature", "negative-temperature", "nan-alpha", "other-dim", "huge-dim"])
     def test_damaged_file_rejected_by_name(self, tmp_path, damage, complaint):
         w = dict(zip(range(3, 64, 4), np.arange(1.0, 15.0)))
         p = tmp_path / "m.model"

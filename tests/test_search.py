@@ -20,8 +20,11 @@ import numpy as np
 import pytest
 
 import contab.search as search_module
-from contab.clausify import clausify, clausify_text
-from contab.policy import FixedEntropyPredictor, Predictor, UniformPredictor, predict
+from contab.clausify import clausify, clausify_text, load_matrix
+from contab.corpus import corpus_dir, corpus_problems
+from contab.features import _hash
+from contab.policy import (FixedEntropyPredictor, LinearPredictor, Predictor,
+                           UniformPredictor, predict)
 from contab.search import (
     DISCOUNT,
     HARVEST_CAP,
@@ -439,6 +442,36 @@ class TestTreeInvariants:
         result = prove(engine, "t", UniformPredictor(), limits)
         assert result.inferences == result.playouts == calls == 77
 
+    def test_select_finds_a_slot_below_every_node_that_is_not_fully_explored(
+            self, monkeypatch):
+        # the invariant that lets every playout add one leaf; the dead ends
+        # exhaust whole subtrees on the way
+        real_select = _Search._select
+        calls = 0
+
+        def checked(search, node):
+            nonlocal calls
+            calls += 1
+            assert not node.fully_explored
+            i = real_select(search, node)
+            assert 0 <= i < len(node.children)
+            return i
+
+        monkeypatch.setattr(_Search, "_select", checked)
+        statuses = set()
+        for path in corpus_problems():
+            engine = Engine(load_matrix(path))
+            for predictor in (UniformPredictor(), LinearPredictor({_hash("a:extension"): 1.0})):
+                result = prove(engine, path.stem, predictor,
+                               SearchLimits(inference_limit=300, bigstep_frequency=50))
+                statuses.add(result.status)
+        for text in (DEADEND, BRANCHY, INFINITE):
+            result = prove(Engine(clausify_text(text)), "p", UniformPredictor(),
+                           SearchLimits(inference_limit=300, bigstep_frequency=7))
+            statuses.add(result.status)
+        assert statuses == {"solved", "dead-end", "budget-exhausted"}
+        assert calls > 1000
+
 
 GROUP_EQ = (
     "cnf(assoc, axiom, m(m(X, Y), Z) = m(X, m(Y, Z))).\n"
@@ -487,6 +520,42 @@ class TestDeclaredReadsChangeNothing:
         reading = prove(engine, "eq", ReadsEverything(), limits)
         assert uniform.inferences == 400 and uniform.bigsteps > 0
         assert self.outcome(uniform) == self.outcome(reading)
+
+
+class AllInfinite(Predictor):
+    """Every action logit +inf: ``inf - inf`` makes the distribution NaN."""
+
+    reads_state = False
+
+    def predict_policy(self, action_features):
+        return np.full(len(action_features), math.inf)
+
+    def predict_value(self, state):
+        return 0.5
+
+
+class TestPriorsThatAreNotFinite:
+    # at this temperature every logit gap overflows the division by it; the
+    # priors must stay finite, or _select ranks no slot and a theorem reads
+    # as a dead end
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("name", ["branch2", "branch3", "cases", "eq_cond", "path_close"])
+    def test_a_tiny_temperature_still_proves_the_theorems(self, name):
+        predictor = LinearPredictor({_hash("a:extension"): 1.0}, temperature=1e-310)
+        engine = Engine(load_matrix(corpus_dir() / f"{name}.p"))
+        result = prove(engine, name, predictor,
+                       SearchLimits(inference_limit=300, bigstep_frequency=50))
+        assert result.status == "solved"
+        assert engine.check_proof(result.proof)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("name", ["cases", "branch2", "excluded"])
+    def test_infinite_logits_are_an_error_naming_the_predictor(self, name):
+        engine = Engine(load_matrix(corpus_dir() / f"{name}.p"))
+        with pytest.raises(ValueError, match="^AllInfinite scored a distribution over 2 "
+                                             "actions that is not finite$"):
+            prove(engine, name, AllInfinite(),
+                  SearchLimits(inference_limit=300, bigstep_frequency=50))
 
 
 class TestLeavesWithoutActions:

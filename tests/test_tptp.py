@@ -36,6 +36,13 @@ class TestBasicParsing:
         p = parse_problem("cnf(c, axiom, p(a) | ~q(b)).")
         assert p.formulas[0].lang == "cnf"
 
+    def test_a_parenthesized_cnf_clause_is_the_bare_one(self):
+        wrapped = parse_problem("cnf(c, axiom, (p(X) | ~q(X))).")
+        bare = parse_problem("cnf(c, axiom, p(X) | ~q(X)).")
+        assert wrapped.formulas == bare.formulas
+        assert clausify(wrapped).dump() == clausify(bare).dump() == (
+            "clause 0 start: p(X0) | ~q(X0)\n")
+
     def test_variables_are_uppercase_names(self):
         p = parse_problem("fof(ax, axiom, ! [X] : p(X)).")
         q = p.formulas[0].formula
@@ -204,6 +211,13 @@ class TestLexicalErrors:
          "expected a variable, found 'x'", 3, 21),
         ("fof(a, axiom, p).\n  fof(b, axiom, X).", ParseError,
          "expected '=' or '!=' after a term, found ')'", 2, 18),
+        ("fof(a, axiom, p => q => r).", ParseError,
+         "'=>' is non-associative; parenthesize", 1, 22),
+        ("fof(a, axiom, p & q | r).", ParseError,
+         "cannot mix '&' with '|' without parentheses", 1, 21),
+        ("fof(a, axiom, p).\n(", ParseError,
+         "expected a cnf/fof/include directive, found '('", 2, 1),
+        ("fof(, axiom, p).", ParseError, "expected a formula name", 1, 5),
     ]
 
     @pytest.mark.parametrize("text,cls,message,line,col", CASES)
