@@ -20,10 +20,10 @@ fof(goal, conjecture, mortal(socrates)).
 
 def show_matrix(matrix):
     print("clausal matrix (conjecture negated, variables clause-local):")
-    for clause in matrix.clauses:
-        lits = " | ".join(literal_str(l) for l in clause.literals)
-        marker = "*" if clause.id in matrix.start_ids else " "
-        print(f"  {marker} c{clause.id}: {lits}")
+    for cid, clause in enumerate(matrix.clauses):
+        lits = " | ".join(literal_str(l) for l in clause)
+        marker = "*" if cid in matrix.start_ids else " "
+        print(f"  {marker} c{cid}: {lits}")
     print("  (* = start clause candidates)\n")
 
 

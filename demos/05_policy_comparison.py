@@ -22,7 +22,7 @@ def main():
 
     bank = harvest_states(problems,
                           SearchLimits(inference_limit=400, bigstep_frequency=50))
-    contributors = len({e.problem for e in bank.entries})
+    contributors = len({e.problem for e in bank})
     print(f"bank: {len(bank)} states with >=2 actions "
           f"from {contributors} problems\n")
 

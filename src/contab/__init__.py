@@ -1,8 +1,8 @@
 """Connection tableau prover with MCTS guidance, entropy-shaped policy
 predictors, a prove/learn loop, and distribution-comparison tools."""
 
-from .analysis import (AgreementReport, StateBank, compare, harvest_states,
-                       kl_divergence, load_bank, report_csv, save_bank)
+from .analysis import (AgreementReport, compare, harvest_states, kl_divergence,
+                       load_bank, report_csv, save_bank)
 from .clausify import ClausifyError, clausify, clausify_text, load_matrix
 from .learn import (LoopConfig, TrainConfig, TrainingExample, extract_training_data,
                     policy_loss, run_loop, train, value_loss)
@@ -13,13 +13,13 @@ from .policy import (FixedEntropyPredictor, LinearPredictor, Predictor,
 from .search import MCTSNode, ProofResult, SearchLimits, bigstep, prove
 from .tableau import (Action, Engine, IllegalActionError, ProofCheck, TableauState,
                       decode_action, read_trace, write_trace)
-from .terms import Clause, Literal, Matrix
-from .tptp import ParseError, Problem, UnsupportedError, parse_problem, parse_problem_file
+from .terms import Literal, Matrix
+from .tptp import ParseError, UnsupportedError, parse_problem, parse_problem_file
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgreementReport", "StateBank", "compare", "harvest_states", "kl_divergence",
+    "AgreementReport", "compare", "harvest_states", "kl_divergence",
     "load_bank", "report_csv", "save_bank",
     "ClausifyError", "clausify", "clausify_text", "load_matrix",
     "LoopConfig", "TrainConfig", "TrainingExample", "extract_training_data",
@@ -30,7 +30,7 @@ __all__ = [
     "MCTSNode", "ProofResult", "SearchLimits", "bigstep", "prove",
     "Action", "Engine", "IllegalActionError", "ProofCheck", "TableauState",
     "decode_action", "read_trace", "write_trace",
-    "Clause", "Literal", "Matrix",
-    "ParseError", "Problem", "UnsupportedError", "parse_problem", "parse_problem_file",
+    "Literal", "Matrix",
+    "ParseError", "UnsupportedError", "parse_problem", "parse_problem_file",
     "__version__",
 ]

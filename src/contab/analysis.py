@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,23 +45,15 @@ class BankEntry:
     n_actions: int
 
 
-@dataclass
-class StateBank:
-    entries: List[BankEntry] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def harvest_states(problems: Sequence[Tuple[str, Engine]],
-                   limits: Optional[SearchLimits] = None) -> StateBank:
-    """Runs the uniform predictor over every problem and records each
-    expanded state with at least two legal actions, identified by its
-    action path.  Per-problem contribution is capped inside the search;
-    paths are already unique per expansion, deduplication here guards
-    against replays of the same problem list."""
+                   limits: Optional[SearchLimits] = None) -> List[BankEntry]:
+    """Runs the uniform predictor over every problem and returns the bank:
+    a :class:`BankEntry` for each expanded state with at least two legal
+    actions, identified by its action path.  Per-problem contribution is
+    capped inside the search; paths are already unique per expansion,
+    deduplication here guards against replays of the same problem list."""
     limits = limits or SearchLimits()
-    bank = StateBank()
+    bank: List[BankEntry] = []
     seen = set()
     for name, engine in problems:
         result = prove(engine, name, UniformPredictor(), limits, collect_states=True)
@@ -70,27 +62,28 @@ def harvest_states(problems: Sequence[Tuple[str, Engine]],
             if key in seen:
                 continue
             seen.add(key)
-            bank.entries.append(BankEntry(name, path, n_actions))
+            bank.append(BankEntry(name, path, n_actions))
         result.drop_tree()
     return bank
 
 
-def save_bank(path, bank: StateBank) -> None:
+def save_bank(path, bank: Sequence[BankEntry]) -> None:
     with atomic_open(path) as fh:
         fh.write(BANK_MAGIC + "\n")
-        for e in bank.entries:
+        for e in bank:
             encoded = ";".join(e.path) if e.path else "-"
             fh.write(f"{e.problem}\t{encoded}\t{e.n_actions}\n")
 
 
-def load_bank(path) -> StateBank:
-    """A malformed line, or a state with fewer than two actions (harvest
-    records none), raises ``ValueError`` naming the file and line."""
+def load_bank(path) -> List[BankEntry]:
+    """The bank's entries in file order.  A malformed line, or a state with
+    fewer than two actions (harvest records none), raises ``ValueError``
+    naming the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != BANK_MAGIC:
         raise ValueError(f"{path}: not a recognized state-bank file")
-    bank = StateBank()
+    bank: List[BankEntry] = []
     for lineno, ln in enumerate(lines[1:], start=2):
         if not ln:
             continue
@@ -101,7 +94,7 @@ def load_bank(path) -> StateBank:
                 raise ValueError(f"a bank state has at least 2 actions, got {entry.n_actions}")
         except ValueError as e:
             raise ValueError(f"{path}:{lineno}: {e}") from None
-        bank.entries.append(entry)
+        bank.append(entry)
     return bank
 
 
@@ -154,7 +147,7 @@ def rank_groups(p: Sequence[float]) -> np.ndarray:
     return ranks
 
 
-def compare(pred_a: Predictor, pred_b: Predictor, bank: StateBank,
+def compare(pred_a: Predictor, pred_b: Predictor, bank: Sequence[BankEntry],
             engines: Dict[str, Engine]) -> AgreementReport:
     """Evaluates both predictors on every bank state over the identical
     canonical action list.  Sums are reduced sequentially in bank order
@@ -163,7 +156,7 @@ def compare(pred_a: Predictor, pred_b: Predictor, bank: StateBank,
     best_hits = order_hits = 0
     kl_ab_sum = kl_ba_sum = 0.0
     inf_ab = inf_ba = 0
-    for entry in bank.entries:
+    for entry in bank:
         engine = engines[entry.problem]
         state = replay_entry(engine, entry)
         actions = engine.legal_actions(state)
@@ -192,7 +185,7 @@ def compare(pred_a: Predictor, pred_b: Predictor, bank: StateBank,
             inf_ba += 1
         else:
             kl_ba_sum += d
-    n = len(bank.entries)
+    n = len(bank)
     return AgreementReport(
         best=best_hits / n if n else 0.0,
         order=order_hits / n if n else 0.0,

@@ -24,16 +24,16 @@ count again.  Both passes dispatch on the exact node type.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
-from .terms import EQ, Clause, Literal, Matrix
+from .terms import EQ, Literal, Matrix
 from .tptp import (
+    AnnotatedFormula,
     FAtom,
     FBin,
     FConst,
     FNeg,
     FQuant,
-    Problem,
     parse_problem,
     parse_problem_file,
 )
@@ -43,16 +43,17 @@ class ClausifyError(ValueError):
     pass
 
 
-def clausify(problem: Problem) -> Matrix:
-    """Convert a parsed problem into a :class:`Matrix`."""
+def clausify(formulas: Sequence[AnnotatedFormula]) -> Matrix:
+    """Convert a problem's annotated formulas, as :func:`parse_problem`
+    returns them, into a :class:`Matrix`."""
     # every symbol of the problem is read before the first Skolem name is made
     used_symbols: set = set()
-    free_vars = [_scan(af.formula, frozenset(), used_symbols, set()) for af in problem.formulas]
+    free_vars = [_scan(af.formula, frozenset(), used_symbols, set()) for af in formulas]
     ctx = _Ctx(used_symbols)
-    clauses: List[Clause] = []
+    clauses: List[tuple] = []
     start_ids: List[int] = []
     var_counts: List[int] = []
-    for af, free in zip(problem.formulas, free_vars):
+    for af, free in zip(formulas, free_vars):
         f = FQuant("!", tuple(sorted(free)), af.formula) if free else af.formula
         # conjectures are refuted; negated_conjecture and cnf inputs are
         # already in refutation form
@@ -64,20 +65,20 @@ def clausify(problem: Problem) -> Matrix:
             literals, nvars = _number_vars(dict.fromkeys(lits))
             if is_start:
                 start_ids.append(len(clauses))
-            clauses.append(Clause(len(clauses), literals))
+            clauses.append(literals)
             var_counts.append(nvars)
 
     if not clauses:
         raise ClausifyError("problem contains no clauses")
     if not start_ids:
-        start_ids = [c.id for c in clauses]
+        start_ids = list(range(len(clauses)))
 
     reflexivity_id = None
     # an equation the clauses lost (as in ``$true | a = b``) adds no
     # reflexivity clause
-    if EQ in used_symbols and any(l.pred == EQ for c in clauses for l in c.literals):
+    if EQ in used_symbols and any(l.pred == EQ for c in clauses for l in c):
         reflexivity_id = len(clauses)
-        clauses.append(Clause(reflexivity_id, (Literal(False, EQ, (0, 0)),)))
+        clauses.append((Literal(False, EQ, (0, 0)),))
         var_counts.append(1)
 
     return Matrix(clauses, start_ids, reflexivity_id, var_counts)

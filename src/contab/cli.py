@@ -346,7 +346,7 @@ def cmd_analyze(args) -> int:
                                 f"run `contab harvest` first to create one")
     engine_map = dict(_engines_skipping_errors(args))
     bank = load_bank(bank_path)
-    missing = sorted({e.problem for e in bank.entries} - set(engine_map))
+    missing = sorted({e.problem for e in bank} - set(engine_map))
     if missing:
         raise ValueError(f"bank references problems not in the problem set: {missing}")
     report = compare(pred_a, pred_b, bank, engine_map)

@@ -153,14 +153,14 @@ def extract_action_features(state: TableauState, action: Action, matrix) -> Dict
     goal_root = "" if goal is None else ("~" if goal.neg else "") + goal.pred
 
     if action.kind == START:
-        for lit in matrix.clauses[action.clause_id].literals:
+        for lit in matrix.clauses[action.clause_id]:
             _add_literal(counts, "t:", lit)
         return counts
 
     if action.kind == REDUCTION:
         target = apply_subst_lit(state.path[action.path_index], state.subst)
     else:
-        target = matrix.clauses[action.clause_id].literals[action.literal_index]
+        target = matrix.clauses[action.clause_id][action.literal_index]
     _add_literal(counts, "t:", target)
     target_root = ("~" if target.neg else "") + target.pred
     _add(counts, "x:", [goal_root + "|" + target_root])

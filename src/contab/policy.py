@@ -257,6 +257,7 @@ class FixedEntropyPredictor(Predictor):
             return np.zeros(n)
         base_logits = self.base.predict_policy(action_features)
         reference = softmax_temperature(base_logits, self.base.temperature)
+        check_distribution(self.base, reference)
         probs = apply_order_preserving(self.vector_for(n), reference)
         # logits = ln p reproduce p exactly under softmax at T = 1
         return np.log(probs)

@@ -250,11 +250,11 @@ class Engine:
         self.by_key: dict = {}
         # (clause_id, literal_index, equation, head of its left side, of its right)
         self.equations: List[Tuple[int, int, Literal, Optional[tuple], Optional[tuple]]] = []
-        for c in matrix.clauses:
-            for i, lit in enumerate(c.literals):
-                self.by_key.setdefault((lit.pred, lit.neg), []).append((c.id, i))
-                if lit.pred == EQ and not lit.neg and c.id != matrix.reflexivity_id:
-                    self.equations.append((c.id, i, lit, head(lit.args[0]), head(lit.args[1])))
+        for cid, c in enumerate(matrix.clauses):
+            for i, lit in enumerate(c):
+                self.by_key.setdefault((lit.pred, lit.neg), []).append((cid, i))
+                if lit.pred == EQ and not lit.neg and cid != matrix.reflexivity_id:
+                    self.equations.append((cid, i, lit, head(lit.args[0]), head(lit.args[1])))
         # (pred, neg) -> by_key's entries as _candidate gives them; filled
         # per key on first use, since most keys of a wide matrix are never
         # looked up
@@ -298,7 +298,7 @@ class Engine:
         if candidates is None:
             clauses = self.matrix.clauses
             candidates = self._candidates[neg_key] = [
-                _candidate(cid, li, clauses[cid].literals[li])
+                _candidate(cid, li, clauses[cid][li])
                 for cid, li in self.by_key.get(neg_key, ())]
         goal_heads = None  # found for the first candidate that needs them
         for cid, li, lit, fixed, free in candidates:
@@ -344,7 +344,7 @@ class Engine:
         ``legal_actions(s)`` offers, so the unifications here cannot fail
         and only compute the bindings."""
         if a.kind == START:
-            goals = tuple((lit, 0) for lit in self.matrix.clauses[a.clause_id].literals)
+            goals = tuple((lit, 0) for lit in self.matrix.clauses[a.clause_id])
             return TableauState(True, goals, (), {}, self.var_counts[a.clause_id], s)
         goal = s.goals[0][0]
         subst = dict(s.subst)
@@ -354,7 +354,7 @@ class Engine:
             new = []
         else:
             clause = self.matrix.clauses[a.clause_id]
-            new = [offset_literal(lit, next_var) for lit in clause.literals]
+            new = [offset_literal(lit, next_var) for lit in clause]
             conn = new.pop(a.literal_index)
             next_var += self.var_counts[a.clause_id]
             if a.kind == EXTENSION:

@@ -27,13 +27,9 @@ class Literal(NamedTuple):
     args: tuple
 
 
-class Clause(NamedTuple):
-    id: int
-    literals: tuple
-
-
 class Matrix:
-    """Clausal form of a problem: clauses with dense ids plus start-clause ids.
+    """Clausal form of a problem: clauses, each a tuple of :class:`Literal`
+    whose id is its index in ``clauses``, plus start-clause ids.
 
     ``reflexivity_id`` marks an automatically added ``X = X`` clause (present
     only when the problem mentions equality); it is excluded from
@@ -51,9 +47,6 @@ class Matrix:
         elif len(var_counts) != len(self.clauses):
             raise ValueError("one variable count per clause is needed")
         self.var_counts = list(var_counts)
-        for i, c in enumerate(self.clauses):
-            if c.id != i:
-                raise ValueError("clause ids must be dense and in order")
         if not self.start_ids:
             raise ValueError("matrix needs at least one start clause")
 
@@ -196,9 +189,9 @@ def offset_literal(lit: Literal, k: int) -> Literal:
     return Literal(lit.neg, lit.pred, tuple(offset_term(a, k) for a in lit.args))
 
 
-def clause_var_count(clause: Clause) -> int:
+def clause_var_count(clause: tuple) -> int:
     vs: set = set()
-    for lit in clause.literals:
+    for lit in clause:
         for a in lit.args:
             term_vars(a, vs)
     return max(vs) + 1 if vs else 0
@@ -271,15 +264,15 @@ def literal_str(lit: Literal, names=None) -> str:
     return f"~{s}" if lit.neg else s
 
 
-def canonical_clause_str(clause: Clause) -> str:
+def canonical_clause_str(clause: tuple) -> str:
     """Clause text with variables renumbered 0.. in order of first use."""
     names: dict = {}
-    for lit in clause.literals:
+    for lit in clause:
         for a in lit.args:
             for v in _var_order(a):
                 if v not in names:
                     names[v] = f"X{len(names)}"
-    return " | ".join(literal_str(lit, names) for lit in clause.literals)
+    return " | ".join(literal_str(lit, names) for lit in clause)
 
 
 def _var_order(t: Term) -> Iterator[int]:
@@ -294,7 +287,7 @@ def matrix_dump(matrix: Matrix) -> str:
     """Deterministic text form: one clause per line, canonical variables."""
     lines = []
     starts = set(matrix.start_ids)
-    for c in matrix.clauses:
-        tag = " start" if c.id in starts else ""
-        lines.append(f"clause {c.id}{tag}: {canonical_clause_str(c)}")
+    for cid, c in enumerate(matrix.clauses):
+        tag = " start" if cid in starts else ""
+        lines.append(f"clause {cid}{tag}: {canonical_clause_str(c)}")
     return "\n".join(lines) + "\n"

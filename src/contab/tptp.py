@@ -88,10 +88,6 @@ class AnnotatedFormula(NamedTuple):
     lang: str  # 'cnf' or 'fof'
 
 
-class Problem(NamedTuple):
-    formulas: Tuple[AnnotatedFormula, ...]
-
-
 # ---------------------------------------------------------------------------
 # tokenizer
 
@@ -249,7 +245,7 @@ class _Parser:
 
     # -- top level ----------------------------------------------------------
 
-    def parse_problem(self) -> Problem:
+    def parse_problem(self) -> Tuple[AnnotatedFormula, ...]:
         out: List[AnnotatedFormula] = []
         while self.peek() != "EOF":
             text = self.texts[self.pos]
@@ -264,7 +260,7 @@ class _Parser:
             if text not in _LANG_DIRECTIVES:
                 self.fail(f"unknown directive '{text}'", self.pos, UnsupportedError)
             out.append(self._parse_annotated(text))
-        return Problem(tuple(out))
+        return tuple(out)
 
     def _parse_include(self):
         self.next()  # include
@@ -289,7 +285,7 @@ class _Parser:
         sub = _Parser(text, os.path.dirname(path), self.seen_includes)
         sub.fun_arity = self.fun_arity
         sub.pred_arity = self.pred_arity
-        return list(sub.parse_problem().formulas)
+        return sub.parse_problem()
 
     def _parse_annotated(self, lang: str) -> AnnotatedFormula:
         self.next()  # cnf/fof
@@ -449,12 +445,13 @@ class _Parser:
         return self._parse_atomic()
 
 
-def parse_problem(text: str, source_dir: Optional[str] = None) -> Problem:
-    """Parse a TPTP-subset document into a :class:`Problem` AST."""
+def parse_problem(text: str, source_dir: Optional[str] = None) -> Tuple[AnnotatedFormula, ...]:
+    """Parse a TPTP-subset document into its annotated formulas, in input
+    order, with included files' formulas in place of their directives."""
     return _Parser(text, source_dir).parse_problem()
 
 
-def parse_problem_file(path) -> Problem:
+def parse_problem_file(path) -> Tuple[AnnotatedFormula, ...]:
     path = os.fspath(path)
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()

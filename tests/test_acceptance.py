@@ -90,7 +90,7 @@ def test_criterion_2_calculus_soundness_on_corpus():
     solved = replayed = 0
     eq_names = []
     for name, engine in problems:
-        if any(l.pred == "=" for c in engine.matrix.clauses for l in c.literals):
+        if any(l.pred == "=" for c in engine.matrix.clauses for l in c):
             eq_names.append(name)
         result = prove(engine, name, UniformPredictor(), limits)
         if result.solved:
@@ -233,13 +233,13 @@ def test_criterion_3_search_tree_properties():
 
 def bank_mean_entropy(predictor, bank, engines):
     total = 0.0
-    for e in bank.entries:
+    for e in bank:
         engine = engines[e.problem]
         state = replay_entry(engine, e)
         probs, _ = predict(predictor, state, engine.legal_actions(state),
                            engine.matrix)
         total += normalized_entropy(probs)
-    return total / len(bank.entries)
+    return total / len(bank)
 
 
 def test_criterion_4_entropy_coefficient_trend(alpha_loops, corpus_bank):

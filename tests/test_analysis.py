@@ -16,7 +16,6 @@ from contab.analysis import (
     AGREEMENT_COLUMNS,
     AgreementReport,
     BankEntry,
-    StateBank,
     agreement_rows,
     compare,
     format_cell,
@@ -31,7 +30,8 @@ from contab.analysis import (
 from contab.clausify import clausify_text, load_matrix
 from contab.corpus import corpus_problems
 from contab.features import FEATURE_DIM, _hash
-from contab.policy import LinearPredictor, Predictor, UniformPredictor, predict, softmax_temperature
+from contab.policy import (FixedEntropyPredictor, LinearPredictor, Predictor, UniformPredictor,
+                           predict, softmax_temperature)
 from contab.search import HARVEST_CAP, SearchLimits
 from contab.tableau import Engine
 
@@ -168,11 +168,11 @@ class TestHarvest:
     def test_branching_problems_yield_entries(self):
         bank, engines = bank_fixture()
         assert len(bank) > 0
-        assert {e.problem for e in bank.entries} >= {"branchy", "rewrite2"}
+        assert {e.problem for e in bank} >= {"branchy", "rewrite2"}
 
     def test_entries_replay_to_recorded_action_count(self):
         bank, engines = bank_fixture()
-        for entry in bank.entries:
+        for entry in bank:
             state = replay_entry(engines[entry.problem], entry)
             actions = engines[entry.problem].legal_actions(state)
             assert len(actions) == entry.n_actions
@@ -181,8 +181,8 @@ class TestHarvest:
     def test_harvest_is_deterministic(self):
         bank_a, _ = bank_fixture()
         bank_b, _ = bank_fixture()
-        assert [(e.problem, e.path, e.n_actions) for e in bank_a.entries] == [
-            (e.problem, e.path, e.n_actions) for e in bank_b.entries
+        assert [(e.problem, e.path, e.n_actions) for e in bank_a] == [
+            (e.problem, e.path, e.n_actions) for e in bank_b
         ]
 
     def test_repeated_problem_contributes_once(self):
@@ -198,7 +198,7 @@ class TestHarvest:
         bank = harvest_states(problems, limits)
         assert len(bank) == 43  # first-run snapshot, frozen
         per = {}
-        for e in bank.entries:
+        for e in bank:
             per[e.problem] = per.get(e.problem, 0) + 1
         assert max(per.values()) <= HARVEST_CAP
 
@@ -206,12 +206,12 @@ class TestHarvest:
 class TestBankFiles:
     def test_roundtrip(self, tmp_path):
         bank, _ = bank_fixture()
-        bank.entries.append(BankEntry("rootcase", (), 3))
+        bank.append(BankEntry("rootcase", (), 3))
         path = tmp_path / "states.bank"
         save_bank(path, bank)
         back = load_bank(path)
-        assert [(e.problem, e.path, e.n_actions) for e in back.entries] == [
-            (e.problem, e.path, e.n_actions) for e in bank.entries
+        assert [(e.problem, e.path, e.n_actions) for e in back] == [
+            (e.problem, e.path, e.n_actions) for e in bank
         ]
         assert path.read_text().splitlines()[0] == "contab-bank v1"
 
@@ -236,7 +236,7 @@ def scripted_compare(pred_a, pred_b, bank, engines, tol=1e-9):
     best = order = 0
     ab, ba = [], []
     inf_ab = inf_ba = 0
-    for entry in bank.entries:
+    for entry in bank:
         engine = engines[entry.problem]
         state = replay_entry(engine, entry)
         actions = engine.legal_actions(state)
@@ -275,7 +275,7 @@ def scripted_compare(pred_a, pred_b, bank, engines, tol=1e-9):
             inf_ba += 1
         else:
             ba.append(float(d))
-    n = len(bank.entries)
+    n = len(bank)
     return AgreementReport(
         best=best / n if n else 0.0,
         order=order / n if n else 0.0,
@@ -334,12 +334,12 @@ class TestCompare:
 
     def test_stale_bank_entry_is_an_error(self):
         bank, engines = bank_fixture()
-        bank.entries[0].n_actions += 1
+        bank[0].n_actions += 1
         with pytest.raises(ValueError):
             compare(UniformPredictor(), UniformPredictor(), bank, engines)
 
     def test_empty_bank_reports_zeros(self):
-        report = compare(UniformPredictor(), UniformPredictor(), StateBank(), {})
+        report = compare(UniformPredictor(), UniformPredictor(), [], {})
         assert report.states == 0
         assert report.best == report.order == 0.0
 
@@ -391,7 +391,9 @@ class TestCompareOverTheCorpus:
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_a_distribution_that_is_not_finite_is_an_error(self, corpus_bank):
         bank, engines = corpus_bank
-        for a, b in ((AllInfinite(), UniformPredictor()), (UniformPredictor(), AllInfinite())):
+        fixed = FixedEntropyPredictor(AllInfinite(), 0.6, seed=3)
+        for a, b in ((AllInfinite(), UniformPredictor()), (UniformPredictor(), AllInfinite()),
+                     (fixed, UniformPredictor()), (UniformPredictor(), fixed)):
             with pytest.raises(ValueError, match="^AllInfinite scored a distribution over "
                                                  "[0-9]+ actions that is not finite$"):
                 compare(a, b, bank, engines)

@@ -26,18 +26,18 @@ class TestConjectureNegation:
         m = clausify_text("fof(ax, axiom, p(a)).\nfof(c, conjecture, p(a)).")
         start = [m.clauses[i] for i in m.start_ids]
         assert len(start) == 1
-        lit = start[0].literals[0]
+        lit = start[0][0]
         assert lit.pred == "p" and lit.neg
 
     def test_negated_conjecture_role_is_not_negated_again(self):
         m = clausify_text("cnf(goal, negated_conjecture, ~p(a)).\ncnf(ax, axiom, p(a)).")
         start = m.clauses[m.start_ids[0]]
-        assert start.literals[0].neg
+        assert start[0].neg
 
     def test_universal_conjecture_skolemizes_on_negation(self):
         m = clausify_text("fof(ax, axiom, q(a)).\nfof(c, conjecture, ! [X] : q(X)).")
         start = m.clauses[m.start_ids[0]]
-        lit = start.literals[0]
+        lit = start[0]
         assert lit.neg
         arg = lit.args[0]
         assert isinstance(arg, tuple) and arg[0].startswith("sk")
@@ -45,23 +45,22 @@ class TestConjectureNegation:
     def test_implication_conjecture_splits_into_units(self):
         m = clausify_text("fof(c, conjecture, ! [X] : (p(X) => q(X))).\nfof(ax, axiom, r(b)).")
         starts = [m.clauses[i] for i in m.start_ids]
-        preds = sorted((c.literals[0].neg, c.literals[0].pred) for c in starts)
+        preds = sorted((c[0].neg, c[0].pred) for c in starts)
         assert preds == [(False, "p"), (True, "q")]
 
 
 class TestSkolemization:
     def test_existential_axiom(self):
         m = clausify_text("fof(a, axiom, ? [X] : p(X)).\nfof(c, conjecture, ? [Y] : p(Y)).")
-        axiom = next(c for c in m.clauses if not c.literals[0].neg)
-        arg = axiom.args[0] if hasattr(axiom, "args") else axiom.literals[0].args[0]
-        assert arg == ("sk0",)
+        axiom = next(c for c in m.clauses if not c[0].neg)
+        assert axiom[0].args[0] == ("sk0",)
 
     def test_skolem_function_captures_universals(self):
         m = clausify_text(
             "fof(a, axiom, ! [X] : ? [Y] : r(X, Y)).\nfof(c, conjecture, ? [Z] : r(a, Z))."
         )
-        axiom = next(c for c in m.clauses if not c.literals[0].neg)
-        lit = axiom.literals[0]
+        axiom = next(c for c in m.clauses if not c[0].neg)
+        lit = axiom[0]
         x, skterm = lit.args
         assert isinstance(x, int)
         assert skterm[0].startswith("sk")
@@ -78,7 +77,7 @@ class TestSkolemization:
 class TestStartSelection:
     def test_all_clauses_start_without_conjecture(self):
         m = clausify_text("cnf(a1, axiom, p(a) | q(a)).\ncnf(a2, axiom, ~p(a)).")
-        assert sorted(m.start_ids) == [c.id for c in m.clauses]
+        assert sorted(m.start_ids) == list(range(len(m.clauses)))
 
     def test_only_conjecture_clauses_start_otherwise(self):
         # Negating a conjunction yields one disjunctive clause.
@@ -87,14 +86,14 @@ class TestStartSelection:
         )
         assert len(m.start_ids) == 1
         start = m.clauses[m.start_ids[0]]
-        assert sorted((l.neg, l.pred) for l in start.literals) == [(True, "p"), (True, "q")]
+        assert sorted((l.neg, l.pred) for l in start) == [(True, "p"), (True, "q")]
         assert len(m.clauses) == 3
 
     def test_disjunctive_conjecture_yields_two_start_clauses(self):
         m = clausify_text(
             "fof(a1, axiom, p(a)).\nfof(c, conjecture, p(a) | q(a))."
         )
-        starts = {m.clauses[i].literals[0].pred for i in m.start_ids}
+        starts = {m.clauses[i][0].pred for i in m.start_ids}
         assert starts == {"p", "q"}
         assert len(m.start_ids) == 2
 
@@ -104,8 +103,8 @@ class TestReflexivity:
         m = clausify_text("fof(e, axiom, f(a) = a).\nfof(c, conjecture, f(f(a)) = a).")
         assert m.reflexivity_id is not None
         refl = m.clauses[m.reflexivity_id]
-        assert len(refl.literals) == 1
-        lit = refl.literals[0]
+        assert len(refl) == 1
+        lit = refl[0]
         assert lit.pred == EQ and not lit.neg
         assert lit.args[0] == lit.args[1]
         assert isinstance(lit.args[0], int)
@@ -117,7 +116,7 @@ class TestReflexivity:
     def test_absent_without_equality(self):
         m = clausify_text("fof(a, axiom, p(a)).\nfof(c, conjecture, p(a)).")
         assert m.reflexivity_id is None
-        assert all(l.pred != EQ for c in m.clauses for l in c.literals)
+        assert all(l.pred != EQ for c in m.clauses for l in c)
 
     def test_absent_when_no_clause_keeps_the_equation(self):
         # the problem mentions '=', but the only formula that does is true
@@ -145,8 +144,8 @@ class TestDegenerateInputs:
 
     def test_duplicate_literals_collapse(self):
         m = clausify_text("cnf(a, axiom, p(X) | p(X) | q(X)).\nfof(c, conjecture, q(a)).")
-        axiom = next(c for c in m.clauses if len(c.literals) > 1)
-        assert len(axiom.literals) == 2
+        axiom = next(c for c in m.clauses if len(c) > 1)
+        assert len(axiom) == 2
 
 
 class TestVariableNumbering:
@@ -157,7 +156,7 @@ class TestVariableNumbering:
         )
         for clause in m.clauses:
             vs = set()
-            for lit in clause.literals:
+            for lit in clause:
                 stack = list(lit.args)
                 while stack:
                     t = stack.pop()
@@ -310,7 +309,7 @@ def eval_formula(f, assign):
 def problem_satisfiable(problem):
     """Truth-table satisfiability of axioms AND NOT conjecture (ground only)."""
     parts = []
-    for af in problem.formulas:
+    for af in problem:
         if af.role == "conjecture":
             parts.append(FNeg(af.formula))
         else:
@@ -328,12 +327,12 @@ def problem_satisfiable(problem):
 
 def matrix_satisfiable(matrix):
     """Brute-force CNF satisfiability over the ground atoms of a matrix."""
-    atoms = sorted({(l.pred, l.args) for c in matrix.clauses for l in c.literals})
+    atoms = sorted({(l.pred, l.args) for c in matrix.clauses for l in c})
     for bits in itertools.product([False, True], repeat=len(atoms)):
         assign = dict(zip(atoms, bits))
         ok = True
         for clause in matrix.clauses:
-            if not any(assign[(l.pred, l.args)] != l.neg for l in clause.literals):
+            if not any(assign[(l.pred, l.args)] != l.neg for l in clause):
                 ok = False
                 break
         if ok:
@@ -362,17 +361,17 @@ def ground_tableau_provable(matrix, depth_limit=8):
             return False
         below = path | {key}
         for clause in matrix.clauses:
-            for i, lit in enumerate(clause.literals):
+            for i, lit in enumerate(clause):
                 if (lit.neg, lit.pred, lit.args) == comp:
                     new_goals = [
-                        (l, below) for j, l in enumerate(clause.literals) if j != i
+                        (l, below) for j, l in enumerate(clause) if j != i
                     ]
                     if close(new_goals + rest):
                         return True
         return False
 
     for cid in matrix.start_ids:
-        goals = [(l, frozenset()) for l in matrix.clauses[cid].literals]
+        goals = [(l, frozenset()) for l in matrix.clauses[cid]]
         if close(goals):
             return True
     return False

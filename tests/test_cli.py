@@ -139,6 +139,29 @@ class TestProve:
         assert "problem=broken status=error" in results
         assert "problem=trivial status=solved" in results
 
+    @pytest.mark.parametrize("command", [
+        ["harvest"], ["loop", "--iterations", "0", "--workers", "1"]], ids=["harvest", "loop"])
+    def test_a_problem_that_does_not_parse_is_skipped_with_a_warning(
+            self, tmp_path, capsys, command):
+        problems = tmp_path / "problems"
+        problems.mkdir()
+        (problems / "fact.p").write_text(TRIVIAL)
+        (problems / "broken.p").write_text("fof(oops, axiom, p(.\n")
+        out = tmp_path / "o"
+        assert run_cli(*command, problems, "--out", out, *FAST_LIMITS) == 0
+        assert capsys.readouterr().err == (
+            "warning: skipping broken: 1:20: expected a term, found '.'\n")
+        assert (out / ("bank.txt" if command[0] == "harvest" else "stats.csv")).exists()
+
+    def test_a_spent_wall_clock_reads_as_a_spent_budget(self, tmp_path):
+        out = tmp_path / "out"
+        problems = [corpus_dir() / "cases.p", corpus_dir() / "branch2.p"]
+        assert run_cli("prove", *problems, "--out", out, "--wall-clock", "1e-9",
+                       "--workers", "1") == 0
+        assert (out / "results.txt").read_text() == "".join(
+            f"problem={name} status=budget-exhausted inferences=0 playouts=0 bigsteps=0 "
+            f"trace=-\n" for name in ("cases", "branch2"))
+
     def test_worker_count_leaves_results_identical(self, problem_dir, tmp_path):
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
         run_cli("prove", problem_dir, "--out", out1, "--inference-limit", "150",
@@ -213,6 +236,26 @@ class TestProve:
         assert code == 2
         assert capsys.readouterr().err == (
             "error: LinearPredictor scored a distribution over 2 actions that is not finite\n")
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_a_fixed_entropy_base_that_is_not_finite_exits_2(self, tmp_path, capsys):
+        model = tmp_path / "inf.model"
+        save_model(model, "policy", dict.fromkeys(range(FEATURE_DIM), 1e308))
+        code = run_cli("prove", corpus_dir() / "excluded.p", "--out", tmp_path / "o",
+                       *FAST, "--predictor", f"fixed-entropy:policy={model}")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: LinearPredictor scored a distribution over 2 actions that is not finite\n")
+
+    @pytest.mark.parametrize("hstar", ["0", "1.5", "nan"])
+    def test_a_target_entropy_outside_the_unit_interval_exits_2(self, tmp_path, capsys, hstar):
+        out = tmp_path / "o"
+        code = run_cli("prove", corpus_dir() / "cases.p", "--out", out, *FAST,
+                       "--predictor", f"fixed-entropy:hstar={hstar}")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: target normalized entropy must be in (0, 1], got {float(hstar)}\n")
+        assert not out.exists()
 
     def test_corpus_env_var_supplies_problems(self, problem_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("CONTAB_CORPUS_DIR", str(problem_dir))

@@ -120,7 +120,7 @@ class TestActionFeatures:
         feats = extract_action_features(root, starts[0], engine.matrix)
         assert feats.get(bucket("a:", START), 0) == 1
         clause = engine.matrix.clauses[starts[0].clause_id]
-        for lit in clause.literals:
+        for lit in clause:
             root_walk = ("~" if lit.neg else "") + lit.pred
             assert feats.get(bucket("t:", root_walk), 0) >= 1
 
@@ -190,7 +190,7 @@ class TestHashing:
         for path in corpus_problems():
             matrix = load_matrix(path)
             for clause in matrix.clauses:
-                for lit in clause.literals:
+                for lit in clause:
                     for w in literal_walks(lit):
                         for ns in ("g:", "o:", "p:", "t:"):
                             walks.add(ns + w)

@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from contab.analysis import BankEntry, StateBank, report_csv, save_bank
+from contab.analysis import BankEntry, report_csv, save_bank
 from contab.clausify import clausify_text, load_matrix
 from contab.corpus import corpus_problems
 from contab.features import FEATURE_DIM
@@ -917,8 +917,8 @@ class TestAtomicWrites:
          synthetic_examples(3, seed=2)[:2] + [None]),
         (lambda path, w: save_model(path, "policy", w), {1: 1.5, 2: 2.5},
          {1: 1.5, 2: "not a float"}),
-        (save_bank, StateBank([BankEntry("p", ("e0",), 2)]),
-         StateBank([BankEntry("p", ("e1",), 3), None])),
+        (save_bank, [BankEntry("p", ("e0",), 2)],
+         [BankEntry("p", ("e1",), 3), None]),
         (lambda path, rows: report_csv(path, ["alpha", "solved"], rows), [[0.7, 3]],
          [[0.5, 4], None]),
         (lambda path, actions: write_trace(path, "p", actions),

@@ -326,6 +326,12 @@ class TestStatuses:
         assert result.inferences == 50
         assert result.proof is None
 
+    def test_a_spent_wall_clock_stops_before_the_first_playout(self):
+        # until stop reasons are split, a spent wall clock reads as a spent budget
+        engine = Engine(load_matrix(corpus_dir() / "cases.p"))
+        result = prove(engine, "cases", UniformPredictor(), SearchLimits(wall_clock=1e-9))
+        assert (result.status, result.inferences, result.bigsteps) == ("budget-exhausted", 0, 0)
+
     def test_entropy_means_divide_the_sums(self):
         result = ProofResult("p", "solved", entropy_sum=3.0, normalized_entropy_sum=1.5,
                              entropy_count=4)
@@ -555,6 +561,16 @@ class TestPriorsThatAreNotFinite:
         with pytest.raises(ValueError, match="^AllInfinite scored a distribution over 2 "
                                              "actions that is not finite$"):
             prove(engine, name, AllInfinite(),
+                  SearchLimits(inference_limit=300, bigstep_frequency=50))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_a_fixed_entropy_predictor_names_its_base(self):
+        # the fixed vector is ranked by the base's distribution, and a
+        # ranking of NaNs is still a permutation, so the base's is checked
+        engine = Engine(load_matrix(corpus_dir() / "excluded.p"))
+        with pytest.raises(ValueError, match="^AllInfinite scored a distribution over 2 "
+                                             "actions that is not finite$"):
+            prove(engine, "excluded", FixedEntropyPredictor(AllInfinite(), 0.6, seed=3),
                   SearchLimits(inference_limit=300, bigstep_frequency=50))
 
 

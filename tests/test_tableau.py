@@ -38,7 +38,6 @@ from contab.tableau import (
 )
 from contab.terms import (
     EQ,
-    Clause,
     Literal,
     Matrix,
     apply_subst_lit,
@@ -78,18 +77,18 @@ def oracle_actions(engine, state):
     for i, plit in enumerate(state.path):
         if complementary(goal, plit, state.subst):
             out.append(Action(REDUCTION, path_index=i))
-    for clause in engine.matrix.clauses:
-        for li, lit in enumerate(clause.literals):
+    for cid, clause in enumerate(engine.matrix.clauses):
+        for li, lit in enumerate(clause):
             cand = offset_literal(lit, state.next_var)
             if complementary(goal, cand, state.subst):
-                out.append(Action(EXTENSION, clause_id=clause.id, literal_index=li))
+                out.append(Action(EXTENSION, clause_id=cid, literal_index=li))
     if engine.paramodulation:
         g = apply_subst_lit(goal, state.subst)
         positions = subterm_positions(g)
-        for clause in engine.matrix.clauses:
-            if clause.id == engine.matrix.reflexivity_id:
+        for cid, clause in enumerate(engine.matrix.clauses):
+            if cid == engine.matrix.reflexivity_id:
                 continue
-            for li, lit in enumerate(clause.literals):
+            for li, lit in enumerate(clause):
                 if lit.pred != EQ or lit.neg:
                     continue
                 eq = offset_literal(lit, state.next_var)
@@ -99,7 +98,7 @@ def oracle_actions(engine, state):
                             out.append(
                                 Action(
                                     PARAMODULATION,
-                                    clause_id=clause.id,
+                                    clause_id=cid,
                                     literal_index=li,
                                     position=pos,
                                     direction=direction,
@@ -116,7 +115,7 @@ def oracle_apply(engine, state, action):
     ``successor`` returns."""
     if action.kind == START:
         clause = engine.matrix.clauses[action.clause_id]
-        return successor([(lit, 0) for lit in clause.literals], [], {}, clause_var_count(clause))
+        return successor([(lit, 0) for lit in clause], [], {}, clause_var_count(clause))
     goal = state.goals[0][0]
     subst = dict(state.subst)
     next_var = state.next_var
@@ -127,7 +126,7 @@ def oracle_apply(engine, state, action):
         unify_args_trail(goal.args, plit.args, subst, [])
     else:
         clause = engine.matrix.clauses[action.clause_id]
-        copy = [offset_literal(lit, next_var) for lit in clause.literals]
+        copy = [offset_literal(lit, next_var) for lit in clause]
         next_var += clause_var_count(clause)
         conn = copy[action.literal_index]
         residual = copy[: action.literal_index] + copy[action.literal_index + 1:]
@@ -556,15 +555,15 @@ def _random_state(draw):
     the state is below ``next_var``, and bindings point to higher ones
     only, so the substitution is acyclic."""
     clause_terms = CLAUSE_TERMS
-    clauses = [Clause(0, (Literal(False, EQ, (0, 0)),))]  # reflexivity
+    clauses = [(Literal(False, EQ, (0, 0)),)]  # reflexivity
     for _ in range(draw(st.integers(1, 4))):
         lits = [Literal(False, EQ, (draw(clause_terms), draw(clause_terms)))]
         if draw(st.booleans()):
             lits.append(Literal(draw(st.booleans()), "p", (draw(clause_terms), draw(clause_terms))))
-        clauses.append(Clause(len(clauses), tuple(lits)))
+        clauses.append(tuple(lits))
     for _ in range(draw(st.integers(0, 3))):
         lit = Literal(draw(st.booleans()), "p", (draw(clause_terms), draw(clause_terms)))
-        clauses.append(Clause(len(clauses), (lit, Literal(True, "q", (draw(clause_terms),)))))
+        clauses.append((lit, Literal(True, "q", (draw(clause_terms),))))
     engine = Engine(Matrix(clauses, [1], reflexivity_id=0))
     subst = {}
     for v, terms in BINDING_TERMS.items():

@@ -8,7 +8,6 @@ import random
 
 from contab.terms import (
     EQ,
-    Clause,
     Literal,
     apply_subst,
     apply_subst_lit,
@@ -141,9 +140,9 @@ class TestBasics:
         assert shifted.neg is False
 
     def test_clause_var_count(self):
-        c = Clause(0, (Literal(False, "p", (0, 2)),))
+        c = (Literal(False, "p", (0, 2)),)
         assert clause_var_count(c) == 3
-        assert clause_var_count(Clause(1, (Literal(False, "q", (mk("a"),)),))) == 0
+        assert clause_var_count((Literal(False, "q", (mk("a"),)),)) == 0
 
 
 class TestWalkAndApply:
@@ -359,6 +358,6 @@ class TestPrinting:
         assert "a" in s and "b" in s
 
     def test_canonical_clause_str_is_order_insensitive_name_choice(self):
-        c1 = Clause(0, (Literal(False, "p", (0,)), Literal(True, "q", (0,))))
-        c2 = Clause(1, (Literal(False, "p", (5,)), Literal(True, "q", (5,))))
+        c1 = (Literal(False, "p", (0,)), Literal(True, "q", (0,)))
+        c2 = (Literal(False, "p", (5,)), Literal(True, "q", (5,)))
         assert canonical_clause_str(c1) == canonical_clause_str(c2)

@@ -15,7 +15,6 @@ from contab.tptp import (
     FNeg,
     FQuant,
     ParseError,
-    Problem,
     UnsupportedError,
     parse_problem,
     parse_problem_file,
@@ -25,8 +24,8 @@ from contab.tptp import (
 class TestBasicParsing:
     def test_single_fof(self):
         p = parse_problem("fof(ax, axiom, p(a)).")
-        assert len(p.formulas) == 1
-        f = p.formulas[0]
+        assert len(p) == 1
+        f = p[0]
         assert f.name == "ax"
         assert f.role == "axiom"
         assert f.lang == "fof"
@@ -34,18 +33,18 @@ class TestBasicParsing:
 
     def test_cnf_language_tag(self):
         p = parse_problem("cnf(c, axiom, p(a) | ~q(b)).")
-        assert p.formulas[0].lang == "cnf"
+        assert p[0].lang == "cnf"
 
     def test_a_parenthesized_cnf_clause_is_the_bare_one(self):
         wrapped = parse_problem("cnf(c, axiom, (p(X) | ~q(X))).")
         bare = parse_problem("cnf(c, axiom, p(X) | ~q(X)).")
-        assert wrapped.formulas == bare.formulas
+        assert wrapped == bare
         assert clausify(wrapped).dump() == clausify(bare).dump() == (
             "clause 0 start: p(X0) | ~q(X0)\n")
 
     def test_variables_are_uppercase_names(self):
         p = parse_problem("fof(ax, axiom, ! [X] : p(X)).")
-        q = p.formulas[0].formula
+        q = p[0].formula
         assert isinstance(q, FQuant)
         assert q.q == "!"
         assert q.vars == ("X",)
@@ -53,40 +52,40 @@ class TestBasicParsing:
 
     def test_quantifier_var_list(self):
         p = parse_problem("fof(ax, axiom, ? [X, Y] : r(X, Y)).")
-        q = p.formulas[0].formula
+        q = p[0].formula
         assert q.q == "?"
         assert q.vars == ("X", "Y")
 
     def test_nested_terms(self):
         p = parse_problem("fof(ax, axiom, p(f(g(a), X))).")
-        atom = p.formulas[0].formula
+        atom = p[0].formula
         assert atom == FAtom("p", (("f", ("g", ("a",)), "X"),))
 
     def test_connective_shapes(self):
         p = parse_problem("fof(ax, axiom, (p(a) & q(a)) | (r(a) => s(a))).")
-        f = p.formulas[0].formula
+        f = p[0].formula
         assert isinstance(f, FBin) and f.op == "|"
         assert f.left.op == "&"
         assert f.right.op == "=>"
 
     def test_iff_and_negation(self):
         p = parse_problem("fof(ax, axiom, ~p(a) <=> q(a)).")
-        f = p.formulas[0].formula
+        f = p[0].formula
         assert f.op == "<=>"
         assert isinstance(f.left, FNeg)
 
     def test_boolean_constants(self):
         p = parse_problem("fof(t, axiom, $true). fof(f, axiom, $false).")
-        assert p.formulas[0].formula == FConst(True)
-        assert p.formulas[1].formula == FConst(False)
+        assert p[0].formula == FConst(True)
+        assert p[1].formula == FConst(False)
 
     def test_equality_infix(self):
         p = parse_problem("fof(e, axiom, f(a) = b).")
-        assert p.formulas[0].formula == FAtom("=", (("f", ("a",)), ("b",)))
+        assert p[0].formula == FAtom("=", (("f", ("a",)), ("b",)))
 
     def test_disequality_becomes_negated_equality(self):
         p = parse_problem("fof(e, axiom, a != b).")
-        assert p.formulas[0].formula == FNeg(FAtom("=", (("a",), ("b",))))
+        assert p[0].formula == FNeg(FAtom("=", (("a",), ("b",))))
 
     def test_comments_and_whitespace_ignored(self):
         text = """% leading comment
@@ -95,10 +94,10 @@ class TestBasicParsing:
         % another
         """
         p = parse_problem(text)
-        assert len(p.formulas) == 1
+        assert len(p) == 1
 
     def test_quoted_names_hold_the_unescaped_name(self):
-        f = parse_problem(r"fof(a, axiom, p('it\'s', 'a\\b')).").formulas[0].formula
+        f = parse_problem(r"fof(a, axiom, p('it\'s', 'a\\b')).")[0].formula
         assert f == FAtom("p", (("it's",), ("a\\b",)))
 
     @pytest.mark.parametrize("text, name, formula", [
@@ -119,12 +118,12 @@ class TestBasicParsing:
             "parenthesized-equations", "iff-or-false", "double-negation", "quoted-names"])
     def test_parses_to_its_ast(self, text, name, formula):
         lang = text[:3]
-        assert parse_problem(text).formulas == (AnnotatedFormula(name, "axiom", formula, lang),)
+        assert parse_problem(text) == (AnnotatedFormula(name, "axiom", formula, lang),)
 
     def test_multiple_formulas(self):
         p = parse_problem("fof(a1, axiom, p(a)).\nfof(a2, axiom, q(a)).\nfof(c, conjecture, q(a)).")
-        assert [f.name for f in p.formulas] == ["a1", "a2", "c"]
-        assert p.formulas[2].role == "conjecture"
+        assert [f.name for f in p] == ["a1", "a2", "c"]
+        assert p[2].role == "conjecture"
 
 
 class TestErrors:
@@ -235,7 +234,7 @@ class TestIncludes:
         main = tmp_path / "main.p"
         main.write_text("include('sub.ax').\nfof(m, conjecture, p(a)).\n")
         prob = parse_problem_file(str(main))
-        assert [f.name for f in prob.formulas] == ["inc1", "m"]
+        assert [f.name for f in prob] == ["inc1", "m"]
 
     def test_include_cycle_reads_each_file_once(self, tmp_path):
         (tmp_path / "a.ax").write_text("include('b.ax').\nfof(fa, axiom, q(a)).\n")
@@ -243,7 +242,7 @@ class TestIncludes:
         top = tmp_path / "top.p"
         top.write_text("include('a.ax').\n")
         prob = parse_problem_file(str(top))
-        assert sorted(f.name for f in prob.formulas) == ["fa", "fb"]
+        assert sorted(f.name for f in prob) == ["fa", "fb"]
 
     def test_missing_include_is_a_parse_error(self, tmp_path):
         top = tmp_path / "miss.p"
@@ -273,7 +272,7 @@ class TestCorpusFilesParse:
         assert paths
         for path in paths:
             prob = parse_problem_file(path)
-            assert prob.formulas, path
+            assert prob, path
 
 
 # --- round trip: random ASTs, printed here, parse back to themselves -------
@@ -302,8 +301,8 @@ formulas = st.recursive(atoms, lambda sub: st.one_of(
 problems = st.lists(
     st.tuples(st.sampled_from(["axiom", "hypothesis", "conjecture", "negated_conjecture"]),
               formulas),
-    min_size=1, max_size=3).map(lambda fs: Problem(tuple(
-        AnnotatedFormula(f"f{i}", role, f, "fof") for i, (role, f) in enumerate(fs))))
+    min_size=1, max_size=3).map(lambda fs: tuple(
+        AnnotatedFormula(f"f{i}", role, f, "fof") for i, (role, f) in enumerate(fs)))
 
 
 def tptp_term(t):
@@ -338,7 +337,7 @@ def tptp_text(problem, rng):
         return f"({gap()}{formula(f.left)}{gap()}{f.op}{gap()}{formula(f.right)}{gap()})"
 
     return "".join(f"{gap()}fof({af.name},{gap()}{af.role},{gap()}{formula(af.formula)}){gap()}.\n"
-                   for af in problem.formulas)
+                   for af in problem)
 
 
 def clausified(problem):
