@@ -56,14 +56,14 @@ def harvest_states(problems: Sequence[Tuple[str, Engine]],
     bank: List[BankEntry] = []
     seen = set()
     for name, engine in problems:
-        result = prove(engine, name, UniformPredictor(), limits, collect_states=True)
-        for path, n_actions in result.harvested:
+        # no name keeps the result, so its tree is freed before the next search
+        harvested = prove(engine, name, UniformPredictor(), limits, collect_states=True).harvested
+        for path, n_actions in harvested:
             key = (name, path)
             if key in seen:
                 continue
             seen.add(key)
             bank.append(BankEntry(name, path, n_actions))
-        result.drop_tree()
     return bank
 
 

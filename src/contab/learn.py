@@ -73,17 +73,17 @@ class TrainingExample:
 
 def extract_training_data(result: ProofResult, matrix, iteration: int = 0) -> List[TrainingExample]:
     """One example per bigstep-trace node that has at least one expanded
-    child.  When the run is solved every trace node is an ancestor of the
-    proof leaf, so its value target is the discount raised to the number
-    of actions still separating it from closure."""
+    child.  Trace node k lies k actions below the root; when the run is
+    solved it is an ancestor of the proof leaf, so its value target is
+    the discount raised to the number of actions left until closure."""
     out: List[TrainingExample] = []
     proof_depth = len(result.proof) if result.solved else None
-    for node in result.bigstep_nodes:
+    for depth, node in enumerate(result.bigstep_nodes):
         visits = [c.visits if c is not None else 0 for c in node.children]
         total = sum(visits)
         if total == 0:
             continue
-        value = DISCOUNT ** (proof_depth - node.depth) if proof_depth is not None else 0.0
+        value = DISCOUNT ** (proof_depth - depth) if proof_depth is not None else 0.0
         out.append(TrainingExample(
             problem=result.problem,
             iteration=iteration,
@@ -390,7 +390,7 @@ def _prove_one(task) -> Tuple[ProofResult, List[TrainingExample]]:
     r = prove(engine, name, predictor, limits)
     examples = extract_training_data(r, engine.matrix, iteration=iteration)
     # drop the search tree so results stay cheap to pickle across workers
-    r.drop_tree()
+    r.bigstep_nodes = []
     return r, examples
 
 

@@ -59,11 +59,13 @@ def softmax_temperature(logits: Sequence[float], temperature: float = 1.0) -> np
     2-D array.  A row sums as a 1-D vector of its length does, so each
     row's distribution is, to the bit, that of the row on its own.  The
     maximum is subtracted before dividing by the temperature, so a tiny
-    one gives lower logits probability 0 (numpy warns), not NaN."""
+    one gives lower logits probability 0, not NaN; neither its overflow
+    nor the NaN of an infinite maximum warns."""
     if temperature <= 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     arr = np.asarray(logits, dtype=float)
-    e = np.exp((arr - arr.max(axis=-1, keepdims=True)) / temperature)
+    with np.errstate(invalid="ignore", over="ignore"):
+        e = np.exp((arr - arr.max(axis=-1, keepdims=True)) / temperature)
     return e / e.sum(axis=-1, keepdims=True)
 
 

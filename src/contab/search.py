@@ -7,6 +7,11 @@ playouts the root moves irreversibly to the child with the best mean
 reward.  Node creation applies one calculus action, so the inference
 budget equals the number of tree nodes minus the root.
 
+The tree holds only child links.  A playout carries its path from the
+search root (the bigstep spine, then the nodes it descends), and every
+step upward reads that path, so no tree is a reference cycle: dropping
+a ``ProofResult`` frees its tree.
+
 Terminal leaves (closed or no legal action) and subtrees in which every
 branch has terminated are marked fully explored and skipped during
 selection; when the root itself is fully explored without a proof the
@@ -43,14 +48,13 @@ class SearchLimits:
 
 
 class MCTSNode:
-    __slots__ = ("state", "actions", "priors", "children", "visits", "reward_sum", "parent",
-                 "action_index", "depth", "fully_explored", "expanded", "order", "frontier")
+    __slots__ = ("state", "actions", "priors", "children", "visits", "reward_sum",
+                 "action_index", "fully_explored", "expanded", "order", "frontier")
 
-    def __init__(self, state, parent, action_index, depth):
+    def __init__(self, state, action_index):
         self.state = state
-        self.parent = parent
+        # the slot this node fills in its parent; -1 at the search root
         self.action_index = action_index
-        self.depth = depth
         self.actions: List[Action] = []
         # priors[i] is the prior of action i and of children[i]
         self.priors = None
@@ -89,15 +93,6 @@ class MCTSNode:
     def mean(self) -> float:
         return self.reward_sum / self.visits if self.visits else 0.0
 
-    def action_path(self) -> List[Action]:
-        path = []
-        node = self
-        while node.parent is not None:
-            path.append(node.parent.actions[node.action_index])
-            node = node.parent
-        path.reverse()
-        return path
-
 
 @dataclass
 class ProofResult:
@@ -111,26 +106,14 @@ class ProofResult:
     normalized_entropy_sum: float = 0.0
     entropy_count: int = 0
     wall_time: float = 0.0
-    # in-memory only: bigstep-trace nodes for training extraction and
-    # harvested (action-path, action-count) pairs for state banks
+    # in-memory only: the bigstep spine (node k is k actions deep) for
+    # training, and harvested (action-path, action-count) pairs for banks
     bigstep_nodes: List[MCTSNode] = field(default_factory=list, repr=False)
     harvested: List[Tuple[Tuple[str, ...], int]] = field(default_factory=list, repr=False)
 
     @property
     def solved(self) -> bool:
         return self.status == "solved"
-
-    def drop_tree(self) -> None:
-        """Forgets the search tree.  Its nodes point back at their parents,
-        so a dropped tree is a reference cycle that holds its memory until
-        the cyclic garbage collector runs; with the back links cut, it is
-        freed as soon as it is dropped."""
-        stack = self.bigstep_nodes[:1]
-        self.bigstep_nodes = []
-        while stack:
-            node = stack.pop()
-            node.parent = None
-            stack.extend([node.children[i] for i in node.expanded])
 
     @property
     def playouts(self) -> int:
@@ -164,21 +147,30 @@ class _Search:
         self.normalized_entropy_sum = 0.0
         self.entropy_count = 0
         self.harvested: List[Tuple[Tuple[str, ...], int]] = []
-        # the first closed leaf: the only record that a proof was found
-        self.proof_leaf: Optional[MCTSNode] = None
+        # the bigstep spine from the search root down to the current root,
+        # plus, during a playout, the nodes it descends and its leaf
+        self.path: List[MCTSNode] = []
+        # the actions down to the first closed leaf: the only proof record
+        self.proof: Optional[List[Action]] = None
         # a predictor that reads neither the state nor action features
         # scores every node with n actions alike: (priors, value, entropy,
         # normalized entropy) by n, the priors list shared read-only by
         # those nodes
         self.scored: Dict[int, Tuple[List[float], float, float, float]] = {}
 
+    def _actions(self) -> List[Action]:
+        """The actions from the search root down to the end of ``path``."""
+        path = self.path
+        return [node.actions[child.action_index] for node, child in zip(path, path[1:])]
+
     def _evaluate(self, node: MCTSNode) -> float:
-        """Fill in actions, priors, and value; returns the node's reward."""
+        """Fill in actions, priors, and value of ``node``, which ends
+        ``path``; returns the node's reward."""
         state = node.state
         if self.engine.is_closed(state):
             node.fully_explored = True
-            self.proof_leaf = node
-            return DISCOUNT ** node.depth
+            self.proof = self._actions()
+            return DISCOUNT ** (len(self.path) - 1)
         node.actions = self.engine.legal_actions(state)
         if not node.actions:
             node.fully_explored = True
@@ -202,7 +194,7 @@ class _Search:
             self.normalized_entropy_sum += normalized
         self.entropy_count += 1
         if self.collect_states and len(node.actions) >= 2 and len(self.harvested) < HARVEST_CAP:
-            path = tuple(a.encode() for a in node.action_path())
+            path = tuple(a.encode() for a in self._actions())
             self.harvested.append((path, len(node.actions)))
         return value
 
@@ -257,36 +249,42 @@ class _Search:
         return best
 
     def add_node(self, node: MCTSNode) -> None:
-        """Evaluates a new node, the root or a leaf, and backpropagates its
-        reward through it and every ancestor.  A terminal node is fully
-        explored, and so in turn is each ancestor whose slots are all
-        expanded and fully explored; any other node keeps a slot that
-        ``_select`` picks by finite priors, so a playout adds a leaf."""
+        """Appends a new node, the root or a leaf, to ``path``, evaluates it
+        and backpropagates its reward along ``path``.  A terminal node is
+        fully explored, and so in turn is each node up ``path`` whose slots
+        are all expanded and fully explored; any other node keeps a slot
+        that ``_select`` picks by finite priors, so a playout adds a leaf."""
+        path = self.path
+        path.append(node)
         reward = self._evaluate(node)
-        cur = node
-        while cur is not None:
+        for cur in path:
             cur.visits += 1
             cur.reward_sum += reward
-            cur = cur.parent
-        cur = node.parent if node.fully_explored else None
-        while (cur is not None and cur.frontier == len(cur.order)
-               and all(cur.children[i].fully_explored for i in cur.expanded)):
-            cur.fully_explored = True
-            cur = cur.parent
+        if node.fully_explored:
+            for cur in reversed(path[:-1]):
+                if (cur.frontier < len(cur.order)
+                        or not all(cur.children[i].fully_explored for i in cur.expanded)):
+                    break
+                cur.fully_explored = True
 
-    def playout(self, root: MCTSNode) -> None:
-        """One select/expand/evaluate/backpropagate pass below ``root``,
-        which is not fully explored: it adds exactly one leaf."""
-        node = root
+    def playout(self) -> None:
+        """One select/expand/evaluate/backpropagate pass below the current
+        root, the end of ``path``, which is not fully explored: it adds
+        exactly one leaf, and leaves ``path`` as it found it."""
+        path = self.path
+        spine = len(path)
+        node = path[-1]
         i = self._select(node)
         while node.children[i] is not None:
             node = node.children[i]
+            path.append(node)
             i = self._select(node)
         state = self.engine.apply(node.state, node.actions[i])
         self.inferences += 1
-        leaf = MCTSNode(state, node, i, node.depth + 1)
+        leaf = MCTSNode(state, i)
         node.add_child(i, leaf)
         self.add_node(leaf)
+        del path[spine:]
 
 
 def bigstep(root: MCTSNode) -> Optional[MCTSNode]:
@@ -304,33 +302,29 @@ def prove(engine: Engine, problem: str, predictor: Predictor,
     limits = limits or SearchLimits()
     t0 = time.monotonic()
     search = _Search(engine, predictor, limits, collect_states)
-    root = MCTSNode(engine.root_state(), None, -1, 0)
-    search.add_node(root)
-    current = root
-    bigstep_nodes = [root]
+    search.add_node(MCTSNode(engine.root_state(), -1))
+    spine = search.path
     status = "budget-exhausted"
 
     while True:
-        if current.fully_explored:
+        if spine[-1].fully_explored:
             status = "dead-end"
             break
         if search.inferences >= limits.inference_limit:
             break
         if time.monotonic() - t0 > limits.wall_clock:
             break
-        search.playout(current)
-        if search.proof_leaf is not None:
+        search.playout()
+        if search.proof is not None:
             status = "solved"
             break
-        # every playout adds one inference and one leaf below current, so
-        # this counts the playouts since the last bigstep
+        # every playout adds one inference and one leaf below the current
+        # root, so this counts the playouts since the last bigstep
         if search.inferences % limits.bigstep_frequency == 0:
-            current = bigstep(current)
-            bigstep_nodes.append(current)
+            spine.append(bigstep(spine[-1]))
 
-    proof = None
-    if search.proof_leaf is not None:
-        proof = search.proof_leaf.action_path()
+    proof = search.proof
+    if proof is not None:
         check = engine.check_proof(proof)
         if not check:
             raise RuntimeError(f"{problem}: found proof fails replay: {check.reason}")
@@ -338,12 +332,12 @@ def prove(engine: Engine, problem: str, predictor: Predictor,
         problem=problem,
         status=status,
         inferences=search.inferences,
-        bigsteps=len(bigstep_nodes) - 1,
+        bigsteps=len(spine) - 1,
         proof=proof,
         entropy_sum=search.entropy_sum,
         normalized_entropy_sum=search.normalized_entropy_sum,
         entropy_count=search.entropy_count,
         wall_time=time.monotonic() - t0,
-        bigstep_nodes=bigstep_nodes,
+        bigstep_nodes=spine,
         harvested=search.harvested,
     )

@@ -35,8 +35,8 @@ class Matrix:
     only when the problem mentions equality); it is excluded from
     paramodulation enumeration.  ``var_counts`` holds each clause's
     variable count, as ``clause_var_count`` gives it; a producer that
-    knows the counts hands them over, else they are counted here.
-    """
+    knows the counts hands them over, else they are counted here.  A
+    start or reflexivity id that names no clause raises ``ValueError``."""
 
     def __init__(self, clauses, start_ids, reflexivity_id=None, var_counts=None):
         self.clauses = list(clauses)
@@ -49,6 +49,9 @@ class Matrix:
         self.var_counts = list(var_counts)
         if not self.start_ids:
             raise ValueError("matrix needs at least one start clause")
+        for cid in self.start_ids + [reflexivity_id]:
+            if cid is not None and not 0 <= cid < len(self.clauses):
+                raise ValueError(f"clause id {cid} is outside [0, {len(self.clauses)})")
 
     def dump(self) -> str:
         return matrix_dump(self)

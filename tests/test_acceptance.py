@@ -149,7 +149,7 @@ def check_tree(node, failures):
 
 def select_slot(children, priors, parent_visits, cp):
     """``_select`` on a hand-built parent (None marks an unexpanded slot)."""
-    parent = MCTSNode(None, None, -1, 0)
+    parent = MCTSNode(None, -1)
     parent.visits = parent_visits
     parent.set_priors(priors)
     for i, child in enumerate(children):
@@ -159,7 +159,7 @@ def select_slot(children, priors, parent_visits, cp):
 
 
 def probe(score):
-    node = MCTSNode(None, None, -1, 0)
+    node = MCTSNode(None, -1)
     node.visits, node.reward_sum = 1, score
     return node
 
@@ -192,7 +192,7 @@ def test_criterion_3_search_tree_properties():
         p = float(rng.random())
         big_n = int(rng.integers(n + 1, 100000))
         cp = float(rng.random() * 3 + 0.1)
-        child = MCTSNode(None, None, -1, 0)
+        child = MCTSNode(None, -1)
         child.visits, child.reward_sum = n, r
         with mp.workdps(50):
             want = float(mp.mpf(r) / n
@@ -217,7 +217,7 @@ def test_criterion_3_search_tree_properties():
         cp = float(rng.uniform(0.5, 2.0))
         ln_n0 = ((r / n) / (cp * (p_new - p_vis / math.sqrt(n)))) ** 2 + 1.0
         big_n = math.exp(ln_n0)
-        child = MCTSNode(None, None, -1, 0)
+        child = MCTSNode(None, -1)
         child.visits, child.reward_sum = n, r
         if select_slot([child, None], [p_vis, p_new], big_n, cp) != 1:
             failures.append("exploration dominance")

@@ -17,7 +17,7 @@ import pytest
 from contab.clausify import ClausifyError, clausify, clausify_text, load_matrix
 from contab.corpus import corpus_problems
 from contab.tableau import Engine
-from contab.terms import EQ, Matrix, clause_var_count
+from contab.terms import EQ, Literal, Matrix, clause_var_count
 from contab.tptp import FAtom, FBin, FConst, FNeg, parse_problem
 
 
@@ -270,6 +270,22 @@ class TestVarCounts:
         m = clausify_text(wide_fof_text())
         with pytest.raises(ValueError, match="one variable count per clause"):
             Matrix(m.clauses, m.start_ids, m.reflexivity_id, m.var_counts[1:])
+
+
+class TestMatrixIds:
+    """A start or reflexivity id must name a clause: one outside the list
+    would fail later as a bare ``IndexError`` deep in the search."""
+
+    CLAUSES = [(Literal(False, "p", ()),)]
+
+    @pytest.mark.parametrize("start", [1, 3, -1])
+    def test_a_start_id_outside_the_clauses_is_refused(self, start):
+        with pytest.raises(ValueError, match=rf"clause id {start} is outside \[0, 1\)"):
+            Matrix(self.CLAUSES, [0, start])
+
+    def test_a_reflexivity_id_outside_the_clauses_is_refused(self):
+        with pytest.raises(ValueError, match=r"clause id 7 is outside \[0, 1\)"):
+            Matrix(self.CLAUSES, [0], reflexivity_id=7)
 
 
 # --- ground oracles ---------------------------------------------------------

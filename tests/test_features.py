@@ -318,9 +318,10 @@ class TestInheritedInstantiations:
         for text in (CHAIN_TEXT, GROUP_TEXT):
             for node in self.searched_nodes(text):
                 state = node.state
-                if node.parent is not None:
-                    kinds.add(node.parent.actions[node.action_index].kind)
-                    assert state.parent is node.parent.state
+                for child in node.children:
+                    if child is not None:
+                        kinds.add(node.actions[child.action_index].kind)
+                        assert child.state.parent is state
                 inherited = extract_features(state)
                 fresh = fresh_state_features(state)
                 assert list(inherited.items()) == list(fresh.items())

@@ -53,11 +53,11 @@ THREE_WAY = (
 )
 
 
-def three_action_node(visits, depth=1):
+def three_action_node(visits):
     """A bigstep-trace node over a real state with three legal actions."""
     engine = Engine(clausify_text(THREE_WAY))
     state = engine.replay(engine.start_actions()[:1])
-    node = MCTSNode(state, None, -1, depth)
+    node = MCTSNode(state, -1)
     node.actions = engine.legal_actions(state)
     assert len(node.actions) == 3
     node.children = []
@@ -65,7 +65,7 @@ def three_action_node(visits, depth=1):
         if v == 0:
             node.children.append(None)
         else:
-            child = MCTSNode(None, node, i, depth + 1)
+            child = MCTSNode(None, i)
             child.visits = v
             node.children.append(child)
     node.visits = 1 + sum(visits)
@@ -92,9 +92,12 @@ class TestExtraction:
         assert sum(examples[0].policy_targets) == pytest.approx(1.0, abs=1e-9)
 
     def test_value_two_steps_before_closure(self):
-        engine, node = three_action_node([2, 1, 0], depth=1)
-        result = result_with([node], proof_len=3)
-        ex = extract_training_data(result, engine.matrix)[0]
+        # trace node 1 lies one action below the root, two before closure;
+        # the root, with nothing expanded, gives no example
+        _, root = three_action_node([0, 0, 0])
+        engine, node = three_action_node([2, 1, 0])
+        result = result_with([root, node], proof_len=3)
+        [ex] = extract_training_data(result, engine.matrix)
         assert ex.value_target == pytest.approx(DISCOUNT**2)
         assert ex.value_target == pytest.approx(0.9801, abs=1e-4)
 

@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -150,9 +151,17 @@ class TestSoftmax:
         # each logit divided by the temperature on its own overflows, and
         # inf - inf is NaN
         assert softmax_temperature([1.0, 2.0], 1e-308).tolist() == [0.0, 1.0]
-        with np.errstate(over="ignore"):
-            p = softmax_temperature([[3.0, -1.0, 3.0], [0.0, 1e-300, 5.0]], 1e-310)
+        p = softmax_temperature([[3.0, -1.0, 3.0], [0.0, 1e-300, 5.0]], 1e-310)
         assert p.tolist() == [[0.5, 0.0, 0.5], [0.0, 0.0, 1.0]]
+
+    def test_an_infinite_maximum_and_a_tiny_temperature_do_not_warn(self):
+        # inf - inf in the shift, and an overflowing division by 1e-310
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nan = softmax_temperature([math.inf, math.inf])
+            tiny = softmax_temperature([1.0, 2.0, 1.0], 1e-310)
+        assert np.isnan(nan).all()
+        assert tiny.tolist() == [0.0, 1.0, 0.0]
 
     def test_at_temperature_one_the_bits_are_those_of_dividing_first(self):
         rng = np.random.default_rng(24)

@@ -59,8 +59,8 @@ BRANCHY = (
 )
 
 
-def make_node(visits=0, reward=0.0, depth=1):
-    n = MCTSNode(None, None, -1, depth)
+def make_node(visits=0, reward=0.0):
+    n = MCTSNode(None, -1)
     n.visits = visits
     n.reward_sum = reward
     return n
@@ -69,7 +69,7 @@ def make_node(visits=0, reward=0.0, depth=1):
 def select(children, parent_visits, cp=1.0):
     """``_select`` on a hand-built parent over expanded children, given
     as (prior, node) pairs."""
-    parent = make_node(visits=parent_visits, depth=0)
+    parent = make_node(visits=parent_visits)
     parent.set_priors([prior for prior, _ in children])
     for i, (_, node) in enumerate(children):
         parent.add_child(i, node)
@@ -164,7 +164,7 @@ def built_node(priors, expanded, visits):
     """A parent given its priors and then expanded, in the given order,
     through the search's own bookkeeping; ``expanded`` maps a slot to its
     child's (visits, reward sum, fully explored)."""
-    node = make_node(visits=visits, depth=0)
+    node = make_node(visits=visits)
     node.set_priors(list(priors))
     for i, (n, reward, done) in expanded.items():
         child = make_node(visits=n, reward=reward)
@@ -277,7 +277,7 @@ def test_group_theory_searches_are_pinned():
 
 class TestBigstep:
     def test_picks_highest_mean(self):
-        root = make_node(depth=0)
+        root = make_node()
         root.children = [
             make_node(visits=10, reward=2.0),
             make_node(visits=10, reward=9.0),
@@ -285,7 +285,7 @@ class TestBigstep:
         assert bigstep(root) is root.children[1]
 
     def test_tie_goes_to_lowest_action_index(self):
-        root = make_node(depth=0)
+        root = make_node()
         root.children = [
             make_node(visits=4, reward=2.0),
             make_node(visits=4, reward=2.0),
@@ -293,12 +293,12 @@ class TestBigstep:
         assert bigstep(root) is root.children[0]
 
     def test_unexpanded_slots_are_ignored(self):
-        root = make_node(depth=0)
+        root = make_node()
         root.children = [None, make_node(visits=1, reward=0.2), None]
         assert bigstep(root) is root.children[1]
 
     def test_no_expanded_child_gives_none(self):
-        root = make_node(depth=0)
+        root = make_node()
         root.children = [None, None]
         assert bigstep(root) is None
 
@@ -364,7 +364,6 @@ class TestRewards:
         assert result.solved
         assert len(result.proof) == 3
         leaf = proof_leaf(result)
-        assert leaf.depth == 3
         assert leaf.visits == 1 and leaf.fully_explored
         assert leaf.reward_sum == pytest.approx(DISCOUNT**3)
         assert leaf.reward_sum == pytest.approx(0.9703, abs=5e-4)
@@ -377,17 +376,48 @@ class TestRewards:
         assert leaf.reward_sum == pytest.approx(DISCOUNT**2)
 
 
-class TestDropTree:
-    def test_a_dropped_tree_is_freed_without_the_collector(self):
+class TestTreeIsFreed:
+    """The tree holds only child links, so reference counting frees it as
+    soon as nothing holds its result: no cycle waits for the collector."""
+
+    @staticmethod
+    def live_nodes():
+        return sum(type(o) is MCTSNode for o in gc.get_objects())
+
+    def test_a_released_result_frees_its_tree_without_the_collector(self):
         engine = Engine(clausify_text(BRANCHY))
         gc.collect()
         gc.disable()
         try:
             result = prove(engine, "b", UniformPredictor(), SearchLimits(inference_limit=200))
             assert len(result.bigstep_nodes) > 1
-            result.drop_tree()
-            assert result.bigstep_nodes == []
-            assert not any(type(o) is MCTSNode for o in gc.get_objects())
+            assert self.live_nodes() > 200
+            del result
+            assert self.live_nodes() == 0
+        finally:
+            gc.enable()
+
+    def test_harvest_leaves_no_tree_without_the_collector(self, monkeypatch):
+        from contab import analysis
+
+        # each search starts with no earlier tree alive
+        at_start = []
+
+        def counting_prove(*args, **kwargs):
+            at_start.append(self.live_nodes())
+            return prove(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "prove", counting_prove)
+        problems = [(name, Engine(clausify_text(text)))
+                    for name, text in (("b", BRANCHY), ("i", INFINITE), ("c", CHAIN3))]
+        gc.collect()
+        gc.disable()
+        try:
+            bank = analysis.harvest_states(problems, SearchLimits(inference_limit=200,
+                                                                  bigstep_frequency=25))
+            assert bank
+            assert at_start == [0, 0, 0]
+            assert self.live_nodes() == 0
         finally:
             gc.enable()
 
