@@ -113,11 +113,16 @@ def make_fixed_entropy_vector(n: int, target: float, seed: int) -> np.ndarray:
 
 def apply_order_preserving(fixed: Sequence[float], reference: Sequence[float]) -> np.ndarray:
     """Permute ``fixed`` so its descending ranks line up with the
-    descending ranks of ``reference`` (reference ties broken by index)."""
+    descending ranks of ``reference`` (reference ties broken by index).
+    A reference entry that is not finite has no rank and raises
+    ``ValueError``."""
     fixed = np.asarray(fixed, dtype=float)
     reference = np.asarray(reference, dtype=float)
     if fixed.shape != reference.shape:
         raise ValueError(f"length mismatch: {fixed.shape} vs {reference.shape}")
+    bad = np.flatnonzero(~np.isfinite(reference))
+    if bad.size:
+        raise ValueError(f"reference entry {bad[0]} is {reference[bad[0]]}, not finite")
     order = np.argsort(-reference, kind="stable")
     out = np.empty_like(fixed)
     out[order] = np.sort(fixed)[::-1]

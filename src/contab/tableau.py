@@ -31,6 +31,13 @@ succeeds (the occurs check cannot fire), as does unifying a goal's
 arguments with distinct variables, and two non-variable terms with
 different head symbols never unify.  ``legal_actions`` decides such
 candidates by their heads alone and unifies only the rest.
+
+The same invariant makes a goal's paramodulations depend on the goal
+under the substitution alone: every variable left in it is unbound, and
+the equation copy's are fresh, so the unifications read no binding, and
+the actions name no variable.  Each engine therefore memoizes them by
+the instantiated goal; the memo is cleared when it holds
+``REWRITE_MEMO_SIZE`` goals, so it stays bounded.
 """
 
 from __future__ import annotations
@@ -61,6 +68,7 @@ REDUCTION = "reduction"
 EXTENSION = "extension"
 PARAMODULATION = "paramodulation"
 PATH_LIMIT = 100  # Engine's default maximum tableau depth
+REWRITE_MEMO_SIZE = 2 ** 12  # instantiated goals an Engine keeps the rewrites of
 
 
 class Action(NamedTuple):
@@ -233,10 +241,15 @@ class ProofCheck:
 class Engine:
     """Action semantics over one matrix.
 
-    The engine itself is stateless apart from candidate indexes (the
-    extension head tables are filled per key on first use, and hold the
-    same whichever search fills them), so a single instance may serve
-    many concurrent searches.
+    The engine itself is stateless apart from candidate indexes and a
+    rewrite memo.  The extension head tables are filled per key on first
+    use and hold the same whichever search fills them.  The memo maps an
+    instantiated goal to its paramodulation actions, which no binding of
+    the state changes (see the module docstring), and is cleared when it
+    holds ``REWRITE_MEMO_SIZE`` goals: what it holds depends on the
+    searches run before, what ``legal_actions`` returns never does.  Each
+    call returns a list of its own, so a single instance may serve many
+    concurrent searches.
     """
 
     def __init__(self, matrix: Matrix, path_limit: int = PATH_LIMIT, paramodulation: bool = True):
@@ -259,6 +272,8 @@ class Engine:
         # per key on first use, since most keys of a wide matrix are never
         # looked up
         self._candidates: dict = {}
+        # instantiated goal -> its paramodulation actions (see the docstring)
+        self._rewrites: dict = {}
 
     # -- states -------------------------------------------------------------
 
@@ -316,25 +331,41 @@ class Engine:
 
         if self.paramodulation and self.equations:
             g = apply_subst_lit(goal, subst)
-            subterms = [(pos, sub, head(sub)) for pos, sub in subterm_positions(g)]
-            for cid, li, lit, lh, rh in self.equations:
-                sides = None  # the offset copy, made for the first pair that needs it
-                directions = (("lr", lh, 0), ("rl", rh, 1))
-                for pos, sub, gh in subterms:
-                    for direction, sh, k in directions:
-                        if gh is None or sh is None:
-                            ok = True
-                        elif gh != sh:
-                            continue
-                        else:
-                            if sides is None:
-                                sides = offset_literal(lit, off).args
-                            ok = unify_terms_trail(sub, sides[k], subst, trail)
-                            undo_trail(subst, trail)
-                        if ok:
-                            out.append(Action(PARAMODULATION, clause_id=cid, literal_index=li,
-                                              position=pos, direction=direction))
+            rewrites = self._rewrites.get(g)
+            if rewrites is None:
+                if len(self._rewrites) >= REWRITE_MEMO_SIZE:
+                    self._rewrites.clear()
+                rewrites = self._rewrites[g] = self._paramodulations(g, off)
+            out.extend(rewrites)
         return out
+
+    def _paramodulations(self, g: Literal, off: int) -> Tuple[Action, ...]:
+        """The rewrites of the instantiated goal ``g`` by each equation,
+        copied with variables from ``off`` up, above every variable of
+        ``g``.  Every variable of ``g`` is unbound, so the unifications
+        read no binding and run on an empty substitution."""
+        subst: dict = {}
+        trail: list = []
+        out = []
+        subterms = [(pos, sub, head(sub)) for pos, sub in subterm_positions(g)]
+        for cid, li, lit, lh, rh in self.equations:
+            sides = None  # the offset copy, made for the first pair that needs it
+            directions = (("lr", lh, 0), ("rl", rh, 1))
+            for pos, sub, gh in subterms:
+                for direction, sh, k in directions:
+                    if gh is None or sh is None:
+                        ok = True
+                    elif gh != sh:
+                        continue
+                    else:
+                        if sides is None:
+                            sides = offset_literal(lit, off).args
+                        ok = unify_terms_trail(sub, sides[k], subst, trail)
+                        undo_trail(subst, trail)
+                    if ok:
+                        out.append(Action(PARAMODULATION, clause_id=cid, literal_index=li,
+                                          position=pos, direction=direction))
+        return tuple(out)
 
     # -- application --------------------------------------------------------
 

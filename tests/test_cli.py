@@ -874,6 +874,15 @@ class TestMakeVector:
         assert code == 2
         assert "expected 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_reference_entry_that_is_not_finite_exits_2(self, bad, capsys):
+        code = run_cli("make-vector", "--length", "3", "--hstar", "0.5", "--seed", "1",
+                       "--reference", f"1,{bad},2")
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: reference entry 1 is {bad}, not finite\n"
+
     def test_out_file(self, tmp_path):
         dest = tmp_path / "vec.txt"
         assert run_cli("make-vector", "--length", "6", "--hstar", "0.95",

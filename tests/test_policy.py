@@ -255,6 +255,11 @@ class TestOrderPreserving:
         with pytest.raises(ValueError):
             apply_order_preserving([0.5, 0.5], [1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_reference_entry_that_is_not_finite_is_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"^reference entry 1 is -?(nan|inf), not finite$"):
+            apply_order_preserving([0.5, 0.3, 0.2], [0.4, bad, 0.2])
+
 
 def small_state_and_actions():
     engine = Engine(

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import contab.tableau as tableau_module
 from contab.clausify import clausify, clausify_text, load_matrix
 from contab.corpus import corpus_dir, corpus_problems
 from contab.policy import UniformPredictor
@@ -50,6 +51,7 @@ from contab.terms import (
     unify_terms_trail,
 )
 from contab.tptp import parse_problem
+from test_features import GROUP_TEXT
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench_problems", ROOT / "perfbench" / "problems.py")
@@ -434,6 +436,82 @@ class TestOracleAgreement:
             if not acts:
                 break
             s = e.apply(s, acts[0])
+
+
+class TestRewriteMemo:
+    """Each engine keeps the paramodulations of every instantiated goal it
+    has enumerated, clearing the memo when it holds REWRITE_MEMO_SIZE
+    goals.  Whether the memo is warm, or cleared on every miss, must not
+    show in any action list or search."""
+
+    BOUNDS = [tableau_module.REWRITE_MEMO_SIZE, 1]
+
+    @staticmethod
+    def goal_of(state):
+        return apply_subst_lit(state.current_goal, state.subst)
+
+    def random_walks(self, engine, rng, walks=40, steps=12):
+        """Walks from the root on one engine, every step checked against
+        the brute-force enumerator; returns the rewritten goals seen."""
+        goals = []
+        for _ in range(walks):
+            s = engine.root_state()
+            for _ in range(steps):
+                got = engine.legal_actions(s)
+                assert got == oracle_actions(engine, s), s.describe()
+                if s.goals and len(s.path) < engine.path_limit:
+                    goals.append(self.goal_of(s))
+                if not got:
+                    break
+                s = engine.apply(s, rng.choice(got))
+        return goals
+
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_random_walks_on_one_engine_agree_with_brute_force(self, bound, monkeypatch):
+        monkeypatch.setattr(tableau_module, "REWRITE_MEMO_SIZE", bound)
+        engine = Engine(clausify_text(GROUP_TEXT), path_limit=10)
+        rng = random.Random(11)
+        goals = self.random_walks(engine, rng) + self.random_walks(engine, rng)
+        distinct = set(goals)
+        # goals recur, so under the larger bound the memo answers them
+        assert len(goals) > len(distinct) > 100
+        assert len(engine._rewrites) == min(bound, len(distinct))
+
+    def test_a_search_is_the_same_under_either_bound(self, monkeypatch):
+        def search(engine):
+            result = prove(engine, "group", UniformPredictor(),
+                           SearchLimits(inference_limit=600, bigstep_frequency=50))
+            tree = [node.actions for node in search_tree_nodes(result)]
+            return result.status, result.inferences, result.proof, tree
+
+        engine = Engine(clausify_text(GROUP_TEXT))
+        fresh = search(engine)
+        assert fresh[1] == 600 and len(fresh[3]) > 300
+        assert search(engine) == fresh  # the memo now warm
+        monkeypatch.setattr(tableau_module, "REWRITE_MEMO_SIZE", 1)
+        assert search(Engine(clausify_text(GROUP_TEXT))) == fresh
+
+    def test_the_caller_owns_the_list(self):
+        engine = Engine(clausify_text(GROUP_TEXT))
+        state = engine.replay(engine.start_actions()[:1])
+        want = list(engine.legal_actions(state))
+        assert {a.kind for a in want} == {PARAMODULATION} and len(want) > 1
+        got = engine.legal_actions(state)
+        got.clear()
+        assert engine.legal_actions(state) == want
+        got = engine.legal_actions(state)
+        got.append(Action(REDUCTION, path_index=0))
+        assert engine.legal_actions(state) == want
+
+    def test_the_memo_holds_no_more_goals_than_the_bound(self, monkeypatch):
+        monkeypatch.setattr(tableau_module, "REWRITE_MEMO_SIZE", 5)
+        engine = Engine(clausify_text(GROUP_TEXT), path_limit=10)
+        rng = random.Random(4)
+        seen = set()
+        for _ in range(20):
+            seen.update(self.random_walks(engine, rng, walks=1))
+            assert len(engine._rewrites) <= 5
+        assert len(seen) > 5
 
 
 def search_tree_nodes(result):
