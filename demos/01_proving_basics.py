@@ -8,7 +8,7 @@ the found proof through the checker.
 from contab.clausify import clausify_text
 from contab.policy import UniformPredictor
 from contab.search import SearchLimits, prove
-from contab.tableau import Engine
+from contab.tableau import Engine, IllegalActionError
 from contab.terms import literal_str
 
 PROBLEM = """\
@@ -55,8 +55,12 @@ def main():
     print("proof trace:")
     for action in result.proof:
         print(f"  {action.encode()}")
-    check = engine.check_proof(result.proof)
-    print(f"independent replay: {'valid' if check else check.reason}")
+    engine.check_proof(result.proof)  # raises if the proof does not close the tableau
+    print("independent replay: valid")
+    try:
+        engine.check_proof(result.proof[:-1])
+    except IllegalActionError as e:
+        print(f"without its last action: step {e.step}: {e}")
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ from .policy import (FixedEntropyPredictor, LinearPredictor, Predictor,
                      load_model, make_fixed_entropy_vector, normalized_entropy,
                      predict, save_model, softmax_temperature)
 from .search import MCTSNode, ProofResult, SearchLimits, bigstep, prove
-from .tableau import (Action, Engine, IllegalActionError, ProofCheck, TableauState,
-                      decode_action, read_trace, write_trace)
+from .tableau import (Action, Engine, IllegalActionError, TableauState, decode_action,
+                      read_trace, write_trace)
 from .terms import Literal, Matrix
 from .tptp import ParseError, UnsupportedError, parse_problem, parse_problem_file
 
@@ -28,8 +28,8 @@ __all__ = [
     "apply_order_preserving", "entropy", "load_model", "make_fixed_entropy_vector",
     "normalized_entropy", "predict", "save_model", "softmax_temperature",
     "MCTSNode", "ProofResult", "SearchLimits", "bigstep", "prove",
-    "Action", "Engine", "IllegalActionError", "ProofCheck", "TableauState",
-    "decode_action", "read_trace", "write_trace",
+    "Action", "Engine", "IllegalActionError", "TableauState", "decode_action",
+    "read_trace", "write_trace",
     "Literal", "Matrix",
     "ParseError", "UnsupportedError", "parse_problem", "parse_problem_file",
     "__version__",

@@ -1,8 +1,9 @@
 """Cross-predictor comparison over a fixed bank of search states.
 
-The bank holds states an unguided search visited, each encoded as the
-action path that reaches it from the root, so any predictor can later be
-asked for its distribution over the exact same canonical action list.
+The bank holds states an unguided search visited, each as the action
+path that reaches it from the root, so any predictor can later be asked
+for its distribution over the exact same canonical action list.  A path
+is a tuple of :class:`Action`; only the bank file holds it as text.
 Comparison metrics: same most-probable action (Best), same full ordering
 (Order), and mean KL divergence in both directions with infinite terms
 excluded from the mean and counted separately.
@@ -17,10 +18,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fileio import atomic_open
+from .fileio import atomic_open, read_text
 from .policy import Predictor, UniformPredictor, check_distribution, predict
 from .search import SearchLimits, prove
-from .tableau import Engine, IllegalActionError, decode_action
+from .tableau import Action, Engine, IllegalActionError, decode_action
 
 BANK_MAGIC = "contab-bank v1"
 
@@ -41,7 +42,7 @@ def kl_divergence(p: Sequence[float], q: Sequence[float]) -> float:
 @dataclass
 class BankEntry:
     problem: str
-    path: Tuple[str, ...]
+    path: Tuple[Action, ...]
     n_actions: int
 
 
@@ -71,16 +72,16 @@ def save_bank(path, bank: Sequence[BankEntry]) -> None:
     with atomic_open(path) as fh:
         fh.write(BANK_MAGIC + "\n")
         for e in bank:
-            encoded = ";".join(e.path) if e.path else "-"
+            encoded = ";".join(a.encode() for a in e.path) if e.path else "-"
             fh.write(f"{e.problem}\t{encoded}\t{e.n_actions}\n")
 
 
 def load_bank(path) -> List[BankEntry]:
-    """The bank's entries in file order.  A malformed line, or a state with
-    fewer than two actions (harvest records none), raises ``ValueError``
-    naming the file and line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    """The bank's entries in file order.  A malformed line, a step that
+    does not decode as a trace line would, or a state with fewer than two
+    actions (harvest records none) raises ``ValueError`` naming the file
+    and line."""
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != BANK_MAGIC:
         raise ValueError(f"{path}: not a recognized state-bank file")
     bank: List[BankEntry] = []
@@ -89,7 +90,8 @@ def load_bank(path) -> List[BankEntry]:
             continue
         try:
             problem, encoded, n = ln.split("\t")
-            entry = BankEntry(problem, () if encoded == "-" else tuple(encoded.split(";")), int(n))
+            steps = () if encoded == "-" else tuple(map(decode_action, encoded.split(";")))
+            entry = BankEntry(problem, steps, int(n))
             if entry.n_actions < 2:
                 raise ValueError(f"a bank state has at least 2 actions, got {entry.n_actions}")
         except ValueError as e:
@@ -100,16 +102,10 @@ def load_bank(path) -> List[BankEntry]:
 
 def replay_entry(engine: Engine, entry: BankEntry):
     """The state :meth:`Engine.replay` reaches along the entry's path; a
-    step that does not decode or is not legal raises ``ValueError`` naming
-    the problem and the 1-based step."""
-    actions = []
-    for step, encoded in enumerate(entry.path, start=1):
-        try:
-            actions.append(decode_action(encoded))
-        except ValueError as e:
-            raise ValueError(f"{entry.problem}: bank step {step} {encoded!r}: {e}") from None
+    step that is not legal raises ``ValueError`` naming the problem and
+    the 1-based step."""
     try:
-        return engine.replay(actions)
+        return engine.replay(entry.path)
     except IllegalActionError as e:
         raise ValueError(f"{entry.problem}: bank step {e.step + 1} {e}") from None
 

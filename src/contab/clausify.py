@@ -24,6 +24,7 @@ count again.  Both passes dispatch on the exact node type.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Sequence
 
 from .terms import EQ, Literal, Matrix
@@ -89,7 +90,14 @@ def clausify_text(text: str) -> Matrix:
 
 
 def load_matrix(path) -> Matrix:
-    return clausify(parse_problem_file(path))
+    """The matrix of the problem file ``path``.  Parsing and clausifying
+    recurse once per level of nesting, so a formula or term nested past
+    the recursion limit raises :class:`ClausifyError` saying so."""
+    try:
+        return clausify(parse_problem_file(path))
+    except RecursionError:
+        raise ClausifyError(f"a formula or term nests deeper than the recursion limit "
+                            f"({sys.getrecursionlimit()}) allows") from None
 
 
 # ---------------------------------------------------------------------------

@@ -27,16 +27,16 @@ from typing import Dict, List, Optional, Tuple
 from . import __version__
 from .analysis import (AGREEMENT_COLUMNS, agreement_rows, compare, harvest_states,
                        load_bank, report_csv, save_bank)
-from .clausify import ClausifyError, load_matrix
+from .clausify import load_matrix
 from .corpus import corpus_dir
-from .fileio import atomic_open
+from .fileio import atomic_open, read_text
 from .learn import STATS_COLUMNS, LoopConfig, TrainConfig, prove_problems, run_loop
 from .policy import (FixedEntropyPredictor, LinearPredictor, Predictor,
                      UniformPredictor, load_model, make_fixed_entropy_vector,
                      apply_order_preserving)
 from .search import SearchLimits, format_result_line
-from .tableau import PATH_LIMIT, Engine, check_path_limit, read_trace, write_trace
-from .tptp import ParseError
+from .tableau import (PATH_LIMIT, Engine, IllegalActionError, check_path_limit, read_trace,
+                      write_trace)
 
 CORPUS_ENV = "CONTAB_CORPUS_DIR"
 
@@ -103,15 +103,14 @@ _CONFIG_KEYS = {key for groups in _FLAGS.values() for group in groups for key in
 
 def _read_config_file(path: str) -> Dict[str, str]:
     cfg: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            if "=" not in ln:
-                raise ValueError(f"{path}: expected key=value, got {ln!r}")
-            key, _, val = ln.partition("=")
-            cfg[key.strip().replace("-", "_")] = val.strip()
+    for ln in read_text(path).split("\n"):
+        ln = ln.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        if "=" not in ln:
+            raise ValueError(f"{path}: expected key=value, got {ln!r}")
+        key, _, val = ln.partition("=")
+        cfg[key.strip().replace("-", "_")] = val.strip()
     return cfg
 
 
@@ -161,7 +160,7 @@ def _problem_paths(args: argparse.Namespace) -> List[Path]:
 
 def _build_engines(args: argparse.Namespace) -> Tuple[List[Tuple[str, Engine]], List[Tuple[str, str]]]:
     """Returns (name, engine) pairs for the problem set plus (name, error)
-    records for the problems that failed to parse or clausify."""
+    records for the problems that could not be read, parsed or clausified."""
     paths = _problem_paths(args)
     check_path_limit(args.path_limit)  # even if no problem parses
     engines: List[Tuple[str, Engine]] = []
@@ -174,7 +173,7 @@ def _build_engines(args: argparse.Namespace) -> Tuple[List[Tuple[str, Engine]], 
         seen.add(name)
         try:
             matrix = load_matrix(path)
-        except (ParseError, ClausifyError, OSError) as e:
+        except (ValueError, OSError) as e:
             errors.append((name, str(e)))
             continue
         engines.append((name, Engine(matrix, path_limit=args.path_limit,
@@ -367,18 +366,19 @@ def cmd_check(args) -> int:
     try:
         matrix = load_matrix(args.problem)
         name, actions = read_trace(args.trace)
-    except (ParseError, ClausifyError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
     # the path grows by at most one literal per action, so this limit and
     # paramodulation allow every action that any search could have taken
     engine = Engine(matrix, path_limit=len(actions) + 1, paramodulation=True)
-    check = engine.check_proof(actions)
-    if check:
-        print(f"ok: {name}: {len(actions)} actions close the tableau")
-        return 0
-    print(f"invalid proof: {check.reason}", file=sys.stderr)
-    return 1
+    try:
+        engine.check_proof(actions)
+    except IllegalActionError as e:
+        print(f"invalid proof: step {e.step}: {e}", file=sys.stderr)
+        return 1
+    print(f"ok: {name}: {len(actions)} actions close the tableau")
+    return 0
 
 
 def cmd_make_vector(args) -> int:
@@ -465,7 +465,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.parser.set_defaults(**_config_defaults(args))
             args = parser.parse_args(argv)
         return args.func(args)
-    except (ParseError, ClausifyError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

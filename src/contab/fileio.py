@@ -1,4 +1,4 @@
-"""Output files that are written whole or not at all."""
+"""Text files written whole or not at all, and read naming the file that does not decode."""
 
 from __future__ import annotations
 
@@ -21,3 +21,13 @@ def atomic_open(path, newline=None):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def read_text(path) -> str:
+    """The text of the UTF-8 file ``path``; bytes that do not decode
+    raise ``ValueError`` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -32,6 +32,7 @@ and keeps its value side.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import os
@@ -42,7 +43,7 @@ import numpy as np
 
 from .analysis import report_csv
 from .features import FEATURE_DIM, extract_action_features, extract_features
-from .fileio import atomic_open
+from .fileio import atomic_open, read_text
 from .policy import (LinearPredictor, Predictor, UniformPredictor, _sparse_dot, save_model,
                      sigmoid, softmax_temperature)
 from .search import DISCOUNT, ProofResult, SearchLimits, prove
@@ -308,8 +309,7 @@ def write_examples(path, examples: Sequence[TrainingExample]) -> None:
 
 def read_examples(path) -> List[TrainingExample]:
     """A malformed line raises ``ValueError`` naming the file and line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != EXAMPLES_MAGIC:
         raise ValueError(f"{path}: not a recognized examples file")
     out = []
@@ -655,8 +655,7 @@ def _load_checkpoint(out_dir, config: LoopConfig, stats: List[IterationStats],
     state_path = os.path.join(out_dir, "loop_state.txt")
     if not os.path.exists(state_path):
         return 0
-    with open(state_path, "r", encoding="utf-8") as fh:
-        state = dict(ln.partition(" ")[::2] for ln in fh.read().splitlines())
+    state = dict(ln.partition(" ")[::2] for ln in read_text(state_path).splitlines())
     if "completed" not in state:
         raise ValueError(f"{state_path}: not a loop checkpoint")
 
@@ -674,21 +673,20 @@ def _load_checkpoint(out_dir, config: LoopConfig, stats: List[IterationStats],
                              f"but {state[key]} in the checkpoint")
     last = number("completed", int)
     stats_path = os.path.join(out_dir, "stats.csv")
-    with open(stats_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) is None:
-            raise ValueError(f"{stats_path}:1: no header row")
-        for row in reader:
-            try:
-                iteration, solved, ent, nent, inferences = row
-                row_stats = IterationStats(int(iteration), int(solved), float(ent), float(nent),
-                                           int(inferences))
-            except ValueError as e:
-                raise ValueError(f"{stats_path}:{reader.line_num}: {e}") from None
-            # stats.csv is written before loop_state.txt, so it may hold a
-            # row of an iteration that did not complete
-            if row_stats.iteration <= last:
-                stats.append(row_stats)
+    reader = csv.reader(io.StringIO(read_text(stats_path)))
+    if next(reader, None) is None:
+        raise ValueError(f"{stats_path}:1: no header row")
+    for row in reader:
+        try:
+            iteration, solved, ent, nent, inferences = row
+            row_stats = IterationStats(int(iteration), int(solved), float(ent), float(nent),
+                                       int(inferences))
+        except ValueError as e:
+            raise ValueError(f"{stats_path}:{reader.line_num}: {e}") from None
+        # stats.csv is written before loop_state.txt, so it may hold a
+        # row of an iteration that did not complete
+        if row_stats.iteration <= last:
+            stats.append(row_stats)
     for it in range(last + 1):
         examples.extend(read_examples(os.path.join(out_dir, f"examples_iter{it}.txt")))
     return last + 1

@@ -19,7 +19,7 @@ import numpy as np
 # extract_features is not called here; perfbench's tracing wraps it under
 # this module's name, beside extract_action_features
 from .features import FEATURE_DIM, StateDot, extract_action_features, extract_features  # noqa: F401
-from .fileio import atomic_open
+from .fileio import atomic_open, read_text
 from .tableau import TableauState
 
 __all__ = [
@@ -331,8 +331,7 @@ def load_model(path) -> Tuple[str, Dict[int, float], float, float]:
     """Returns (kind, sparse weights in file order, temperature, alpha); a
     damaged file, one whose dim is not ``FEATURE_DIM`` or one whose
     temperature is not positive raises ``ValueError`` naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != MODEL_MAGIC:
         raise ValueError(f"{path}: not a recognized model file")
     header = {}

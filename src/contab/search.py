@@ -109,7 +109,7 @@ class ProofResult:
     # in-memory only: the bigstep spine (node k is k actions deep) for
     # training, and harvested (action-path, action-count) pairs for banks
     bigstep_nodes: List[MCTSNode] = field(default_factory=list, repr=False)
-    harvested: List[Tuple[Tuple[str, ...], int]] = field(default_factory=list, repr=False)
+    harvested: List[Tuple[Tuple[Action, ...], int]] = field(default_factory=list, repr=False)
 
     @property
     def solved(self) -> bool:
@@ -146,7 +146,7 @@ class _Search:
         self.entropy_sum = 0.0
         self.normalized_entropy_sum = 0.0
         self.entropy_count = 0
-        self.harvested: List[Tuple[Tuple[str, ...], int]] = []
+        self.harvested: List[Tuple[Tuple[Action, ...], int]] = []
         # the bigstep spine from the search root down to the current root,
         # plus, during a playout, the nodes it descends and its leaf
         self.path: List[MCTSNode] = []
@@ -194,8 +194,7 @@ class _Search:
             self.normalized_entropy_sum += normalized
         self.entropy_count += 1
         if self.collect_states and len(node.actions) >= 2 and len(self.harvested) < HARVEST_CAP:
-            path = tuple(a.encode() for a in self._actions())
-            self.harvested.append((path, len(node.actions)))
+            self.harvested.append((tuple(self._actions()), len(node.actions)))
         return value
 
     def _select(self, node: MCTSNode) -> int:
@@ -298,7 +297,8 @@ def prove(engine: Engine, problem: str, predictor: Predictor,
     """Search for a closed tableau, one leaf per playout.  Each stop has one
     site: the current root fully explored (``dead-end``), the budget or
     the wall clock spent (``budget-exhausted``), the first proof
-    (``solved``); a distribution that is not finite raises ``ValueError``."""
+    (``solved``); a distribution that is not finite raises ``ValueError``,
+    and a found proof that fails its replay ``IllegalActionError``."""
     limits = limits or SearchLimits()
     t0 = time.monotonic()
     search = _Search(engine, predictor, limits, collect_states)
@@ -325,9 +325,7 @@ def prove(engine: Engine, problem: str, predictor: Predictor,
 
     proof = search.proof
     if proof is not None:
-        check = engine.check_proof(proof)
-        if not check:
-            raise RuntimeError(f"{problem}: found proof fails replay: {check.reason}")
+        engine.check_proof(proof)
     return ProofResult(
         problem=problem,
         status=status,

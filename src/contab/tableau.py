@@ -42,10 +42,9 @@ the instantiated goal; the memo is cleared when it holds
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
-from .fileio import atomic_open
+from .fileio import atomic_open, read_text
 from .terms import (
     EQ,
     Literal,
@@ -227,15 +226,9 @@ class IllegalActionError(Exception):
         super().__init__(message)
         self.step = step
 
-
-@dataclass
-class ProofCheck:
-    ok: bool
-    failed_step: Optional[int] = None
-    reason: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
+    def __reduce__(self):
+        # a pool child sends it to the caller pickled, step included
+        return type(self), (str(self), self.step)
 
 
 class Engine:
@@ -417,15 +410,14 @@ class Engine:
             state = self.apply(state, a)
         return state
 
-    def check_proof(self, actions) -> ProofCheck:
-        """:meth:`replay` an action sequence, which must close the tableau."""
-        try:
-            state = self.replay(actions)
-        except IllegalActionError as e:
-            return ProofCheck(False, e.step, f"step {e.step}: {e}")
+    def check_proof(self, actions) -> TableauState:
+        """The closed state :meth:`replay` reaches along a proof; a tableau
+        the proof leaves open raises :class:`IllegalActionError` with
+        ``step`` the proof's length."""
+        state = self.replay(actions)
         if not self.is_closed(state):
-            return ProofCheck(False, len(actions), "tableau not closed after the last action")
-        return ProofCheck(True)
+            raise IllegalActionError("tableau not closed after the last action", len(actions))
+        return state
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +434,8 @@ def write_trace(path, problem_name: str, actions) -> None:
 def read_trace(path) -> Tuple[str, List[Action]]:
     """The problem name and the actions of a trace file; a line that does
     not decode raises ``ValueError`` naming the file and line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(lineno, ln.strip()) for lineno, ln in enumerate(fh, start=1) if ln.strip()]
+    lines = [(lineno, ln.strip())
+             for lineno, ln in enumerate(read_text(path).split("\n"), start=1) if ln.strip()]
     if not lines or not lines[0][1].startswith("problem "):
         raise ValueError(f"{path}: trace file must begin with a 'problem <name>' line")
     actions = []

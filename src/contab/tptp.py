@@ -33,6 +33,7 @@ import re
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
+from .fileio import read_text
 from .terms import EQ
 
 
@@ -278,9 +279,8 @@ class _Parser:
             return []
         self.seen_includes.add(path)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as e:
+            text = read_text(path)
+        except (OSError, ValueError) as e:
             self.fail(f"cannot read include file {name!r}: {e}", at)
         sub = _Parser(text, os.path.dirname(path), self.seen_includes)
         sub.fun_arity = self.fun_arity
@@ -452,8 +452,5 @@ def parse_problem(text: str, source_dir: Optional[str] = None) -> Tuple[Annotate
 
 
 def parse_problem_file(path) -> Tuple[AnnotatedFormula, ...]:
-    path = os.fspath(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_problem(text, os.path.dirname(os.path.abspath(path)))
+    return parse_problem(read_text(path), os.path.dirname(os.path.abspath(path)))
 

@@ -33,7 +33,7 @@ from contab.features import FEATURE_DIM, _hash
 from contab.policy import (FixedEntropyPredictor, LinearPredictor, Predictor, UniformPredictor,
                            predict, softmax_temperature)
 from contab.search import HARVEST_CAP, SearchLimits
-from contab.tableau import Engine
+from contab.tableau import EXTENSION, START, Action, Engine
 
 P_EX = [0.5, 0.47, 0.01, 0.01, 0.01]
 Q_EX = [0.96, 0.01, 0.01, 0.01, 0.01]
@@ -228,6 +228,27 @@ class TestBankFiles:
         with pytest.raises(ValueError) as info:
             load_bank(path)
         assert str(info.value) == f"{path}:4: a bank state has at least 2 actions, got {n_actions}"
+
+    def test_paths_are_written_as_trace_lines(self, tmp_path):
+        path = tmp_path / "states.bank"
+        steps = (Action(START, clause_id=2), Action(EXTENSION, clause_id=1, literal_index=0))
+        save_bank(path, [BankEntry("p", steps, 3), BankEntry("q", (), 2)])
+        assert path.read_text() == "contab-bank v1\np\tstart 2;extension 1 0\t3\nq\t-\t2\n"
+        assert [e.path for e in load_bank(path)] == [steps, ()]
+
+    @pytest.mark.parametrize("steps, complaint", [
+        ("start 2;start -1", "malformed action line 'start -1': negative index"),
+        ("start 2;extension 1", "malformed action line 'extension 1': "
+                                "a extension action has 3 fields, not 2"),
+        ("start 2;;extension 1 1", "empty action line"),
+        ("start 2;jump 3", "unknown action kind 'jump'"),
+    ], ids=["negative-index", "missing-field", "empty-step", "unknown-kind"])
+    def test_a_malformed_step_is_refused_at_load_by_line(self, tmp_path, steps, complaint):
+        path = tmp_path / "states.bank"
+        path.write_text(f"contab-bank v1\nchain1\tstart 2\t2\nchain1\t{steps}\t2\n")
+        with pytest.raises(ValueError) as info:
+            load_bank(path)
+        assert str(info.value) == f"{path}:3: {complaint}"
 
 
 def scripted_compare(pred_a, pred_b, bank, engines, tol=1e-9):

@@ -5,6 +5,7 @@ stdout/stderr and exit codes are checked without spawning a shell.
 """
 
 import os
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -33,6 +34,15 @@ BRANCHY = (
     "fof(c, conjecture, p(a)).\n"
 )
 DEAD = "cnf(g, negated_conjecture, ~q(a)).\ncnf(ax, axiom, p(a)).\n"
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"
+# a problem that is not UTF-8, and one nested past the recursion limit,
+# with the error each is reported by ({path} is the problem's path)
+UNREADABLE = pytest.mark.parametrize("text, detail", [
+    (b"fof(a, axiom, p).\n\xff\n", "{path}: " + NOT_UTF8.format(at=18)),
+    (b"fof(a, axiom, " + b"~" * 3000 + b"p).\n",
+     f"a formula or term nests deeper than the recursion limit ({sys.getrecursionlimit()}) "
+     f"allows"),
+], ids=["not-utf8", "nested-3000"])
 
 
 @pytest.fixture
@@ -138,6 +148,21 @@ class TestProve:
         results = (out / "results.txt").read_text()
         assert "problem=broken status=error" in results
         assert "problem=trivial status=solved" in results
+
+    @UNREADABLE
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_problem_that_cannot_be_read_is_its_error_row(
+            self, problem_dir, tmp_path, workers, text, detail):
+        alone, out = tmp_path / "alone", tmp_path / "out"
+        assert run_cli("prove", problem_dir, "--out", alone, *FAST_LIMITS,
+                       "--workers", workers) == 0
+        bad = problem_dir / "bad.p"
+        bad.write_bytes(text)
+        assert run_cli("prove", problem_dir, "--out", out, *FAST_LIMITS,
+                       "--workers", workers) == 0
+        rows = (out / "results.txt").read_text().splitlines()
+        assert rows[0] == f"problem=bad status=error detail={detail.format(path=bad)!r}"
+        assert rows[1:] == (alone / "results.txt").read_text().splitlines()
 
     @pytest.mark.parametrize("command", [
         ["harvest"], ["loop", "--iterations", "0", "--workers", "1"]], ids=["harvest", "loop"])
@@ -633,14 +658,15 @@ class TestHarvestAnalyze:
 
     @pytest.mark.parametrize("damage, complaint", [
         # the fact the harvested path extends with no longer unifies
-        (None, "bank step 5 'extension 1 0' is not a legal action"),
-        # clause indices past either end of the matrix
-        ("start 40;", "bank step 1 'start 40'"),
-        ("start -1;", "bank step 1 'start -1'"),
+        (None, "rule_pick: bank step 5 'extension 1 0' is not a legal action"),
+        # clause indices past either end of the matrix: the first replays
+        # and is refused, the second does not decode, so loading refuses it
+        ("start 40;", "rule_pick: bank step 1 'start 40' is not a legal action"),
+        ("start -1;", "{bank}:2: malformed action line 'start -1': negative index"),
         # at(one) is a clause no search starts from
-        ("start 3;", "bank step 1 'start 3' is not a legal action"),
+        ("start 3;", "rule_pick: bank step 1 'start 3' is not a legal action"),
         # a step is decoded as strictly as a trace line
-        ("start 4 9;", "bank step 1 'start 4 9': malformed action line 'start 4 9': "
+        ("start 4 9;", "{bank}:2: malformed action line 'start 4 9': "
                        "a start action has 2 fields, not 3"),
     ], ids=["problem-edited", "index-past-end", "negative-index", "non-start-clause",
             "extra-field"])
@@ -660,7 +686,7 @@ class TestHarvestAnalyze:
         code = run_cli("analyze", problems, "--bank", bank, "--predictor-a", "uniform",
                        "--predictor-b", "uniform", "--out", tmp_path / "a")
         assert code == 2
-        assert f"rule_pick: {complaint}" in capsys.readouterr().err
+        assert complaint.format(bank=bank) in capsys.readouterr().err
 
     def test_malformed_bank_line_exits_2(self, problem_dir, tmp_path, capsys):
         hout = tmp_path / "h"
@@ -822,7 +848,26 @@ class TestCheck:
         lines = trace.read_text().splitlines()
         trace.write_text("\n".join(lines[:-1]) + "\n")
         assert run_cli("check", problem, trace) == 1
-        assert "invalid proof" in capsys.readouterr().err
+        # the header and the dropped line leave len(lines) - 2 actions
+        assert capsys.readouterr().err == (f"invalid proof: step {len(lines) - 2}: "
+                                           f"tableau not closed after the last action\n")
+
+    def test_an_illegal_step_fails_with_exit_1_naming_it(self, problem_dir, tmp_path, capsys):
+        problem, trace = self.prove_chain(problem_dir, tmp_path)
+        lines = trace.read_text().splitlines()
+        lines[2] = "extension 9 9"
+        trace.write_text("\n".join(lines) + "\n")
+        assert run_cli("check", problem, trace) == 1
+        assert capsys.readouterr().err == (
+            "invalid proof: step 1: 'extension 9 9' is not a legal action\n")
+
+    @UNREADABLE
+    def test_a_problem_that_cannot_be_read_exits_2(self, problem_dir, tmp_path, capsys,
+                                                    text, detail):
+        problem, trace = self.prove_chain(problem_dir, tmp_path)
+        problem.write_bytes(text)
+        assert run_cli("check", problem, trace) == 2
+        assert capsys.readouterr().err == f"parse error: {detail.format(path=problem)}\n"
 
     def test_proof_deeper_than_the_default_path_limit_checks(self, tmp_path, capsys):
         """The checker replays under no path limit a trace can reach, so a
@@ -851,6 +896,22 @@ class TestCheck:
 
     def test_missing_trace_exits_2(self, problem_dir, tmp_path):
         assert run_cli("check", problem_dir / "chain.p", tmp_path / "no.trace") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{problems}/chain.p", "{bad}"],
+    ["prove", "{problems}", "--predictor", "linear:policy={bad}", "--out", "{out}"],
+    ["analyze", "{problems}", "--bank", "{bad}", "--predictor-a", "uniform",
+     "--predictor-b", "uniform", "--out", "{out}"],
+    ["prove", "{problems}", "--config", "{bad}", "--out", "{out}"],
+], ids=["trace", "model", "bank", "config"])
+def test_an_input_that_is_not_utf8_exits_2_naming_it(problem_dir, tmp_path, capsys, argv):
+    bad = tmp_path / "input"
+    bad.write_bytes(b"\xff\n")
+    argv = [a.format(problems=problem_dir, bad=bad, out=tmp_path / "o") for a in argv]
+    assert run_cli(*argv) == 2
+    prefix = "parse error" if argv[0] == "check" else "error"
+    assert capsys.readouterr().err == f"{prefix}: {bad}: {NOT_UTF8.format(at=0)}\n"
 
 
 class TestMakeVector:

@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from contab.analysis import BankEntry, report_csv, save_bank
+from contab.analysis import BankEntry, load_bank, report_csv, save_bank
 from contab.clausify import clausify_text, load_matrix
 from contab.corpus import corpus_problems
 from contab.features import FEATURE_DIM
@@ -30,6 +30,7 @@ from contab.learn import (
     TrainConfig,
     TrainingDiverged,
     TrainingExample,
+    _load_checkpoint,
     _WorkerPool,
     extract_training_data,
     policy_grad_logits,
@@ -42,10 +43,11 @@ from contab.learn import (
     value_loss,
     write_examples,
 )
-from contab.policy import (LinearPredictor, UniformPredictor, _sparse_dot, normalized_entropy,
-                           save_model, sigmoid, softmax_temperature)
+from contab.policy import (LinearPredictor, UniformPredictor, _sparse_dot, load_model,
+                           normalized_entropy, save_model, sigmoid, softmax_temperature)
 from contab.search import DISCOUNT, MCTSNode, ProofResult, SearchLimits, prove
-from contab.tableau import Action, Engine, write_trace
+from contab.tableau import Action, Engine, IllegalActionError, read_trace, write_trace
+from contab.tptp import parse_problem_file
 
 THREE_WAY = (
     "cnf(a1, axiom, p(X) | q(X)).\ncnf(a2, axiom, p(X) | r(X)).\n"
@@ -891,6 +893,20 @@ class TestPoolFailures:
             prove_problems(corpus_engines(), UniformPredictor(), self.LIMITS, workers=2)
         assert multiprocessing.active_children() == []
 
+    def test_a_replay_refused_in_a_child_is_re_raised_with_its_step(self, monkeypatch):
+        caller = os.getpid()
+
+        def refuse(engine, actions):
+            if os.getpid() != caller:
+                raise IllegalActionError("injected refusal", 3)
+            return engine.replay(actions)
+        monkeypatch.setattr(Engine, "check_proof", refuse)
+        patch_search(monkeypatch, pause, lambda name: None)
+        with pytest.raises(IllegalActionError, match="^injected refusal$") as info:
+            prove_problems(corpus_engines(), UniformPredictor(), self.LIMITS, workers=2)
+        assert info.value.step == 3
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("in_caller, in_child", [(fail, pause), (pause, fail)],
                              ids=["caller", "child"])
     def test_a_raise_in_a_share_is_re_raised(self, monkeypatch, in_caller, in_child):
@@ -911,6 +927,35 @@ class TestStatsCsv:
         assert lines == [",".join(STATS_COLUMNS), "0,12,1.234568,0.500000,4321"]
 
 
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+class TestTextReaders:
+    """A file that is not UTF-8 raises ``ValueError`` naming it, whichever
+    reader opens it."""
+
+    @pytest.mark.parametrize("reader", [parse_problem_file, read_trace, read_examples,
+                                        load_bank, load_model],
+                             ids=["problem", "trace", "examples", "bank", "model"])
+    def test_a_reader_names_the_file(self, tmp_path, reader):
+        path = tmp_path / "input"
+        path.write_bytes(b"\xff\n")
+        with pytest.raises(ValueError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}: {NOT_UTF8}"
+
+    @pytest.mark.parametrize("name", ["loop_state.txt", "stats.csv"])
+    def test_the_checkpoint_reader_names_the_file(self, tmp_path, name):
+        config = small_loop_config()
+        state = "completed 0\n" + "".join(f"{k} {v!r}\n" for k, v in config.settings().items())
+        (tmp_path / "loop_state.txt").write_text(state)
+        report_csv(tmp_path / "stats.csv", STATS_COLUMNS, [IterationStats(0, 1, 0.5, 0.5, 9).row()])
+        (tmp_path / name).write_bytes(b"\xff\n")
+        with pytest.raises(ValueError) as info:
+            _load_checkpoint(str(tmp_path), config, [], [])
+        assert str(info.value) == f"{tmp_path / name}: {NOT_UTF8}"
+
+
 class TestAtomicWrites:
     """A checkpoint writer that raises part-way leaves the previous file
     as it was and no temporary file behind."""
@@ -920,8 +965,8 @@ class TestAtomicWrites:
          synthetic_examples(3, seed=2)[:2] + [None]),
         (lambda path, w: save_model(path, "policy", w), {1: 1.5, 2: 2.5},
          {1: 1.5, 2: "not a float"}),
-        (save_bank, [BankEntry("p", ("e0",), 2)],
-         [BankEntry("p", ("e1",), 3), None]),
+        (save_bank, [BankEntry("p", (Action("start", clause_id=0),), 2)],
+         [BankEntry("p", (Action("start", clause_id=1),), 3), None]),
         (lambda path, rows: report_csv(path, ["alpha", "solved"], rows), [[0.7, 3]],
          [[0.5, 4], None]),
         (lambda path, actions: write_trace(path, "p", actions),

@@ -36,7 +36,7 @@ from contab.search import (
     format_result_line,
     prove,
 )
-from contab.tableau import Engine
+from contab.tableau import Action, Engine
 from contab.tptp import parse_problem
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -872,14 +872,10 @@ class TestHarvest:
         result = prove(engine, "h", UniformPredictor(), limits, collect_states=True)
         assert result.harvested
         assert len(result.harvested) <= HARVEST_CAP
-        from contab.tableau import decode_action
-
         for path, n_actions in result.harvested:
             assert n_actions >= 2
-            state = engine.root_state()
-            for enc in path:
-                state = engine.apply(state, decode_action(enc))
-            assert len(engine.legal_actions(state)) == n_actions
+            assert type(path) is tuple and all(type(a) is Action for a in path)
+            assert len(engine.legal_actions(engine.replay(path))) == n_actions
 
     def test_collect_states_off_by_default(self):
         engine = Engine(clausify_text(BRANCHY))

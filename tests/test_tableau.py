@@ -10,6 +10,7 @@ states, by a successor derived from each rule's definition.
 """
 
 import importlib.util
+import pickle
 import random
 import re
 from collections import deque
@@ -748,29 +749,37 @@ class TestCheckProof:
 
     def test_valid_proof_checks(self):
         e, trace = self.proof()
-        check = e.check_proof(trace)
-        assert check.ok
-        assert bool(check)
-        assert check.failed_step is None
+        state = e.check_proof(trace)
+        assert e.is_closed(state)
+        assert state.goals == ()
 
     def test_perturbed_action_fails_with_index(self):
         e, trace = self.proof()
         bad = trace[:1] + [Action(EXTENSION, clause_id=0, literal_index=7)]
-        check = e.check_proof(bad)
-        assert not check.ok
-        assert check.failed_step == 1
-        assert "not a legal action" in check.reason
+        with pytest.raises(IllegalActionError) as info:
+            e.check_proof(bad)
+        assert info.value.step == 1
+        assert str(info.value) == "'extension 0 7' is not a legal action"
 
     def test_truncated_proof_fails_at_the_end(self):
         e, trace = self.proof()
-        check = e.check_proof(trace[:1])
-        assert not check.ok
-        assert check.failed_step == 1
-        assert "not closed" in check.reason
+        with pytest.raises(IllegalActionError) as info:
+            e.check_proof(trace[:1])
+        assert info.value.step == 1
+        assert str(info.value) == "tableau not closed after the last action"
 
     def test_empty_sequence_fails(self):
         e, _ = self.proof()
-        assert not e.check_proof([])
+        with pytest.raises(IllegalActionError, match="not closed") as info:
+            e.check_proof([])
+        assert info.value.step == 0
+
+    def test_the_error_pickles_with_its_step(self):
+        e, trace = self.proof()
+        with pytest.raises(IllegalActionError) as info:
+            e.check_proof(trace[:1])
+        back = pickle.loads(pickle.dumps(info.value))
+        assert (type(back), str(back), back.step) == (IllegalActionError, str(info.value), 1)
 
 
 class TestActionEncoding:

@@ -259,6 +259,16 @@ class TestIncludes:
             parse_problem_file(str(top))
         assert str(ei.value) == "3:11: expected a formula, found ')'"
 
+    def test_an_include_that_is_not_utf8_is_a_parse_error_naming_it(self, tmp_path):
+        (tmp_path / "bin.ax").write_bytes(b"\xff\n")
+        top = tmp_path / "top.p"
+        top.write_text("fof(a, axiom, q(a)).\ninclude('bin.ax').\n")
+        with pytest.raises(ParseError) as ei:
+            parse_problem_file(str(top))
+        assert str(ei.value) == (f"2:9: cannot read include file 'bin.ax': {tmp_path / 'bin.ax'}: "
+                                 f"'utf-8' codec can't decode byte 0xff in position 0: "
+                                 f"invalid start byte")
+
     def test_include_without_source_dir_fails(self):
         with pytest.raises(ParseError):
             parse_problem("include('anything.ax').")
