@@ -16,7 +16,7 @@ those nodes: ``a``, ``b``, ``b`` and ``a`` are clausified in that order,
 each under its polarity in the expansion, so fresh variable and Skolem
 names are the expansion's.  A clause's duplicate
 literals are dropped with ``dict.fromkeys``, and ``_number_vars`` builds
-each :class:`Literal` once, from a triple, with clause-local integer
+each literal once, as a new triple, with clause-local integer
 variables numbered in first-use order; their count is the clause's
 variable count, which the matrix carries so that the engine need not
 count again.  Both passes dispatch on the exact node type.
@@ -27,7 +27,7 @@ from __future__ import annotations
 import sys
 from typing import Dict, List, Sequence
 
-from .terms import EQ, Literal, Matrix
+from .terms import EQ, Matrix
 from .tptp import (
     AnnotatedFormula,
     FAtom,
@@ -77,9 +77,9 @@ def clausify(formulas: Sequence[AnnotatedFormula]) -> Matrix:
     reflexivity_id = None
     # an equation the clauses lost (as in ``$true | a = b``) adds no
     # reflexivity clause
-    if EQ in used_symbols and any(l.pred == EQ for c in clauses for l in c):
+    if EQ in used_symbols and any(lit[1] == EQ for c in clauses for lit in c):
         reflexivity_id = len(clauses)
-        clauses.append((Literal(False, EQ, (0, 0)),))
+        clauses.append(((False, EQ, (0, 0)),))
         var_counts.append(1)
 
     return Matrix(clauses, start_ids, reflexivity_id, var_counts)
@@ -202,11 +202,11 @@ def _subst_named(t, env: dict):
 
 
 def _number_vars(lits) -> tuple:
-    """The ``(neg, pred, args)`` literals ``lits`` as a tuple of
-    :class:`Literal`, their named variables mapped onto clause-local
-    integers 0.. in first-use order, and the number of those variables."""
+    """The ``(neg, pred, args)`` literals ``lits`` as a clause, their named
+    variables mapped onto clause-local integers 0.. in first-use order,
+    and the number of those variables."""
     names: Dict[str, int] = {}
-    literals = tuple([Literal(neg, pred, _number_args(args, names)) for neg, pred, args in lits])
+    literals = tuple([(neg, pred, _number_args(args, names)) for neg, pred, args in lits])
     return literals, len(names)
 
 

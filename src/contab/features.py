@@ -49,10 +49,15 @@ def _term_walks(t, parent: str, out: List[str]) -> None:
             _term_walks(arg, s, out)
 
 
+def _root(lit: Literal) -> str:
+    neg, pred, _ = lit
+    return "~" + pred if neg else pred
+
+
 def literal_walks(lit: Literal) -> List[str]:
-    root = ("~" if lit.neg else "") + lit.pred
+    root = _root(lit)
     out = [root]
-    for arg in lit.args:
+    for arg in lit[2]:
         _term_walks(arg, root, out)
     return out
 
@@ -81,9 +86,7 @@ def extract_features(state: TableauState) -> Dict[int, int]:
     """Hashed walk counts over the current goal (g:), its path (p:), and
     the remaining open goals (o:), keyed in order of first occurrence."""
     if not state.started:
-        counts: Dict[int, int] = {}
-        _add(counts, "g:", [PRESTART])
-        return counts
+        return {_hash("g:" + PRESTART): 1}
     goals, path = state.instantiated()
     walks = [_literal_indices("g:", goals[0][0])] if goals else []
     walks += [_literal_indices("o:", lit) for lit, _ in goals[1:]]
@@ -147,10 +150,7 @@ def extract_action_features(state: TableauState, action: Action, matrix) -> Dict
     """Hashed features of an action: its kind, the literal(s) it connects
     or rewrites with (t:), a goal-predicate/target-predicate pair (x:),
     and the rewrite direction for paramodulation."""
-    counts: Dict[int, int] = {}
-    _add(counts, "a:", [action.kind])
-    goal = state.current_goal
-    goal_root = "" if goal is None else ("~" if goal.neg else "") + goal.pred
+    counts = {_hash("a:" + action.kind): 1}
 
     if action.kind == START:
         for lit in matrix.clauses[action.clause_id]:
@@ -162,8 +162,7 @@ def extract_action_features(state: TableauState, action: Action, matrix) -> Dict
     else:
         target = matrix.clauses[action.clause_id][action.literal_index]
     _add_literal(counts, "t:", target)
-    target_root = ("~" if target.neg else "") + target.pred
-    _add(counts, "x:", [goal_root + "|" + target_root])
+    _add(counts, "x:", [_root(state.current_goal) + "|" + _root(target)])
     if action.kind == PARAMODULATION:
         _add(counts, "d:", [action.direction])
     return counts

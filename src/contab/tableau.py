@@ -105,8 +105,8 @@ def decode_action(line: str) -> Action:
     if kind not in _FIELDS:
         raise ValueError(f"unknown action kind {kind!r}")
     if len(parts) != _FIELDS[kind]:
-        raise ValueError(f"malformed action line {line!r}: a {kind} action has "
-                         f"{_FIELDS[kind]} fields, not {len(parts)}")
+        raise ValueError(f"malformed action line {line!r}: {'an' if kind == EXTENSION else 'a'} "
+                         f"{kind} action has {_FIELDS[kind]} fields, not {len(parts)}")
     try:
         if kind == START:
             return Action(START, clause_id=int(parts[1]))
@@ -198,8 +198,8 @@ def _candidate(cid: int, li: int, lit: Literal) -> tuple:
     """An extension candidate with what can decide it without unifying:
     the (index, head) of each non-variable argument, and whether its
     arguments are distinct variables, which unify with any goal's."""
-    fixed = tuple([(k, head(a)) for k, a in enumerate(lit.args) if type(a) is not int])
-    return cid, li, lit, fixed, not fixed and len(set(lit.args)) == len(lit.args)
+    fixed = tuple([(k, head(a)) for k, a in enumerate(lit[2]) if type(a) is not int])
+    return cid, li, lit, fixed, not fixed and len(set(lit[2])) == len(lit[2])
 
 
 def _clash(goal_heads, fixed) -> bool:
@@ -257,10 +257,10 @@ class Engine:
         # (clause_id, literal_index, equation, head of its left side, of its right)
         self.equations: List[Tuple[int, int, Literal, Optional[tuple], Optional[tuple]]] = []
         for cid, c in enumerate(matrix.clauses):
-            for i, lit in enumerate(c):
-                self.by_key.setdefault((lit.pred, lit.neg), []).append((cid, i))
-                if lit.pred == EQ and not lit.neg and cid != matrix.reflexivity_id:
-                    self.equations.append((cid, i, lit, head(lit.args[0]), head(lit.args[1])))
+            for i, (neg, pred, args) in enumerate(c):
+                self.by_key.setdefault((pred, neg), []).append((cid, i))
+                if pred == EQ and not neg and cid != matrix.reflexivity_id:
+                    self.equations.append((cid, i, c[i], head(args[0]), head(args[1])))
         # (pred, neg) -> by_key's entries as _candidate gives them; filled
         # per key on first use, since most keys of a wide matrix are never
         # looked up
@@ -289,14 +289,15 @@ class Engine:
         if len(s.path) >= self.path_limit:
             return []
         goal, _ = s.goals[0]
+        neg, pred, args = goal
         subst = s.subst
         trail: list = []
-        neg_key = (goal.pred, not goal.neg)
+        neg_key = (pred, not neg)
         out: List[Action] = []
 
-        for i, plit in enumerate(s.path):
-            if plit.pred == goal.pred and plit.neg != goal.neg and len(plit.args) == len(goal.args):
-                ok = unify_args_trail(goal.args, plit.args, subst, trail)
+        for i, (pneg, ppred, pargs) in enumerate(s.path):
+            if ppred == pred and pneg != neg and len(pargs) == len(args):
+                ok = unify_args_trail(args, pargs, subst, trail)
                 undo_trail(subst, trail)
                 if ok:
                     out.append(Action(REDUCTION, path_index=i))
@@ -313,10 +314,10 @@ class Engine:
             if not free:
                 if fixed:
                     if goal_heads is None:
-                        goal_heads = [head(walk(a, subst)) for a in goal.args]
+                        goal_heads = [head(walk(a, subst)) for a in args]
                     if _clash(goal_heads, fixed):
                         continue
-                ok = unify_args_trail(goal.args, offset_literal(lit, off).args, subst, trail)
+                ok = unify_args_trail(args, offset_literal(lit, off)[2], subst, trail)
                 undo_trail(subst, trail)
                 if not ok:
                     continue
@@ -352,7 +353,7 @@ class Engine:
                         continue
                     else:
                         if sides is None:
-                            sides = offset_literal(lit, off).args
+                            sides = offset_literal(lit, off)[2]
                         ok = unify_terms_trail(sub, sides[k], subst, trail)
                         undo_trail(subst, trail)
                     if ok:
@@ -374,7 +375,7 @@ class Engine:
         subst = dict(s.subst)
         next_var = s.next_var
         if a.kind == REDUCTION:
-            unify_args_trail(goal.args, s.path[a.path_index].args, subst, [])
+            unify_args_trail(goal[2], s.path[a.path_index][2], subst, [])
             new = []
         else:
             clause = self.matrix.clauses[a.clause_id]
@@ -382,9 +383,9 @@ class Engine:
             conn = new.pop(a.literal_index)
             next_var += self.var_counts[a.clause_id]
             if a.kind == EXTENSION:
-                unify_args_trail(goal.args, conn.args, subst, [])
+                unify_args_trail(goal[2], conn[2], subst, [])
             else:
-                x, y = conn.args if a.direction == "lr" else conn.args[::-1]
+                x, y = conn[2] if a.direction == "lr" else conn[2][::-1]
                 g = apply_subst_lit(goal, s.subst)
                 unify_terms_trail(subterm_at(g, a.position), x, subst, [])
                 new.insert(0, replace_at(g, a.position, y))

@@ -5,6 +5,8 @@ Representation is chosen for speed in the inner proving loop:
 * variables are plain non-negative ints,
 * compound terms are tuples ``(symbol, arg1, ..., argn)`` with an interned
   string symbol; constants are 1-tuples like ``('a',)``,
+* a literal is the plain tuple ``(neg, pred, args)`` and a clause a tuple
+  of literals, which the cyclic garbage collector can stop tracking,
 * substitutions are dicts mapping variable ids to terms, kept triangular
   (a binding may mention other bound variables) and dereferenced on use.
 
@@ -13,22 +15,17 @@ Equality uses the reserved predicate name ``"="``.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, Optional, Tuple, Union
 
 EQ = "="
 
 Term = Union[int, tuple]
 Subst = dict
-
-
-class Literal(NamedTuple):
-    neg: bool
-    pred: str
-    args: tuple
+Literal = Tuple[bool, str, tuple]  # (neg, pred, args)
 
 
 class Matrix:
-    """Clausal form of a problem: clauses, each a tuple of :class:`Literal`
+    """Clausal form of a problem: clauses, each a tuple of literals
     whose id is its index in ``clauses``, plus start-clause ids.
 
     ``reflexivity_id`` marks an automatically added ``X = X`` clause (present
@@ -108,7 +105,8 @@ def apply_subst_lit(lit: Literal, subst: Subst, free: Optional[list] = None) -> 
     """:func:`apply_subst` over a literal's arguments."""
     if not subst and free is None:
         return lit
-    return Literal(lit.neg, lit.pred, tuple([apply_subst(a, subst, free) for a in lit.args]))
+    neg, pred, args = lit
+    return (neg, pred, tuple([apply_subst(a, subst, free) for a in args]))
 
 
 def occurs(v: int, t: Term, subst: Subst) -> bool:
@@ -183,19 +181,20 @@ def offset_term(t: Term, k: int) -> Term:
         return t + k
     if len(t) == 1:
         return t
-    return (t[0],) + tuple(offset_term(a, k) for a in t[1:])
+    return (t[0],) + tuple([offset_term(a, k) for a in t[1:]])
 
 
 def offset_literal(lit: Literal, k: int) -> Literal:
-    if not lit.args or k == 0:
+    neg, pred, args = lit
+    if not args or k == 0:
         return lit
-    return Literal(lit.neg, lit.pred, tuple(offset_term(a, k) for a in lit.args))
+    return (neg, pred, tuple([offset_term(a, k) for a in args]))
 
 
 def clause_var_count(clause: tuple) -> int:
     vs: set = set()
     for lit in clause:
-        for a in lit.args:
+        for a in lit[2]:
             term_vars(a, vs)
     return max(vs) + 1 if vs else 0
 
@@ -218,7 +217,7 @@ def subterm_positions(lit: Literal) -> list:
             for i, a in enumerate(t[1:], start=1):
                 rec(a, pos + (i,))
 
-    for i, a in enumerate(lit.args, start=1):
+    for i, a in enumerate(lit[2], start=1):
         rec(a, (i,))
     return out
 
@@ -226,7 +225,7 @@ def subterm_positions(lit: Literal) -> list:
 def subterm_at(lit: Literal, pos: Position) -> Term:
     """The subterm of a literal at ``pos``, which must be a position that
     ``subterm_positions`` gives for it; no other position is checked."""
-    t = lit.args[pos[0] - 1]
+    t = lit[2][pos[0] - 1]
     for i in pos[1:]:
         t = t[i]
     return t
@@ -242,9 +241,9 @@ def replace_at(lit: Literal, pos: Position, new: Term) -> Literal:
         i = p[0]
         return t[:i] + (rec(t[i], p[1:]),) + t[i + 1 :]
 
+    neg, pred, args = lit
     i = pos[0] - 1
-    args = lit.args[:i] + (rec(lit.args[i], pos[1:]),) + lit.args[i + 1 :]
-    return Literal(lit.neg, lit.pred, args)
+    return (neg, pred, args[:i] + (rec(args[i], pos[1:]),) + args[i + 1 :])
 
 
 # ---------------------------------------------------------------------------
@@ -260,18 +259,19 @@ def term_str(t: Term, names=None) -> str:
 
 
 def literal_str(lit: Literal, names=None) -> str:
-    if lit.pred == EQ and len(lit.args) == 2:
-        op = "!=" if lit.neg else "="
-        return f"{term_str(lit.args[0], names)} {op} {term_str(lit.args[1], names)}"
-    s = lit.pred if not lit.args else f"{lit.pred}({','.join(term_str(a, names) for a in lit.args)})"
-    return f"~{s}" if lit.neg else s
+    neg, pred, args = lit
+    if pred == EQ and len(args) == 2:
+        op = "!=" if neg else "="
+        return f"{term_str(args[0], names)} {op} {term_str(args[1], names)}"
+    s = pred if not args else f"{pred}({','.join(term_str(a, names) for a in args)})"
+    return f"~{s}" if neg else s
 
 
 def canonical_clause_str(clause: tuple) -> str:
     """Clause text with variables renumbered 0.. in order of first use."""
     names: dict = {}
-    for lit in clause:
-        for a in lit.args:
+    for _, _, args in clause:
+        for a in args:
             for v in _var_order(a):
                 if v not in names:
                     names[v] = f"X{len(names)}"

@@ -90,7 +90,7 @@ def test_criterion_2_calculus_soundness_on_corpus():
     solved = replayed = 0
     eq_names = []
     for name, engine in problems:
-        if any(l.pred == "=" for c in engine.matrix.clauses for l in c):
+        if any(pred == "=" for c in engine.matrix.clauses for _, pred, _ in c):
             eq_names.append(name)
         result = prove(engine, name, UniformPredictor(), limits)
         if result.solved:

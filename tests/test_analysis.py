@@ -239,7 +239,7 @@ class TestBankFiles:
     @pytest.mark.parametrize("steps, complaint", [
         ("start 2;start -1", "malformed action line 'start -1': negative index"),
         ("start 2;extension 1", "malformed action line 'extension 1': "
-                                "a extension action has 3 fields, not 2"),
+                                "an extension action has 3 fields, not 2"),
         ("start 2;;extension 1 1", "empty action line"),
         ("start 2;jump 3", "unknown action kind 'jump'"),
     ], ids=["negative-index", "missing-field", "empty-step", "unknown-kind"])

@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py: a crashed run is recorded and reported, not fatal."""
+"""tools/bench_pairs.py: a crashed run is recorded and reported, not
+fatal, and a seed whose trace_hash moved is named."""
 
 import importlib.util
 import json
@@ -50,3 +51,15 @@ def test_summary_of_correct_runs():
     entry = bench_pairs.summarize(records)["w"]
     assert entry["all_correct"] is True
     assert entry["failed_seeds"] == {"parent": [], "change": []}
+    assert entry["moved_hashes"] == []
+
+
+def test_summary_names_the_seeds_whose_trace_hash_moved():
+    moved = dict(record("change", 2), trace_hash="other")
+    records = [record("parent", 1), record("change", 1),
+               record("parent", 2), moved,
+               record("parent", 3), record("change", 3)]
+    entry = bench_pairs.summarize(records)["w"]
+    assert entry["moved_hashes"] == [2]
+    assert entry["trace_hash"]["2"] == {"parent": "h", "change": "other"}
+    assert entry["all_correct"] is True

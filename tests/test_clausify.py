@@ -6,6 +6,7 @@ tableau prover used to cross-check engine solvability.
 """
 
 import functools
+import gc
 import hashlib
 import importlib.util
 import itertools
@@ -17,7 +18,7 @@ import pytest
 from contab.clausify import ClausifyError, clausify, clausify_text, load_matrix
 from contab.corpus import corpus_problems
 from contab.tableau import Engine
-from contab.terms import EQ, Literal, Matrix, clause_var_count
+from contab.terms import EQ, Matrix, clause_var_count
 from contab.tptp import FAtom, FBin, FConst, FNeg, parse_problem
 
 
@@ -26,42 +27,41 @@ class TestConjectureNegation:
         m = clausify_text("fof(ax, axiom, p(a)).\nfof(c, conjecture, p(a)).")
         start = [m.clauses[i] for i in m.start_ids]
         assert len(start) == 1
-        lit = start[0][0]
-        assert lit.pred == "p" and lit.neg
+        neg, pred, _ = start[0][0]
+        assert pred == "p" and neg
 
     def test_negated_conjecture_role_is_not_negated_again(self):
         m = clausify_text("cnf(goal, negated_conjecture, ~p(a)).\ncnf(ax, axiom, p(a)).")
-        start = m.clauses[m.start_ids[0]]
-        assert start[0].neg
+        neg, _, _ = m.clauses[m.start_ids[0]][0]
+        assert neg
 
     def test_universal_conjecture_skolemizes_on_negation(self):
         m = clausify_text("fof(ax, axiom, q(a)).\nfof(c, conjecture, ! [X] : q(X)).")
         start = m.clauses[m.start_ids[0]]
-        lit = start[0]
-        assert lit.neg
-        arg = lit.args[0]
+        neg, _, args = start[0]
+        assert neg
+        arg = args[0]
         assert isinstance(arg, tuple) and arg[0].startswith("sk")
 
     def test_implication_conjecture_splits_into_units(self):
         m = clausify_text("fof(c, conjecture, ! [X] : (p(X) => q(X))).\nfof(ax, axiom, r(b)).")
         starts = [m.clauses[i] for i in m.start_ids]
-        preds = sorted((c[0].neg, c[0].pred) for c in starts)
+        preds = sorted(c[0][:2] for c in starts)
         assert preds == [(False, "p"), (True, "q")]
 
 
 class TestSkolemization:
     def test_existential_axiom(self):
         m = clausify_text("fof(a, axiom, ? [X] : p(X)).\nfof(c, conjecture, ? [Y] : p(Y)).")
-        axiom = next(c for c in m.clauses if not c[0].neg)
-        assert axiom[0].args[0] == ("sk0",)
+        axiom = next(c for c in m.clauses if not c[0][0])
+        assert axiom[0][2][0] == ("sk0",)
 
     def test_skolem_function_captures_universals(self):
         m = clausify_text(
             "fof(a, axiom, ! [X] : ? [Y] : r(X, Y)).\nfof(c, conjecture, ? [Z] : r(a, Z))."
         )
-        axiom = next(c for c in m.clauses if not c[0].neg)
-        lit = axiom[0]
-        x, skterm = lit.args
+        axiom = next(c for c in m.clauses if not c[0][0])
+        _, _, (x, skterm) = axiom[0]
         assert isinstance(x, int)
         assert skterm[0].startswith("sk")
         assert skterm[1] == x
@@ -86,14 +86,14 @@ class TestStartSelection:
         )
         assert len(m.start_ids) == 1
         start = m.clauses[m.start_ids[0]]
-        assert sorted((l.neg, l.pred) for l in start) == [(True, "p"), (True, "q")]
+        assert sorted((neg, pred) for neg, pred, _ in start) == [(True, "p"), (True, "q")]
         assert len(m.clauses) == 3
 
     def test_disjunctive_conjecture_yields_two_start_clauses(self):
         m = clausify_text(
             "fof(a1, axiom, p(a)).\nfof(c, conjecture, p(a) | q(a))."
         )
-        starts = {m.clauses[i][0].pred for i in m.start_ids}
+        starts = {m.clauses[i][0][1] for i in m.start_ids}
         assert starts == {"p", "q"}
         assert len(m.start_ids) == 2
 
@@ -104,10 +104,10 @@ class TestReflexivity:
         assert m.reflexivity_id is not None
         refl = m.clauses[m.reflexivity_id]
         assert len(refl) == 1
-        lit = refl[0]
-        assert lit.pred == EQ and not lit.neg
-        assert lit.args[0] == lit.args[1]
-        assert isinstance(lit.args[0], int)
+        neg, pred, args = refl[0]
+        assert pred == EQ and not neg
+        assert args[0] == args[1]
+        assert isinstance(args[0], int)
 
     def test_reflexivity_is_not_a_start_clause(self):
         m = clausify_text("fof(e, axiom, f(a) = a).\nfof(c, conjecture, f(f(a)) = a).")
@@ -116,7 +116,7 @@ class TestReflexivity:
     def test_absent_without_equality(self):
         m = clausify_text("fof(a, axiom, p(a)).\nfof(c, conjecture, p(a)).")
         assert m.reflexivity_id is None
-        assert all(l.pred != EQ for c in m.clauses for l in c)
+        assert all(pred != EQ for c in m.clauses for _, pred, _ in c)
 
     def test_absent_when_no_clause_keeps_the_equation(self):
         # the problem mentions '=', but the only formula that does is true
@@ -157,7 +157,7 @@ class TestVariableNumbering:
         for clause in m.clauses:
             vs = set()
             for lit in clause:
-                stack = list(lit.args)
+                stack = list(lit[2])
                 while stack:
                     t = stack.pop()
                     if isinstance(t, int):
@@ -272,11 +272,53 @@ class TestVarCounts:
             Matrix(m.clauses, m.start_ids, m.reflexivity_id, m.var_counts[1:])
 
 
+class TestLiteralRepresentation:
+    """A literal is the plain tuple ``(neg, pred, args)`` and a clause a
+    tuple of them.  The cyclic garbage collector stops tracking an exact
+    tuple once everything in it is untracked, so a matrix's clauses leave
+    nothing for later collections to walk; a tuple subclass is never
+    untracked."""
+
+    @staticmethod
+    def matrices():
+        return [load_matrix(p) for p in corpus_problems()] + [clausify_text(wide_fof_text())]
+
+    def test_clausify_builds_plain_tuples(self):
+        for m in self.matrices() + [m for f in sorted(BENCHMARK_PROBLEMS)
+                                    for m in benchmark_matrices(f)]:
+            for clause in m.clauses:
+                assert type(clause) is tuple
+                for lit in clause:
+                    assert type(lit) is tuple and len(lit) == 3
+                    neg, pred, args = lit
+                    assert type(neg) is bool and type(pred) is str and type(args) is tuple
+
+    def test_no_clause_or_literal_stays_tracked(self):
+        def tuples(x):
+            yield x
+            for y in x:
+                if type(y) is tuple:
+                    yield from tuples(y)
+
+        clauses = [c for m in self.matrices() for c in m.clauses]
+        every = [t for c in clauses for t in tuples(c)]
+        # a collection untracks a tuple only if its items already are, so
+        # it may take one collection per level of nesting
+        tracked, last = sum(map(gc.is_tracked, every)), None
+        for _ in range(50):
+            if tracked == last:
+                break
+            gc.collect()
+            tracked, last = sum(map(gc.is_tracked, every)), tracked
+        assert not [x for c in clauses for x in (c, *c) if gc.is_tracked(x)]
+        assert tracked == 0
+
+
 class TestMatrixIds:
     """A start or reflexivity id must name a clause: one outside the list
     would fail later as a bare ``IndexError`` deep in the search."""
 
-    CLAUSES = [(Literal(False, "p", ()),)]
+    CLAUSES = [((False, "p", ()),)]
 
     @pytest.mark.parametrize("start", [1, 3, -1])
     def test_a_start_id_outside_the_clauses_is_refused(self, start):
@@ -343,12 +385,12 @@ def problem_satisfiable(problem):
 
 def matrix_satisfiable(matrix):
     """Brute-force CNF satisfiability over the ground atoms of a matrix."""
-    atoms = sorted({(l.pred, l.args) for c in matrix.clauses for l in c})
+    atoms = sorted({(pred, args) for c in matrix.clauses for _, pred, args in c})
     for bits in itertools.product([False, True], repeat=len(atoms)):
         assign = dict(zip(atoms, bits))
         ok = True
         for clause in matrix.clauses:
-            if not any(assign[(l.pred, l.args)] != l.neg for l in clause):
+            if not any(assign[(pred, args)] != neg for neg, pred, args in clause):
                 ok = False
                 break
         if ok:
@@ -367,18 +409,18 @@ def ground_tableau_provable(matrix, depth_limit=8):
         if not goals:
             return True
         (goal, path), rest = goals[0], goals[1:]
-        key = (goal.neg, goal.pred, goal.args)
-        if key in path:
+        neg, pred, args = goal
+        if goal in path:
             return False  # regularity: a repeated branch literal cannot help
-        comp = (not goal.neg, goal.pred, goal.args)
+        comp = (not neg, pred, args)
         if comp in path and close(rest):
             return True
         if len(path) >= depth_limit:
             return False
-        below = path | {key}
+        below = path | {goal}
         for clause in matrix.clauses:
             for i, lit in enumerate(clause):
-                if (lit.neg, lit.pred, lit.args) == comp:
+                if lit == comp:
                     new_goals = [
                         (l, below) for j, l in enumerate(clause) if j != i
                     ]

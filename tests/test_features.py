@@ -11,7 +11,7 @@ from contab.features import (
     literal_walks,
 )
 from contab.tableau import EXTENSION, PARAMODULATION, REDUCTION, START, Engine, TableauState
-from contab.terms import Literal, apply_subst_lit
+from contab.terms import apply_subst_lit
 
 
 def bucket(namespace, walk):
@@ -20,7 +20,7 @@ def bucket(namespace, walk):
 
 class TestLiteralWalks:
     def test_goal_example_walks(self):
-        lit = Literal(False, "p", (("f", ("a",)),))
+        lit = (False, "p", (("f", ("a",)),))
         walks = literal_walks(lit)
         assert "p" in walks
         assert "p>f" in walks
@@ -28,21 +28,21 @@ class TestLiteralWalks:
         assert "f" in walks and "a" in walks
 
     def test_negation_marks_the_root(self):
-        lit = Literal(True, "p", (("a",),))
+        lit = (True, "p", (("a",),))
         walks = literal_walks(lit)
         assert "~p" in walks
         assert "~p>a" in walks
         assert "p" not in walks
 
     def test_variables_collapse_to_star(self):
-        lit = Literal(False, "q", (0, ("f", 3)))
+        lit = (False, "q", (0, ("f", 3)))
         walks = literal_walks(lit)
         assert "*" in walks
         assert "q>*" in walks
         assert "f>*" in walks
 
     def test_propositional_literal(self):
-        assert literal_walks(Literal(False, "p", ())) == ["p"]
+        assert literal_walks((False, "p", ())) == ["p"]
 
 
 def goal_state(text="cnf(a, axiom, p(X)).\nfof(c, conjecture, p(f(a)))."):
@@ -120,8 +120,8 @@ class TestActionFeatures:
         feats = extract_action_features(root, starts[0], engine.matrix)
         assert feats.get(bucket("a:", START), 0) == 1
         clause = engine.matrix.clauses[starts[0].clause_id]
-        for lit in clause:
-            root_walk = ("~" if lit.neg else "") + lit.pred
+        for neg, pred, _ in clause:
+            root_walk = ("~" if neg else "") + pred
             assert feats.get(bucket("t:", root_walk), 0) >= 1
 
     def test_paramodulation_direction_feature(self):
@@ -243,7 +243,7 @@ class TestWalkMemo:
         info = features._literal_indices.cache_info()
         assert info.maxsize == features.WALK_CACHE_SIZE
         for i in range(features.WALK_CACHE_SIZE + 50):
-            features._literal_indices("g:", Literal(False, "p", ((f"c{i}",),)))
+            features._literal_indices("g:", (False, "p", ((f"c{i}",),)))
         info = features._literal_indices.cache_info()
         assert info.currsize == info.maxsize
 

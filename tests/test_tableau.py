@@ -40,7 +40,6 @@ from contab.tableau import (
 )
 from contab.terms import (
     EQ,
-    Literal,
     Matrix,
     apply_subst_lit,
     clause_var_count,
@@ -63,8 +62,10 @@ _spec.loader.exec_module(bench_problems)
 def complementary(goal, lit, subst):
     """Whether ``lit`` closes ``goal``: opposite polarity, same predicate
     and arity, arguments unifiable under (a copy of) ``subst``."""
-    return (lit.neg != goal.neg and lit.pred == goal.pred and len(lit.args) == len(goal.args)
-            and unify_args_trail(goal.args, lit.args, dict(subst), []))
+    neg, pred, args = lit
+    gneg, gpred, gargs = goal
+    return (neg != gneg and pred == gpred and len(args) == len(gargs)
+            and unify_args_trail(gargs, args, dict(subst), []))
 
 
 def oracle_actions(engine, state):
@@ -92,11 +93,12 @@ def oracle_actions(engine, state):
             if cid == engine.matrix.reflexivity_id:
                 continue
             for li, lit in enumerate(clause):
-                if lit.pred != EQ or lit.neg:
+                neg, pred, _ = lit
+                if pred != EQ or neg:
                     continue
-                eq = offset_literal(lit, state.next_var)
+                _, _, (left, right) = offset_literal(lit, state.next_var)
                 for pos, sub in positions:
-                    for direction, side in (("lr", eq.args[0]), ("rl", eq.args[1])):
+                    for direction, side in (("lr", left), ("rl", right)):
                         if unify_terms_trail(sub, side, dict(state.subst), []):
                             out.append(
                                 Action(
@@ -126,7 +128,7 @@ def oracle_apply(engine, state, action):
     if action.kind == REDUCTION:
         plit = state.path[action.path_index]
         assert complementary(goal, plit, subst)
-        unify_args_trail(goal.args, plit.args, subst, [])
+        unify_args_trail(goal[2], plit[2], subst, [])
     else:
         clause = engine.matrix.clauses[action.clause_id]
         copy = [offset_literal(lit, next_var) for lit in clause]
@@ -135,10 +137,11 @@ def oracle_apply(engine, state, action):
         residual = copy[: action.literal_index] + copy[action.literal_index + 1:]
         if action.kind == EXTENSION:
             assert complementary(goal, conn, subst)
-            unify_args_trail(goal.args, conn.args, subst, [])
+            unify_args_trail(goal[2], conn[2], subst, [])
         else:
-            assert conn.pred == EQ and not conn.neg
-            lhs, rhs = conn.args if action.direction == "lr" else reversed(conn.args)
+            neg, pred, args = conn
+            assert pred == EQ and not neg
+            lhs, rhs = args if action.direction == "lr" else reversed(args)
             g = apply_subst_lit(goal, state.subst)
             assert unify_terms_trail(subterm_at(g, action.position), lhs, subst, [])
             new = [replace_at(g, action.position, rhs)]
@@ -171,8 +174,8 @@ class TestStartStates:
         assert len(e.start_actions()) == 1
         s = e.replay(e.start_actions())
         assert s.path == ()
-        goal = s.current_goal
-        assert goal.pred == "p" and goal.neg
+        neg, pred, _ = s.current_goal
+        assert pred == "p" and neg
 
     def test_two_start_clauses_two_states(self):
         m = clausify_text("fof(a, axiom, p(a)).\nfof(c, conjecture, p(a) | q(a)).")
@@ -212,9 +215,9 @@ class TestExtension:
         s = e.replay(e.start_actions()[:1])
         s2 = e.apply(s, e.legal_actions(s)[0])
         assert len(s2.goals) == 1
-        goal = apply_subst_lit(s2.current_goal, s2.subst)
-        assert goal.pred == "q"
-        assert goal.args == (("a",),)  # the unifier instantiated X
+        _, pred, args = apply_subst_lit(s2.current_goal, s2.subst)
+        assert pred == "q"
+        assert args == (("a",),)  # the unifier instantiated X
         assert len(s2.path) == 1
 
     def test_unit_extension_closes(self):
@@ -285,9 +288,9 @@ class TestParamodulation:
             Action(PARAMODULATION, clause_id=0, literal_index=0, position=(1,), direction="lr")
         ]
         s2 = e.apply(s, para[0])
-        goal = apply_subst_lit(s2.current_goal, s2.subst)
-        assert goal.pred == "r" and goal.neg
-        assert goal.args == (("b",),)
+        neg, pred, args = apply_subst_lit(s2.current_goal, s2.subst)
+        assert pred == "r" and neg
+        assert args == (("b",),)
 
     def test_residual_literals_become_goals(self):
         m = clausify_text(
@@ -298,10 +301,10 @@ class TestParamodulation:
         para = [a for a in e.legal_actions(s) if a.kind == PARAMODULATION]
         s2 = e.apply(s, para[0])
         assert len(s2.goals) == 2
-        first = apply_subst_lit(s2.goals[0][0], s2.subst)
-        second = apply_subst_lit(s2.goals[1][0], s2.subst)
-        assert first.pred == "q" and first.args == (("b",),)
-        assert second.pred == "r" and not second.neg
+        _, first_pred, first_args = apply_subst_lit(s2.goals[0][0], s2.subst)
+        second_neg, second_pred, _ = apply_subst_lit(s2.goals[1][0], s2.subst)
+        assert first_pred == "q" and first_args == (("b",),)
+        assert second_pred == "r" and not second_neg
 
     def test_chained_rewrites_close(self):
         m = clausify_text(
@@ -634,15 +637,15 @@ def _random_state(draw):
     the state is below ``next_var``, and bindings point to higher ones
     only, so the substitution is acyclic."""
     clause_terms = CLAUSE_TERMS
-    clauses = [(Literal(False, EQ, (0, 0)),)]  # reflexivity
+    clauses = [((False, EQ, (0, 0)),)]  # reflexivity
     for _ in range(draw(st.integers(1, 4))):
-        lits = [Literal(False, EQ, (draw(clause_terms), draw(clause_terms)))]
+        lits = [(False, EQ, (draw(clause_terms), draw(clause_terms)))]
         if draw(st.booleans()):
-            lits.append(Literal(draw(st.booleans()), "p", (draw(clause_terms), draw(clause_terms))))
+            lits.append((draw(st.booleans()), "p", (draw(clause_terms), draw(clause_terms))))
         clauses.append(tuple(lits))
     for _ in range(draw(st.integers(0, 3))):
-        lit = Literal(draw(st.booleans()), "p", (draw(clause_terms), draw(clause_terms)))
-        clauses.append((lit, Literal(True, "q", (draw(clause_terms),))))
+        lit = (draw(st.booleans()), "p", (draw(clause_terms), draw(clause_terms)))
+        clauses.append((lit, (True, "q", (draw(clause_terms),))))
     engine = Engine(Matrix(clauses, [1], reflexivity_id=0))
     subst = {}
     for v, terms in BINDING_TERMS.items():
@@ -650,8 +653,8 @@ def _random_state(draw):
             subst[v] = draw(terms)
     state_terms = STATE_TERMS
     pred = draw(st.sampled_from(["p", EQ]))
-    goal = Literal(draw(st.booleans()), pred, (draw(state_terms), draw(state_terms)))
-    path = tuple(Literal(draw(st.booleans()), "p", (draw(state_terms), draw(state_terms)))
+    goal = (draw(st.booleans()), pred, (draw(state_terms), draw(state_terms)))
+    path = tuple((draw(st.booleans()), "p", (draw(state_terms), draw(state_terms)))
                  for _ in range(draw(st.integers(0, 2))))
     return engine, TableauState(True, ((goal, len(path)),), path, subst, STATE_VARS)
 

@@ -8,7 +8,6 @@ import random
 
 from contab.terms import (
     EQ,
-    Literal,
     apply_subst,
     apply_subst_lit,
     canonical_clause_str,
@@ -133,16 +132,16 @@ class TestBasics:
         assert offset_term(t, 10) == mk("h", 10, mk("f", 11))
 
     def test_offset_literal(self):
-        lit = Literal(False, "p", (0,))
-        shifted = offset_literal(lit, 5)
-        assert shifted.pred == "p"
-        assert shifted.args == (5,)
-        assert shifted.neg is False
+        lit = (False, "p", (0,))
+        neg, pred, args = offset_literal(lit, 5)
+        assert pred == "p"
+        assert args == (5,)
+        assert neg is False
 
     def test_clause_var_count(self):
-        c = (Literal(False, "p", (0, 2)),)
+        c = ((False, "p", (0, 2)),)
         assert clause_var_count(c) == 3
-        assert clause_var_count((Literal(False, "q", (mk("a"),)),)) == 0
+        assert clause_var_count(((False, "q", (mk("a"),)),)) == 0
 
 
 class TestWalkAndApply:
@@ -157,10 +156,10 @@ class TestWalkAndApply:
 
     def test_apply_subst_lit(self):
         s = {0: mk("b")}
-        lit = Literal(True, "p", (0, 1))
-        out = apply_subst_lit(lit, s)
-        assert out.args == (mk("b"), 1)
-        assert out.neg
+        lit = (True, "p", (0, 1))
+        neg, _, args = apply_subst_lit(lit, s)
+        assert args == (mk("b"), 1)
+        assert neg
 
     def test_normalize_subst_flattens_chains(self):
         s = {0: 1, 1: mk("f", 2), 2: mk("a")}
@@ -197,10 +196,10 @@ class TestUnify:
         assert not unify_terms_trail(1, mk("g", 0), dict(s), [])
 
     def test_literal_unify(self):
-        p = Literal(False, "p", (0, mk("b")))
-        q = Literal(False, "p", (mk("a"), 1))
+        p = (False, "p", (0, mk("b")))
+        q = (False, "p", (mk("a"), 1))
         s = {}
-        assert unify_args_trail(p.args, q.args, s, [])
+        assert unify_args_trail(p[2], q[2], s, [])
         assert apply_subst_lit(p, s) == apply_subst_lit(q, s)
 
     def test_unifier_is_applied_equal(self):
@@ -303,14 +302,14 @@ class TestTrail:
 class TestPositions:
     def test_subterm_positions_of_term(self):
         t = mk("h", mk("f", 0), mk("a"))
-        lit = Literal(False, "p", (t,))
+        lit = (False, "p", (t,))
         pairs = subterm_positions(lit)
         assert pairs == [((1,), t), ((1, 1), mk("f", 0)), ((1, 1, 1), 0), ((1, 2), mk("a"))]
         for pos, sub in pairs:
             assert subterm_at(lit, pos) == sub
 
     def test_literal_positions_skip_the_atom_root(self):
-        lit = Literal(False, "p", (mk("f", mk("a")),))
+        lit = (False, "p", (mk("f", mk("a")),))
         pairs = subterm_positions(lit)
         assert all(pos for pos, _ in pairs)
         assert ((1,), mk("f", mk("a"))) in pairs
@@ -319,7 +318,7 @@ class TestPositions:
     def test_subterm_at_and_replace_roundtrip(self):
         rng = random.Random(3)
         for _ in range(200):
-            lit = Literal(False, "p", (random_term(rng, 3), random_term(rng, 2)))
+            lit = (False, "p", (random_term(rng, 3), random_term(rng, 2)))
             for pos, sub in subterm_positions(lit):
                 assert subterm_at(lit, pos) == sub
                 assert replace_at(lit, pos, sub) == lit
@@ -327,13 +326,30 @@ class TestPositions:
                 assert subterm_at(swapped, pos) == mk("zz")
 
     def test_replace_at_literal(self):
-        lit = Literal(False, "p", (mk("f", mk("a")),))
+        lit = (False, "p", (mk("f", mk("a")),))
         pairs = subterm_positions(lit)
         assert pairs
         target = pairs[-1][0]
         out = replace_at(lit, target, mk("b"))
-        assert isinstance(out, Literal)
+        assert type(out) is tuple
         assert subterm_at(out, target) == mk("b")
+
+
+class TestLiteralsArePlainTuples:
+    """Every function that builds a literal builds the exact tuple
+    ``(neg, pred, args)``."""
+
+    def test_each_builder_returns_an_exact_tuple(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            lit = (rng.random() < 0.5, "p", (random_term(rng, 3), random_term(rng, 2)))
+            built = [apply_subst_lit(lit, {0: mk("b"), 1: mk("f", 2)}),
+                     apply_subst_lit(lit, {}, []), offset_literal(lit, 3)]
+            built += [replace_at(lit, pos, mk("zz")) for pos, _ in subterm_positions(lit)]
+            for out in built:
+                assert type(out) is tuple and len(out) == 3
+                assert out[:2] == lit[:2]
+                assert type(out[2]) is tuple
 
 
 class TestPrinting:
@@ -348,16 +364,16 @@ class TestPrinting:
         assert left.strip() == right.strip()
 
     def test_literal_str_negation(self):
-        lit = Literal(True, "p", (mk("a"),))
+        lit = (True, "p", (mk("a"),))
         assert literal_str(lit).startswith("~")
 
     def test_equality_prints_infix(self):
-        lit = Literal(False, EQ, (mk("a"), mk("b")))
+        lit = (False, EQ, (mk("a"), mk("b")))
         s = literal_str(lit)
         assert "=" in s
         assert "a" in s and "b" in s
 
     def test_canonical_clause_str_is_order_insensitive_name_choice(self):
-        c1 = (Literal(False, "p", (0,)), Literal(True, "q", (0,)))
-        c2 = (Literal(False, "p", (5,)), Literal(True, "q", (5,)))
+        c1 = ((False, "p", (0,)), (True, "q", (0,)))
+        c2 = ((False, "p", (5,)), (True, "q", (5,)))
         assert canonical_clause_str(c1) == canonical_clause_str(c2)

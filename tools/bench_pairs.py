@@ -12,9 +12,11 @@ A run whose output does not end in that object is recorded with
 ``result: null`` and the tail of its stderr, and the next run goes on.
 ``summarize`` gives, per workload and checkout, the median and quartiles
 of every end-to-end metric over the seeds both checkouts measured, the
-seeds, each seed's ``trace_hash``, and the seeds whose run crashed, was
-wrong or failed a problem (``all_correct`` is false when there is one),
-plus how many pairs the change won on each metric.
+seeds, each seed's ``trace_hash``, the seeds whose two ``trace_hash``
+differ (``moved_hashes``: empty when the change kept every proof), and
+the seeds whose run crashed, was wrong or failed a problem
+(``all_correct`` is false when there is one), plus how many pairs the
+change won on each metric.
 """
 
 from __future__ import annotations
@@ -81,11 +83,13 @@ def summarize(records) -> dict:
         seeds = sorted(set(runs["parent"]) & set(runs["change"]))
         failed = {lb: [s for s in seeds if not _correct(runs[lb][s]["result"])] for lb in runs}
         measured = [s for s in seeds if all(runs[lb][s]["result"] for lb in runs)]
+        hashes = {str(s): {lb: runs[lb][s]["trace_hash"] for lb in runs} for s in seeds}
         entry = {"seeds": seeds,
                  "all_correct": not any(failed.values()),
                  "failed_seeds": failed,
-                 "trace_hash": {str(s): {lb: runs[lb][s]["trace_hash"] for lb in runs}
-                                for s in seeds},
+                 "trace_hash": hashes,
+                 "moved_hashes": [s for s in seeds
+                                  if hashes[str(s)]["parent"] != hashes[str(s)]["change"]],
                  "metrics": {}}
         for name, sign in better.items() if measured else ():
             vals = {lb: [runs[lb][s]["result"]["metrics"][name]["value"] for s in measured]
