@@ -443,12 +443,12 @@ class TestOracleAgreement:
 
 
 class TestRewriteMemo:
-    """Each engine keeps the paramodulations of every instantiated goal it
-    has enumerated, clearing the memo when it holds REWRITE_MEMO_SIZE
-    goals.  Whether the memo is warm, or cleared on every miss, must not
-    show in any action list or search."""
+    """Each engine with equations keeps the extensions and paramodulations
+    of every instantiated goal it has enumerated, clearing the memo when
+    it holds GOAL_MEMO_SIZE goals.  Whether the memo is warm, or cleared
+    on every miss, must not show in any action list or search."""
 
-    BOUNDS = [tableau_module.REWRITE_MEMO_SIZE, 1]
+    BOUNDS = [tableau_module.GOAL_MEMO_SIZE, 1]
 
     @staticmethod
     def goal_of(state):
@@ -472,14 +472,14 @@ class TestRewriteMemo:
 
     @pytest.mark.parametrize("bound", BOUNDS)
     def test_random_walks_on_one_engine_agree_with_brute_force(self, bound, monkeypatch):
-        monkeypatch.setattr(tableau_module, "REWRITE_MEMO_SIZE", bound)
+        monkeypatch.setattr(tableau_module, "GOAL_MEMO_SIZE", bound)
         engine = Engine(clausify_text(GROUP_TEXT), path_limit=10)
         rng = random.Random(11)
         goals = self.random_walks(engine, rng) + self.random_walks(engine, rng)
         distinct = set(goals)
         # goals recur, so under the larger bound the memo answers them
         assert len(goals) > len(distinct) > 100
-        assert len(engine._rewrites) == min(bound, len(distinct))
+        assert len(engine._by_goal) == min(bound, len(distinct))
 
     def test_a_search_is_the_same_under_either_bound(self, monkeypatch):
         def search(engine):
@@ -492,7 +492,7 @@ class TestRewriteMemo:
         fresh = search(engine)
         assert fresh[1] == 600 and len(fresh[3]) > 300
         assert search(engine) == fresh  # the memo now warm
-        monkeypatch.setattr(tableau_module, "REWRITE_MEMO_SIZE", 1)
+        monkeypatch.setattr(tableau_module, "GOAL_MEMO_SIZE", 1)
         assert search(Engine(clausify_text(GROUP_TEXT))) == fresh
 
     def test_the_caller_owns_the_list(self):
@@ -508,14 +508,52 @@ class TestRewriteMemo:
         assert engine.legal_actions(state) == want
 
     def test_the_memo_holds_no_more_goals_than_the_bound(self, monkeypatch):
-        monkeypatch.setattr(tableau_module, "REWRITE_MEMO_SIZE", 5)
+        monkeypatch.setattr(tableau_module, "GOAL_MEMO_SIZE", 5)
         engine = Engine(clausify_text(GROUP_TEXT), path_limit=10)
         rng = random.Random(4)
         seen = set()
         for _ in range(20):
             seen.update(self.random_walks(engine, rng, walks=1))
-            assert len(engine._rewrites) <= 5
+            assert len(engine._by_goal) <= 5
         assert len(seen) > 5
+
+    def test_a_memoized_goal_is_answered_without_enumerating(self, monkeypatch):
+        engine = Engine(clausify_text(GROUP_TEXT))
+        e, a = ("e",), ("a",)
+        # the goal m(e, m(X0, a)) != m(X0, a) below its positive twin, once
+        # written out and once through X1, bound to m(X0, a); the two states
+        # share no goal, path, substitution or next_var, only the instantiated
+        # goal and path
+        ma = ("m", 0, a)
+        goal = (True, "=", (("m", e, ma), ma))
+        state = TableauState(True, ((goal, 1),), ((False, "=", goal[2]),), {}, 1)
+        bound = (True, "=", (("m", e, 1), 1))
+        twin = TableauState(True, ((bound, 1),), ((False, "=", bound[2]),), {1: ma}, 2)
+        assert self.goal_of(twin) == self.goal_of(state) == goal
+        want = engine.legal_actions(state)
+        assert [act.kind for act in want[:2]] == [REDUCTION, EXTENSION]
+        assert {act.kind for act in want[2:]} == {PARAMODULATION}
+        assert want == oracle_actions(engine, state) == oracle_actions(engine, twin)
+
+        def refuse(*args):
+            raise AssertionError("a memoized goal was enumerated again")
+
+        monkeypatch.setattr(Engine, "_extensions", refuse)
+        monkeypatch.setattr(Engine, "_paramodulations", refuse)
+        assert engine.legal_actions(twin) == want
+        with pytest.raises(AssertionError, match="enumerated again"):
+            engine.legal_actions(engine.replay(engine.start_actions()[:1]))
+
+    def test_engines_with_nothing_to_rewrite_keep_no_memo(self):
+        limits = SearchLimits(inference_limit=300, bigstep_frequency=50)
+        engines = [Engine(load_matrix(path)) for path in corpus_problems()]
+        engines = [engine for engine in engines if not engine.equations]
+        engines.append(Engine(clausify_text(GROUP_TEXT), paramodulation=False))
+        assert len(engines) > 20
+        for engine in engines:
+            result = prove(engine, "p", UniformPredictor(), limits)
+            assert result.inferences > 0
+            assert engine._by_goal == {}
 
 
 def search_tree_nodes(result):
