@@ -100,6 +100,12 @@ def load_bank(path) -> List[BankEntry]:
     return bank
 
 
+def _refused(entry: BankEntry, step: int) -> ValueError:
+    """The error for the entry's 0-based ``step``, which is not legal."""
+    return ValueError(f"{entry.problem}: bank step {step + 1} "
+                      f"{entry.path[step].encode()!r} is not a legal action")
+
+
 def replay_entry(engine: Engine, entry: BankEntry):
     """The state :meth:`Engine.replay` reaches along the entry's path; a
     step that is not legal raises ``ValueError`` naming the problem and
@@ -107,7 +113,41 @@ def replay_entry(engine: Engine, entry: BankEntry):
     try:
         return engine.replay(entry.path)
     except IllegalActionError as e:
-        raise ValueError(f"{entry.problem}: bank step {e.step + 1} {e}") from None
+        raise _refused(entry, e.step) from None
+
+
+class _Prefix:
+    """A distinct prefix of a problem's bank paths: the state it reaches,
+    the actions legal there (filled on first use) and the prefixes one
+    action longer."""
+
+    __slots__ = ("state", "actions", "longer")
+
+    def __init__(self, state):
+        self.state = state
+        self.actions: Optional[List[Action]] = None
+        self.longer: Dict[Action, _Prefix] = {}
+
+    def legal(self, engine: Engine) -> List[Action]:
+        if self.actions is None:
+            self.actions = engine.legal_actions(self.state)
+        return self.actions
+
+
+def _replay_prefixes(engine: Engine, entry: BankEntry, root: _Prefix) -> _Prefix:
+    """The prefix at the end of the entry's path, below ``root``: each
+    step not replayed before is checked against ``legal_actions`` as
+    :meth:`Engine.replay` checks it, and applied; a step that is not
+    legal raises ``replay_entry``'s ``ValueError``."""
+    node = root
+    for step, a in enumerate(entry.path):
+        longer = node.longer.get(a)
+        if longer is None:
+            if a not in node.legal(engine):
+                raise _refused(entry, step)
+            longer = node.longer[a] = _Prefix(engine.apply(node.state, a))
+        node = longer
+    return node
 
 
 @dataclass
@@ -148,14 +188,22 @@ def compare(pred_a: Predictor, pred_b: Predictor, bank: Sequence[BankEntry],
     """Evaluates both predictors on every bank state over the identical
     canonical action list.  Sums are reduced sequentially in bank order
     so the report is bit-stable.  A distribution that is not finite
-    raises ``ValueError`` naming its predictor."""
+    raises ``ValueError`` naming its predictor.
+
+    Bank paths share prefixes, so each distinct prefix of a problem's
+    entries is replayed, and its legal actions listed, once.  Only one
+    problem's prefixes are held at a time: a bank lists each problem's
+    entries together, as :func:`harvest_states` makes them."""
     best_hits = order_hits = 0
     kl_ab_sum = kl_ba_sum = 0.0
     inf_ab = inf_ba = 0
+    problem = root = None
     for entry in bank:
         engine = engines[entry.problem]
-        state = replay_entry(engine, entry)
-        actions = engine.legal_actions(state)
+        if entry.problem != problem:
+            problem, root = entry.problem, _Prefix(engine.root_state())
+        reached = _replay_prefixes(engine, entry, root)
+        state, actions = reached.state, reached.legal(engine)
         if len(actions) != entry.n_actions:
             raise ValueError(
                 f"bank entry for {entry.problem} expects {entry.n_actions} actions, "

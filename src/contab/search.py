@@ -7,6 +7,14 @@ playouts the root moves irreversibly to the child with the best mean
 reward.  Node creation applies one calculus action, so the inference
 budget equals the number of tree nodes minus the root.
 
+Selection skips the scores that cannot change its pick.  A one-slot
+node on the descent takes its slot.  A node whose one expanded child
+has a mean above ``cp * prior * sqrt(ln N)``, for the highest
+unexpanded prior and N the current root's visits, takes that child: no
+node below the root has more visits, so no unexpanded slot can score
+as much, and the child scores at least its mean.  Every other node is
+scored in full by :func:`select`.
+
 The tree holds only child links.  A playout carries its path from the
 search root (the bigstep spine, then the nodes it descends), and every
 step upward reads that path, so no tree is a reference cycle: dropping
@@ -59,7 +67,7 @@ class MCTSNode:
         # priors[i] is the prior of action i and of children[i]
         self.priors = None
         self.children: List[Optional[MCTSNode]] = []
-        # what _select reads instead of every slot: the expanded slots, and
+        # what select reads instead of every slot: the expanded slots, and
         # all slots ordered by (-prior, index), expanded before position
         # ``frontier`` and unexpanded at it
         self.expanded: List[int] = []
@@ -92,6 +100,70 @@ class MCTSNode:
     @property
     def mean(self) -> float:
         return self.reward_sum / self.visits if self.visits else 0.0
+
+
+def select(node: MCTSNode, cp: float, bound: float) -> int:
+    """Index of the child slot with maximal UCT score
+    ``mean + cp * prior * sqrt(ln N / visits)``, lowest index on ties;
+    unexpanded slots score cp * prior * sqrt(ln N); fully explored
+    children are skipped, and -1 means every slot is.  This is the only
+    place UCT is computed.  ``bound`` is at least ``sqrt(ln N)``:
+    ``playout`` passes ``sqrt(ln visits)`` of its current root, since no
+    node below the root has more visits.
+
+    At one visit (N = 1) every unexpanded slot scores 0, and nothing
+    is expanded yet, so the first expansion below a node is slot 0,
+    whatever the predictor says.
+
+    A node with exactly one expanded child that is not fully explored is
+    answered without a score when the child's mean exceeds
+    ``cp * prior * bound`` for the highest unexpanded prior (or when no
+    slot is unexpanded).  The shortcut is exact: visits are integers, so
+    ``ln N`` cannot round above the root's ``ln``, and ``sqrt`` and ``*``
+    round monotonically; hence every unexpanded slot scores at most
+    ``cp * prior * bound``, while the child scores at least its mean, as
+    the term added to it is not negative.  The child wins strictly, so
+    no tie rule decides it.
+
+    Otherwise only the expanded children and the leading unexpanded
+    slots are scored: an unexpanded slot's score falls (weakly) along
+    ``node.order``, so the best one is the first, unless slots after it
+    with lower priors round to the same score and a lower index."""
+    children = node.children
+    priors = node.priors
+    order = node.order
+    n = len(order)
+    f = node.frontier
+    expanded = node.expanded
+    if len(expanded) == 1:
+        i = expanded[0]
+        child = children[i]
+        if not child.fully_explored and (
+                f == n or child.reward_sum / child.visits > cp * priors[order[f]] * bound):
+            return i
+    log_n = math.log(node.visits)
+    best, best_score = -1, -math.inf
+    if f < n:
+        sqrt_log_n = math.sqrt(log_n)
+        best = order[f]
+        best_score = cp * priors[best] * sqrt_log_n
+        if priors[order[-1]] != priors[best]:
+            for k in range(f + 1, n):
+                j = order[k]
+                if cp * priors[j] * sqrt_log_n < best_score:
+                    break
+                if j < best and children[j] is None:
+                    best = j
+    for i in expanded:
+        child = children[i]
+        if child.fully_explored:
+            continue
+        # an expanded child has visits >= 1, so this is its mean
+        score = (child.reward_sum / child.visits
+                 + cp * priors[i] * math.sqrt(log_n / child.visits))
+        if score > best_score or score == best_score and i < best:
+            best, best_score = i, score
+    return best
 
 
 @dataclass
@@ -181,7 +253,7 @@ class _Search:
             probs, value = predict(self.predictor, state, node.actions, self.engine.matrix)
             # [1.0] has entropy 0.0; h / ln n is normalized_entropy(probs)
             h = entropy(probs) if n > 1 else 0.0
-            # plain floats: _select reads them in the hot loop
+            # plain floats: select reads them in the hot loop
             priors = probs.tolist()
             check_distribution(self.predictor, priors)
             scored = (priors, value, h, h / math.log(n) if n > 1 else 0.0)
@@ -197,62 +269,12 @@ class _Search:
             self.harvested.append((tuple(self._actions()), len(node.actions)))
         return value
 
-    def _select(self, node: MCTSNode) -> int:
-        """Index of the child slot with maximal UCT score
-        ``mean + cp * prior * sqrt(ln N / visits)``, lowest index on ties;
-        unexpanded slots score cp * prior * sqrt(ln N); fully explored
-        children are skipped.  This is the only place UCT is computed.
-
-        At one visit (N = 1) every unexpanded slot scores 0, and nothing
-        is expanded yet, so the first expansion below a node is slot 0,
-        whatever the predictor says.
-
-        Only the expanded children and the leading unexpanded slots are
-        scored: an unexpanded slot's score falls (weakly) along
-        ``node.order``, so the best one is the first, unless slots after
-        it with lower priors round to the same score and a lower index.
-
-        A node with one slot, the most common kind, needs no score: the
-        slot is the answer unless its child is fully explored, since its
-        prior, its child's mean and ``cp`` are all finite."""
-        children = node.children
-        if len(children) == 1:
-            child = children[0]
-            return -1 if child is not None and child.fully_explored else 0
-        log_n = math.log(node.visits)
-        cp = self.limits.cp
-        priors = node.priors
-        order = node.order
-        best, best_score = -1, -math.inf
-        f = node.frontier
-        if f < len(order):
-            sqrt_log_n = math.sqrt(log_n)
-            best = order[f]
-            best_score = cp * priors[best] * sqrt_log_n
-            if priors[order[-1]] != priors[best]:
-                for k in range(f + 1, len(order)):
-                    j = order[k]
-                    if cp * priors[j] * sqrt_log_n < best_score:
-                        break
-                    if j < best and children[j] is None:
-                        best = j
-        for i in node.expanded:
-            child = children[i]
-            if child.fully_explored:
-                continue
-            # an expanded child has visits >= 1, so this is its mean
-            score = (child.reward_sum / child.visits
-                     + cp * priors[i] * math.sqrt(log_n / child.visits))
-            if score > best_score or score == best_score and i < best:
-                best, best_score = i, score
-        return best
-
     def add_node(self, node: MCTSNode) -> None:
         """Appends a new node, the root or a leaf, to ``path``, evaluates it
         and backpropagates its reward along ``path``.  A terminal node is
         fully explored, and so in turn is each node up ``path`` whose slots
         are all expanded and fully explored; any other node keeps a slot
-        that ``_select`` picks by finite priors, so a playout adds a leaf."""
+        that ``select`` picks by finite priors, so a playout adds a leaf."""
         path = self.path
         path.append(node)
         reward = self._evaluate(node)
@@ -269,15 +291,24 @@ class _Search:
     def playout(self) -> None:
         """One select/expand/evaluate/backpropagate pass below the current
         root, the end of ``path``, which is not fully explored: it adds
-        exactly one leaf, and leaves ``path`` as it found it."""
+        exactly one leaf, and leaves ``path`` as it found it.  Every node
+        of the descent has at most the root's visits, so the root's
+        ``sqrt(ln N)`` bounds every :func:`select` below it."""
         path = self.path
         spine = len(path)
         node = path[-1]
-        i = self._select(node)
-        while node.children[i] is not None:
-            node = node.children[i]
+        cp = self.limits.cp
+        bound = math.sqrt(math.log(node.visits))
+        while True:
+            children = node.children
+            # a one-slot node on the descent is not fully explored, nor
+            # then is its child: slot 0 is the answer, and needs no score
+            i = 0 if len(children) == 1 else select(node, cp, bound)
+            child = children[i]
+            if child is None:
+                break
+            node = child
             path.append(node)
-            i = self._select(node)
         state = self.engine.apply(node.state, node.actions[i])
         self.inferences += 1
         leaf = MCTSNode(state, i)

@@ -26,7 +26,7 @@ from contab.learn import (LoopConfig, TrainConfig, policy_grad_logits,
 from contab.policy import (FixedEntropyPredictor, UniformPredictor, entropy,
                            make_fixed_entropy_vector, normalized_entropy,
                            predict, softmax_temperature)
-from contab.search import MCTSNode, SearchLimits, _Search, prove
+from contab.search import MCTSNode, SearchLimits, prove, select
 from contab.tableau import Engine, IllegalActionError
 
 
@@ -151,14 +151,15 @@ def check_tree(node, failures):
 
 
 def select_slot(children, priors, parent_visits, cp):
-    """``_select`` on a hand-built parent (None marks an unexpanded slot)."""
+    """``select`` on a hand-built parent (None marks an unexpanded slot),
+    bounded as if the parent were the search's root."""
     parent = MCTSNode(None, -1)
     parent.visits = parent_visits
     parent.set_priors(priors)
     for i, child in enumerate(children):
         if child is not None:
             parent.add_child(i, child)
-    return _Search(None, None, SearchLimits(cp=cp), False)._select(parent)
+    return select(parent, cp, math.sqrt(math.log(parent_visits)))
 
 
 def probe(score):
@@ -185,7 +186,7 @@ def test_criterion_3_search_tree_properties():
             failures.append(f"synth{i}: inexact budget stop")
         check_tree(result.bigstep_nodes[0], failures)
 
-    # closed-form selection score against 50-digit arithmetic: _select
+    # closed-form selection score against 50-digit arithmetic: select
     # must rank the child between two probes (prior 0, so scored exactly
     # their mean) one relative 1e-12 below and above the oracle value
     uct_misses = 0

@@ -7,11 +7,13 @@ pairwise probability relations instead of rank grouping.
 
 import csv
 import math
+import re
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from contab import analysis
 from contab.analysis import (
     AGREEMENT_COLUMNS,
     AgreementReport,
@@ -363,6 +365,73 @@ class TestCompare:
         report = compare(UniformPredictor(), UniformPredictor(), [], {})
         assert report.states == 0
         assert report.best == report.order == 0.0
+
+
+def replay_from_the_root(engine, entry, root):
+    """Every entry replayed on its own from the root, as ``compare`` did
+    before it shared prefixes."""
+    return analysis._Prefix(replay_entry(engine, entry))
+
+
+class CountingEngine(Engine):
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.legal_calls = 0
+
+    def legal_actions(self, s):
+        self.legal_calls += 1
+        return super().legal_actions(s)
+
+
+class TestCompareSharesPrefixes:
+    """``compare`` replays, and lists the legal actions of, each distinct
+    prefix of a problem's bank paths once."""
+
+    def counting_fixture(self):
+        problems = [(name, CountingEngine(clausify_text(text)))
+                    for name, text in sorted(BANK_PROBLEMS.items())]
+        bank = harvest_states(problems, SearchLimits(inference_limit=200, bigstep_frequency=25))
+        return bank, dict(problems)
+
+    def test_one_legal_actions_call_per_distinct_prefix(self):
+        bank, engines = self.counting_fixture()
+        for engine in engines.values():
+            engine.legal_calls = 0
+        compare(UniformPredictor(), trained_stand_in(), bank, engines)
+        for name, engine in engines.items():
+            paths = [e.path for e in bank if e.problem == name]
+            # every prefix, the empty one (the root) included
+            prefixes = {path[:k] for path in paths for k in range(len(path) + 1)}
+            assert engine.legal_calls == (len(prefixes) if paths else 0)
+        steps = sum(len(e.path) + 1 for e in bank)
+        assert sum(e.legal_calls for e in engines.values()) < steps / 2
+
+    def test_the_report_equals_replaying_every_entry_from_the_root(self, monkeypatch,
+                                                                    corpus_bank):
+        for bank, engines in (bank_fixture(), corpus_bank):
+            for a, b in ((UniformPredictor(), trained_stand_in()),
+                         (trained_stand_in(3), trained_stand_in(4, temperature=2.0))):
+                shared = compare(a, b, bank, engines)
+                with monkeypatch.context() as m:
+                    m.setattr(analysis, "_replay_prefixes", replay_from_the_root)
+                    alone = compare(a, b, bank, engines)
+                assert shared == alone
+
+    @pytest.mark.parametrize("step", [0, 1, -1])
+    def test_a_bad_step_in_a_later_entry_is_named_as_before(self, step):
+        bank, engines = bank_fixture()
+        later = max(range(len(bank)), key=lambda i: (len(bank[i].path), i))
+        assert later > 0 and len(bank[later].path) >= 2
+        path = list(bank[later].path)
+        k = step % len(path)
+        path[k] = Action("reduction", path_index=99)
+        bank[later] = BankEntry(bank[later].problem, tuple(path), bank[later].n_actions)
+        want = f"{bank[later].problem}: bank step {k + 1} 'reduction 99' is not a legal action"
+        with pytest.raises(ValueError) as info:
+            replay_entry(engines[bank[later].problem], bank[later])
+        assert str(info.value) == want
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            compare(UniformPredictor(), UniformPredictor(), bank, engines)
 
 
 @pytest.fixture(scope="module")

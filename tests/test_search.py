@@ -1,8 +1,9 @@
 """Search tests.
 
 Three oracles here: an arbitrary-precision recomputation of the UCT score
-that ``_select`` ranks children by (mpmath at 50 digits), a full scan of
-every child slot that ``_select``'s bookkeeping must agree with, and a
+that ``select`` ranks children by (mpmath at 50 digits), a full scan of
+every child slot that ``select``'s bookkeeping and its one-child shortcut
+must agree with, and a
 plain-dict scripted simulation of the whole
 select/expand/backpropagate/bigstep loop that prove() must reproduce
 node for node.
@@ -66,14 +67,19 @@ def make_node(visits=0, reward=0.0):
     return n
 
 
+def own_bound(node):
+    """The bound ``playout`` gives ``select`` when ``node`` is its root."""
+    return math.sqrt(math.log(node.visits))
+
+
 def select(children, parent_visits, cp=1.0):
-    """``_select`` on a hand-built parent over expanded children, given
+    """``select`` on a hand-built parent over expanded children, given
     as (prior, node) pairs."""
     parent = make_node(visits=parent_visits)
     parent.set_priors([prior for prior, _ in children])
     for i, (_, node) in enumerate(children):
         parent.add_child(i, node)
-    return _Search(None, None, SearchLimits(cp=cp), False)._select(parent)
+    return search_module.select(parent, cp, own_bound(parent))
 
 
 def probe(score):
@@ -83,7 +89,7 @@ def probe(score):
 
 
 def uct_between(child, parent_visits, cp, lo, hi):
-    """True when ``_select`` scores ``child`` within [lo, hi]: it must not
+    """True when ``select`` scores ``child`` within [lo, hi]: it must not
     lose to a probe worth ``lo`` and not beat one worth ``hi`` (ties go to
     the lower index)."""
     return (select([child, probe(lo)], parent_visits, cp) == 0
@@ -143,8 +149,8 @@ class TestUctScore:
 
 
 def full_scan(node, cp):
-    """_select by scoring every child slot: the reference its bookkeeping
-    of expanded and unexpanded slots must agree with."""
+    """select by scoring every child slot: the reference its bookkeeping
+    of expanded and unexpanded slots, and its shortcut, must agree with."""
     log_n = math.log(node.visits)
     best, best_score = -1, -math.inf
     for i, child in enumerate(node.children):
@@ -174,25 +180,134 @@ def built_node(priors, expanded, visits):
 
 
 def selected(node, cp=1.0):
-    return _Search(None, None, SearchLimits(cp=cp), False)._select(node)
+    return search_module.select(node, cp, own_bound(node))
+
+
+def shortcut_applies(node, cp, bound):
+    """True when ``node`` has one expanded child, not fully explored, whose
+    mean beats ``cp * prior * bound`` for every unexpanded slot: the
+    nodes ``select`` answers without a score."""
+    expanded = [i for i, c in enumerate(node.children) if c is not None]
+    if len(expanded) != 1 or node.children[expanded[0]].fully_explored:
+        return False
+    child = node.children[expanded[0]]
+    return all(child.reward_sum / child.visits > cp * node.priors[j] * bound
+               for j, c in enumerate(node.children) if c is None)
+
+
+def random_node(rng):
+    """A node with random priors (equal ones common), a random set of
+    expanded slots and children, and its cp."""
+    k = rng.randrange(1, 13)
+    # a few distinct values make equal priors common
+    pool = [rng.random() for _ in range(rng.choice([1, 2, 3, k]))]
+    weights = [rng.choice(pool) for _ in range(k)]
+    priors = [w / sum(weights) for w in weights]
+    slots = rng.sample(range(k), rng.randrange(0, k + 1))
+    expanded = {i: (n, rng.random() * n, rng.random() < 0.2)
+                for i in slots for n in [rng.randrange(1, 40)]}
+    visits = 1 + sum(n for n, _, _ in expanded.values()) + rng.randrange(0, 3)
+    return built_node(priors, expanded, visits), rng.choice([0.5, 1.0, 2.0])
+
+
+def watch_descents(monkeypatch):
+    """Checks every decision of every playout from here on: each node
+    decided is not fully explored and gets a slot; ``select`` is given a
+    bound of at least the node's own ``sqrt(ln N)`` and picks what
+    ``full_scan`` picks; a one-slot node, which the descent answers
+    without ``select``, has ``full_scan``'s pick in slot 0; and the leaf
+    lands where ``full_scan``'s descent ends.  Returns the counts of
+    decisions, ``select`` calls, and calls its shortcut answers."""
+    counts = {"decisions": 0, "select": 0, "shortcut": 0}
+    real_select = search_module.select
+    real_playout = _Search.playout
+
+    def checked_select(node, cp, bound):
+        counts["select"] += 1
+        assert bound >= own_bound(node)
+        i = real_select(node, cp, bound)
+        assert i == full_scan(node, cp)
+        counts["shortcut"] += shortcut_applies(node, cp, bound)
+        return i
+
+    def checked_playout(search):
+        node, cp = search.path[-1], search.limits.cp
+        while True:
+            counts["decisions"] += 1
+            assert not node.fully_explored
+            i = full_scan(node, cp)
+            assert 0 <= i < len(node.children)
+            if len(node.children) == 1:
+                assert i == 0
+            if node.children[i] is None:
+                break
+            node = node.children[i]
+        real_playout(search)
+        assert node.children[i] is not None
+
+    monkeypatch.setattr(search_module, "select", checked_select)
+    monkeypatch.setattr(_Search, "playout", checked_playout)
+    return counts
 
 
 class TestSelectMatchesFullScan:
     def test_random_nodes(self):
         rng = random.Random(12)
         for _ in range(3000):
-            k = rng.randrange(1, 13)
-            # a few distinct values make equal priors common
-            pool = [rng.random() for _ in range(rng.choice([1, 2, 3, k]))]
-            weights = [rng.choice(pool) for _ in range(k)]
-            priors = [w / sum(weights) for w in weights]
-            slots = rng.sample(range(k), rng.randrange(0, k + 1))
-            expanded = {i: (n, rng.random() * n, rng.random() < 0.2)
-                        for i in slots for n in [rng.randrange(1, 40)]}
-            visits = 1 + sum(n for n, _, _ in expanded.values()) + rng.randrange(0, 3)
-            node = built_node(priors, expanded, visits)
-            cp = rng.choice([0.5, 1.0, 2.0])
+            node, cp = random_node(rng)
             assert selected(node, cp) == full_scan(node, cp)
+
+    def test_random_nodes_under_every_bound(self):
+        """Any bound at least the node's own ``sqrt(ln N)`` picks what the
+        full scan picks: the node's own, one ulp above it, a root's with
+        more visits, and infinity (no shortcut at all)."""
+        rng = random.Random(31)
+        hits = 0
+        for _ in range(3000):
+            node, cp = random_node(rng)
+            b = own_bound(node)
+            more = math.sqrt(math.log(node.visits + rng.randrange(1, 10000)))
+            for bound in (b, math.nextafter(b, math.inf), more, math.inf):
+                assert search_module.select(node, cp, bound) == full_scan(node, cp)
+                hits += shortcut_applies(node, cp, bound)
+        assert hits > 300
+
+    def test_a_child_mean_at_the_bound(self):
+        """Slot 0 unexpanded with prior p, slot 1's child of prior 0 with
+        a mean at ``cp * p * bound``, one ulp above or one ulp below: at
+        the bound the two tie and slot 0 wins, so only above it may the
+        shortcut answer."""
+        for visits in (2, 3, 7, 50, 1000):
+            for p, cp in ((1.0, 1.0), (0.6, 0.7), (1 / 3, 2.0)):
+                edge = cp * p * math.sqrt(math.log(visits))
+                for mean, want in ((edge, 0), (math.nextafter(edge, math.inf), 1),
+                                   (math.nextafter(edge, -math.inf), 0)):
+                    node = built_node([p, 0.0], {1: (1, mean, False)}, visits)
+                    assert full_scan(node, cp) == want
+                    for bound in (own_bound(node), math.inf):
+                        assert search_module.select(node, cp, bound) == want
+
+    def test_a_prior_of_zero(self):
+        # every unexpanded slot has prior 0: any positive mean wins outright,
+        # and a mean of 0 still wins by its own exploration term
+        for mean in (0.0, 5e-324, 0.5):
+            node = built_node([0.0, 0.0, 1.0], {2: (1, mean, False)}, visits=4)
+            assert selected(node) == full_scan(node, 1.0) == 2
+            # an infinite bound times prior 0 is NaN, which answers nothing
+            assert search_module.select(node, 1.0, math.inf) == 2
+        # the child's own prior 0 adds nothing to its mean of 0, which ties
+        # the unexpanded slots' 0: the lowest index wins
+        node = built_node([0.0, 0.0, 1.0], {1: (2, 0.0, False)}, visits=4)
+        assert selected(node) == full_scan(node, 1.0) == 2
+        node = built_node([0.0, 0.0], {1: (2, 0.0, False)}, visits=4)
+        assert selected(node) == full_scan(node, 1.0) == 0
+
+    def test_a_fully_explored_only_child_is_never_the_answer(self):
+        # its mean beats every bound, yet the unexpanded slot is the pick
+        node = built_node([0.5, 0.5], {0: (3, 3.0, True)}, visits=5)
+        assert selected(node) == full_scan(node, 1.0) == 1
+        node = built_node([1.0], {0: (3, 3.0, True)}, visits=5)
+        assert selected(node) == full_scan(node, 1.0) == -1
 
     def test_one_visit_picks_slot_zero_whatever_the_priors(self):
         for priors in ([0.1, 0.2, 0.7], [0.7, 0.2, 0.1], [0.0, 1.0], [0.25] * 4, [1.0]):
@@ -238,24 +353,17 @@ class TestSelectMatchesFullScan:
         assert selected(node) == full_scan(node, 1.0) == -1
 
     def test_every_selection_of_real_searches(self, monkeypatch):
-        real_select = _Search._select
-        calls = 0
-
-        def checked(search, node):
-            nonlocal calls
-            calls += 1
-            got = real_select(search, node)
-            assert got == full_scan(node, search.limits.cp)
-            return got
-
-        monkeypatch.setattr(_Search, "_select", checked)
+        # watch_descents asserts that every decision is full_scan's pick
+        counts = watch_descents(monkeypatch)
         engines = [Engine(clausify(parse_problem(p.text))) for p in
                    bench_problems.eq_problems(random.Random(7))]
         engines.append(Engine(clausify_text(BRANCHY)))
         for predictor in (UniformPredictor(), FixedEntropyPredictor(UniformPredictor(), 0.6, 5)):
             for engine in engines:
                 prove(engine, "p", predictor, SearchLimits(inference_limit=60, cp=0.7))
-        assert calls > 5000
+        assert counts["decisions"] > 5000
+        # the oracle checks the shortcut, not only the full scoring
+        assert counts["shortcut"] > 1000
 
 
 # sha256 of the result lines below, computed before _select scored only
@@ -481,19 +589,10 @@ class TestTreeInvariants:
     def test_select_finds_a_slot_below_every_node_that_is_not_fully_explored(
             self, monkeypatch):
         # the invariant that lets every playout add one leaf; the dead ends
-        # exhaust whole subtrees on the way
-        real_select = _Search._select
-        calls = 0
-
-        def checked(search, node):
-            nonlocal calls
-            calls += 1
-            assert not node.fully_explored
-            i = real_select(search, node)
-            assert 0 <= i < len(node.children)
-            return i
-
-        monkeypatch.setattr(_Search, "_select", checked)
+        # exhaust whole subtrees on the way.  watch_descents asserts, at
+        # every decision, that the node is not fully explored and that
+        # its pick is a slot, 0 <= i < len(node.children)
+        counts = watch_descents(monkeypatch)
         statuses = set()
         for path in corpus_problems():
             engine = Engine(load_matrix(path))
@@ -506,7 +605,7 @@ class TestTreeInvariants:
                            SearchLimits(inference_limit=300, bigstep_frequency=7))
             statuses.add(result.status)
         assert statuses == {"solved", "dead-end", "budget-exhausted"}
-        assert calls > 1000
+        assert counts["decisions"] > 1000
 
 
 GROUP_EQ = (
@@ -572,7 +671,7 @@ class AllInfinite(Predictor):
 
 class TestPriorsThatAreNotFinite:
     # at this temperature every logit gap overflows the division by it; the
-    # priors must stay finite, or _select ranks no slot and a theorem reads
+    # priors must stay finite, or select ranks no slot and a theorem reads
     # as a dead end
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("name", ["branch2", "branch3", "cases", "eq_cond", "path_close"])
