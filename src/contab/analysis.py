@@ -3,7 +3,8 @@
 The bank holds states an unguided search visited, each as the action
 path that reaches it from the root, so any predictor can later be asked
 for its distribution over the exact same canonical action list.  A path
-is a tuple of :class:`Action`; only the bank file holds it as text.
+is a tuple of :class:`Action`; only the bank file holds it as text, and
+:meth:`Engine.replay` turns it back into the state.
 Comparison metrics: same most-probable action (Best), same full ordering
 (Order), and mean KL divergence in both directions with infinite terms
 excluded from the mean and counted separately.
@@ -100,12 +101,6 @@ def load_bank(path) -> List[BankEntry]:
     return bank
 
 
-def _refused(entry: BankEntry, step: int) -> ValueError:
-    """The error for the entry's 0-based ``step``, which is not legal."""
-    return ValueError(f"{entry.problem}: bank step {step + 1} "
-                      f"{entry.path[step].encode()!r} is not a legal action")
-
-
 def replay_entry(engine: Engine, entry: BankEntry):
     """The state :meth:`Engine.replay` reaches along the entry's path; a
     step that is not legal raises ``ValueError`` naming the problem and
@@ -113,41 +108,8 @@ def replay_entry(engine: Engine, entry: BankEntry):
     try:
         return engine.replay(entry.path)
     except IllegalActionError as e:
-        raise _refused(entry, e.step) from None
-
-
-class _Prefix:
-    """A distinct prefix of a problem's bank paths: the state it reaches,
-    the actions legal there (filled on first use) and the prefixes one
-    action longer."""
-
-    __slots__ = ("state", "actions", "longer")
-
-    def __init__(self, state):
-        self.state = state
-        self.actions: Optional[List[Action]] = None
-        self.longer: Dict[Action, _Prefix] = {}
-
-    def legal(self, engine: Engine) -> List[Action]:
-        if self.actions is None:
-            self.actions = engine.legal_actions(self.state)
-        return self.actions
-
-
-def _replay_prefixes(engine: Engine, entry: BankEntry, root: _Prefix) -> _Prefix:
-    """The prefix at the end of the entry's path, below ``root``: each
-    step not replayed before is checked against ``legal_actions`` as
-    :meth:`Engine.replay` checks it, and applied; a step that is not
-    legal raises ``replay_entry``'s ``ValueError``."""
-    node = root
-    for step, a in enumerate(entry.path):
-        longer = node.longer.get(a)
-        if longer is None:
-            if a not in node.legal(engine):
-                raise _refused(entry, step)
-            longer = node.longer[a] = _Prefix(engine.apply(node.state, a))
-        node = longer
-    return node
+        raise ValueError(f"{entry.problem}: bank step {e.step + 1} "
+                         f"{entry.path[e.step].encode()!r} is not a legal action") from None
 
 
 @dataclass
@@ -188,22 +150,15 @@ def compare(pred_a: Predictor, pred_b: Predictor, bank: Sequence[BankEntry],
     """Evaluates both predictors on every bank state over the identical
     canonical action list.  Sums are reduced sequentially in bank order
     so the report is bit-stable.  A distribution that is not finite
-    raises ``ValueError`` naming its predictor.
-
-    Bank paths share prefixes, so each distinct prefix of a problem's
-    entries is replayed, and its legal actions listed, once.  Only one
-    problem's prefixes are held at a time: a bank lists each problem's
-    entries together, as :func:`harvest_states` makes them."""
+    raises ``ValueError`` naming its predictor.  Each state is the one
+    :func:`replay_entry` reaches."""
     best_hits = order_hits = 0
     kl_ab_sum = kl_ba_sum = 0.0
     inf_ab = inf_ba = 0
-    problem = root = None
     for entry in bank:
         engine = engines[entry.problem]
-        if entry.problem != problem:
-            problem, root = entry.problem, _Prefix(engine.root_state())
-        reached = _replay_prefixes(engine, entry, root)
-        state, actions = reached.state, reached.legal(engine)
+        state = replay_entry(engine, entry)
+        actions = engine.legal_actions(state)
         if len(actions) != entry.n_actions:
             raise ValueError(
                 f"bank entry for {entry.problem} expects {entry.n_actions} actions, "
@@ -247,8 +202,6 @@ def compare(pred_a: Predictor, pred_b: Predictor, bank: Sequence[BankEntry],
 def format_cell(value) -> str:
     """Floats get two decimals (the entropy/KL convention), integers and
     strings pass through."""
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):

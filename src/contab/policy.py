@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -298,20 +298,14 @@ def predict(predictor: Predictor, state, actions, matrix) -> Tuple[Optional[np.n
 MODEL_MAGIC = "contab-model v1"
 
 
-def save_model(path, kind: str, weights: Union[Mapping[int, float], Sequence[float]],
+def save_model(path, kind: str, weights: Mapping[int, float],
                temperature: float = 1.0, alpha: float = 0.0) -> None:
-    """Writes the nonzero weights in ascending index order.  ``weights``
-    is sparse, feature index -> weight, or a dense vector of
-    ``FEATURE_DIM`` weights.  A vector of another width, or an index
-    outside ``[0, FEATURE_DIM)``, which :func:`load_model` would refuse,
-    raises ``ValueError`` naming ``path`` before the file is created."""
+    """Writes the nonzero weights of the sparse map ``weights``, feature
+    index -> weight, in ascending index order.  An index outside
+    ``[0, FEATURE_DIM)``, which :func:`load_model` would refuse, raises
+    ``ValueError`` naming ``path`` before the file is created."""
     if kind not in ("policy", "value"):
         raise ValueError(f"kind must be 'policy' or 'value', got {kind!r}")
-    if not isinstance(weights, Mapping):
-        if len(weights) != FEATURE_DIM:
-            raise ValueError(f"{path}: {len(weights)} weights, not the feature dimension "
-                             f"{FEATURE_DIM}")
-        weights = dict(enumerate(weights))
     nz = sorted(i for i, w in weights.items() if w)
     outside = [i for i in nz if not 0 <= i < FEATURE_DIM]
     if outside:

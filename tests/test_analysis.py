@@ -13,7 +13,6 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from contab import analysis
 from contab.analysis import (
     AGREEMENT_COLUMNS,
     AgreementReport,
@@ -151,8 +150,8 @@ BANK_PROBLEMS = {
 }
 
 
-def bank_fixture():
-    problems = [(name, Engine(clausify_text(text)))
+def bank_fixture(engine=Engine):
+    problems = [(name, engine(clausify_text(text)))
                 for name, text in sorted(BANK_PROBLEMS.items())]
     limits = SearchLimits(inference_limit=200, bigstep_frequency=25)
     bank = harvest_states(problems, limits)
@@ -367,55 +366,28 @@ class TestCompare:
         assert report.best == report.order == 0.0
 
 
-def replay_from_the_root(engine, entry, root):
-    """Every entry replayed on its own from the root, as ``compare`` did
-    before it shared prefixes."""
-    return analysis._Prefix(replay_entry(engine, entry))
-
-
 class CountingEngine(Engine):
     def __init__(self, matrix):
         super().__init__(matrix)
-        self.legal_calls = 0
+        self.replay_calls = 0
 
-    def legal_actions(self, s):
-        self.legal_calls += 1
-        return super().legal_actions(s)
+    def replay(self, actions):
+        self.replay_calls += 1
+        return super().replay(actions)
 
 
 class TestCompareSharesPrefixes:
-    """``compare`` replays, and lists the legal actions of, each distinct
-    prefix of a problem's bank paths once."""
+    """``compare`` reaches every bank state through :meth:`Engine.replay`,
+    the one checked path from an action list to a state."""
 
-    def counting_fixture(self):
-        problems = [(name, CountingEngine(clausify_text(text)))
-                    for name, text in sorted(BANK_PROBLEMS.items())]
-        bank = harvest_states(problems, SearchLimits(inference_limit=200, bigstep_frequency=25))
-        return bank, dict(problems)
-
-    def test_one_legal_actions_call_per_distinct_prefix(self):
-        bank, engines = self.counting_fixture()
+    def test_one_replay_per_bank_entry(self):
+        bank, engines = bank_fixture(CountingEngine)
         for engine in engines.values():
-            engine.legal_calls = 0
+            engine.replay_calls = 0
         compare(UniformPredictor(), trained_stand_in(), bank, engines)
         for name, engine in engines.items():
-            paths = [e.path for e in bank if e.problem == name]
-            # every prefix, the empty one (the root) included
-            prefixes = {path[:k] for path in paths for k in range(len(path) + 1)}
-            assert engine.legal_calls == (len(prefixes) if paths else 0)
-        steps = sum(len(e.path) + 1 for e in bank)
-        assert sum(e.legal_calls for e in engines.values()) < steps / 2
-
-    def test_the_report_equals_replaying_every_entry_from_the_root(self, monkeypatch,
-                                                                    corpus_bank):
-        for bank, engines in (bank_fixture(), corpus_bank):
-            for a, b in ((UniformPredictor(), trained_stand_in()),
-                         (trained_stand_in(3), trained_stand_in(4, temperature=2.0))):
-                shared = compare(a, b, bank, engines)
-                with monkeypatch.context() as m:
-                    m.setattr(analysis, "_replay_prefixes", replay_from_the_root)
-                    alone = compare(a, b, bank, engines)
-                assert shared == alone
+            assert engine.replay_calls == sum(e.problem == name for e in bank)
+        assert sum(e.replay_calls for e in engines.values()) == len(bank) > 0
 
     @pytest.mark.parametrize("step", [0, 1, -1])
     def test_a_bad_step_in_a_later_entry_is_named_as_before(self, step):

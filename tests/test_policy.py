@@ -601,22 +601,6 @@ class TestModelFiles:
         assert w == {}
         assert "nonzero 0" in p.read_text().splitlines()
 
-    @pytest.mark.parametrize("width", [16, FEATURE_DIM + 1])
-    def test_another_width_is_refused_before_the_file_is_created(self, tmp_path, width):
-        p = tmp_path / "w.model"
-        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {width} weights, not the "
-                                             f"feature dimension {FEATURE_DIM}$"):
-            save_model(p, "value", np.zeros(width))
-        assert list(tmp_path.iterdir()) == []
-
-    def test_a_dense_vector_saves_as_its_nonzero_weights(self, tmp_path):
-        w = np.zeros(FEATURE_DIM)
-        w[[3, 17]] = [1.5, -0.25]
-        dense, sparse = tmp_path / "dense.model", tmp_path / "sparse.model"
-        save_model(dense, "policy", w, temperature=2.5)
-        save_model(sparse, "policy", {17: -0.25, 3: 1.5}, temperature=2.5)
-        assert dense.read_bytes() == sparse.read_bytes()
-
     @pytest.mark.parametrize("index", [-1, FEATURE_DIM])
     def test_an_index_outside_the_features_is_refused_before_the_file_is_created(
             self, tmp_path, index):
