@@ -14,7 +14,14 @@ The calculus has three inference rules over the clause matrix:
 
 ``legal_actions`` decides which actions a state admits, ``apply`` commits
 one without deciding again, and ``replay`` checks each action of a
-sequence from outside against ``legal_actions`` before applying it.
+sequence from outside against ``legal_actions`` before applying it.  A
+paramodulation ``legal_actions`` offers carries what deciding it found
+(see :class:`Action`): the instantiated goal, the unifier of the goal
+subterm with the equation side, and the side put in, with the clause
+copy's variables numbered as in the clause.  ``apply`` adds those
+bindings with the copy moved up to the state's ``next_var`` and
+rewrites that goal, so it neither unifies nor instantiates again.
+Extensions and reductions are still unified again in ``apply``.
 
 A synthetic pre-state precedes the choice of start clause so that the
 choice is itself an action; proof traces therefore begin with a ``start``
@@ -35,13 +42,18 @@ candidates by their heads alone and unifies only the rest.
 The same invariant makes a goal's extensions and paramodulations depend
 on the goal under the substitution alone: every variable left in it is
 unbound, and the clause copy's are fresh, so the unifications read no
-binding, and the actions name no variable.  An engine with equations
-therefore memoizes both by the instantiated goal; the memo is cleared
-when it holds ``GOAL_MEMO_SIZE`` goals, so it stays bounded.  An engine
-without equations enumerates its extensions on every call instead: on
-the chain family, building the instantiated goal of each deep
-``f(f(...))`` goal cost more than the memo saved (a serial pass about 6%
-slower, though 83% of the lookups hit).
+binding, and an action names no variable but the goal's and, numbered as
+in the clause, the copy's (in a rewrite's payload).  An engine with
+equations therefore memoizes both by the instantiated goal.  A memoized
+rewrite's bindings hold at any state with that goal, whatever its
+``next_var``: unifying against a copy at another offset renames only the
+copy's variables, which lie above every variable of the goal at either
+offset, so the same variables are bound to the same terms, renamed, in
+the same order.  The memo is cleared when it holds ``GOAL_MEMO_SIZE``
+goals, so it stays bounded.  An engine without equations enumerates its
+extensions on every call instead: on the chain family, building the
+instantiated goal of each deep ``f(f(...))`` goal cost more than the
+memo saved (a serial pass about 6% slower, though 83% of the lookups hit).
 """
 
 from __future__ import annotations
@@ -57,9 +69,10 @@ from .terms import (
     head,
     literal_str,
     offset_literal,
+    offset_term,
     replace_at,
-    subterm_at,
     subterm_positions,
+    term_vars,
     undo_trail,
     unify_args_trail,
     unify_terms_trail,
@@ -74,13 +87,28 @@ PATH_LIMIT = 100  # Engine's default maximum tableau depth
 GOAL_MEMO_SIZE = 2 ** 12  # instantiated goals an Engine keeps the actions of
 
 
-class Action(NamedTuple):
+class _ActionFields(NamedTuple):
     kind: str
     clause_id: int = -1
     literal_index: int = -1
     path_index: int = -1
     position: tuple = ()
     direction: str = ""
+
+
+class Action(_ActionFields):
+    """One inference step, named by its six fields alone: equality,
+    hashing, :meth:`encode` and pickling read nothing else.
+
+    A paramodulation that ``legal_actions`` offers also carries the
+    rewrite it unified as its ``payload`` attribute, kept in the
+    instance dict (the class has no ``__slots__``, so tuple equality and
+    hashing stay in C); :meth:`Engine.apply` requires it.  A decoded or
+    unpickled action carries none.
+    """
+
+    def __getstate__(self):
+        return None  # a pickle holds the fields alone, so it reads as a decoded action
 
     def encode(self) -> str:
         if self.kind == START:
@@ -204,6 +232,26 @@ def _candidate(cid: int, li: int, lit: Literal) -> tuple:
     arguments are distinct variables, which unify with any goal's."""
     fixed = tuple([(k, head(a)) for k, a in enumerate(lit[2]) if type(a) is not int])
     return cid, li, lit, fixed, not fixed and len(set(lit[2])) == len(lit[2])
+
+
+def _relative(v: int, t, off: int) -> tuple:
+    """A binding ``v -> t`` of a unifier between a goal whose variables
+    are below ``off`` and a clause copy whose variables are from ``off``
+    up, as a rewrite's payload holds it: ``(v, v_of_copy, t, t_of_copy)``
+    with the copy's variables written relative to ``off``.  ``t`` is a
+    subterm of one of the two, so its first variable tells which; a
+    ground one needs no moving."""
+    v_of_copy = v >= off
+    if v_of_copy:
+        v -= off
+    if type(t) is int:
+        t_of_copy = t >= off
+    else:
+        free = term_vars(t)
+        t_of_copy = bool(free) and min(free) >= off
+    if t_of_copy:
+        t = offset_term(t, -off)
+    return v, v_of_copy, t, t_of_copy
 
 
 def _clash(goal_heads, fixed) -> bool:
@@ -355,28 +403,42 @@ class Engine:
         """The rewrites of the instantiated goal ``g`` by each equation,
         copied with variables from ``off`` up, above every variable of
         ``g``.  Every variable of ``g`` is unbound, so the unifications
-        read no binding and run on an empty substitution."""
+        read no binding and run on an empty substitution.
+
+        Each action's ``payload`` is ``(g, bindings, kept)``: the
+        unifier's bindings in the order the unification makes them, as
+        :func:`_relative` writes them, and the side the rewrite puts in,
+        as the clause has it.  A pair with a variable on either side
+        binds that variable to the other side, as the unification would,
+        without running it."""
         subst: dict = {}
         trail: list = []
         out = []
         subterms = [(pos, sub, head(sub)) for pos, sub in subterm_positions(g)]
         for cid, li, lit, lh, rh in self.equations:
+            own = lit[2]
             sides = None  # the offset copy, made for the first pair that needs it
             directions = (("lr", lh, 0), ("rl", rh, 1))
             for pos, sub, gh in subterms:
                 for direction, sh, k in directions:
-                    if gh is None or sh is None:
-                        ok = True
+                    if gh is None:
+                        bindings = ((sub, False, own[k], True),)
+                    elif sh is None:
+                        bindings = ((own[k], True, sub, False),)
                     elif gh != sh:
                         continue
                     else:
                         if sides is None:
                             sides = offset_literal(lit, off)[2]
-                        ok = unify_terms_trail(sub, sides[k], subst, trail)
+                        if not unify_terms_trail(sub, sides[k], subst, trail):
+                            undo_trail(subst, trail)
+                            continue
+                        bindings = tuple([_relative(v, subst[v], off) for v in trail])
                         undo_trail(subst, trail)
-                    if ok:
-                        out.append(Action(PARAMODULATION, clause_id=cid, literal_index=li,
-                                          position=pos, direction=direction))
+                    a = Action(PARAMODULATION, clause_id=cid, literal_index=li,
+                               position=pos, direction=direction)
+                    a.payload = (g, bindings, own[1 - k])
+                    out.append(a)
         return tuple(out)
 
     # -- application --------------------------------------------------------
@@ -385,7 +447,19 @@ class Engine:
         """The state action ``a`` leads to from ``s``.  ``legal_actions``
         decides, ``apply`` commits and ``replay`` checks: ``a`` must be one
         ``legal_actions(s)`` offers, so the unifications here cannot fail
-        and only compute the bindings."""
+        and only compute the bindings.
+
+        A paramodulation is committed from its ``payload`` alone, without
+        unifying or instantiating the goal again: its bindings are added
+        with the copy's variables moved up by ``s.next_var``, and the
+        payload's goal is rewritten with the kept side moved up the same
+        way.  This is exact at any ``next_var``, not only at the one of
+        the state the memo first met the goal at: the goal's variables
+        are unbound and below either offset, the copy's are fresh above
+        it, so unifying at ``s.next_var`` would read no binding of ``s``
+        and bind the same variables to the same terms, renamed.  A
+        paramodulation without a payload was not offered, and raises
+        ``ValueError``."""
         if a.kind == START:
             goals = tuple((lit, 0) for lit in self.matrix.clauses[a.clause_id])
             return TableauState(True, goals, (), {}, self.var_counts[a.clause_id], s)
@@ -397,16 +471,23 @@ class Engine:
             new = []
         else:
             clause = self.matrix.clauses[a.clause_id]
-            new = [offset_literal(lit, next_var) for lit in clause]
-            conn = new.pop(a.literal_index)
-            next_var += self.var_counts[a.clause_id]
             if a.kind == EXTENSION:
-                unify_args_trail(goal[2], conn[2], subst, [])
+                new = [offset_literal(lit, next_var) for lit in clause]
+                unify_args_trail(goal[2], new.pop(a.literal_index)[2], subst, [])
             else:
-                x, y = conn[2] if a.direction == "lr" else conn[2][::-1]
-                g = apply_subst_lit(goal, s.subst)
-                unify_terms_trail(subterm_at(g, a.position), x, subst, [])
-                new.insert(0, replace_at(g, a.position, y))
+                try:
+                    g, bindings, kept = a.payload
+                except AttributeError:
+                    raise ValueError(f"{a.encode()!r} carries no rewrite: apply takes a "
+                                     "paramodulation as legal_actions offers it") from None
+                for v, v_of_copy, t, t_of_copy in bindings:
+                    subst[v + next_var if v_of_copy else v] = (
+                        offset_term(t, next_var) if t_of_copy else t)
+                # the rewritten goal, then the clause's other literals
+                li = a.literal_index
+                new = [replace_at(g, a.position, offset_term(kept, next_var))]
+                new += [offset_literal(lit, next_var) for i, lit in enumerate(clause) if i != li]
+            next_var += self.var_counts[a.clause_id]
         if new:
             depth = len(s.path) + 1
             goals = tuple((lit, depth) for lit in new) + s.goals[1:]
@@ -421,11 +502,16 @@ class Engine:
         """The state an action sequence (a search's, a trace's or a bank's)
         reaches from the root.  Each action must be one ``legal_actions``
         offers; the first that is not raises :class:`IllegalActionError`
-        carrying its 0-based step."""
+        carrying its 0-based step.  What is applied is the offered action
+        equal to each one, so a decoded paramodulation is committed with
+        the payload ``legal_actions`` found for it."""
         state = self.root_state()
         for i, a in enumerate(actions):
-            if a not in self.legal_actions(state):
-                raise IllegalActionError(f"{a.encode()!r} is not a legal action", i)
+            legal = self.legal_actions(state)
+            try:
+                a = legal[legal.index(a)]
+            except ValueError:
+                raise IllegalActionError(f"{a.encode()!r} is not a legal action", i) from None
             state = self.apply(state, a)
         return state
 

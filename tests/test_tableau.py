@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contab.tableau as tableau_module
+from contab.analysis import BankEntry, save_bank
 from contab.clausify import clausify, clausify_text, load_matrix
 from contab.corpus import corpus_dir, corpus_problems
 from contab.policy import UniformPredictor
@@ -154,6 +155,15 @@ def oracle_apply(engine, state, action):
     # the closed goal's path is left; the next goal's is the prefix at its depth
     path = state.path[: pending[0][1]] if pending else ()
     return successor(pending, path, subst, next_var)
+
+
+def offered(engine, state, action):
+    """The action ``legal_actions(state)`` offers equal to ``action``,
+    which a paramodulation needs to be applied: a constructed or decoded
+    one carries no payload."""
+    legal = engine.legal_actions(state)
+    assert action in legal
+    return legal[legal.index(action)]
 
 
 def successor(goals, path, subst, next_var):
@@ -320,8 +330,7 @@ class TestParamodulation:
         ]
         state = e.root_state()
         for a in trace:
-            assert a in e.legal_actions(state)
-            state = e.apply(state, a)
+            state = e.apply(state, offered(e, state, a))
         assert e.is_closed(state)
         assert e.check_proof(trace)
 
@@ -456,30 +465,45 @@ class TestRewriteMemo:
 
     def random_walks(self, engine, rng, walks=40, steps=12):
         """Walks from the root on one engine, every step checked against
-        the brute-force enumerator; returns the rewritten goals seen."""
-        goals = []
+        the brute-force enumerator and every successor against
+        ``oracle_apply``; returns ``(goal, next_var, action taken or
+        None)`` for each state whose instantiated goal the memo keys."""
+        seen = []
         for _ in range(walks):
             s = engine.root_state()
             for _ in range(steps):
                 got = engine.legal_actions(s)
                 assert got == oracle_actions(engine, s), s.describe()
+                a = rng.choice(got) if got else None
                 if s.goals and len(s.path) < engine.path_limit:
-                    goals.append(self.goal_of(s))
-                if not got:
+                    seen.append((self.goal_of(s), s.next_var, a))
+                if a is None:
                     break
-                s = engine.apply(s, rng.choice(got))
-        return goals
+                nxt = engine.apply(s, a)
+                assert state_successor(nxt) == oracle_apply(engine, s, a), (s.describe(), a)
+                s = nxt
+        return seen
 
     @pytest.mark.parametrize("bound", BOUNDS)
     def test_random_walks_on_one_engine_agree_with_brute_force(self, bound, monkeypatch):
         monkeypatch.setattr(tableau_module, "GOAL_MEMO_SIZE", bound)
         engine = Engine(clausify_text(GROUP_TEXT), path_limit=10)
         rng = random.Random(11)
-        goals = self.random_walks(engine, rng) + self.random_walks(engine, rng)
+        seen = self.random_walks(engine, rng) + self.random_walks(engine, rng)
+        goals = [g for g, _, _ in seen]
         distinct = set(goals)
         # goals recur, so under the larger bound the memo answers them
         assert len(goals) > len(distinct) > 100
         assert len(engine._by_goal) == min(bound, len(distinct))
+        # rewrites applied at another next_var than the first state that
+        # met their goal: under the larger bound, whose memo is never
+        # cleared here, each one's payload was found at that first state
+        first = {}
+        for g, next_var, _ in seen:
+            first.setdefault(g, next_var)
+        moved = [a for g, next_var, a in seen
+                 if a is not None and a.kind == PARAMODULATION and next_var != first[g]]
+        assert len(moved) > 100
 
     def test_a_search_is_the_same_under_either_bound(self, monkeypatch):
         def search(engine):
@@ -513,7 +537,7 @@ class TestRewriteMemo:
         rng = random.Random(4)
         seen = set()
         for _ in range(20):
-            seen.update(self.random_walks(engine, rng, walks=1))
+            seen.update(g for g, _, _ in self.random_walks(engine, rng, walks=1))
             assert len(engine._by_goal) <= 5
         assert len(seen) > 5
 
@@ -653,6 +677,34 @@ class TestApplyOracle:
         assert sum(assert_children_agree(e, SearchLimits(inference_limit=150))
                    for e in bench_engines(problems[::3], 40)) > 650
 
+    def test_an_offered_rewrite_is_committed_without_unifying(self, monkeypatch):
+        """A paramodulation's successor comes from the bindings
+        ``legal_actions`` found: ``apply`` unifies and instantiates
+        nothing for it, at whatever ``next_var`` it is applied."""
+        def refuse(*args):
+            raise AssertionError("apply unified or instantiated again")
+
+        engine = Engine(clausify_text(GROUP_TEXT), path_limit=8)
+        rng = random.Random(3)
+        applied = set()
+        for _ in range(30):
+            s = engine.root_state()
+            for _ in range(8):
+                got = engine.legal_actions(s)
+                if not got:
+                    break
+                for a in got:
+                    if a.kind != PARAMODULATION:
+                        continue
+                    with monkeypatch.context() as m:
+                        for name in ("unify_terms_trail", "unify_args_trail", "apply_subst_lit"):
+                            m.setattr(tableau_module, name, refuse)
+                        nxt = engine.apply(s, a)
+                    assert state_successor(nxt) == oracle_apply(engine, s, a), (s.describe(), a)
+                    applied.add((a, s.next_var))
+                s = engine.apply(s, rng.choice(got))
+        assert len(applied) > 2000
+
 
 # random terms over unary and binary h (one symbol, two heads), g/1, a, b
 def _terms(variables):
@@ -735,7 +787,7 @@ class TestReplay:
         e = self.engine()
         state = e.root_state()
         for i, a in enumerate(self.PROOF):
-            state = e.apply(state, a)
+            state = e.apply(state, offered(e, state, a))
             replayed = e.replay(self.PROOF[: i + 1])
             assert (replayed.goals, replayed.path, replayed.subst, replayed.next_var) == (
                 state.goals, state.path, state.subst, state.next_var)
@@ -774,7 +826,8 @@ class TestReplay:
         e = self.engine()
         refl = Action(PARAMODULATION, clause_id=e.matrix.reflexivity_id, literal_index=0,
                       position=(1,), direction="lr")
-        e.apply(e.replay(self.PROOF[:1]), refl)  # apply alone takes it
+        with pytest.raises(ValueError, match="carries no rewrite"):
+            e.apply(e.replay(self.PROOF[:1]), refl)  # not offered, so it has no payload
         assert refused_step(e, self.PROOF[:1] + [refl]) == 1
 
     def test_paramodulation_on_an_engine_without_it(self):
@@ -834,6 +887,32 @@ class TestActionEncoding:
     @pytest.mark.parametrize("action", CASES)
     def test_encode_decode_roundtrip(self, action):
         assert decode_action(action.encode()) == action
+
+    def test_an_offered_action_reads_as_its_decoded_form(self, tmp_path):
+        """The payload an offered paramodulation carries shows in no
+        comparison, hash, encoding, pickle, trace or bank."""
+        engine = Engine(clausify_text(GROUP_TEXT))
+        path = engine.start_actions()[:1]
+        state = engine.replay(path)
+        for _ in range(3):
+            offered = [a for a in engine.legal_actions(state) if a.kind == PARAMODULATION]
+            path.append(offered[-1])
+            state = engine.apply(state, offered[-1])
+        assert all(hasattr(a, "payload") for a in path[1:])
+        decoded = [decode_action(a.encode()) for a in path]
+        for a, d in zip(path, decoded):
+            assert not hasattr(d, "payload")
+            assert (a, hash(a), a.encode()) == (d, hash(d), d.encode())
+            back = pickle.loads(pickle.dumps(a))
+            assert back == a and type(back) is Action and not hasattr(back, "payload")
+            assert pickle.dumps(a) == pickle.dumps(d)
+        for label, actions in (("offered", path), ("decoded", decoded)):
+            write_trace(tmp_path / f"{label}.trace", "group", actions)
+            save_bank(tmp_path / f"{label}.bank", [BankEntry("group", tuple(actions), 7)])
+        for suffix in (".trace", ".bank"):
+            assert ((tmp_path / f"offered{suffix}").read_bytes()
+                    == (tmp_path / f"decoded{suffix}").read_bytes())
+        assert engine.replay(decoded).subst == state.subst
 
     def test_decode_rejects_garbage(self):
         for line in ["", "frobnicate 1", "extension x y", "reduction",
