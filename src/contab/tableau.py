@@ -16,7 +16,7 @@ The calculus has three inference rules over the clause matrix:
 one without deciding again, and ``replay`` checks each action of a
 sequence from outside against ``legal_actions`` before applying it.  A
 paramodulation ``legal_actions`` offers carries what deciding it found
-(see :class:`Action`): the instantiated goal, the unifier of the goal
+(see :class:`_Rewrite`): the instantiated goal, the unifier of the goal
 subterm with the equation side, and the side put in, with the clause
 copy's variables numbered as in the clause.  ``apply`` adds those
 bindings with the copy moved up to the state's ``next_var`` and
@@ -87,28 +87,13 @@ PATH_LIMIT = 100  # Engine's default maximum tableau depth
 GOAL_MEMO_SIZE = 2 ** 12  # instantiated goals an Engine keeps the actions of
 
 
-class _ActionFields(NamedTuple):
+class Action(NamedTuple):
     kind: str
     clause_id: int = -1
     literal_index: int = -1
     path_index: int = -1
     position: tuple = ()
     direction: str = ""
-
-
-class Action(_ActionFields):
-    """One inference step, named by its six fields alone: equality,
-    hashing, :meth:`encode` and pickling read nothing else.
-
-    A paramodulation that ``legal_actions`` offers also carries the
-    rewrite it unified as its ``payload`` attribute, kept in the
-    instance dict (the class has no ``__slots__``, so tuple equality and
-    hashing stay in C); :meth:`Engine.apply` requires it.  A decoded or
-    unpickled action carries none.
-    """
-
-    def __getstate__(self):
-        return None  # a pickle holds the fields alone, so it reads as a decoded action
 
     def encode(self) -> str:
         if self.kind == START:
@@ -119,6 +104,22 @@ class Action(_ActionFields):
             return f"extension {self.clause_id} {self.literal_index}"
         pos = ".".join(str(i) for i in self.position)
         return f"paramodulation {self.clause_id} {self.literal_index} {pos} {self.direction}"
+
+
+class _Rewrite(Action):
+    """A paramodulation as ``legal_actions`` offers it: an :class:`Action`
+    that also carries the rewrite it unified, as a ``payload`` attribute
+    in its instance dict (see :meth:`Engine._paramodulations`), which
+    :meth:`Engine.apply` requires.  Equality, hashing and :meth:`encode`
+    are the six fields' (tuple equality stays in C), and it pickles as
+    the plain :class:`Action`, so what a pool child sends back reads as a
+    decoded action.  Only rewrites pay for the instance dict: a tuple
+    subclass with one is allocated 16 bytes larger, which raised the
+    batch-wide benchmark's peak RSS by about 0.5 MB when every action
+    had one, so the other kinds stay plain named tuples."""
+
+    def __reduce__(self):
+        return Action, tuple(self)
 
 
 # the fields of each kind's action line, the kind included
@@ -435,8 +436,8 @@ class Engine:
                             continue
                         bindings = tuple([_relative(v, subst[v], off) for v in trail])
                         undo_trail(subst, trail)
-                    a = Action(PARAMODULATION, clause_id=cid, literal_index=li,
-                               position=pos, direction=direction)
+                    a = _Rewrite(PARAMODULATION, clause_id=cid, literal_index=li,
+                                 position=pos, direction=direction)
                     a.payload = (g, bindings, own[1 - k])
                     out.append(a)
         return tuple(out)

@@ -905,7 +905,7 @@ class TestActionEncoding:
             assert (a, hash(a), a.encode()) == (d, hash(d), d.encode())
             back = pickle.loads(pickle.dumps(a))
             assert back == a and type(back) is Action and not hasattr(back, "payload")
-            assert pickle.dumps(a) == pickle.dumps(d)
+            assert pickle.dumps(back) == pickle.dumps(d)
         for label, actions in (("offered", path), ("decoded", decoded)):
             write_trace(tmp_path / f"{label}.trace", "group", actions)
             save_bank(tmp_path / f"{label}.bank", [BankEntry("group", tuple(actions), 7)])
