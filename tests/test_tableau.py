@@ -914,6 +914,16 @@ class TestActionEncoding:
                     == (tmp_path / f"decoded{suffix}").read_bytes())
         assert engine.replay(decoded).subst == state.subst
 
+    def test_only_an_offered_rewrite_has_an_instance_dict(self):
+        """Every other kind stays a plain named tuple, which is allocated
+        smaller than a tuple subclass with a dict."""
+        e = Engine(clausify_text(TestReplay.TEXT))
+        offered = [a for k in range(len(TestReplay.PROOF))
+                   for a in e.legal_actions(e.replay(TestReplay.PROOF[:k]))]
+        assert {a.kind for a in offered} == {START, PARAMODULATION, EXTENSION}
+        for a in offered:
+            assert hasattr(a, "__dict__") == (a.kind == PARAMODULATION), a
+
     def test_decode_rejects_garbage(self):
         for line in ["", "frobnicate 1", "extension x y", "reduction",
                      # an index is never negative, where Python would count from the end
