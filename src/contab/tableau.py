@@ -113,10 +113,9 @@ class _Rewrite(Action):
     :meth:`Engine.apply` requires.  Equality, hashing and :meth:`encode`
     are the six fields' (tuple equality stays in C), and it pickles as
     the plain :class:`Action`, so what a pool child sends back reads as a
-    decoded action.  Only rewrites pay for the instance dict: a tuple
-    subclass with one is allocated 16 bytes larger, which raised the
-    batch-wide benchmark's peak RSS by about 0.5 MB when every action
-    had one, so the other kinds stay plain named tuples."""
+    decoded action.  Only rewrites pay for the instance dict, which
+    makes every allocation of a tuple subclass 16 bytes larger: the
+    other kinds stay plain named tuples."""
 
     def __reduce__(self):
         return Action, tuple(self)
