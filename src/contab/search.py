@@ -7,13 +7,17 @@ playouts the root moves irreversibly to the child with the best mean
 reward.  Node creation applies one calculus action, so the inference
 budget equals the number of tree nodes minus the root.
 
-Selection skips the scores that cannot change its pick.  A one-slot
-node on the descent takes its slot.  A node whose one expanded child
-has a mean above ``cp * prior * sqrt(ln N)``, for the highest
-unexpanded prior and N the current root's visits, takes that child: no
-node below the root has more visits, so no unexpanded slot can score
-as much, and the child scores at least its mean.  Every other node is
-scored in full by :func:`select`.
+Selection skips the scores that cannot change its pick, and the
+descent loop in ``_Search.playout`` decides two kinds of node without
+calling :func:`select`.  A node whose one expanded child (its ``lead``)
+is not fully explored and has a mean above ``cp * top * sqrt(ln N)``,
+for ``top`` the highest unexpanded prior and N the current root's
+visits, takes that child: no node below the root has more visits, so
+no unexpanded slot can score as much, and the child scores at least
+its mean.  A one-slot node without a lead takes its slot.  Every other
+node is scored in full by :func:`select`.  Each node keeps ``lead``
+and ``top`` up to date where its expanded slots change, so the loop
+reads two fields where it would otherwise rescan the node.
 
 The tree holds only child links.  A playout carries its path from the
 search root (the bigstep spine, then the nodes it descends), and every
@@ -56,8 +60,17 @@ class SearchLimits:
 
 
 class MCTSNode:
+    """A search tree node.  Besides its slots, it keeps what the descent
+    reads to decide it without :func:`select`: ``lead``, the one
+    expanded child while it is the only one and not fully explored
+    (else ``None``), and ``top``, the highest unexpanded prior (``-inf``
+    once every slot is expanded).  ``add_child`` and ``set_priors`` set
+    them; ``_Search.add_node`` clears ``lead`` when it marks the lead
+    fully explored."""
+
     __slots__ = ("state", "actions", "priors", "children", "visits", "reward_sum",
-                 "action_index", "fully_explored", "expanded", "order", "frontier")
+                 "action_index", "fully_explored", "expanded", "order", "frontier",
+                 "lead", "top")
 
     def __init__(self, state, action_index):
         self.state = state
@@ -73,6 +86,8 @@ class MCTSNode:
         self.expanded: List[int] = []
         self.order: Sequence[int] = ()
         self.frontier = 0
+        self.lead: Optional[MCTSNode] = None
+        self.top = -math.inf
         self.visits = 0
         self.reward_sum = 0.0
         self.fully_explored = False
@@ -84,18 +99,25 @@ class MCTSNode:
         self.children = [None] * n
         # (-prior, index) order: the sort is stable, and equal priors (one
         # action, or a uniform predictor) are in it already
-        self.order = (range(n) if priors.count(priors[0]) == n
-                      else sorted(range(n), key=priors.__getitem__, reverse=True))
+        self.order = order = (range(n) if priors.count(priors[0]) == n
+                              else sorted(range(n), key=priors.__getitem__, reverse=True))
+        self.top = priors[order[0]]
 
     def add_child(self, i: int, child: "MCTSNode") -> None:
         """Expand slot ``i`` with ``child``."""
         children = self.children
         children[i] = child
-        self.expanded.append(i)
+        expanded = self.expanded
+        expanded.append(i)
+        # a second child ends the lead; a first one that is fully
+        # explored is cleared by add_node, which marks it so
+        self.lead = child if len(expanded) == 1 else None
         order, f = self.order, self.frontier
-        while f < len(order) and children[order[f]] is not None:
+        n = len(order)
+        while f < n and children[order[f]] is not None:
             f += 1
         self.frontier = f
+        self.top = self.priors[order[f]] if f < n else -math.inf
 
     @property
     def mean(self) -> float:
@@ -109,24 +131,23 @@ def select(node: MCTSNode, cp: float, bound: float) -> int:
     children are skipped, and -1 means every slot is.  This is the only
     place UCT is computed.  ``bound`` is at least ``sqrt(ln N)``:
     ``playout`` passes ``sqrt(ln visits)`` of its current root, since no
-    node below the root has more visits.
+    node below the root has more visits.  It is no longer read here, as
+    the one comparison against it is ``playout``'s shortcut below.
 
     At one visit (N = 1) every unexpanded slot scores 0, and nothing
     is expanded yet, so the first expansion below a node is slot 0,
     whatever the predictor says.
 
-    A node with exactly one expanded child that is not fully explored is
-    answered without a score when the child's mean exceeds
-    ``cp * prior * bound`` for the highest unexpanded prior (or when no
-    slot is unexpanded).  The shortcut is exact: visits are integers, so
-    ``ln N`` cannot round above the root's ``ln``, and ``sqrt`` and ``*``
-    round monotonically; hence every unexpanded slot scores at most
-    ``cp * prior * bound``, while the child scores at least its mean, as
-    the term added to it is not negative.  The child wins strictly, so
-    no tie rule decides it.
+    ``playout`` answers a node without this call when its ``lead``'s
+    mean exceeds ``cp * node.top * bound``.  That shortcut is exact:
+    visits are integers, so ``ln N`` cannot round above the root's
+    ``ln``, and ``sqrt`` and ``*`` round monotonically; hence every
+    unexpanded slot scores at most ``cp * top * bound``, while the lead
+    scores at least its mean, as the term added to it is not negative.
+    The lead wins strictly, so no tie rule decides it.
 
-    Otherwise only the expanded children and the leading unexpanded
-    slots are scored: an unexpanded slot's score falls (weakly) along
+    Only the expanded children and the leading unexpanded slots are
+    scored: an unexpanded slot's score falls (weakly) along
     ``node.order``, so the best one is the first, unless slots after it
     with lower priors round to the same score and a lower index."""
     children = node.children
@@ -134,13 +155,6 @@ def select(node: MCTSNode, cp: float, bound: float) -> int:
     order = node.order
     n = len(order)
     f = node.frontier
-    expanded = node.expanded
-    if len(expanded) == 1:
-        i = expanded[0]
-        child = children[i]
-        if not child.fully_explored and (
-                f == n or child.reward_sum / child.visits > cp * priors[order[f]] * bound):
-            return i
     log_n = math.log(node.visits)
     best, best_score = -1, -math.inf
     if f < n:
@@ -154,7 +168,7 @@ def select(node: MCTSNode, cp: float, bound: float) -> int:
                     break
                 if j < best and children[j] is None:
                     best = j
-    for i in expanded:
+    for i in node.expanded:
         child = children[i]
         if child.fully_explored:
             continue
@@ -274,7 +288,9 @@ class _Search:
         and backpropagates its reward along ``path``.  A terminal node is
         fully explored, and so in turn is each node up ``path`` whose slots
         are all expanded and fully explored; any other node keeps a slot
-        that ``select`` picks by finite priors, so a playout adds a leaf."""
+        that ``select`` picks by finite priors, so a playout adds a leaf.
+        The parent of each node marked fully explored loses its ``lead``,
+        which the marked node was if the parent had one."""
         path = self.path
         path.append(node)
         reward = self._evaluate(node)
@@ -283,6 +299,7 @@ class _Search:
             cur.reward_sum += reward
         if node.fully_explored:
             for cur in reversed(path[:-1]):
+                cur.lead = None
                 if (cur.frontier < len(cur.order)
                         or not all(cur.children[i].fully_explored for i in cur.expanded)):
                     break
@@ -293,13 +310,25 @@ class _Search:
         root, the end of ``path``, which is not fully explored: it adds
         exactly one leaf, and leaves ``path`` as it found it.  Every node
         of the descent has at most the root's visits, so the root's
-        ``sqrt(ln N)`` bounds every :func:`select` below it."""
+        ``sqrt(ln N)`` bounds every UCT score below it.
+
+        A node whose ``lead`` has a mean above ``cp * top * bound`` takes
+        its lead, which is exactly :func:`select`'s pick (see there).  A
+        node with a lead has at least 2 visits, and so has the root above
+        it, so ``bound > 0`` and ``cp * -inf * bound`` is ``-inf``, never
+        NaN.  Any other one-slot node takes slot 0, and the rest call
+        ``select``."""
         path = self.path
         spine = len(path)
         node = path[-1]
         cp = self.limits.cp
         bound = math.sqrt(math.log(node.visits))
         while True:
+            lead = node.lead
+            if lead is not None and lead.reward_sum / lead.visits > cp * node.top * bound:
+                node = lead
+                path.append(node)
+                continue
             children = node.children
             # a one-slot node on the descent is not fully explored, nor
             # then is its child: slot 0 is the answer, and needs no score

@@ -63,3 +63,57 @@ def test_summary_names_the_seeds_whose_trace_hash_moved():
     assert entry["moved_hashes"] == [2]
     assert entry["trace_hash"]["2"] == {"parent": "h", "change": "other"}
     assert entry["all_correct"] is True
+
+
+NOTE = ("calibration scale medians: main 1.25, pool 0.8 (reference loop 0.05 s); "
+        "unscaled medians: setup_s 0.0142 s, wall_s 0.302 s")
+
+
+def stub_run(tmp_path, lines):
+    """A perfbench/run.py that prints ``lines`` and a final JSON object."""
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json\n"
+        f"for line in {lines!r}:\n    print(line)\n"
+        "print(json.dumps({'correct': True, 'failed': 0, 'metrics': {}}))\n")
+    return bench_pairs.run_one("parent", str(tmp_path), "w", 1, 0.1)
+
+
+def test_a_run_records_its_calibration_note(tmp_path):
+    rec = stub_run(tmp_path, ["trace_hash abc over 2 passes", "passes 2, set-ups 3", NOTE,
+                              "pass walls 0.300 0.304"])
+    assert rec["calibration"] == {"main": 1.25, "pool": 0.8, "setup_s": 0.0142, "wall_s": 0.302}
+    assert rec["result"] == {"correct": True, "failed": 0, "metrics": {}}
+
+
+def test_a_run_without_a_calibration_note_records_null(tmp_path):
+    rec = stub_run(tmp_path, ["trace_hash abc over 2 passes", "calibration scale medians: ?"])
+    assert rec["calibration"] is None
+    assert rec["trace_hash"] == "abc"
+
+
+def with_note(rec, main, wall_s):
+    return dict(rec, calibration={"main": main, "pool": 1.0, "setup_s": 0.01, "wall_s": wall_s})
+
+
+def test_summary_gives_calibration_quartiles_beside_the_metrics():
+    records = [with_note(record("parent", 1), 1.0, 0.25), with_note(record("change", 1), 1.0, 0.5),
+               with_note(record("parent", 2), 1.25, 0.5), with_note(record("change", 2), 1.5, 0.75),
+               # a seed where one side printed no note, and a record that
+               # predates the field, count for the metrics only
+               with_note(record("parent", 3), 9.0, 9.0), dict(record("change", 3), calibration=None),
+               record("parent", 4), with_note(record("change", 4), 9.0, 9.0)]
+    entry = bench_pairs.summarize(records)["w"]
+    assert entry["seeds"] == [1, 2, 3, 4]
+    assert set(entry["metrics"]) == set(METRICS)
+    cal = entry["calibration"]
+    assert set(cal) == {"main", "pool", "setup_s", "wall_s"}
+    assert cal["main"]["parent"]["median"] == 1.125
+    assert cal["main"]["change"] == {"median": 1.25, "q1": 1.125, "q3": 1.375}
+    assert cal["wall_s"]["parent"]["median"] == 0.375
+    assert cal["wall_s"]["change"]["median"] == 0.625
+
+
+def test_summary_without_calibration_notes_has_none():
+    entry = bench_pairs.summarize([record("parent", 1), record("change", 1)])["w"]
+    assert entry["calibration"] == {}

@@ -2,8 +2,8 @@
 
 Three oracles here: an arbitrary-precision recomputation of the UCT score
 that ``select`` ranks children by (mpmath at 50 digits), a full scan of
-every child slot that ``select``'s bookkeeping and its one-child shortcut
-must agree with, and a
+every child slot that ``select``'s bookkeeping and the descent's
+one-child shortcut must agree with, and a
 plain-dict scripted simulation of the whole
 select/expand/backpropagate/bigstep loop that prove() must reproduce
 node for node.
@@ -150,7 +150,8 @@ class TestUctScore:
 
 def full_scan(node, cp):
     """select by scoring every child slot: the reference its bookkeeping
-    of expanded and unexpanded slots, and its shortcut, must agree with."""
+    of expanded and unexpanded slots, and the descent's shortcut, must
+    agree with."""
     log_n = math.log(node.visits)
     best, best_score = -1, -math.inf
     for i, child in enumerate(node.children):
@@ -186,7 +187,7 @@ def selected(node, cp=1.0):
 def shortcut_applies(node, cp, bound):
     """True when ``node`` has one expanded child, not fully explored, whose
     mean beats ``cp * prior * bound`` for every unexpanded slot: the
-    nodes ``select`` answers without a score."""
+    nodes the descent answers through their ``lead``, without a score."""
     expanded = [i for i, c in enumerate(node.children) if c is not None]
     if len(expanded) != 1 or node.children[expanded[0]].fully_explored:
         return False
@@ -216,8 +217,10 @@ def watch_descents(monkeypatch):
     bound of at least the node's own ``sqrt(ln N)`` and picks what
     ``full_scan`` picks; a one-slot node, which the descent answers
     without ``select``, has ``full_scan``'s pick in slot 0; and the leaf
-    lands where ``full_scan``'s descent ends.  Returns the counts of
-    decisions, ``select`` calls, and calls its shortcut answers."""
+    lands where ``full_scan``'s descent ends, so every node the descent
+    answers through its lead got ``full_scan``'s pick.  Returns the
+    counts of decisions, ``select`` calls, and decisions the lead
+    shortcut applies to under the root's bound."""
     counts = {"decisions": 0, "select": 0, "shortcut": 0}
     real_select = search_module.select
     real_playout = _Search.playout
@@ -227,14 +230,15 @@ def watch_descents(monkeypatch):
         assert bound >= own_bound(node)
         i = real_select(node, cp, bound)
         assert i == full_scan(node, cp)
-        counts["shortcut"] += shortcut_applies(node, cp, bound)
         return i
 
     def checked_playout(search):
         node, cp = search.path[-1], search.limits.cp
+        bound = own_bound(node)
         while True:
             counts["decisions"] += 1
             assert not node.fully_explored
+            counts["shortcut"] += shortcut_applies(node, cp, bound)
             i = full_scan(node, cp)
             assert 0 <= i < len(node.children)
             if len(node.children) == 1:
@@ -364,6 +368,160 @@ class TestSelectMatchesFullScan:
         assert counts["decisions"] > 5000
         # the oracle checks the shortcut, not only the full scoring
         assert counts["shortcut"] > 1000
+
+
+def subtree(node):
+    """``node`` and every node below it."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(c for c in node.children if c is not None)
+
+
+def eq_engines(seed=7):
+    return [(p.name, Engine(clausify(parse_problem(p.text))))
+            for p in bench_problems.eq_problems(random.Random(seed))]
+
+
+def chain_engines():
+    return [(p.name, Engine(clausify(parse_problem(p.text))))
+            for p in bench_problems.chain_problems(random.Random(7), lengths=(4, 6),
+                                                   widths=(2, 3))]
+
+
+class TestLeadAndTop:
+    """``lead`` and ``top``, which the descent reads instead of calling
+    ``select``, equal a recomputation from ``children``, ``priors``,
+    ``order`` and ``frontier`` at every node after every playout of
+    real searches."""
+
+    @staticmethod
+    def watch_trees(monkeypatch):
+        """Checks the whole tree after each playout from here on; returns
+        counts of the nodes checked, of those with a lead, and of those
+        whose only expanded child was fully explored, which add_node
+        cleared the lead of."""
+        counts = {"nodes": 0, "leads": 0, "cleared": 0}
+        real_playout = _Search.playout
+
+        def checked_playout(search):
+            real_playout(search)
+            for node in subtree(search.path[0]):
+                counts["nodes"] += 1
+                expanded = [c for c in node.children if c is not None]
+                one = len(expanded) == 1
+                want = expanded[0] if one and not expanded[0].fully_explored else None
+                assert node.lead is want
+                counts["leads"] += want is not None
+                counts["cleared"] += one and want is None and not node.fully_explored
+                f = node.frontier
+                want = node.priors[node.order[f]] if f < len(node.order) else -math.inf
+                assert node.top == want
+                # the frontier's prior is the highest unexpanded one
+                assert want == max((p for p, c in zip(node.priors or (), node.children)
+                                    if c is None), default=-math.inf)
+
+        monkeypatch.setattr(_Search, "playout", checked_playout)
+        return counts
+
+    def test_the_equational_family_with_the_uniform_predictor(self, monkeypatch):
+        counts = self.watch_trees(monkeypatch)
+        for name, engine in eq_engines():
+            prove(engine, name, UniformPredictor(), SearchLimits(inference_limit=150))
+        assert counts["leads"] > 1000
+
+    def test_the_chain_family_with_a_trained_predictor(self, monkeypatch):
+        from contab.learn import LoopConfig, run_loop
+
+        engines = chain_engines()
+        limits = SearchLimits(inference_limit=300, bigstep_frequency=25)
+        predictor = run_loop(engines, 1, LoopConfig(limits=limits)).final_model.predictor()
+        assert predictor.policy_weights
+        counts = self.watch_trees(monkeypatch)
+        for name, engine in engines:
+            prove(engine, name, predictor, limits)
+        assert counts["leads"] > 1000
+
+    def test_branchy_with_bigsteps_and_dead_ends(self, monkeypatch):
+        counts = self.watch_trees(monkeypatch)
+        statuses = set()
+        for text in (BRANCHY, DEADEND, INFINITE):
+            result = prove(Engine(clausify_text(text)), "b", UniformPredictor(),
+                           SearchLimits(inference_limit=300, bigstep_frequency=7))
+            statuses.add((result.status, result.bigsteps > 0))
+        # priors out of index order, and problems the calculus cannot prove
+        predictor = LinearPredictor({_hash("a:extension"): 1.0})
+        for path in corpus_problems():
+            result = prove(Engine(load_matrix(path)), path.stem, predictor,
+                           SearchLimits(inference_limit=100, bigstep_frequency=20))
+            statuses.add((result.status, result.bigsteps > 0))
+        assert {("dead-end", True), ("budget-exhausted", True), ("dead-end", False),
+                ("solved", False)} <= statuses
+        assert counts["cleared"] > 10 and counts["leads"] > 1000
+
+    class ClosingEngine:
+        """Every action closes the tableau, so a playout's leaf is a proof."""
+
+        def apply(self, state, action):
+            return state
+
+        def is_closed(self, state):
+            return True
+
+    def test_a_lead_mean_at_the_bound(self):
+        """The root's slot 0 unexpanded with prior p, its lead in slot 1
+        with a mean at ``cp * p * bound``, one ulp above or one ulp below:
+        only above it does the descent take the lead, as the full scan
+        does."""
+        for visits in (2, 3, 7, 50, 1000):
+            for p, cp in ((1.0, 1.0), (0.6, 0.7), (1 / 3, 2.0)):
+                edge = cp * p * math.sqrt(math.log(visits))
+                for mean, want in ((edge, 0), (math.nextafter(edge, math.inf), 1),
+                                   (math.nextafter(edge, -math.inf), 0)):
+                    root = built_node([p, 0.0], {1: (1, mean, False)}, visits)
+                    root.actions = ["a0", "a1"]
+                    lead = root.children[1]
+                    lead.actions = ["b0"]
+                    lead.set_priors([1.0])
+                    assert root.lead is lead and root.top == p
+                    assert full_scan(root, cp) == want
+                    search = _Search(self.ClosingEngine(), UniformPredictor(),
+                                     SearchLimits(cp=cp), False)
+                    search.path.append(root)
+                    search.playout()
+                    # the new leaf is the root's slot 0 or the lead's
+                    assert (root.children[0] is not None) == (want == 0)
+                    assert (lead.children[0] is not None) == (want == 1)
+
+
+class TestSelectOnlyScores:
+    """The descent answers lead nodes and one-slot nodes itself, so
+    ``select`` sees only nodes that need scores."""
+
+    def test_select_is_called_for_few_decisions_on_the_equational_family(
+            self, monkeypatch):
+        counts = watch_descents(monkeypatch)
+        for name, engine in eq_engines():
+            prove(engine, name, UniformPredictor(), SearchLimits(inference_limit=150))
+        assert counts["decisions"] > 5000
+        assert counts["select"] < 0.1 * counts["decisions"]
+
+    def test_select_never_sees_a_one_slot_or_a_lead_node(self, monkeypatch):
+        calls = []
+        real_select = search_module.select
+
+        def recording_select(node, cp, bound):
+            calls.append((len(node.children), shortcut_applies(node, cp, bound)))
+            return real_select(node, cp, bound)
+
+        monkeypatch.setattr(search_module, "select", recording_select)
+        for name, engine in chain_engines() + eq_engines():
+            prove(engine, name, UniformPredictor(),
+                  SearchLimits(inference_limit=300, bigstep_frequency=25))
+        assert len(calls) > 500
+        assert all(slots > 1 for slots, _ in calls)
+        assert not any(shortcut for _, shortcut in calls)
 
 
 # sha256 of the result lines below, computed before _select scored only

@@ -7,28 +7,40 @@
 ``run`` alternates the two checkouts seed by seed (the parent first on
 odd pairs, the change first on even ones) and appends one JSON line per
 run of ``perfbench/run.py --trace 0``: the checkout, workload, seed, exit
-code, the ``trace_hash`` of its passes, and the run's final JSON object.
-A run whose output does not end in that object is recorded with
-``result: null`` and the tail of its stderr, and the next run goes on.
-``summarize`` gives, per workload and checkout, the median and quartiles
-of every end-to-end metric over the seeds both checkouts measured, the
-seeds, each seed's ``trace_hash``, the seeds whose two ``trace_hash``
-differ (``moved_hashes``: empty when the change kept every proof), and
-the seeds whose run crashed, was wrong or failed a problem
-(``all_correct`` is false when there is one), plus how many pairs the
-change won on each metric.
+code, the ``trace_hash`` of its passes, the four numbers of its
+calibration note (``calibration``: the main and pool scales and the
+unscaled ``setup_s`` and ``wall_s`` medians, or ``null`` when the note
+is missing), and the run's final JSON object.  A run whose output does
+not end in that object is recorded with ``result: null`` and the tail of
+its stderr, and the next run goes on.  ``summarize`` gives, per workload
+and checkout, the median and quartiles of every end-to-end metric over
+the seeds both checkouts measured, the seeds, each seed's
+``trace_hash``, the seeds whose two ``trace_hash`` differ
+(``moved_hashes``: empty when the change kept every proof), and the
+seeds whose run crashed, was wrong or failed a problem (``all_correct``
+is false when there is one), plus how many pairs the change won on each
+metric.  Beside ``metrics``, ``calibration`` gives the quartiles of the
+four calibration numbers over the seeds where both checkouts printed
+the note, which tells whether a shift in ``setup_s`` or ``wall_s``
+shows in the unscaled timing too or comes from the calibration scale.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# perfbench/run.py's note on how it scaled its timings
+CALIBRATION = re.compile(r"calibration scale medians: main (\S+), pool (\S+) \(.*\); "
+                         r"unscaled medians: setup_s (\S+) s, wall_s (\S+) s")
+CALIBRATION_KEYS = ("main", "pool", "setup_s", "wall_s")
 
 
 def _seeds(text: str):
@@ -42,8 +54,11 @@ def run_one(label: str, checkout: str, workload: str, seed: int, seconds: float)
                          cwd=checkout, capture_output=True, text=True)
     lines = out.stdout.splitlines()
     trace_hash = next((ln.split()[1] for ln in lines if ln.startswith("trace_hash ")), None)
+    note = next(filter(None, map(CALIBRATION.fullmatch, lines)), None)
+    calibration = dict(zip(CALIBRATION_KEYS, map(float, note.groups()))) if note else None
     rec = {"checkout": label, "workload": workload, "seed": seed,
-           "trace_hash": trace_hash, "exit": out.returncode, "result": None}
+           "trace_hash": trace_hash, "calibration": calibration,
+           "exit": out.returncode, "result": None}
     try:
         rec["result"] = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
@@ -90,7 +105,8 @@ def summarize(records) -> dict:
                  "trace_hash": hashes,
                  "moved_hashes": [s for s in seeds
                                   if hashes[str(s)]["parent"] != hashes[str(s)]["change"]],
-                 "metrics": {}}
+                 "metrics": {},
+                 "calibration": {}}
         for name, sign in better.items() if measured else ():
             vals = {lb: [runs[lb][s]["result"]["metrics"][name]["value"] for s in measured]
                     for lb in runs}
@@ -98,6 +114,10 @@ def summarize(records) -> dict:
                        for p, c in zip(vals["parent"], vals["change"]))
             entry["metrics"][name] = {"better": sign, "change_wins": wins,
                                       **{lb: _quartiles(v) for lb, v in vals.items()}}
+        noted = [s for s in seeds if all(runs[lb][s].get("calibration") for lb in runs)]
+        for key in CALIBRATION_KEYS if noted else ():
+            entry["calibration"][key] = {
+                lb: _quartiles([runs[lb][s]["calibration"][key] for s in noted]) for lb in runs}
         out[workload] = entry
     return out
 
